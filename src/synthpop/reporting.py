@@ -223,17 +223,28 @@ def export_pareto_pairs(
 
 
 def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str]) -> None:
-    """Persist an archive's rosters and objectives as an ``.npz`` bundle."""
+    """Persist an archive's rosters and objectives as an ``.npz`` bundle.
+
+    Rosters are stored slot-major, ``slot_codes[slot, member, attribute]``,
+    in the narrowest unsigned dtype that holds every category index.
+    Crossover is positional, so members often share the row at a slot; in
+    this layout those repeats sit a few bytes apart, inside deflate's match
+    window, where a member-major layout puts them a whole roster apart.
+    """
     if not archive.members:
         raise DataError("archive is empty, nothing to save")
-    codes = np.stack([member.candidate.codes for member in archive.members])
-    attribute_names = [a.name for a in archive.members[0].candidate.attributes]
+    attributes = archive.members[0].candidate.attributes
+    slots, width = archive.members[0].candidate.codes.shape
+    dtype = np.min_scalar_type(max(a.size for a in attributes) - 1)
+    slot_codes = np.empty((slots, len(archive.members), width), dtype=dtype)
+    for index, member in enumerate(archive.members):
+        slot_codes[:, index, :] = member.candidate.codes
     np.savez_compressed(
         path,
-        codes=codes,
+        slot_codes=slot_codes,
         objectives=archive.objective_matrix(),
         objective_names=np.array(list(names)),
-        attribute_names=np.array(attribute_names),
+        attribute_names=np.array([a.name for a in attributes]),
     )
 
 
@@ -243,17 +254,47 @@ def load_archive(
     """Load an ``.npz`` archive bundle back into candidates.
 
     Returns the member rosters, their objective matrix, and the objective
-    names, in saved order.
+    names, in saved order. A bundle whose arrays disagree in shape, or that
+    holds a code outside its attribute's categories, is a :class:`DataError`.
     """
     with np.load(path, allow_pickle=False) as bundle:
-        codes = bundle["codes"]
+        if "slot_codes" not in bundle.files:
+            raise DataError(
+                f"{path} has no slot_codes array (written by an older version?); "
+                "re-run `synthpop run`"
+            )
+        slot_codes = bundle["slot_codes"]
         objectives = bundle["objectives"]
         objective_names = [str(n) for n in bundle["objective_names"]]
         attributes = tuple(schema[str(n)] for n in bundle["attribute_names"])
-    members = [
-        CandidatePopulation(attributes, codes[i].astype(ENTITY_DTYPE))
-        for i in range(codes.shape[0])
-    ]
+    if slot_codes.ndim != 3:
+        raise DataError(f"{path}: slot_codes has {slot_codes.ndim} axes, expected 3")
+    if slot_codes.dtype.kind != "u" or 0 in slot_codes.shape:
+        raise DataError(f"{path}: slot_codes must be a non-empty unsigned integer array")
+    if objectives.ndim != 2 or objectives.shape[1] != len(objective_names):
+        raise DataError(
+            f"{path}: objectives has shape {objectives.shape}, "
+            f"expected (members, {len(objective_names)})"
+        )
+    if slot_codes.shape[1] != objectives.shape[0]:
+        raise DataError(
+            f"{path}: slot_codes holds {slot_codes.shape[1]} members, "
+            f"objectives {objectives.shape[0]}"
+        )
+    if slot_codes.shape[2] != len(attributes):
+        raise DataError(
+            f"{path}: slot_codes has {slot_codes.shape[2]} attributes, "
+            f"attribute_names {len(attributes)}"
+        )
+    for column, attribute in enumerate(attributes):
+        code = slot_codes[..., column].max()
+        if code >= attribute.size:
+            raise DataError(
+                f"{path}: code {code} is out of range for attribute "
+                f"{attribute.name!r} ({attribute.size} categories)"
+            )
+    codes = np.ascontiguousarray(slot_codes.transpose(1, 0, 2), dtype=ENTITY_DTYPE)
+    members = [CandidatePopulation(attributes, roster) for roster in codes]
     return members, objectives.astype(np.float64), objective_names
 
 

@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from synthpop import file_checksum, read_manifest
@@ -184,6 +185,18 @@ class TestReport:
         out.mkdir()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
         assert "run the pipeline first" in capsys.readouterr().err
+
+    def test_report_rejects_a_tampered_archive(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_persons.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        arrays["slot_codes"][:, 0, 0] = 99
+        np.savez_compressed(bundle, **arrays)
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestExitCodes:

@@ -1,12 +1,16 @@
 """Tests for selection, CSV/JSON exports and their load round trips."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthpop import (
     Attribute,
+    AttributeSchema,
     CandidatePopulation,
     ContingencyTable,
     DataError,
@@ -248,9 +252,108 @@ class TestArchiveBundle:
         for loaded, kept in zip(members, archive.members):
             assert loaded.same_roster(kept.candidate)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        members=st.integers(1, 5),
+        slots=st.integers(1, 30),
+        sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
+        wide=st.one_of(st.none(), st.integers(257, 700)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_any_shape(self, members, slots, sizes, wide, seed):
+        if wide is not None:
+            sizes = [*sizes, wide]
+        attributes = tuple(
+            Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
+            for i, size in enumerate(sizes)
+        )
+        rng = np.random.default_rng(seed)
+        rosters = []
+        for _ in range(members):
+            codes = np.column_stack([rng.integers(0, size, size=slots) for size in sizes])
+            # Every attribute's highest category appears, so the dtype bound is hit.
+            codes[0] = [size - 1 for size in sizes]
+            rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
+        objectives = rng.random((members, 3))
+        archive = ParetoArchive.restore(zip(rosters, objectives))
+        buffer = io.BytesIO()
+        save_archive(buffer, archive, ("x", "y", "z"))
+        buffer.seek(0)
+        with np.load(buffer) as bundle:
+            stored = bundle["slot_codes"].dtype
+        assert stored == (np.uint8 if max(sizes) <= 256 else np.uint16)
+        buffer.seek(0)
+        loaded, loaded_objectives, names = load_archive(buffer, AttributeSchema(attributes))
+        assert names == ["x", "y", "z"]
+        assert np.array_equal(loaded_objectives, objectives)
+        assert len(loaded) == members
+        for roster, kept in zip(loaded, rosters):
+            assert roster.same_roster(kept)
+            assert roster.codes.dtype == np.int16
+
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             save_archive(tmp_path / "archive.npz", ParetoArchive(3), ("a",))
+
+
+def _tampered_bundle(schema, path, tamper):
+    """Save a valid two-member bundle, apply ``tamper`` to its arrays, save again."""
+    save_archive(path, archive_of(schema, [[1, 2], [2, 1]]), ("a", "b"))
+    with np.load(path) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    tamper(arrays)
+    np.savez_compressed(path, **arrays)
+
+
+def _legacy_layout(arrays):
+    arrays["codes"] = arrays.pop("slot_codes").transpose(1, 0, 2).astype(np.int16)
+
+
+def _flat_codes(arrays):
+    arrays["slot_codes"] = arrays["slot_codes"][:, 0, :]
+
+
+def _extra_member(arrays):
+    arrays["objectives"] = np.vstack([arrays["objectives"], [[3.0, 3.0]]])
+
+
+def _missing_attribute(arrays):
+    arrays["slot_codes"] = arrays["slot_codes"][:, :, :2]
+
+
+def _extra_objective(arrays):
+    arrays["objective_names"] = np.array(["a", "b", "c"])
+
+
+def _code_out_of_range(arrays):
+    # ``sex`` has two categories, so 2 is the first code out of range.
+    arrays["slot_codes"][:, 0, 0] = 2
+
+
+def _negative_code(arrays):
+    signed = arrays["slot_codes"].astype(np.int16)
+    signed[0, 0, 0] = -1
+    arrays["slot_codes"] = signed
+
+
+class TestMalformedArchiveBundle:
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_legacy_layout, "re-run `synthpop run`"),
+            (_flat_codes, "2 axes, expected 3"),
+            (_extra_member, "holds 2 members, objectives 3"),
+            (_missing_attribute, "2 attributes, attribute_names 3"),
+            (_extra_objective, r"expected \(members, 3\)"),
+            (_code_out_of_range, "code 2 is out of range for attribute 'sex'"),
+            (_negative_code, "unsigned integer"),
+        ],
+    )
+    def test_rejected_with_a_named_error(self, schema_small, tmp_path, tamper, message):
+        path = tmp_path / "archive.npz"
+        _tampered_bundle(schema_small, path, tamper)
+        with pytest.raises(DataError, match=message):
+            load_archive(path, schema_small)
 
 
 class TestRmseRows:
