@@ -134,7 +134,6 @@ def generate_households(
     rules: Sequence[ValidationRule] = (),
     *,
     workers: int = 1,
-    weight_tables: Mapping[str, str] | None = None,
     progress: ProgressCallback | None = None,
 ) -> tuple[ParetoArchive, GenerationHistory]:
     """Evolve household rosters against the dataset's household tables."""
@@ -148,7 +147,6 @@ def generate_households(
         config,
         rules,
         workers=workers,
-        weight_tables=weight_tables,
         progress=progress,
     )
 

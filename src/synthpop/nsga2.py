@@ -9,7 +9,7 @@ run's outputs are byte-identical at any worker count.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -223,14 +223,14 @@ def swap_mutation(
     candidate: CandidatePopulation,
     probability: float,
     rng: np.random.Generator,
-    rules: Sequence[ValidationRule] = (),
+    rules: CompiledRules | None = None,
 ) -> CandidatePopulation:
     """With the given probability, swap one attribute value between two
     random roster slots.
 
     Swapping conserves every attribute's frequency vector. If the swap
-    would violate a validation rule it is reverted and the candidate
-    returned unchanged.
+    would violate one of ``rules`` (compiled for the candidate's layout)
+    it is reverted and the candidate returned unchanged.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
@@ -240,8 +240,7 @@ def swap_mutation(
     i, j = (int(x) for x in rng.integers(0, len(candidate), size=2))
     col = int(rng.integers(0, codes.shape[1]))
     codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
-    compiled = CompiledRules(rules, candidate.attributes)
-    if not (compiled.row_ok(codes, i) and compiled.row_ok(codes, j)):
+    if rules is not None and not (rules.row_ok(codes, i) and rules.row_ok(codes, j)):
         return candidate
     return CandidatePopulation(candidate.attributes, codes)
 
@@ -251,7 +250,7 @@ def resample_mutation(
     probability: float,
     plan: SamplingPlan,
     rng: np.random.Generator,
-    rules: Sequence[ValidationRule] = (),
+    rules: CompiledRules | None = None,
     slots: int = 1,
 ) -> CandidatePopulation:
     """With the given probability, redraw the attribute value of ``slots``
@@ -261,35 +260,38 @@ def resample_mutation(
     fresh variation that recombination alone cannot reach once the
     population converges. Attributes are hit in proportion to their
     category count, since wide value spaces need more redraw traffic to
-    drift. Roster slots whose redraws leave them violating a rule revert
-    to their previous values; the others stand.
+    drift. Roster slots whose redraws leave them violating one of
+    ``rules`` revert to their previous values; the others stand. The
+    candidate must share the plan's attribute layout.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
     if slots < 1:
         raise ValueError("slots must be at least 1")
+    if candidate.attributes != plan.attributes:
+        raise ValueError("candidate and sampling plan attribute layouts differ")
     if rng.random() >= probability:
         return candidate
+    column_p, cdfs = plan.redraw_tables
     codes = candidate.codes.copy()
     rows = rng.integers(0, len(candidate), size=slots)
-    sizes = np.array([a.size for a in candidate.attributes], dtype=np.float64)
-    cols = rng.choice(codes.shape[1], size=slots, p=sizes / sizes.sum())
+    cols = rng.choice(codes.shape[1], size=slots, p=column_p)
     uniforms = rng.random(slots)
-    for col in range(codes.shape[1]):
+    for col, cdf in enumerate(cdfs):
         hits = cols == col
         if not hits.any():
             continue
-        cdf = np.cumsum(plan.weights(candidate.attributes[col].name))
         drawn = np.minimum(
             np.searchsorted(cdf, uniforms[hits], side="right"), len(cdf) - 1
         )
         codes[rows[hits], col] = drawn.astype(codes.dtype)
-    compiled = CompiledRules(rules, candidate.attributes)
     touched = np.unique(rows)
-    violating = touched[compiled.violation_mask(codes[touched])]
-    if violating.size:
-        codes[violating] = candidate.codes[violating]
-    if np.array_equal(codes, candidate.codes):
+    if rules is not None:
+        violating = touched[rules.violation_mask(codes[touched])]
+        if violating.size:
+            codes[violating] = candidate.codes[violating]
+    # Only the touched rows can differ from the input.
+    if np.array_equal(codes[touched], candidate.codes[touched]):
         return candidate
     return CandidatePopulation(candidate.attributes, codes)
 
@@ -329,7 +331,8 @@ class ParetoArchive:
     by, or objective-identical to, a member is a no-op; inserting a
     dominator evicts everything it dominates. Over capacity, the most
     crowded member is dropped first, which preserves the per-objective
-    extremes.
+    extremes. The members' objective vectors are kept stacked, row for
+    row in member order, so an insert compares against one matrix.
     """
 
     def __init__(self, capacity: int):
@@ -337,6 +340,7 @@ class ParetoArchive:
             raise DataError("archive capacity must be positive")
         self.capacity = capacity
         self._members: list[ArchiveMember] = []
+        self._objectives = np.empty((0, 0), dtype=np.float64)
 
     @classmethod
     def restore(
@@ -355,6 +359,8 @@ class ParetoArchive:
         ]
         archive = cls(capacity if capacity is not None else max(len(members), 1))
         archive._members = members
+        if members:
+            archive._objectives = np.vstack([m.objectives for m in members])
         return archive
 
     def __len__(self) -> int:
@@ -368,9 +374,12 @@ class ParetoArchive:
         return tuple(self._members)
 
     def objective_matrix(self) -> np.ndarray:
+        """Members' objective vectors, one row each; a read-only view."""
         if not self._members:
             raise DataError("archive is empty")
-        return np.vstack([m.objectives for m in self._members])
+        view = self._objectives.view()
+        view.setflags(write=False)
+        return view
 
     def best_values(self) -> np.ndarray:
         """Per-objective minimum across members; never worsens over a run."""
@@ -379,7 +388,7 @@ class ParetoArchive:
     def insert(self, candidate: CandidatePopulation, objectives: np.ndarray) -> bool:
         objectives = np.asarray(objectives, dtype=np.float64)
         if self._members:
-            matrix = self.objective_matrix()
+            matrix = self._objectives
             if matrix.shape[1] != objectives.shape[0]:
                 raise ValueError("objective vector length does not match archive")
             le = (matrix <= objectives).all(axis=1)
@@ -393,11 +402,16 @@ class ParetoArchive:
                 self._members = [
                     m for m, gone in zip(self._members, evicted) if not gone
                 ]
+                matrix = matrix[~evicted]
+            self._objectives = np.vstack([matrix, objectives])
+        else:
+            self._objectives = np.vstack([objectives])
         self._members.append(ArchiveMember(candidate=candidate, objectives=objectives))
         while len(self._members) > self.capacity:
-            distances = crowding_distance(self.objective_matrix())
+            distances = crowding_distance(self._objectives)
             drop = int(np.argmin(distances))
             del self._members[drop]
+            self._objectives = np.delete(self._objectives, drop, axis=0)
         return True
 
     def update(
@@ -516,7 +530,6 @@ def evolve(
     rules: Sequence[ValidationRule] = (),
     *,
     workers: int = 1,
-    weight_tables: Mapping[str, str] | None = None,
     progress: ProgressCallback | None = None,
 ) -> tuple[ParetoArchive, GenerationHistory]:
     """Run the full NSGA-II loop for one stage.
@@ -536,10 +549,10 @@ def evolve(
         attributes,
         dataset.stage_tables(stage),
         mode=config.sampling,
-        weight_tables=weight_tables,
     )
     evaluator = ObjectiveEvaluator(dataset, specs, target, plan.attributes)
-    CompiledRules(rules, plan.attributes)  # fail fast on misconfigured rules
+    # Compiled once for the stage; this also fails fast on misconfigured rules.
+    compiled = CompiledRules(rules, plan.attributes)
     stage_id = _STAGE_IDS[stage]
     seed = config.seed
 
@@ -586,7 +599,7 @@ def evolve(
                 child_b = parent_b.candidate.copy()
             for child in (child_a, child_b):
                 child = swap_mutation(
-                    child, config.mutation_probability, mutate_rng, rules
+                    child, config.mutation_probability, mutate_rng, compiled
                 )
                 if config.resample_probability > 0:
                     child = resample_mutation(
@@ -594,7 +607,7 @@ def evolve(
                         config.resample_probability,
                         plan,
                         mutate_rng,
-                        rules,
+                        compiled,
                         slots=config.resample_slots,
                     )
                 offspring.append(child)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -135,12 +136,16 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
 
 
 class CompiledRules:
-    """Rules bound to a roster's column layout for vectorised checking."""
+    """Rules bound to a roster's column layout for vectorised checking.
+
+    Each clause becomes a boolean lookup table over its attribute's codes,
+    True at the forbidden ones, so a membership test is one fancy index.
+    """
 
     def __init__(self, rules: Sequence[ValidationRule], attributes: Sequence[Attribute]):
         columns = {a.name: i for i, a in enumerate(attributes)}
         self.rules = tuple(rules)
-        self._bound: list[tuple[tuple[int, np.ndarray, frozenset[int]], ...]] = []
+        self._bound: list[tuple[tuple[int, np.ndarray], ...]] = []
         for rule in self.rules:
             bound = []
             for attribute, categories in rule.clauses:
@@ -152,10 +157,9 @@ class CompiledRules:
             for attribute, categories in rule.clauses:
                 col = columns[attribute]
                 declared = attributes[col]
-                indices = np.array(
-                    sorted(declared.index_of(c) for c in categories), dtype=ENTITY_DTYPE
-                )
-                bound.append((col, indices, frozenset(int(i) for i in indices)))
+                forbidden = np.zeros(declared.size, dtype=bool)
+                forbidden[[declared.index_of(c) for c in categories]] = True
+                bound.append((col, forbidden))
             self._bound.append(tuple(bound))
 
     def violation_mask(self, codes: np.ndarray) -> np.ndarray:
@@ -163,8 +167,8 @@ class CompiledRules:
         bad = np.zeros(len(codes), dtype=bool)
         for bound in self._bound:
             hit = np.ones(len(codes), dtype=bool)
-            for col, indices, _ in bound:
-                hit &= np.isin(codes[:, col], indices)
+            for col, forbidden in bound:
+                hit &= forbidden[codes[:, col]]
                 if not hit.any():
                     break
             bad |= hit
@@ -172,7 +176,7 @@ class CompiledRules:
 
     def row_ok(self, codes: np.ndarray, row: int) -> bool:
         for bound in self._bound:
-            if all(int(codes[row, col]) in members for col, _, members in bound):
+            if all(forbidden[codes[row, col]] for col, forbidden in bound):
                 return False
         return True
 
@@ -233,6 +237,15 @@ class SamplingPlan:
         cdf = self._marginal_cdfs[attribute]
         return np.diff(cdf, prepend=0.0)
 
+    @cached_property
+    def redraw_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """What resample mutation draws from, in column order: the chance
+        of hitting each column (proportional to its category count) and
+        each column's cumulative weights."""
+        sizes = np.array([a.size for a in self.attributes], dtype=np.float64)
+        cdfs = tuple(np.cumsum(self.weights(a.name)) for a in self.attributes)
+        return sizes / sizes.sum(), cdfs
+
     @classmethod
     def independent(
         cls, pairs: Sequence[tuple[Attribute, np.ndarray]]
@@ -261,36 +274,19 @@ class SamplingPlan:
         attributes: Sequence[str],
         tables: Sequence[ContingencyTable],
         mode: str = INDEPENDENT,
-        weight_tables: Mapping[str, str] | None = None,
     ) -> SamplingPlan:
         """Plan for a stage, deriving weights from the stage's tables.
 
         In independent mode each attribute's weights come from the first
-        table listing it, marginalised; ``weight_tables`` overrides the
-        source table per attribute name.
+        table listing it, marginalised.
         """
         if mode not in SAMPLING_MODES:
             raise DataError(f"unknown sampling mode {mode!r}")
         if not attributes:
             raise DataError("sampling plan needs at least one attribute")
         resolved = tuple(schema[name] for name in attributes)
-        by_name = {t.name: t for t in tables}
-        overrides = dict(weight_tables or {})
 
         def source_table(attribute: str) -> ContingencyTable:
-            if attribute in overrides:
-                override = overrides[attribute]
-                if override not in by_name:
-                    raise DataError(
-                        f"weight table {override!r} for {attribute!r} is not a "
-                        "stage table"
-                    )
-                table = by_name[override]
-                if attribute not in table.axis_names:
-                    raise DataError(
-                        f"weight table {override!r} has no axis {attribute!r}"
-                    )
-                return table
             for table in tables:
                 if attribute in table.axis_names:
                     return table

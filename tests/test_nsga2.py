@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthpop import (
+    Attribute,
     CandidatePopulation,
     ContingencyTable,
     DataError,
@@ -274,7 +277,8 @@ class TestSwapMutation:
                     return np.array([0, 1])
                 return 1  # the age column
 
-        mutated = swap_mutation(candidate, 1.0, ForcedSwap(), [rule_no_child_marriage])
+        compiled = CompiledRules([rule_no_child_marriage], attributes)
+        mutated = swap_mutation(candidate, 1.0, ForcedSwap(), compiled)
         assert mutated is candidate
 
 
@@ -309,10 +313,21 @@ class TestResampleMutation:
         compiled = CompiledRules([rule_no_child_marriage], candidate.attributes)
         current = candidate
         for _ in range(100):
-            current = resample_mutation(
-                current, 1.0, plan, rng, [rule_no_child_marriage], slots=8
-            )
+            current = resample_mutation(current, 1.0, plan, rng, compiled, slots=8)
             assert not compiled.violation_mask(current.codes).any()
+
+    def test_candidate_layout_must_match_plan(self, schema_small):
+        rng = np.random.default_rng(13)
+        candidate = make_candidate(schema_small, rng)
+        reordered = SamplingPlan.independent(
+            [
+                (schema_small["marital"], np.array([0.7, 0.3])),
+                (schema_small["age"], np.array([0.4, 0.4, 0.2])),
+                (schema_small["sex"], np.array([0.5, 0.5])),
+            ]
+        )
+        with pytest.raises(ValueError, match="layouts differ"):
+            resample_mutation(candidate, 1.0, reordered, rng)
 
     def test_same_stream_same_result(self, schema_small):
         candidate = make_candidate(schema_small, np.random.default_rng(12), size=40)
@@ -426,6 +441,39 @@ class TestParetoArchive:
                 assert np.all(best <= previous + TOL)
             previous = best
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        vectors=st.integers(1, 3).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+    )
+    def test_invariants_after_any_inserts(self, capacity, vectors):
+        attributes = (Attribute("x", ("a", "b")),)
+        archive = ParetoArchive(capacity)
+        for k, vector in enumerate(vectors):
+            codes = np.array([[k % 2]], dtype=np.int16)
+            archive.insert(CandidatePopulation(attributes, codes), np.array(vector, float))
+        members = archive.members
+        assert 1 <= len(members) <= capacity
+        for a in members:
+            for b in members:
+                if a is not b:
+                    assert not dominates(a.objectives, b.objectives)
+                    assert not np.array_equal(a.objectives, b.objectives)
+        matrix = archive.objective_matrix()
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, np.vstack([m.objectives for m in members]))
+        rebuilt = ParetoArchive.restore(
+            ((m.candidate, m.objectives) for m in members), capacity
+        )
+        assert np.array_equal(rebuilt.objective_matrix(), matrix)
+        assert [m.candidate for m in rebuilt.members] == [m.candidate for m in members]
+
     def test_restore_round_trip(self, schema_small):
         rng = np.random.default_rng(6)
         archive = ParetoArchive(8)
@@ -483,6 +531,33 @@ class TestEvolve:
             ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
             ObjectiveSpec(name="marital_fit", table="age_marital", attribute="marital"),
         ]
+
+    def test_rules_compile_once_per_stage(
+        self, dataset_small, rule_no_child_marriage, monkeypatch
+    ):
+        compiles = []
+        original = CompiledRules.__init__
+
+        def counting(self, *args, **kwargs):
+            compiles.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledRules, "__init__", counting)
+        counts = []
+        for generations, offspring in ((1, 2), (6, 12)):
+            compiles.clear()
+            config = EvolutionConfig(
+                population_size=4,
+                generations=generations,
+                offspring_size=offspring,
+                mutation_probability=1.0,
+                resample_probability=1.0,
+                resample_slots=3,
+                seed=8,
+            )
+            evolve(dataset_small, self.specs(), config, [rule_no_child_marriage])
+            counts.append(len(compiles))
+        assert counts[0] == counts[1]
 
     def test_zero_generations_archives_initial_front(self, dataset_small):
         config = EvolutionConfig(population_size=10, generations=0, seed=5)

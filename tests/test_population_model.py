@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthpop import (
+    Attribute,
     CandidatePopulation,
     DataError,
     EvolutionError,
@@ -97,6 +100,50 @@ class TestCompiledRules:
                 candidate.person(index).assignments
             )
             assert mask[index] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mask_and_row_check_match_per_person_check(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
+            for i, n in enumerate(sizes)
+        )
+        rules = []
+        for r in range(data.draw(st.integers(1, 4))):
+            columns = data.draw(
+                st.lists(
+                    st.sampled_from(range(len(sizes))),
+                    min_size=1,
+                    max_size=len(sizes),
+                    unique=True,
+                )
+            )
+            clauses = tuple(
+                (
+                    attributes[c].name,
+                    frozenset(
+                        data.draw(
+                            st.sets(st.sampled_from(attributes[c].categories), min_size=1)
+                        )
+                    ),
+                )
+                for c in columns
+            )
+            rules.append(ValidationRule(name=f"r{r}", clauses=clauses))
+        rows = data.draw(st.integers(1, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        codes = np.column_stack(
+            [rng.integers(0, a.size, size=rows) for a in attributes]
+        ).astype(np.int16)
+        candidate = CandidatePopulation(attributes, codes)
+        compiled = CompiledRules(rules, attributes)
+        mask = compiled.violation_mask(candidate.codes)
+        for index in range(len(candidate)):
+            assignments = candidate.person(index).assignments
+            expected = any(rule.violated_by(assignments) for rule in rules)
+            assert mask[index] == expected
+            assert compiled.row_ok(candidate.codes, index) == (not expected)
 
     def test_rule_must_use_roster_attributes(self, schema_small):
         rule = ValidationRule(name="odd", clauses=(("income", frozenset({"low"})),))
