@@ -289,10 +289,8 @@ def main() -> None:
         "schema": "schema.yaml",
         "output_dir": "out",
         "seed": 42,
-        "workers": 1,
         "validation_tolerance": 0.01,
         "strict_validation": True,
-        "selection_weights": {},
         "persons": {
             "target_count": N_PERSONS,
             "tables": [

@@ -2,8 +2,7 @@
 
 Tables are loaded from CSV extracts with one row per cell and a trailing
 ``count`` column, against a schema file that fixes attribute order and
-category order. Everything here is immutable after loading and safe to
-share across worker threads.
+category order. Everything here is immutable after loading.
 """
 
 from __future__ import annotations

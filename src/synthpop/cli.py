@@ -98,7 +98,6 @@ def _run_stage(
     stage_config: StageConfig,
     dataset: RegionDataset,
     rules: tuple[ValidationRule, ...],
-    workers: int,
     *,
     quiet: bool,
 ) -> tuple[ParetoArchive, object, float]:
@@ -107,12 +106,12 @@ def _run_stage(
     if stage_config.stage == HOUSEHOLDS:
         archive, history = generate_households(
             dataset, stage_config.objectives, stage_config.evolution, rules,
-            workers=workers, progress=progress,
+            progress=progress,
         )
     else:
         archive, history = evolve(
             dataset, stage_config.objectives, stage_config.evolution, rules,
-            workers=workers, progress=progress,
+            progress=progress,
         )
     return archive, history, time.perf_counter() - started
 
@@ -121,11 +120,10 @@ def _select_and_summarize(
     stage_config: StageConfig,
     dataset: RegionDataset,
     archive: ParetoArchive,
-    weights,
 ) -> tuple[CandidatePopulation, int, dict]:
     """Pick the exported member and describe the choice for the manifest."""
     names = [spec.name for spec in stage_config.objectives]
-    chosen = select_best(archive, names, weights)
+    chosen = select_best(archive, [spec.weight for spec in stage_config.objectives])
     candidate = archive.members[chosen].candidate
     matrix = archive.objective_matrix()
     normalized = normalize_objectives(matrix)
@@ -225,7 +223,6 @@ def _build_manifest(config: RunConfig, summaries: dict, outputs: list[str]) -> d
         "seed": config.seed,
         "validation_tolerance": config.validation_tolerance,
         "strict_validation": config.strict_validation,
-        "selection_weights": dict(config.selection_weights),
         "inputs": inputs,
         "stages": stages,
         "outputs": sorted(outputs),
@@ -253,12 +250,8 @@ def _cmd_generate_persons(args: argparse.Namespace) -> int:
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    archive, history, wall = _run_stage(
-        config.persons, dataset, rules[PERSONS], config.workers, quiet=args.quiet
-    )
-    candidate, chosen, _ = _select_and_summarize(
-        config.persons, dataset, archive, config.selection_weights
-    )
+    archive, history, wall = _run_stage(config.persons, dataset, rules[PERSONS], quiet=args.quiet)
+    candidate, chosen, _ = _select_and_summarize(config.persons, dataset, archive)
     _assert_rule_free(candidate, rules[PERSONS], PERSONS)
     _export_stage(out_dir, config.persons, dataset, archive, history, chosen, candidate)
     export_persons(out_dir / "persons.csv", candidate)
@@ -284,11 +277,9 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
     persons = load_persons(persons_path, dataset.schema)
 
     archive, history, wall = _run_stage(
-        config.households, dataset, rules[HOUSEHOLDS], config.workers, quiet=args.quiet
+        config.households, dataset, rules[HOUSEHOLDS], quiet=args.quiet
     )
-    candidate, chosen, _ = _select_and_summarize(
-        config.households, dataset, archive, config.selection_weights
-    )
+    candidate, chosen, _ = _select_and_summarize(config.households, dataset, archive)
     _assert_rule_free(candidate, rules[HOUSEHOLDS], HOUSEHOLDS)
     _export_stage(out_dir, config.households, dataset, archive, history, chosen, candidate)
     result = allocate(persons, candidate, dataset.schema)
@@ -311,13 +302,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     timings: list[tuple[str, float]] = []
     total_started = time.perf_counter()
 
-    archive, history, wall = _run_stage(
-        config.persons, dataset, rules[PERSONS], config.workers, quiet=args.quiet
-    )
+    archive, history, wall = _run_stage(config.persons, dataset, rules[PERSONS], quiet=args.quiet)
     timings.append(("persons_evolve", wall))
-    persons, chosen, summary = _select_and_summarize(
-        config.persons, dataset, archive, config.selection_weights
-    )
+    persons, chosen, summary = _select_and_summarize(config.persons, dataset, archive)
     summaries[PERSONS] = summary
     _assert_rule_free(persons, rules[PERSONS], PERSONS)
     outputs.extend(
@@ -329,12 +316,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if config.households is not None:
         archive, history, wall = _run_stage(
-            config.households, dataset, rules[HOUSEHOLDS], config.workers, quiet=args.quiet
+            config.households, dataset, rules[HOUSEHOLDS], quiet=args.quiet
         )
         timings.append(("households_evolve", wall))
-        households, chosen, summary = _select_and_summarize(
-            config.households, dataset, archive, config.selection_weights
-        )
+        households, chosen, summary = _select_and_summarize(config.households, dataset, archive)
         summaries[HOUSEHOLDS] = summary
         _assert_rule_free(households, rules[HOUSEHOLDS], HOUSEHOLDS)
         outputs.extend(
@@ -359,12 +344,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _restore_archive(path: Path, schema) -> tuple[ParetoArchive, list[str]]:
-    """Rebuild a Pareto archive from a saved bundle."""
+def _restore_archive(path: Path, schema, expected_names: list[str]) -> ParetoArchive:
+    """Rebuild a Pareto archive from a saved bundle that must track the
+    configured objectives, in order."""
     if not path.exists():
         raise DataError(f"{path} not found; run the pipeline first")
     members, objectives, names = load_archive(path, schema)
-    return ParetoArchive.restore(zip(members, objectives)), names
+    if names != expected_names:
+        raise DataError(
+            f"saved archive {path.name} tracks objectives {names}, config expects {expected_names}"
+        )
+    return ParetoArchive.restore(zip(members, objectives))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -373,37 +363,38 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rules = load_stage_rules(config, dataset.schema)
     out_dir = config.output_dir
 
-    archive, names = _restore_archive(out_dir / "archive_persons.npz", dataset.schema)
-    expected = [spec.name for spec in config.persons.objectives]
-    if names != expected:
-        raise DataError(
-            f"saved persons archive tracks objectives {names}, config expects {expected}"
-        )
-    persons, chosen, summary = _select_and_summarize(
-        config.persons, dataset, archive, config.selection_weights
-    )
+    # Both bundles are restored and checked before any file is rewritten.
+    person_names = [spec.name for spec in config.persons.objectives]
+    archive = _restore_archive(out_dir / "archive_persons.npz", dataset.schema, person_names)
+    household_bundle = out_dir / "archive_households.npz"
+    household_archive = None
+    if config.households is not None and household_bundle.exists():
+        household_names = [spec.name for spec in config.households.objectives]
+        household_archive = _restore_archive(household_bundle, dataset.schema, household_names)
+
+    persons, chosen, summary = _select_and_summarize(config.persons, dataset, archive)
     _assert_rule_free(persons, rules[PERSONS], PERSONS)
     export_persons(out_dir / "persons.csv", persons)
-    export_pareto_pairs(out_dir / "pareto_persons.csv", archive, names, chosen)
+    export_pareto_pairs(out_dir / "pareto_persons.csv", archive, person_names, chosen)
     export_rmse(out_dir / "rmse_persons.csv", rmse_rows(persons, dataset.person_tables))
     print(f"persons: member {chosen} of {len(archive.members)} re-exported")
     for row in summary["rmse"]:
         print(f"  rmse {row['table']}/{row['attribute']} ({row['level']}): {row['value']:.3f}")
 
-    household_bundle = out_dir / "archive_households.npz"
-    if config.households is not None and household_bundle.exists():
-        archive, names = _restore_archive(household_bundle, dataset.schema)
+    if household_archive is not None:
         households, chosen, _ = _select_and_summarize(
-            config.households, dataset, archive, config.selection_weights
+            config.households, dataset, household_archive
         )
         _assert_rule_free(households, rules[HOUSEHOLDS], HOUSEHOLDS)
         result = allocate(persons, households, dataset.schema)
         export_households(out_dir / "households.csv", result.households)
-        export_pareto_pairs(out_dir / "pareto_households.csv", archive, names, chosen)
+        export_pareto_pairs(
+            out_dir / "pareto_households.csv", household_archive, household_names, chosen
+        )
         export_rmse(
             out_dir / "rmse_households.csv", rmse_rows(households, dataset.household_tables)
         )
-        print(f"households: member {chosen} of {len(archive.members)} re-exported,"
+        print(f"households: member {chosen} of {len(household_archive.members)} re-exported,"
               f" complete rate {result.complete_rate:.1%}")
     return 0
 
@@ -414,7 +405,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         generations=args.generations,
         population_size=args.population_size,
-        workers=args.workers,
         output_dir=args.out_dir,
     )
 
@@ -426,8 +416,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override generations for every stage")
     parser.add_argument("--population-size", type=int, default=None,
                         help="override population size for every stage")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="evaluation worker threads")
     parser.add_argument("--out-dir", default=None, help="override the output directory")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-generation progress lines")

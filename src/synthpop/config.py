@@ -3,8 +3,8 @@
 The file names a schema, an output directory, and one section per stage
 (persons required, households optional). Every relative path inside the
 file resolves against the file's own directory, so a config can move with
-its fixtures. CLI overrides (seed, generations, population size, workers,
-output directory) are applied here so that the rest of the pipeline only
+its fixtures. CLI overrides (seed, generations, population size, output
+directory) are applied here so that the rest of the pipeline only
 ever sees a finished, immutable configuration.
 """
 
@@ -64,10 +64,8 @@ class RunConfig:
     schema_path: Path
     output_dir: Path
     seed: int
-    workers: int
     validation_tolerance: float
     strict_validation: bool
-    selection_weights: Mapping[str, float]
     persons: StageConfig
     households: StageConfig | None
 
@@ -94,12 +92,15 @@ def _parse_objective(entry, context: str) -> ObjectiveSpec:
         raise DataError(
             f"{context}: metric must be one of {sorted(METRICS)}, got '{metric}'"
         )
+    weight = entry.get("weight", 1.0)
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise DataError(f"{context}: weight must be a number, got {weight!r}")
     return ObjectiveSpec(
         name=str(_require(entry, "name", context)),
         table=str(_require(entry, "table", context)),
         attribute=entry.get("attribute"),
         metric=metric,
-        weight=float(entry.get("weight", 1.0)),
+        weight=float(weight),
     )
 
 
@@ -131,6 +132,11 @@ def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
     objectives = _require(entry, "objectives", context)
     if not isinstance(objectives, list) or not objectives:
         raise DataError(f"{context}: objectives must be a non-empty list")
+    objectives = tuple(
+        _parse_objective(o, f"{context} objective {i}") for i, o in enumerate(objectives)
+    )
+    if not any(o.weight > 0 for o in objectives):
+        raise DataError(f"{context}: at least one objective must carry positive weight")
     rules = entry.get("rules")
     table_paths = tuple((base / str(p)).resolve() for p in tables)
     rules_path = (base / str(rules)).resolve() if rules else None
@@ -142,10 +148,7 @@ def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
         target_count=target,
         table_paths=table_paths,
         rules_path=rules_path,
-        objectives=tuple(
-            _parse_objective(o, f"{context} objective {i}")
-            for i, o in enumerate(objectives)
-        ),
+        objectives=objectives,
         evolution=_parse_evolution(entry.get("evolution"), seed, context),
     )
 
@@ -156,7 +159,6 @@ def load_run_config(
     seed: int | None = None,
     generations: int | None = None,
     population_size: int | None = None,
-    workers: int | None = None,
     output_dir: str | Path | None = None,
 ) -> RunConfig:
     """Load a run configuration, applying any CLI overrides.
@@ -179,10 +181,8 @@ def load_run_config(
         "schema",
         "output_dir",
         "seed",
-        "workers",
         "validation_tolerance",
         "strict_validation",
-        "selection_weights",
         PERSONS,
         HOUSEHOLDS,
     }
@@ -192,11 +192,6 @@ def load_run_config(
     base = config_path.parent
 
     effective_seed = seed if seed is not None else int(raw.get("seed", 0))
-    weights = raw.get("selection_weights") or {}
-    weights = _as_mapping(weights, "selection_weights") if weights else {}
-    for name, value in weights.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise DataError(f"selection weight '{name}' must be a non-negative number")
 
     persons = _parse_stage(PERSONS, _require(raw, PERSONS, str(config_path)), base, effective_seed)
     households = None
@@ -219,9 +214,6 @@ def load_run_config(
     tolerance = float(raw.get("validation_tolerance", 0.01))
     if tolerance < 0:
         raise DataError("validation_tolerance must be non-negative")
-    effective_workers = workers if workers is not None else int(raw.get("workers", 1))
-    if effective_workers < 1:
-        raise DataError("workers must be at least 1")
 
     out = Path(output_dir) if output_dir is not None else base / str(raw.get("output_dir", "out"))
     schema_path = (base / str(_require(raw, "schema", str(config_path)))).resolve()
@@ -233,10 +225,8 @@ def load_run_config(
         schema_path=schema_path,
         output_dir=out.resolve(),
         seed=effective_seed,
-        workers=effective_workers,
         validation_tolerance=tolerance,
         strict_validation=bool(raw.get("strict_validation", True)),
-        selection_weights=dict(weights),
         persons=persons,
         households=households,
     )

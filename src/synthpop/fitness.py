@@ -84,7 +84,9 @@ class ObjectiveSpec:
     """One reconstruction-error objective.
 
     ``attribute`` selects the table axis to project onto; leave it None to
-    fit the table's full joint cell distribution instead.
+    fit the table's full joint cell distribution instead. ``weight`` does
+    not steer the search; it weighs this objective when one archive member
+    is selected for export (see ``reporting.select_best``).
     """
 
     name: str
@@ -108,9 +110,8 @@ class ObjectiveSpec:
 class ObjectiveEvaluator:
     """Precomputed targets for scoring rosters against one dataset.
 
-    Instances are immutable after construction and evaluation reads only
-    local state, so a single evaluator can score candidates from multiple
-    threads concurrently.
+    Calling the evaluator on a roster returns its objective vector, one
+    value per spec in spec order.
     """
 
     def __init__(
@@ -160,10 +161,6 @@ class ObjectiveEvaluator:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([s.weight for s in self.specs], dtype=np.float64)
-
     def __call__(self, candidate: CandidatePopulation) -> np.ndarray:
         codes = candidate.codes
         values = np.empty(len(self._plans), dtype=np.float64)
@@ -180,13 +177,3 @@ class ObjectiveEvaluator:
                 observed = np.bincount(flat, minlength=int(np.prod(dims)))
             values[i] = metric(target, observed)
         return values
-
-
-def evaluate(
-    candidate: CandidatePopulation,
-    dataset: RegionDataset,
-    specs: Sequence[ObjectiveSpec],
-) -> np.ndarray:
-    """Score one roster; convenience wrapper around ObjectiveEvaluator."""
-    evaluator = ObjectiveEvaluator(dataset, specs, len(candidate), candidate.attributes)
-    return evaluator(candidate)

@@ -25,7 +25,7 @@ from .nsga2 import (
     evolve,
     infer_stage,
 )
-from .population_model import CandidatePopulation, SyntheticPerson, ValidationRule
+from .population_model import CandidatePopulation, ValidationRule
 
 # Age-class letters used in composition codes, keyed by schema group label.
 AGE_CLASS_BY_GROUP = {"ch": "C", "ad": "A", "el": "E"}
@@ -70,29 +70,6 @@ def parse_composition(code: str) -> CompositionSpec:
     return CompositionSpec(requirements=requirements, size=total)
 
 
-def classify_person(
-    person: SyntheticPerson,
-    schema: AttributeSchema,
-    age_attribute: str = "age",
-) -> str:
-    """Age-class letter (A, C or E) for one person, via the schema's age
-    grouping."""
-    attribute = schema[age_attribute]
-    code = person.assignments.get(age_attribute)
-    if code is None:
-        raise DataError(f"person has no {age_attribute!r} assignment")
-    group = attribute.group_of(code)
-    if group is None:
-        raise DataError(f"age bin {code!r} has no age-class grouping")
-    try:
-        return AGE_CLASS_BY_GROUP[group]
-    except KeyError:
-        raise DataError(
-            f"age group {group!r} does not map onto an age class; expected "
-            f"one of {sorted(AGE_CLASS_BY_GROUP)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class SyntheticHousehold:
     """One allocated household: attribute codes plus member person ids."""
@@ -133,7 +110,6 @@ def generate_households(
     config: EvolutionConfig,
     rules: Sequence[ValidationRule] = (),
     *,
-    workers: int = 1,
     progress: ProgressCallback | None = None,
 ) -> tuple[ParetoArchive, GenerationHistory]:
     """Evolve household rosters against the dataset's household tables."""
@@ -141,14 +117,7 @@ def generate_households(
         raise DataError(f"dataset {dataset.region!r} has no household tables")
     if specs and infer_stage(dataset, specs) != HOUSEHOLDS:
         raise DataError("household objectives must reference household tables")
-    return evolve(
-        dataset,
-        specs,
-        config,
-        rules,
-        workers=workers,
-        progress=progress,
-    )
+    return evolve(dataset, specs, config, rules, progress=progress)
 
 
 def allocate(

@@ -1,16 +1,14 @@
 """NSGA-II evolutionary core: dominance, sorting, operators and the loop.
 
-The engine minimises every objective. Determinism is strict: all random
-draws happen on the main thread through named substreams of the master
-seed, and worker threads only evaluate fitness (a pure function), so a
-run's outputs are byte-identical at any worker count.
+The engine minimises every objective. Determinism is strict: every random
+draw goes through a named substream of the master seed, so a run's outputs
+are byte-identical for a given config and seed.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,20 +505,10 @@ def _stage_attributes(dataset: RegionDataset, stage: str) -> tuple[str, ...]:
 
 
 def _evaluate_population(
-    candidates: Sequence[CandidatePopulation],
-    evaluator: ObjectiveEvaluator,
-    workers: int,
+    candidates: Sequence[CandidatePopulation], evaluator: ObjectiveEvaluator
 ) -> np.ndarray:
-    """Score candidates, optionally across threads; order is preserved so
-    results do not depend on the worker count."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vectors = list(pool.map(evaluator, candidates))
-    else:
-        vectors = [evaluator(c) for c in candidates]
-    for candidate, vector in zip(candidates, vectors):
-        candidate.objectives = vector
-    return np.vstack(vectors)
+    """Score candidates in order, one objective vector per row."""
+    return np.vstack([evaluator(c) for c in candidates])
 
 
 def evolve(
@@ -529,7 +517,6 @@ def evolve(
     config: EvolutionConfig,
     rules: Sequence[ValidationRule] = (),
     *,
-    workers: int = 1,
     progress: ProgressCallback | None = None,
 ) -> tuple[ParetoArchive, GenerationHistory]:
     """Run the full NSGA-II loop for one stage.
@@ -539,8 +526,6 @@ def evolve(
     """
     if not specs:
         raise DataError("need at least one objective")
-    if not any(s.weight > 0 for s in specs):
-        raise DataError("at least one objective must carry positive weight")
     stage = infer_stage(dataset, specs)
     target = dataset.stage_target(stage)
     attributes = _stage_attributes(dataset, stage)
@@ -567,7 +552,7 @@ def evolve(
         )
         for i in range(config.population_size)
     ]
-    objectives = _evaluate_population(population, evaluator, workers)
+    objectives = _evaluate_population(population, evaluator)
     ranked = rank_population(population, objectives)
     archive = ParetoArchive(config.capacity)
     archive.update((rc.candidate, rc.objectives) for rc in ranked if rc.rank == 1)
@@ -612,7 +597,7 @@ def evolve(
                     )
                 offspring.append(child)
 
-        offspring_objectives = _evaluate_population(offspring, evaluator, workers)
+        offspring_objectives = _evaluate_population(offspring, evaluator)
         combined_candidates = [rc.candidate for rc in ranked] + offspring
         combined_matrix = np.vstack([objectives, offspring_objectives])
         combined = rank_population(combined_candidates, combined_matrix)

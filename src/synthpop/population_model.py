@@ -10,8 +10,8 @@ jointly from their cells.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -72,13 +72,6 @@ class ValidationRule:
             assignments.get(attribute) in categories
             for attribute, categories in self.clauses
         )
-
-
-def validate_person(
-    person: SyntheticPerson, rules: Sequence[ValidationRule]
-) -> list[ValidationRule]:
-    """All rules the person violates; empty means valid."""
-    return [rule for rule in rules if rule.violated_by(person.assignments)]
 
 
 def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRule, ...]:
@@ -400,32 +393,15 @@ def _build_joint_group(
     )
 
 
-def sample_person(plan: SamplingPlan, rng: np.random.Generator) -> SyntheticPerson:
-    """Draw one entity according to the plan's weights."""
-    row = plan.sample_codes(1, rng)[0]
-    return _decode_row(plan.attributes, row)
-
-
-def _decode_row(attributes: Sequence[Attribute], row: np.ndarray) -> SyntheticPerson:
-    return SyntheticPerson(
-        assignments={
-            attribute.name: attribute.categories[int(code)]
-            for attribute, code in zip(attributes, row)
-        }
-    )
-
-
 @dataclass(eq=False)
 class CandidatePopulation:
     """A fixed-length roster of synthetic entities; one search-space point.
 
-    ``codes`` is read-only after construction. Variation operators copy it,
-    so the cached objective vector can never go stale.
+    ``codes`` is read-only after construction; variation operators copy it.
     """
 
     attributes: tuple[Attribute, ...]
     codes: np.ndarray
-    objectives: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         codes = np.asarray(self.codes)
@@ -456,11 +432,13 @@ class CandidatePopulation:
         return self.codes[:, self.column_index(attribute)]
 
     def person(self, index: int) -> SyntheticPerson:
-        return _decode_row(self.attributes, self.codes[index])
-
-    def iter_persons(self) -> Iterator[SyntheticPerson]:
-        for row in self.codes:
-            yield _decode_row(self.attributes, row)
+        """Category labels of one roster row."""
+        return SyntheticPerson(
+            assignments={
+                attribute.name: attribute.categories[int(code)]
+                for attribute, code in zip(self.attributes, self.codes[index])
+            }
+        )
 
     def copy(self) -> CandidatePopulation:
         return CandidatePopulation(self.attributes, self.codes.copy())

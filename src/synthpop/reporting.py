@@ -55,33 +55,29 @@ def file_checksum(path: str | Path) -> str:
 # Selecting one member from an archive
 
 
-def select_best(
-    archive: ParetoArchive,
-    names: Sequence[str],
-    weights: Mapping[str, float] | None = None,
-) -> int:
+def select_best(archive: ParetoArchive, weights: Sequence[float]) -> int:
     """Pick one archive member as the exported population.
 
     Objectives are min-max normalized across the archive so that scales do
-    not leak into the choice, then combined as a weighted sum (weight 1.0
-    for any objective not named). The member with the lowest score wins;
-    ties go to the earliest member, which keeps the choice stable for a
-    given archive order.
+    not leak into the choice, then combined as a weighted sum with
+    ``weights``, one per objective column of the archive (the stage's
+    ``ObjectiveSpec.weight`` values). The member with the lowest score
+    wins; ties go to the earliest member, which keeps the choice stable
+    for a given archive order.
     """
     if not archive.members:
         raise DataError("archive is empty, nothing to select")
-    weights = dict(weights or {})
-    unknown = sorted(set(weights) - set(names))
-    if unknown:
-        raise DataError(f"selection weights name unknown objectives: {', '.join(unknown)}")
-    for name, value in weights.items():
-        if value < 0:
-            raise DataError(f"selection weight for '{name}' must be non-negative")
-    vector = np.array([weights.get(name, 1.0) for name in names], dtype=np.float64)
-    if not vector.any():
+    matrix = archive.objective_matrix()
+    vector = np.asarray(weights, dtype=np.float64)
+    if vector.shape != matrix.shape[1:]:
+        raise DataError(
+            f"got {vector.size} selection weights for {matrix.shape[1]} archive objectives"
+        )
+    if np.any(vector < 0):
+        raise DataError("selection weights must be non-negative")
+    if not np.any(vector > 0):
         raise DataError("at least one selection weight must be positive")
-    normalized = normalize_objectives(archive.objective_matrix())
-    scores = normalized @ vector
+    scores = normalize_objectives(matrix) @ vector
     return int(np.argmin(scores))
 
 

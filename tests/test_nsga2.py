@@ -589,18 +589,6 @@ class TestEvolve:
             assert np.array_equal(r1.best, r2.best)
             assert np.array_equal(r1.best_normalized, r2.best_normalized)
 
-    def test_worker_count_does_not_change_results(self, dataset_small):
-        config = EvolutionConfig(population_size=10, generations=5, seed=13)
-        solo_archive, solo_history = evolve(dataset_small, self.specs(), config, workers=1)
-        pooled_archive, pooled_history = evolve(
-            dataset_small, self.specs(), config, workers=4
-        )
-        assert np.array_equal(
-            solo_archive.objective_matrix(), pooled_archive.objective_matrix()
-        )
-        for r1, r2 in zip(solo_history.records, pooled_history.records):
-            assert np.array_equal(r1.best, r2.best)
-
     def test_progress_called_once_per_generation(self, dataset_small):
         seen = []
         config = EvolutionConfig(population_size=10, generations=4, seed=3)

@@ -63,42 +63,43 @@ class TestSelectBest:
         archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
         # Normalized columns are (0, .25, 1) and (1, .25, 0), so the middle
         # member scores 0.5 against 1.0 for both extremes.
-        assert select_best(archive, ("a", "b")) == 1
+        assert select_best(archive, [1.0, 1.0]) == 1
 
     def test_zero_weight_ignores_an_objective(self, schema_small):
         archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
-        assert select_best(archive, ("a", "b"), {"b": 0.0}) == 0
-        assert select_best(archive, ("a", "b"), {"a": 0.0}) == 2
+        assert select_best(archive, [1.0, 0.0]) == 0
+        assert select_best(archive, [0.0, 1.0]) == 2
 
     def test_ties_go_to_the_earliest_member(self, schema_small):
         archive = archive_of(schema_small, [[4, 0], [0, 4], [3, 3]])
         # Members 0 and 1 both score 1.0, member 2 scores 1.5.
-        assert select_best(archive, ("a", "b")) == 0
+        assert select_best(archive, [1.0, 1.0]) == 0
 
     def test_weight_scaling_does_not_change_the_winner(self, schema_small):
         archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
-        one = select_best(archive, ("a", "b"), {"a": 2.0, "b": 1.0})
-        two = select_best(archive, ("a", "b"), {"a": 4.0, "b": 2.0})
+        one = select_best(archive, [2.0, 1.0])
+        two = select_best(archive, [4.0, 2.0])
         assert one == two
 
-    def test_unknown_weight_name_rejected(self, schema_small):
+    def test_weight_length_mismatch_rejected(self, schema_small):
         archive = archive_of(schema_small, [[1, 2], [2, 1]])
-        with pytest.raises(DataError, match="unknown objectives"):
-            select_best(archive, ("a", "b"), {"c": 1.0})
+        for weights in ([1.0], [1.0, 1.0, 1.0], 1.0):
+            with pytest.raises(DataError, match="2 archive objectives"):
+                select_best(archive, weights)
 
     def test_negative_weight_rejected(self, schema_small):
         archive = archive_of(schema_small, [[1, 2], [2, 1]])
         with pytest.raises(DataError, match="non-negative"):
-            select_best(archive, ("a", "b"), {"a": -1.0})
+            select_best(archive, [-1.0, 1.0])
 
     def test_all_zero_weights_rejected(self, schema_small):
         archive = archive_of(schema_small, [[1, 2], [2, 1]])
         with pytest.raises(DataError, match="positive"):
-            select_best(archive, ("a", "b"), {"a": 0.0, "b": 0.0})
+            select_best(archive, [0.0, 0.0])
 
     def test_empty_archive_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            select_best(ParetoArchive(4), ("a",))
+            select_best(ParetoArchive(4), [1.0])
 
 
 class TestPersonsCsv:
