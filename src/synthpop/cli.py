@@ -67,7 +67,11 @@ class _Progress:
         )
 
 
-def _validate(config: RunConfig, dataset: RegionDataset) -> None:
+def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
+    """Load the tables and rules, check table consistency and create the
+    output directory: the set-up every evolving command shares."""
+    dataset = load_dataset(config)
+    rules = load_stage_rules(config, dataset.schema)
     report = validate_dataset(dataset, tolerance=config.validation_tolerance)
     for line, issue in zip(report.lines(), report.issues):
         if issue.flagged:
@@ -79,57 +83,67 @@ def _validate(config: RunConfig, dataset: RegionDataset) -> None:
         if config.strict_validation:
             raise DataError(message)
         print(f"warning: {message}, continuing (strict_validation is off)")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    return dataset, rules
 
 
-def _assert_rule_free(
-    candidate: CandidatePopulation, rules: tuple[ValidationRule, ...], stage: str
-) -> None:
-    if not rules:
-        return
-    compiled = CompiledRules(rules, candidate.attributes)
-    violations = int(compiled.violation_mask(candidate.codes).sum())
-    if violations:
-        raise EvolutionError(
-            f"{stage} export would contain {violations} validation-rule violations"
-        )
-
-
-def _run_stage(
+def _evolve_stage(
+    out_dir: Path,
     stage_config: StageConfig,
     dataset: RegionDataset,
     rules: tuple[ValidationRule, ...],
     *,
     quiet: bool,
-) -> tuple[ParetoArchive, object, float]:
-    progress = None if quiet else _Progress()
+) -> tuple[ParetoArchive, float]:
+    """Evolve one stage and write its convergence trace and archive bundle.
+
+    Returns the archive and the evolution's wall-clock seconds.
+    """
+    search = generate_households if stage_config.stage == HOUSEHOLDS else evolve
     started = time.perf_counter()
-    if stage_config.stage == HOUSEHOLDS:
-        archive, history = generate_households(
-            dataset, stage_config.objectives, stage_config.evolution, rules,
-            progress=progress,
-        )
-    else:
-        archive, history = evolve(
-            dataset, stage_config.objectives, stage_config.evolution, rules,
-            progress=progress,
-        )
-    return archive, history, time.perf_counter() - started
+    archive, history = search(
+        dataset, stage_config.objectives, stage_config.evolution, rules,
+        progress=None if quiet else _Progress(),
+    )
+    wall = time.perf_counter() - started
+    names = [spec.name for spec in stage_config.objectives]
+    export_convergence(out_dir / f"convergence_{stage_config.stage}.csv", history, names)
+    save_archive(out_dir / f"archive_{stage_config.stage}.npz", archive, names)
+    return archive, wall
 
 
-def _select_and_summarize(
+def _export_stage(
+    out_dir: Path,
     stage_config: StageConfig,
     dataset: RegionDataset,
     archive: ParetoArchive,
-) -> tuple[CandidatePopulation, int, dict]:
-    """Pick the exported member and describe the choice for the manifest."""
+    rules: tuple[ValidationRule, ...],
+) -> tuple[CandidatePopulation, dict]:
+    """Select the exported member, check it against the rules, and write
+    the stage's Pareto and RMSE files.
+
+    Returns the member and its manifest summary. Nothing is written when
+    the member breaks a rule.
+    """
+    stage = stage_config.stage
     names = [spec.name for spec in stage_config.objectives]
     chosen = select_best(archive, [spec.weight for spec in stage_config.objectives])
-    candidate = archive.members[chosen].candidate
+    candidate = archive.candidates[chosen]
+    if rules:
+        compiled = CompiledRules(rules, candidate.attributes)
+        violations = int(compiled.violation_mask(candidate.codes).sum())
+        if violations:
+            raise EvolutionError(
+                f"{stage} export would contain {violations} validation-rule violations"
+            )
+    rows = rmse_rows(candidate, dataset.stage_tables(stage))
+    export_pareto_pairs(out_dir / f"pareto_{stage}.csv", archive, names, chosen)
+    export_rmse(out_dir / f"rmse_{stage}.csv", rows)
     matrix = archive.objective_matrix()
     normalized = normalize_objectives(matrix)
     summary = {
         "selected_member": chosen,
-        "archive_size": len(archive.members),
+        "archive_size": len(archive),
         "final_objectives": {
             name: {
                 "raw": float(matrix[chosen, i]),
@@ -139,45 +153,53 @@ def _select_and_summarize(
         },
         "rmse": [
             {"table": r.table, "attribute": r.attribute, "level": r.level, "value": r.value}
-            for r in rmse_rows(candidate, dataset.stage_tables(stage_config.stage))
+            for r in rows
         ],
     }
-    return candidate, chosen, summary
+    return candidate, summary
 
 
-def _export_stage(
-    out_dir: Path,
-    stage_config: StageConfig,
+def _make_persons(
+    config: RunConfig, dataset: RegionDataset, rules: dict, *, quiet: bool
+) -> tuple[CandidatePopulation, dict, float]:
+    """The persons stage: evolve, export, write ``persons.csv``."""
+    out_dir = config.output_dir
+    archive, wall = _evolve_stage(out_dir, config.persons, dataset, rules[PERSONS], quiet=quiet)
+    persons, summary = _export_stage(out_dir, config.persons, dataset, archive, rules[PERSONS])
+    export_persons(out_dir / "persons.csv", persons)
+    print(f"persons: {len(persons)} exported, archive size {len(archive)}, {wall:.1f}s")
+    return persons, summary, wall
+
+
+def _make_households(
+    config: RunConfig,
     dataset: RegionDataset,
-    archive: ParetoArchive,
-    history,
-    chosen: int,
-    candidate: CandidatePopulation,
-) -> list[str]:
-    names = [spec.name for spec in stage_config.objectives]
-    stage = stage_config.stage
-    written = []
-
-    convergence = out_dir / f"convergence_{stage}.csv"
-    export_convergence(convergence, history, names)
-    written.append(convergence.name)
-
-    pareto = out_dir / f"pareto_{stage}.csv"
-    export_pareto_pairs(pareto, archive, names, chosen)
-    written.append(pareto.name)
-
-    bundle = out_dir / f"archive_{stage}.npz"
-    save_archive(bundle, archive, names)
-    written.append(bundle.name)
-
-    rmse = out_dir / f"rmse_{stage}.csv"
-    export_rmse(rmse, rmse_rows(candidate, dataset.stage_tables(stage)))
-    written.append(rmse.name)
-    return written
+    rules: dict,
+    persons: CandidatePopulation,
+    *,
+    quiet: bool,
+) -> tuple[dict, float, float]:
+    """The households stage: evolve, export, allocate ``persons`` into the
+    exported roster and write ``households.csv``."""
+    out_dir = config.output_dir
+    archive, wall = _evolve_stage(
+        out_dir, config.households, dataset, rules[HOUSEHOLDS], quiet=quiet
+    )
+    households, summary = _export_stage(
+        out_dir, config.households, dataset, archive, rules[HOUSEHOLDS]
+    )
+    allocation_started = time.perf_counter()
+    result = allocate(persons, households, dataset.schema)
+    allocation_wall = time.perf_counter() - allocation_started
+    export_households(out_dir / "households.csv", result.households)
+    print(f"households: {len(result.households)} exported,"
+          f" complete rate {result.complete_rate:.1%},"
+          f" unallocated persons {len(result.unallocated)}, {wall:.1f}s")
+    return summary, wall, allocation_wall
 
 
-def _stage_manifest(stage_config: StageConfig, summary: dict | None) -> dict:
-    entry = {
+def _stage_manifest(stage_config: StageConfig, summary: dict) -> dict:
+    return {
         "target_count": stage_config.target_count,
         "rules": stage_config.rules_path.name if stage_config.rules_path else None,
         "objectives": [
@@ -191,32 +213,26 @@ def _stage_manifest(stage_config: StageConfig, summary: dict | None) -> dict:
             for spec in stage_config.objectives
         ],
         "evolution": asdict(stage_config.evolution),
+        "result": summary,
     }
-    if summary is not None:
-        entry["result"] = summary
-    return entry
 
 
 def _build_manifest(config: RunConfig, summaries: dict, outputs: list[str]) -> dict:
-    tables = {}
-    for stage in (config.persons, config.households):
-        if stage is None:
-            continue
-        for path in stage.table_paths:
-            tables[path.stem] = {"file": path.name, "sha256": file_checksum(path)}
+    stages = [s for s in (config.persons, config.households) if s is not None]
     inputs = {
         "config": {"file": config.config_path.name, "sha256": file_checksum(config.config_path)},
         "schema": {"file": config.schema_path.name, "sha256": file_checksum(config.schema_path)},
-        "tables": tables,
+        "tables": {
+            path.stem: {"file": path.name, "sha256": file_checksum(path)}
+            for stage in stages
+            for path in stage.table_paths
+        },
         "rules": {
             stage.stage: {"file": stage.rules_path.name, "sha256": file_checksum(stage.rules_path)}
-            for stage in (config.persons, config.households)
-            if stage is not None and stage.rules_path is not None
+            for stage in stages
+            if stage.rules_path is not None
         },
     }
-    stages = {PERSONS: _stage_manifest(config.persons, summaries.get(PERSONS))}
-    if config.households is not None:
-        stages[HOUSEHOLDS] = _stage_manifest(config.households, summaries.get(HOUSEHOLDS))
     return {
         "tool": {"name": "synthpop", "version": __version__},
         "region": config.region,
@@ -224,7 +240,7 @@ def _build_manifest(config: RunConfig, summaries: dict, outputs: list[str]) -> d
         "validation_tolerance": config.validation_tolerance,
         "strict_validation": config.strict_validation,
         "inputs": inputs,
-        "stages": stages,
+        "stages": {stage.stage: _stage_manifest(stage, summaries[stage.stage]) for stage in stages},
         "outputs": sorted(outputs),
     }
 
@@ -244,19 +260,8 @@ def _cmd_validate_data(args: argparse.Namespace) -> int:
 
 def _cmd_generate_persons(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config)
-    rules = load_stage_rules(config, dataset.schema)
-    _validate(config, dataset)
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    archive, history, wall = _run_stage(config.persons, dataset, rules[PERSONS], quiet=args.quiet)
-    candidate, chosen, _ = _select_and_summarize(config.persons, dataset, archive)
-    _assert_rule_free(candidate, rules[PERSONS], PERSONS)
-    _export_stage(out_dir, config.persons, dataset, archive, history, chosen, candidate)
-    export_persons(out_dir / "persons.csv", candidate)
-    print(f"persons: {len(candidate)} exported, archive size {len(archive.members)},"
-          f" {wall:.1f}s")
+    dataset, rules = _prepare(config)
+    _make_persons(config, dataset, rules, quiet=args.quiet)
     return 0
 
 
@@ -264,97 +269,53 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if config.households is None:
         raise DataError("config has no households section")
-    dataset = load_dataset(config)
-    rules = load_stage_rules(config, dataset.schema)
-    _validate(config, dataset)
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    persons_path = out_dir / "persons.csv"
+    dataset, rules = _prepare(config)
+    persons_path = config.output_dir / "persons.csv"
     if not persons_path.exists():
         raise DataError(
             f"{persons_path} not found; run generate-persons (or run) first"
         )
     persons = load_persons(persons_path, dataset.schema)
-
-    archive, history, wall = _run_stage(
-        config.households, dataset, rules[HOUSEHOLDS], quiet=args.quiet
-    )
-    candidate, chosen, _ = _select_and_summarize(config.households, dataset, archive)
-    _assert_rule_free(candidate, rules[HOUSEHOLDS], HOUSEHOLDS)
-    _export_stage(out_dir, config.households, dataset, archive, history, chosen, candidate)
-    result = allocate(persons, candidate, dataset.schema)
-    export_households(out_dir / "households.csv", result.households)
-    print(f"households: {len(result.households)} exported,"
-          f" complete rate {result.complete_rate:.1%},"
-          f" unallocated persons {len(result.unallocated)}, {wall:.1f}s")
+    _make_households(config, dataset, rules, persons, quiet=args.quiet)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config)
-    rules = load_stage_rules(config, dataset.schema)
-    _validate(config, dataset)
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    summaries: dict = {}
-    timings: list[tuple[str, float]] = []
+    dataset, rules = _prepare(config)
     total_started = time.perf_counter()
-
-    archive, history, wall = _run_stage(config.persons, dataset, rules[PERSONS], quiet=args.quiet)
-    timings.append(("persons_evolve", wall))
-    persons, chosen, summary = _select_and_summarize(config.persons, dataset, archive)
-    summaries[PERSONS] = summary
-    _assert_rule_free(persons, rules[PERSONS], PERSONS)
-    outputs.extend(
-        _export_stage(out_dir, config.persons, dataset, archive, history, chosen, persons)
-    )
-    export_persons(out_dir / "persons.csv", persons)
-    outputs.append("persons.csv")
-    print(f"persons: {len(persons)} exported, archive size {len(archive.members)}, {wall:.1f}s")
-
+    summaries: dict = {}
+    persons, summaries[PERSONS], wall = _make_persons(config, dataset, rules, quiet=args.quiet)
+    timings = [("persons_evolve", wall)]
     if config.households is not None:
-        archive, history, wall = _run_stage(
-            config.households, dataset, rules[HOUSEHOLDS], quiet=args.quiet
+        summaries[HOUSEHOLDS], wall, allocation_wall = _make_households(
+            config, dataset, rules, persons, quiet=args.quiet
         )
-        timings.append(("households_evolve", wall))
-        households, chosen, summary = _select_and_summarize(config.households, dataset, archive)
-        summaries[HOUSEHOLDS] = summary
-        _assert_rule_free(households, rules[HOUSEHOLDS], HOUSEHOLDS)
-        outputs.extend(
-            _export_stage(
-                out_dir, config.households, dataset, archive, history, chosen, households
-            )
-        )
-        allocation_started = time.perf_counter()
-        result = allocate(persons, households, dataset.schema)
-        timings.append(("allocation", time.perf_counter() - allocation_started))
-        export_households(out_dir / "households.csv", result.households)
-        outputs.append("households.csv")
-        print(f"households: {len(result.households)} exported,"
-              f" complete rate {result.complete_rate:.1%},"
-              f" unallocated persons {len(result.unallocated)}, {wall:.1f}s")
+        timings += [("households_evolve", wall), ("allocation", allocation_wall)]
 
-    outputs.append("manifest.json")
-    write_manifest(out_dir / "manifest.json", _build_manifest(config, summaries, outputs))
+    outputs = ["manifest.json"]
+    for stage in summaries:
+        outputs += [f"{stage}.csv", f"convergence_{stage}.csv", f"pareto_{stage}.csv",
+                    f"archive_{stage}.npz", f"rmse_{stage}.csv"]
+    write_manifest(config.output_dir / "manifest.json", _build_manifest(config, summaries, outputs))
     timings.append(("total", time.perf_counter() - total_started))
-    export_timings(out_dir / "timings.csv", timings)
-    print(f"outputs written to {out_dir}")
+    export_timings(config.output_dir / "timings.csv", timings)
+    print(f"outputs written to {config.output_dir}")
     return 0
 
 
-def _restore_archive(path: Path, schema, expected_names: list[str]) -> ParetoArchive:
+def _restore_archive(path: Path, schema, stage_config: StageConfig) -> ParetoArchive:
     """Rebuild a Pareto archive from a saved bundle that must track the
-    configured objectives, in order."""
+    stage's configured objectives, in order."""
     if not path.exists():
         raise DataError(f"{path} not found; run the pipeline first")
-    members, objectives, names = load_archive(path, schema)
-    if names != expected_names:
+    candidates, objectives, names = load_archive(path, schema)
+    expected = [spec.name for spec in stage_config.objectives]
+    if names != expected:
         raise DataError(
-            f"saved archive {path.name} tracks objectives {names}, config expects {expected_names}"
+            f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
         )
-    return ParetoArchive.restore(zip(members, objectives))
+    return ParetoArchive.restore(candidates, objectives)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -364,38 +325,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = config.output_dir
 
     # Both bundles are restored and checked before any file is rewritten.
-    person_names = [spec.name for spec in config.persons.objectives]
-    archive = _restore_archive(out_dir / "archive_persons.npz", dataset.schema, person_names)
+    archive = _restore_archive(out_dir / "archive_persons.npz", dataset.schema, config.persons)
     household_bundle = out_dir / "archive_households.npz"
     household_archive = None
     if config.households is not None and household_bundle.exists():
-        household_names = [spec.name for spec in config.households.objectives]
-        household_archive = _restore_archive(household_bundle, dataset.schema, household_names)
+        household_archive = _restore_archive(household_bundle, dataset.schema, config.households)
 
-    persons, chosen, summary = _select_and_summarize(config.persons, dataset, archive)
-    _assert_rule_free(persons, rules[PERSONS], PERSONS)
+    persons, summary = _export_stage(out_dir, config.persons, dataset, archive, rules[PERSONS])
     export_persons(out_dir / "persons.csv", persons)
-    export_pareto_pairs(out_dir / "pareto_persons.csv", archive, person_names, chosen)
-    export_rmse(out_dir / "rmse_persons.csv", rmse_rows(persons, dataset.person_tables))
-    print(f"persons: member {chosen} of {len(archive.members)} re-exported")
+    print(f"persons: member {summary['selected_member']} of {len(archive)} re-exported")
     for row in summary["rmse"]:
         print(f"  rmse {row['table']}/{row['attribute']} ({row['level']}): {row['value']:.3f}")
 
     if household_archive is not None:
-        households, chosen, _ = _select_and_summarize(
-            config.households, dataset, household_archive
+        households, summary = _export_stage(
+            out_dir, config.households, dataset, household_archive, rules[HOUSEHOLDS]
         )
-        _assert_rule_free(households, rules[HOUSEHOLDS], HOUSEHOLDS)
         result = allocate(persons, households, dataset.schema)
         export_households(out_dir / "households.csv", result.households)
-        export_pareto_pairs(
-            out_dir / "pareto_households.csv", household_archive, household_names, chosen
-        )
-        export_rmse(
-            out_dir / "rmse_households.csv", rmse_rows(households, dataset.household_tables)
-        )
-        print(f"households: member {chosen} of {len(household_archive.members)} re-exported,"
-              f" complete rate {result.complete_rate:.1%}")
+        print(f"households: member {summary['selected_member']} of {len(household_archive)}"
+              f" re-exported, complete rate {result.complete_rate:.1%}")
     return 0
 
 

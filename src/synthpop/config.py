@@ -82,6 +82,25 @@ def _as_mapping(value, context: str) -> Mapping:
     return value
 
 
+# YAML scalar kinds a key may hold. A YAML bool is a Python int, so booleans
+# are told apart first: ``seed: true`` is not a seed and ``weight: 1`` is not
+# a flag.
+_KINDS = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+}
+
+
+def _scalar(mapping: Mapping, key: str, default, kind: type, context: str):
+    """``mapping[key]`` (or ``default``), which must be of ``kind``."""
+    value = mapping.get(key, default)
+    label, accepted = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise DataError(f"{context}: {key} must be {label}, got {value!r}")
+    return value
+
+
 def _parse_objective(entry, context: str) -> ObjectiveSpec:
     entry = _as_mapping(entry, context)
     unknown = set(entry) - {"name", "table", "attribute", "metric", "weight"}
@@ -92,9 +111,7 @@ def _parse_objective(entry, context: str) -> ObjectiveSpec:
         raise DataError(
             f"{context}: metric must be one of {sorted(METRICS)}, got '{metric}'"
         )
-    weight = entry.get("weight", 1.0)
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-        raise DataError(f"{context}: weight must be a number, got {weight!r}")
+    weight = _scalar(entry, "weight", 1.0, float, context)
     return ObjectiveSpec(
         name=str(_require(entry, "name", context)),
         table=str(_require(entry, "table", context)),
@@ -191,7 +208,8 @@ def load_run_config(
         raise DataError(f"{config_path}: unknown keys {sorted(unknown)}")
     base = config_path.parent
 
-    effective_seed = seed if seed is not None else int(raw.get("seed", 0))
+    file_seed = _scalar(raw, "seed", 0, int, str(config_path))
+    effective_seed = seed if seed is not None else file_seed
 
     persons = _parse_stage(PERSONS, _require(raw, PERSONS, str(config_path)), base, effective_seed)
     households = None
@@ -211,7 +229,7 @@ def load_run_config(
             stages[name] = replace(stage, evolution=replace(stage.evolution, **updates))
         persons, households = stages[PERSONS], stages[HOUSEHOLDS]
 
-    tolerance = float(raw.get("validation_tolerance", 0.01))
+    tolerance = float(_scalar(raw, "validation_tolerance", 0.01, float, str(config_path)))
     if tolerance < 0:
         raise DataError("validation_tolerance must be non-negative")
 
@@ -226,7 +244,7 @@ def load_run_config(
         output_dir=out.resolve(),
         seed=effective_seed,
         validation_tolerance=tolerance,
-        strict_validation=bool(raw.get("strict_validation", True)),
+        strict_validation=_scalar(raw, "strict_validation", True, bool, str(config_path)),
         persons=persons,
         households=households,
     )

@@ -1,6 +1,9 @@
 """NSGA-II evolutionary core: dominance, sorting, operators and the loop.
 
-The engine minimises every objective. Determinism is strict: every random
+The engine minimises every objective. A population is a list of rosters
+plus one objective matrix, row for row; ranking returns rank and crowding
+vectors over those rows, and tournament and environmental selection return
+row indices, as in Deb et al. (2002). Determinism is strict: every random
 draw goes through a named substream of the master seed, so a run's outputs
 are byte-identical for a given config and seed.
 """
@@ -92,16 +95,6 @@ class EvolutionConfig:
         return self.offspring_size or self.population_size
 
 
-@dataclass
-class RankedCandidate:
-    """A candidate with its front rank (1 is best) and crowding distance."""
-
-    candidate: CandidatePopulation
-    objectives: np.ndarray
-    rank: int = 0
-    crowding: float = 0.0
-
-
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """True when vector a is no worse everywhere and better somewhere."""
     a = np.asarray(a, dtype=np.float64)
@@ -158,38 +151,31 @@ def crowding_distance(front: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return distance
 
 
-def rank_population(
-    candidates: Sequence[CandidatePopulation], objectives: np.ndarray
-) -> list[RankedCandidate]:
-    """Attach front ranks and crowding distances, preserving input order."""
-    if len(candidates) != len(objectives):
-        raise ValueError("candidate and objective counts differ")
-    ranked = [
-        RankedCandidate(candidate=c, objectives=np.asarray(o, dtype=np.float64))
-        for c, o in zip(candidates, objectives)
-    ]
-    for front_rank, front in enumerate(fast_nondominated_sort(objectives), start=1):
-        distances = crowding_distance(np.asarray([objectives[i] for i in front]))
-        for member, d in zip(front, distances):
-            ranked[member].rank = front_rank
-            ranked[member].crowding = float(d)
-    return ranked
+def rank_population(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank (1 is best) and crowding distance of every row of an
+    objective matrix, as two vectors in row order."""
+    matrix = np.asarray(objectives, dtype=np.float64)
+    rank = np.zeros(len(matrix), dtype=np.int64)
+    crowding = np.zeros(len(matrix), dtype=np.float64)
+    for front_rank, front in enumerate(fast_nondominated_sort(matrix), start=1):
+        rank[front] = front_rank
+        crowding[front] = crowding_distance(matrix[front])
+    return rank, crowding
 
 
 def binary_tournament(
-    population: Sequence[RankedCandidate], rng: np.random.Generator
-) -> RankedCandidate:
-    """Pick two contestants uniformly; lower rank wins, then higher
-    crowding distance, then a fair coin."""
-    if not population:
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Pick two contestants uniformly and return the winner's index: lower
+    rank wins, then higher crowding distance, then a fair coin."""
+    if len(rank) == 0:
         raise ValueError("tournament needs a non-empty population")
-    i, j = rng.integers(0, len(population), size=2)
-    a, b = population[int(i)], population[int(j)]
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a if int(rng.integers(0, 2)) == 0 else b
+    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i if int(rng.integers(0, 2)) == 0 else j
 
 
 def two_point_crossover(
@@ -295,85 +281,73 @@ def resample_mutation(
 
 
 def environmental_selection(
-    combined: Sequence[RankedCandidate], target_size: int
-) -> list[RankedCandidate]:
-    """Elitist truncation: take whole fronts while they fit, then fill from
-    the next front by descending crowding distance (stable on ties)."""
-    if target_size > len(combined):
+    rank: np.ndarray, crowding: np.ndarray, target_size: int
+) -> np.ndarray:
+    """Elitist truncation, as survivor indices: whole fronts in rank order,
+    each in input order, while they fit; then the next front's members by
+    descending crowding distance (stable on ties)."""
+    if target_size > len(rank):
         raise ValueError("target size exceeds the combined population")
-    selected: list[RankedCandidate] = []
-    for rank in sorted({rc.rank for rc in combined}):
-        front = [rc for rc in combined if rc.rank == rank]
-        if len(selected) + len(front) <= target_size:
-            selected.extend(front)
-            if len(selected) == target_size:
-                break
-        else:
-            need = target_size - len(selected)
-            front.sort(key=lambda rc: -rc.crowding)
-            selected.extend(front[:need])
+    survivors: list[np.ndarray] = []
+    room = target_size
+    for front_rank in np.unique(rank):
+        front = np.flatnonzero(rank == front_rank)
+        if len(front) > room:
+            front = front[np.argsort(-crowding[front], kind="stable")[:room]]
+        survivors.append(front)
+        room -= len(front)
+        if room == 0:
             break
-    return selected
-
-
-@dataclass(frozen=True)
-class ArchiveMember:
-    candidate: CandidatePopulation
-    objectives: np.ndarray
+    return np.concatenate(survivors)
 
 
 class ParetoArchive:
     """Non-dominated candidates accumulated across all generations.
 
-    Members keep insertion order. Inserting a candidate that is dominated
-    by, or objective-identical to, a member is a no-op; inserting a
-    dominator evicts everything it dominates. Over capacity, the most
-    crowded member is dropped first, which preserves the per-objective
-    extremes. The members' objective vectors are kept stacked, row for
-    row in member order, so an insert compares against one matrix.
+    Candidates keep insertion order, and row k of the objective matrix is
+    candidate k's vector. Inserting a candidate that is dominated by, or
+    objective-identical to, a member is a no-op; inserting a dominator
+    evicts everything it dominates. Over capacity, the most crowded member
+    is dropped first, which preserves the per-objective extremes.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise DataError("archive capacity must be positive")
         self.capacity = capacity
-        self._members: list[ArchiveMember] = []
+        self._candidates: list[CandidatePopulation] = []
         self._objectives = np.empty((0, 0), dtype=np.float64)
 
     @classmethod
     def restore(
         cls,
-        entries: Iterable[tuple[CandidatePopulation, np.ndarray]],
+        candidates: Sequence[CandidatePopulation],
+        objectives: np.ndarray,
         capacity: int | None = None,
     ) -> "ParetoArchive":
         """Rebuild an archive from previously saved members.
 
-        Entries are attached as-is, in order: a saved archive is already
+        Members are attached as-is, in order: a saved archive is already
         mutually non-dominated, so the insertion checks would all pass.
         """
-        members = [
-            ArchiveMember(candidate, np.asarray(objectives, dtype=np.float64))
-            for candidate, objectives in entries
-        ]
-        archive = cls(capacity if capacity is not None else max(len(members), 1))
-        archive._members = members
-        if members:
-            archive._objectives = np.vstack([m.objectives for m in members])
+        if len(candidates) != len(objectives):
+            raise ValueError("candidate and objective counts differ")
+        archive = cls(capacity if capacity is not None else max(len(candidates), 1))
+        archive._candidates = list(candidates)
+        if archive._candidates:
+            archive._objectives = np.array(objectives, dtype=np.float64)
         return archive
 
     def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterable[ArchiveMember]:
-        return iter(self._members)
+        return len(self._candidates)
 
     @property
-    def members(self) -> tuple[ArchiveMember, ...]:
-        return tuple(self._members)
+    def candidates(self) -> tuple[CandidatePopulation, ...]:
+        return tuple(self._candidates)
 
     def objective_matrix(self) -> np.ndarray:
         """Members' objective vectors, one row each; a read-only view."""
-        if not self._members:
+        if not self._candidates:
             raise DataError("archive is empty")
         view = self._objectives.view()
         view.setflags(write=False)
@@ -385,7 +359,7 @@ class ParetoArchive:
 
     def insert(self, candidate: CandidatePopulation, objectives: np.ndarray) -> bool:
         objectives = np.asarray(objectives, dtype=np.float64)
-        if self._members:
+        if self._candidates:
             matrix = self._objectives
             if matrix.shape[1] != objectives.shape[0]:
                 raise ValueError("objective vector length does not match archive")
@@ -397,28 +371,26 @@ class ParetoArchive:
             gt = (matrix > objectives).any(axis=1)
             evicted = ge & gt
             if evicted.any():
-                self._members = [
-                    m for m, gone in zip(self._members, evicted) if not gone
+                self._candidates = [
+                    c for c, gone in zip(self._candidates, evicted) if not gone
                 ]
                 matrix = matrix[~evicted]
             self._objectives = np.vstack([matrix, objectives])
         else:
             self._objectives = np.vstack([objectives])
-        self._members.append(ArchiveMember(candidate=candidate, objectives=objectives))
-        while len(self._members) > self.capacity:
-            distances = crowding_distance(self._objectives)
-            drop = int(np.argmin(distances))
-            del self._members[drop]
+        self._candidates.append(candidate)
+        while len(self._candidates) > self.capacity:
+            drop = int(np.argmin(crowding_distance(self._objectives)))
+            del self._candidates[drop]
             self._objectives = np.delete(self._objectives, drop, axis=0)
         return True
 
     def update(
         self, entries: Iterable[tuple[CandidatePopulation, np.ndarray]]
     ) -> int:
-        inserted = 0
-        for candidate, objectives in entries:
-            inserted += bool(self.insert(candidate, objectives))
-        return inserted
+        """Offer each (candidate, objectives) pair in turn; returns how many
+        were inserted."""
+        return sum(self.insert(candidate, objectives) for candidate, objectives in entries)
 
 
 @dataclass(frozen=True)
@@ -553,9 +525,9 @@ def evolve(
         for i in range(config.population_size)
     ]
     objectives = _evaluate_population(population, evaluator)
-    ranked = rank_population(population, objectives)
+    rank, crowding = rank_population(objectives)
     archive = ParetoArchive(config.capacity)
-    archive.update((rc.candidate, rc.objectives) for rc in ranked if rc.rank == 1)
+    archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
     history = GenerationHistory(
         names=evaluator.names, baseline=objectives.mean(axis=0)
     )
@@ -573,15 +545,13 @@ def evolve(
 
         offspring: list[CandidatePopulation] = []
         for _ in range(config.offspring // 2):
-            parent_a = binary_tournament(ranked, select_rng)
-            parent_b = binary_tournament(ranked, select_rng)
+            parent_a = population[binary_tournament(rank, crowding, select_rng)]
+            parent_b = population[binary_tournament(rank, crowding, select_rng)]
             if cross_rng.random() < config.crossover_probability:
-                child_a, child_b = two_point_crossover(
-                    parent_a.candidate, parent_b.candidate, cross_rng
-                )
+                child_a, child_b = two_point_crossover(parent_a, parent_b, cross_rng)
             else:
-                child_a = parent_a.candidate.copy()
-                child_b = parent_b.candidate.copy()
+                child_a = parent_a.copy()
+                child_b = parent_b.copy()
             for child in (child_a, child_b):
                 child = swap_mutation(
                     child, config.mutation_probability, mutate_rng, compiled
@@ -597,15 +567,15 @@ def evolve(
                     )
                 offspring.append(child)
 
-        offspring_objectives = _evaluate_population(offspring, evaluator)
-        combined_candidates = [rc.candidate for rc in ranked] + offspring
-        combined_matrix = np.vstack([objectives, offspring_objectives])
-        combined = rank_population(combined_candidates, combined_matrix)
-        archive.update(
-            (rc.candidate, rc.objectives) for rc in combined if rc.rank == 1
-        )
-        ranked = environmental_selection(combined, config.population_size)
-        objectives = np.vstack([rc.objectives for rc in ranked])
+        # Survivors keep the rank and crowding of the combined ranking,
+        # which the next generation's tournaments compare.
+        population += offspring
+        objectives = np.vstack([objectives, _evaluate_population(offspring, evaluator)])
+        rank, crowding = rank_population(objectives)
+        archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
+        survivors = environmental_selection(rank, crowding, config.population_size)
+        population = [population[i] for i in survivors]
+        objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
         entry = history.record(
             generation,
             archive.best_values(),

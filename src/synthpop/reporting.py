@@ -19,7 +19,7 @@ import numpy as np
 
 from .census_data import AttributeSchema, ContingencyTable, marginalize
 from .errors import DataError
-from .fitness import normalize_objectives
+from .fitness import normalize_objectives, rmse
 from .household_synthesis import SyntheticHousehold
 from .nsga2 import ParetoArchive
 from .population_model import ENTITY_DTYPE, CandidatePopulation
@@ -65,7 +65,7 @@ def select_best(archive: ParetoArchive, weights: Sequence[float]) -> int:
     wins; ties go to the earliest member, which keeps the choice stable
     for a given archive order.
     """
-    if not archive.members:
+    if not len(archive):
         raise DataError("archive is empty, nothing to select")
     matrix = archive.objective_matrix()
     vector = np.asarray(weights, dtype=np.float64)
@@ -208,7 +208,7 @@ def export_pareto_pairs(
     normalized across the archive (the same scaling selection uses), and a
     ``selected`` column that is 1 on exactly one row.
     """
-    if not 0 <= selected < len(archive.members):
+    if not 0 <= selected < len(archive):
         raise DataError("selected index is outside the archive")
     matrix = normalize_objectives(archive.objective_matrix())
     with open(path, "w", newline="") as handle:
@@ -227,14 +227,15 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
     this layout those repeats sit a few bytes apart, inside deflate's match
     window, where a member-major layout puts them a whole roster apart.
     """
-    if not archive.members:
+    if not len(archive):
         raise DataError("archive is empty, nothing to save")
-    attributes = archive.members[0].candidate.attributes
-    slots, width = archive.members[0].candidate.codes.shape
+    candidates = archive.candidates
+    attributes = candidates[0].attributes
+    slots, width = candidates[0].codes.shape
     dtype = np.min_scalar_type(max(a.size for a in attributes) - 1)
-    slot_codes = np.empty((slots, len(archive.members), width), dtype=dtype)
-    for index, member in enumerate(archive.members):
-        slot_codes[:, index, :] = member.candidate.codes
+    slot_codes = np.empty((slots, len(candidates), width), dtype=dtype)
+    for index, candidate in enumerate(candidates):
+        slot_codes[:, index, :] = candidate.codes
     np.savez_compressed(
         path,
         slot_codes=slot_codes,
@@ -333,8 +334,7 @@ def rmse_rows(
             observed = np.bincount(
                 candidate.column(attribute.name), minlength=attribute.size
             ).astype(np.float64)
-            value = float(np.sqrt(np.mean((observed - target) ** 2)))
-            rows.append(RmseRow(table.name, attribute.name, "category", value))
+            rows.append(RmseRow(table.name, attribute.name, "category", rmse(target, observed)))
             if attribute.groups:
                 labels = sorted(set(attribute.groups.values()))
                 members = {
@@ -347,7 +347,7 @@ def rmse_rows(
                 }
                 grouped_target = np.array([target[members[g]].sum() for g in labels])
                 grouped_observed = np.array([observed[members[g]].sum() for g in labels])
-                grouped = float(np.sqrt(np.mean((grouped_observed - grouped_target) ** 2)))
+                grouped = rmse(grouped_target, grouped_observed)
                 rows.append(RmseRow(table.name, attribute.name, "group", grouped))
     return rows
 

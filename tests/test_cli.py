@@ -164,12 +164,33 @@ class TestStageCommands:
         assert (out / "households.csv").exists()
         assert (out / "pareto_households.csv").exists()
 
+    def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
+        staged, full = tmp_path / "staged", tmp_path / "full"
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", staged, "--quiet")
+        run_cli("generate-households", "-c", config_tree, "--out-dir", staged, "--quiet")
+        run_cli("run", "-c", config_tree, "--out-dir", full, "--quiet")
+        names = ["persons.csv", "households.csv"] + [
+            f"{kind}_{stage}.{'npz' if kind == 'archive' else 'csv'}"
+            for stage in ("persons", "households")
+            for kind in ("convergence", "pareto", "archive", "rmse")
+        ]
+        assert len(names) == 10
+        for name in names:
+            assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
 
 class TestReport:
     def test_reexports_saved_populations(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        names = ("persons.csv", "households.csv", "pareto_persons.csv", "rmse_persons.csv")
+        names = (
+            "persons.csv",
+            "households.csv",
+            "pareto_persons.csv",
+            "rmse_persons.csv",
+            "pareto_households.csv",
+            "rmse_households.csv",
+        )
         saved = {name: (out / name).read_bytes() for name in names}
         for name in names:
             (out / name).unlink()
@@ -225,6 +246,11 @@ class TestExitCodes:
         (config_tree.parent / "tables" / "sex_age.csv").unlink()
         assert run_cli("run", "-c", config_tree, "--quiet") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_mistyped_config_value_is_a_config_error(self, config_tree, capsys):
+        config_tree.write_text(config_tree.read_text().replace("seed: 7", "seed: abc"))
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_impossible_rules_are_an_evolution_error(self, config_tree, tmp_path, capsys):
         rules = config_tree.parent / "person_rules.yaml"

@@ -181,6 +181,29 @@ class TestLoadRunConfig:
         with pytest.raises(DataError, match=f"unknown keys \\['{key}'\\]"):
             load_run_config(config_tree)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed: 7", "seed: abc", "seed must be an integer, got 'abc'"),
+            ("seed: 7", "seed: true", "seed must be an integer, got True"),
+            (
+                "validation_tolerance: 0.01",
+                "validation_tolerance: lots",
+                "validation_tolerance must be a number, got 'lots'",
+            ),
+            (
+                "strict_validation: true",
+                'strict_validation: "false"',
+                "strict_validation must be a boolean, got 'false'",
+            ),
+        ],
+        ids=["seed", "seed-bool", "validation_tolerance", "strict_validation"],
+    )
+    def test_mistyped_scalar_is_named(self, config_tree, old, new, message):
+        config_tree.write_text(config_tree.read_text().replace(old, new))
+        with pytest.raises(DataError, match=message):
+            load_run_config(config_tree)
+
     def test_negative_tolerance_rejected(self, config_tree):
         config_tree.write_text(
             config_tree.read_text().replace(

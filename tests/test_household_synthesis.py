@@ -277,10 +277,10 @@ class TestGenerateHouseholds:
         )
         assert len(archive) >= 1
         assert len(history.records) == 4
-        for member in archive.members:
-            assert len(member.candidate) == 10
-            assert member.candidate.attribute_names == ("hsize", "composition")
-            assert np.all(member.objectives >= 0)
+        for candidate in archive.candidates:
+            assert len(candidate) == 10
+            assert candidate.attribute_names == ("hsize", "composition")
+        assert np.all(archive.objective_matrix() >= 0)
 
     def test_same_seed_reproduces(self, household_dataset):
         config = EvolutionConfig(population_size=10, generations=4, seed=11)
@@ -294,6 +294,6 @@ class TestGenerateHouseholds:
         )
         archive, _ = generate_households(household_dataset, household_specs(), config)
         observed_pairs = {(0, 0), (1, 1), (1, 2)}
-        for member in archive.members:
-            pairs = {tuple(row) for row in member.candidate.codes.tolist()}
+        for candidate in archive.candidates:
+            pairs = {tuple(row) for row in candidate.codes.tolist()}
             assert pairs <= observed_pairs

@@ -25,7 +25,7 @@ from synthpop import (
     swap_mutation,
     two_point_crossover,
 )
-from synthpop.nsga2 import RankedCandidate, resample_mutation, substream
+from synthpop.nsga2 import rank_population, resample_mutation, substream
 from synthpop.population_model import CompiledRules
 
 TOL = 1e-9
@@ -152,38 +152,40 @@ class TestCrowdingDistance:
 
 
 class TestBinaryTournament:
-    def ranked(self, rank, crowding):
-        dummy = CandidatePopulation(
-            (type("A", (), {"name": "x", "size": 2})(),), np.zeros((1, 1), dtype=np.int16)
-        )
-        return RankedCandidate(
-            candidate=dummy, objectives=np.zeros(2), rank=rank, crowding=crowding
-        )
-
     def test_lower_rank_wins(self):
-        a, b = self.ranked(1, 0.0), self.ranked(2, 9.0)
-        assert binary_tournament([a, b], FixedPick(0, 1)) is a
-        assert binary_tournament([a, b], FixedPick(1, 0)) is a
+        rank, crowding = np.array([1, 2]), np.array([0.0, 9.0])
+        assert binary_tournament(rank, crowding, FixedPick(0, 1)) == 0
+        assert binary_tournament(rank, crowding, FixedPick(1, 0)) == 0
 
     def test_crowding_breaks_rank_ties(self):
-        a, b = self.ranked(1, 5.0), self.ranked(1, 2.0)
-        assert binary_tournament([a, b], FixedPick(0, 1)) is a
-        assert binary_tournament([a, b], FixedPick(1, 0)) is a
+        rank, crowding = np.array([1, 1]), np.array([5.0, 2.0])
+        assert binary_tournament(rank, crowding, FixedPick(0, 1)) == 0
+        assert binary_tournament(rank, crowding, FixedPick(1, 0)) == 0
 
     def test_full_tie_falls_to_the_coin(self):
-        a, b = self.ranked(1, 1.0), self.ranked(1, 1.0)
-        assert binary_tournament([a, b], FixedPick(0, 1, coin=0)) is a
-        assert binary_tournament([a, b], FixedPick(0, 1, coin=1)) is b
+        rank, crowding = np.array([1, 1]), np.array([1.0, 1.0])
+        assert binary_tournament(rank, crowding, FixedPick(0, 1, coin=0)) == 0
+        assert binary_tournament(rank, crowding, FixedPick(0, 1, coin=1)) == 1
 
     def test_same_stream_same_winner(self):
-        population = [self.ranked(r, float(r)) for r in (1, 1, 2, 3)]
-        first = binary_tournament(population, np.random.default_rng(123))
-        second = binary_tournament(population, np.random.default_rng(123))
-        assert first is second
+        rank, crowding = np.array([1, 1, 2, 3]), np.array([1.0, 1.0, 2.0, 3.0])
+        first = binary_tournament(rank, crowding, np.random.default_rng(123))
+        second = binary_tournament(rank, crowding, np.random.default_rng(123))
+        assert first == second
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            binary_tournament([], np.random.default_rng(0))
+            binary_tournament(np.array([], dtype=int), np.array([]), np.random.default_rng(0))
+
+
+class TestRankPopulation:
+    def test_ranks_and_crowding_in_row_order(self):
+        objectives = np.array([[2.0, 2.0], [1.0, 3.0], [3.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
+        rank, crowding = rank_population(objectives)
+        assert rank.tolist() == [1, 1, 2, 1, 1]
+        front = [0, 1, 3, 4]
+        assert np.array_equal(crowding[front], crowding_distance(objectives[front]))
+        assert np.isinf(crowding[2])
 
 
 class TestTwoPointCrossover:
@@ -342,47 +344,32 @@ class TestResampleMutation:
 
 
 class TestEnvironmentalSelection:
-    def ranked_set(self, objectives, ranks, crowdings, schema):
-        dummy = make_candidate(schema, np.random.default_rng(0), size=2)
-        return [
-            RankedCandidate(
-                candidate=dummy,
-                objectives=np.asarray(o, dtype=np.float64),
-                rank=r,
-                crowding=c,
-            )
-            for o, r, c in zip(objectives, ranks, crowdings)
-        ]
+    def select(self, ranks, crowdings, target):
+        rank = np.array(ranks)
+        crowding = np.array(crowdings, dtype=np.float64)
+        return environmental_selection(rank, crowding, target).tolist()
 
-    def test_whole_front_fits_exactly(self, schema_small):
-        population = self.ranked_set(
-            [[1, 1], [1, 2], [2, 1]], [1, 1, 1], [np.inf, 1.0, np.inf], schema_small
-        )
-        selected = environmental_selection(population, 3)
-        assert selected == population
+    def test_whole_front_fits_exactly(self):
+        assert self.select([1, 1, 1], [np.inf, 1.0, np.inf], 3) == [0, 1, 2]
 
-    def test_truncation_prefers_crowded_boundary(self, schema_small):
-        front1 = self.ranked_set(
-            [[0, 3], [1, 2], [3, 0]], [1, 1, 1], [np.inf, 2.0, np.inf], schema_small
-        )
-        front2 = self.ranked_set(
-            [[2, 3], [3, 2], [4, 4]], [2, 2, 2], [np.inf, 1.0, 0.5], schema_small
-        )
-        selected = environmental_selection(front1 + front2, 4)
-        assert selected[:3] == front1
-        assert selected[3] is front2[0]
+    def test_truncation_prefers_crowded_boundary(self):
+        ranks = [1, 1, 1, 2, 2, 2]
+        crowdings = [np.inf, 2.0, np.inf, np.inf, 1.0, 0.5]
+        assert self.select(ranks, crowdings, 4) == [0, 1, 2, 3]
+        assert self.select(ranks, crowdings, 5) == [0, 1, 2, 3, 4]
 
-    def test_stable_order_on_ties(self, schema_small):
-        population = self.ranked_set(
-            [[1, 1]] * 4, [1, 1, 1, 1], [1.0, 1.0, 1.0, 1.0], schema_small
-        )
-        selected = environmental_selection(population, 2)
-        assert selected == population[:2]
+    def test_whole_fronts_keep_input_order(self):
+        # Front 1 (indices 1 and 3) fits whole and stays in input order even
+        # though 3 is less crowded; front 2 is cut by descending crowding.
+        assert self.select([2, 1, 2, 1], [1.0, 0.5, 3.0, np.inf], 3) == [1, 3, 2]
 
-    def test_oversized_target_rejected(self, schema_small):
-        population = self.ranked_set([[1, 1]], [1], [np.inf], schema_small)
+    def test_stable_order_on_ties(self):
+        assert self.select([1, 1, 1, 1], [1.0, 1.0, 1.0, 1.0], 2) == [0, 1]
+        assert self.select([1, 2, 2, 2], [np.inf, 1.0, 2.0, 2.0], 3) == [0, 2, 3]
+
+    def test_oversized_target_rejected(self):
         with pytest.raises(ValueError):
-            environmental_selection(population, 5)
+            self.select([1], [np.inf], 5)
 
 
 class TestParetoArchive:
@@ -455,34 +442,43 @@ class TestParetoArchive:
     def test_invariants_after_any_inserts(self, capacity, vectors):
         attributes = (Attribute("x", ("a", "b")),)
         archive = ParetoArchive(capacity)
+        offered = []
         for k, vector in enumerate(vectors):
             codes = np.array([[k % 2]], dtype=np.int16)
-            archive.insert(CandidatePopulation(attributes, codes), np.array(vector, float))
-        members = archive.members
-        assert 1 <= len(members) <= capacity
-        for a in members:
-            for b in members:
-                if a is not b:
-                    assert not dominates(a.objectives, b.objectives)
-                    assert not np.array_equal(a.objectives, b.objectives)
+            offered.append((CandidatePopulation(attributes, codes), np.array(vector, float)))
+            archive.insert(*offered[-1])
+        vector_of = {id(candidate): vector for candidate, vector in offered}
+        candidates = archive.candidates
         matrix = archive.objective_matrix()
         assert not matrix.flags.writeable
-        assert np.array_equal(matrix, np.vstack([m.objectives for m in members]))
-        rebuilt = ParetoArchive.restore(
-            ((m.candidate, m.objectives) for m in members), capacity
-        )
-        assert np.array_equal(rebuilt.objective_matrix(), matrix)
-        assert [m.candidate for m in rebuilt.members] == [m.candidate for m in members]
+        assert 1 <= len(candidates) == len(matrix) <= capacity
+        # Through evictions and capacity truncation, row k stays candidate k's vector.
+        for candidate, row in zip(candidates, matrix):
+            assert np.array_equal(row, vector_of[id(candidate)])
+        for i, a in enumerate(matrix):
+            for j, b in enumerate(matrix):
+                if i != j:
+                    assert not dominates(a, b)
+                    assert not np.array_equal(a, b)
+        rebuilt = ParetoArchive.restore(candidates, matrix, capacity)
+        assert rebuilt.capacity == capacity
+        assert all(a is b for a, b in zip(rebuilt.candidates, candidates))
+        assert len(rebuilt) == len(candidates)
+        for candidate, row in zip(rebuilt.candidates, rebuilt.objective_matrix()):
+            assert np.array_equal(row, vector_of[id(candidate)])
 
     def test_restore_round_trip(self, schema_small):
         rng = np.random.default_rng(6)
         archive = ParetoArchive(8)
         for _ in range(20):
             archive.insert(make_candidate(schema_small, rng), rng.uniform(0, 5, size=2))
-        rebuilt = ParetoArchive.restore(
-            (m.candidate, m.objectives) for m in archive.members
-        )
+        rebuilt = ParetoArchive.restore(archive.candidates, archive.objective_matrix())
         assert np.array_equal(rebuilt.objective_matrix(), archive.objective_matrix())
+
+    def test_restore_rejects_count_mismatch(self, schema_small):
+        candidate = make_candidate(schema_small, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="counts differ"):
+            ParetoArchive.restore([candidate], np.zeros((2, 2)))
 
 
 class TestEvolutionConfig:
@@ -583,8 +579,8 @@ class TestEvolve:
         assert np.array_equal(
             first_archive.objective_matrix(), second_archive.objective_matrix()
         )
-        for a, b in zip(first_archive.members, second_archive.members):
-            assert a.candidate.same_roster(b.candidate)
+        for a, b in zip(first_archive.candidates, second_archive.candidates):
+            assert a.same_roster(b)
         for r1, r2 in zip(first_history.records, second_history.records):
             assert np.array_equal(r1.best, r2.best)
             assert np.array_equal(r1.best_normalized, r2.best_normalized)
@@ -626,10 +622,10 @@ class TestEvolve:
             dataset_small, self.specs(), config, [rule_no_child_marriage]
         )
         compiled = CompiledRules(
-            [rule_no_child_marriage], archive.members[0].candidate.attributes
+            [rule_no_child_marriage], archive.candidates[0].attributes
         )
-        for member in archive.members:
-            assert not compiled.violation_mask(member.candidate.codes).any()
+        for candidate in archive.candidates:
+            assert not compiled.violation_mask(candidate.codes).any()
 
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):

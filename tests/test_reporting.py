@@ -48,9 +48,7 @@ def dummy_roster(schema, rng, size=6):
 
 def archive_of(schema, vectors):
     rng = np.random.default_rng(0)
-    return ParetoArchive.restore(
-        (dummy_roster(schema, rng), np.asarray(v, dtype=np.float64)) for v in vectors
-    )
+    return ParetoArchive.restore([dummy_roster(schema, rng) for _ in vectors], vectors)
 
 
 def read_rows(path):
@@ -241,8 +239,8 @@ class TestArchiveBundle:
     def test_round_trip(self, schema_small, tmp_path):
         rng = np.random.default_rng(7)
         archive = ParetoArchive.restore(
-            (dummy_roster(schema_small, rng), v)
-            for v in (np.array([1.0, 4.0]), np.array([2.0, 2.0]), np.array([4.0, 1.0]))
+            [dummy_roster(schema_small, rng) for _ in range(3)],
+            np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0]]),
         )
         path = tmp_path / "archive.npz"
         save_archive(path, archive, ("a", "b"))
@@ -250,8 +248,8 @@ class TestArchiveBundle:
         assert names == ["a", "b"]
         assert np.array_equal(objectives, archive.objective_matrix())
         assert len(members) == 3
-        for loaded, kept in zip(members, archive.members):
-            assert loaded.same_roster(kept.candidate)
+        for loaded, kept in zip(members, archive.candidates):
+            assert loaded.same_roster(kept)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -276,7 +274,7 @@ class TestArchiveBundle:
             codes[0] = [size - 1 for size in sizes]
             rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
         objectives = rng.random((members, 3))
-        archive = ParetoArchive.restore(zip(rosters, objectives))
+        archive = ParetoArchive.restore(rosters, objectives)
         buffer = io.BytesIO()
         save_archive(buffer, archive, ("x", "y", "z"))
         buffer.seek(0)
