@@ -10,9 +10,7 @@ from .census_data import (
     Attribute,
     AttributeSchema,
     ContingencyTable,
-    FrequencyVector,
     RegionDataset,
-    attribute_weights,
     load_contingency_table,
     load_schema,
     marginalize,
@@ -42,7 +40,6 @@ from .nsga2 import (
     ParetoArchive,
     binary_tournament,
     crowding_distance,
-    dominates,
     environmental_selection,
     evolve,
     fast_nondominated_sort,
@@ -70,11 +67,9 @@ from .reporting import (
 from .population_model import (
     CandidatePopulation,
     SamplingPlan,
-    SyntheticPerson,
     ValidationRule,
     generate_candidate,
     load_rules,
-    observed_frequencies,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +84,6 @@ __all__ = [
     "DataError",
     "EvolutionConfig",
     "EvolutionError",
-    "FrequencyVector",
     "GenerationHistory",
     "ObjectiveEvaluator",
     "ObjectiveSpec",
@@ -101,13 +95,10 @@ __all__ = [
     "StageConfig",
     "SynthPopError",
     "SyntheticHousehold",
-    "SyntheticPerson",
     "ValidationRule",
     "allocate",
-    "attribute_weights",
     "binary_tournament",
     "crowding_distance",
-    "dominates",
     "environmental_selection",
     "evolve",
     "export_convergence",
@@ -132,7 +123,6 @@ __all__ = [
     "load_stage_rules",
     "marginalize",
     "normalize_objectives",
-    "observed_frequencies",
     "parse_composition",
     "read_manifest",
     "rmse",

@@ -93,32 +93,6 @@ class AttributeSchema:
 
 
 @dataclass(frozen=True)
-class FrequencyVector:
-    """Per-category counts for a single attribute, in category order."""
-
-    attribute: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise DataError(
-                f"frequency vector for {self.attribute!r} must be one-dimensional"
-            )
-        if np.any(values < 0):
-            raise DataError(f"frequency vector for {self.attribute!r} has negative counts")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class ContingencyTable:
     """A dense cross-tabulation over one to three schema attributes."""
 
@@ -307,26 +281,16 @@ def load_contingency_table(
     return ContingencyTable(name=table_name, axes=axes, counts=counts)
 
 
-def marginalize(table: ContingencyTable, attribute: str) -> FrequencyVector:
-    """Sum the table down to a single axis, preserving category order."""
+def marginalize(table: ContingencyTable, attribute: str) -> np.ndarray:
+    """Sum the table down to a single axis: per-category counts (float64)
+    in category order."""
     if attribute not in table.axis_names:
         raise DataError(
             f"attribute {attribute!r} is not an axis of table {table.name!r}"
         )
     keep = table.axis_names.index(attribute)
     drop = tuple(i for i in range(len(table.axes)) if i != keep)
-    values = table.counts.sum(axis=drop) if drop else table.counts
-    return FrequencyVector(attribute=attribute, values=values)
-
-
-def attribute_weights(vector: FrequencyVector) -> np.ndarray:
-    """Normalise a frequency vector into sampling probabilities."""
-    total = vector.values.sum()
-    if total <= 0:
-        raise DataError(
-            f"cannot derive weights for {vector.attribute!r}: all counts are zero"
-        )
-    return np.asarray(vector.values / total, dtype=np.float64)
+    return table.counts.sum(axis=drop) if drop else table.counts
 
 
 @dataclass(frozen=True)
@@ -360,9 +324,6 @@ class ValidationReport:
         if not out:
             out.append("ok   nothing to compare")
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
 
 
 def _relative_discrepancy(a: float, b: float) -> float:

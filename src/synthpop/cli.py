@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``validate-data``: check table consistency against the configured
-  tolerance and print one line per check.
+* ``validate-data``: load the rules, check table consistency against the
+  configured tolerance and print one line per check.
 * ``generate-persons``: evolve the person stage and export its outputs.
 * ``generate-households``: evolve the household stage, allocate persons
   from an existing persons export, and export household outputs.
@@ -248,6 +248,7 @@ def _build_manifest(config: RunConfig, summaries: dict, outputs: list[str]) -> d
 def _cmd_validate_data(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset = load_dataset(config)
+    load_stage_rules(config, dataset.schema)
     report = validate_dataset(dataset, tolerance=config.validation_tolerance)
     for line in report.lines():
         print(line)

@@ -10,9 +10,11 @@ ever sees a finished, immutable configuration.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -27,20 +29,7 @@ from .census_data import (
 from .errors import DataError
 from .fitness import METRICS, ObjectiveSpec
 from .nsga2 import EvolutionConfig
-from .population_model import SAMPLING_MODES, ValidationRule, load_rules
-
-_EVOLUTION_KEYS = {
-    "population_size",
-    "generations",
-    "crossover_probability",
-    "mutation_probability",
-    "max_retries",
-    "archive_capacity",
-    "offspring_size",
-    "resample_probability",
-    "resample_slots",
-    "sampling",
-}
+from .population_model import ValidationRule, load_rules
 
 
 @dataclass(frozen=True)
@@ -89,15 +78,21 @@ _KINDS = {
     bool: ("a boolean", (bool,)),
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
+    str: ("a string", (str,)),
 }
 
 
 def _scalar(mapping: Mapping, key: str, default, kind: type, context: str):
-    """``mapping[key]`` (or ``default``), which must be of ``kind``."""
+    """``mapping[key]`` (or ``default``), which must be of ``kind``; a
+    number comes back as a finite float."""
     value = mapping.get(key, default)
     label, accepted = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise DataError(f"{context}: {key} must be {label}, got {value!r}")
+    if kind is float:
+        if not math.isfinite(value):
+            raise DataError(f"{context}: {key} must be a finite number, got {value!r}")
+        return float(value)
     return value
 
 
@@ -111,27 +106,34 @@ def _parse_objective(entry, context: str) -> ObjectiveSpec:
         raise DataError(
             f"{context}: metric must be one of {sorted(METRICS)}, got '{metric}'"
         )
-    weight = _scalar(entry, "weight", 1.0, float, context)
     return ObjectiveSpec(
         name=str(_require(entry, "name", context)),
         table=str(_require(entry, "table", context)),
         attribute=entry.get("attribute"),
         metric=metric,
-        weight=float(weight),
+        weight=_scalar(entry, "weight", 1.0, float, context),
     )
 
 
 def _parse_evolution(entry, seed: int, context: str) -> EvolutionConfig:
+    """Build a stage's evolution settings. The settable keys are
+    ``EvolutionConfig``'s fields, except ``seed``, which is the run's; each
+    one present must hold its field's kind (``int | None`` holds an int)."""
     entry = _as_mapping(entry, context) if entry is not None else {}
-    unknown = set(entry) - _EVOLUTION_KEYS
+    hints = get_type_hints(EvolutionConfig)
+    kinds = {
+        f.name: (get_args(hints[f.name]) or (hints[f.name],))[0]
+        for f in fields(EvolutionConfig)
+        if f.name != "seed"
+    }
+    unknown = set(entry) - set(kinds)
     if unknown:
         raise DataError(f"{context}: unknown evolution keys {sorted(unknown)}")
-    if "sampling" in entry and entry["sampling"] not in SAMPLING_MODES:
-        raise DataError(
-            f"{context}: sampling must be one of {sorted(SAMPLING_MODES)},"
-            f" got '{entry['sampling']}'"
-        )
-    return EvolutionConfig(seed=seed, **entry)
+    values = {key: _scalar(entry, key, None, kinds[key], context) for key in entry}
+    try:
+        return EvolutionConfig(seed=seed, **values)
+    except DataError as exc:
+        raise DataError(f"{context}: {exc}") from None
 
 
 def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
@@ -140,8 +142,9 @@ def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
     unknown = set(entry) - {"target_count", "tables", "rules", "objectives", "evolution"}
     if unknown:
         raise DataError(f"{context}: unknown keys {sorted(unknown)}")
-    target = _require(entry, "target_count", context)
-    if not isinstance(target, int) or target <= 0:
+    _require(entry, "target_count", context)
+    target = _scalar(entry, "target_count", None, int, context)
+    if target <= 0:
         raise DataError(f"{context}: target_count must be a positive integer")
     tables = _require(entry, "tables", context)
     if not isinstance(tables, list) or not tables:
@@ -229,7 +232,7 @@ def load_run_config(
             stages[name] = replace(stage, evolution=replace(stage.evolution, **updates))
         persons, households = stages[PERSONS], stages[HOUSEHOLDS]
 
-    tolerance = float(_scalar(raw, "validation_tolerance", 0.01, float, str(config_path)))
+    tolerance = _scalar(raw, "validation_tolerance", 0.01, float, str(config_path))
     if tolerance < 0:
         raise DataError("validation_tolerance must be non-negative")
 

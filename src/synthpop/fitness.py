@@ -141,7 +141,7 @@ class ObjectiveEvaluator:
                         f"objective {spec.name!r} projects onto {spec.attribute!r}, "
                         "which is not a roster attribute"
                     )
-                target = marginalize(table, spec.attribute).values * scale
+                target = marginalize(table, spec.attribute) * scale
                 col = columns[spec.attribute]
                 size = attributes[col].size
                 self._plans.append(("marginal", metric, target, col, size))

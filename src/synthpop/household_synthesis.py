@@ -99,10 +99,6 @@ class AllocationResult:
     def complete_rate(self) -> float:
         return self.complete_count / len(self.households) if self.households else 0.0
 
-    @property
-    def allocated_count(self) -> int:
-        return sum(len(h.members) for h in self.households)
-
 
 def generate_households(
     dataset: RegionDataset,
@@ -180,7 +176,7 @@ def allocate(
     synthesised = tuple(
         SyntheticHousehold(
             household_id=h,
-            assignments=dict(households.person(h).assignments),
+            assignments=households.person(h),
             members=members[h],
             complete=complete[h],
         )

@@ -20,6 +20,7 @@ from .census_data import HOUSEHOLDS, PERSONS, RegionDataset
 from .errors import DataError
 from .fitness import ObjectiveEvaluator, ObjectiveSpec
 from .population_model import (
+    SAMPLING_MODES,
     CandidatePopulation,
     CompiledRules,
     SamplingPlan,
@@ -46,15 +47,18 @@ def substream(*keys: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Parameters of one evolutionary stage."""
+    """Parameters of one evolutionary stage.
+
+    Every field but ``seed`` is a stage's ``evolution`` config key, typed
+    by its annotation. The Pareto archive holds up to ten times the
+    population size.
+    """
 
     population_size: int = 100
     generations: int = 500
     crossover_probability: float = 0.9
     mutation_probability: float = 0.2
     seed: int = 0
-    max_retries: int = 100
-    archive_capacity: int | None = None
     offspring_size: int | None = None
     resample_probability: float = 0.0
     resample_slots: int = 1
@@ -72,36 +76,25 @@ class EvolutionConfig:
         ):
             if not 0.0 <= p <= 1.0:
                 raise DataError(f"{label} probability must lie in [0, 1]")
-        if self.max_retries < 1:
-            raise DataError("max_retries must be at least 1")
         if self.resample_slots < 1:
             raise DataError("resample_slots must be at least 1")
-        if self.archive_capacity is not None and self.archive_capacity < 1:
-            raise DataError("archive capacity must be positive")
         if self.offspring_size is not None and (
             self.offspring_size < 2 or self.offspring_size % 2
         ):
             raise DataError("offspring size must be an even number of at least 2")
-        if self.sampling not in ("independent", "joint"):
-            raise DataError(f"unknown sampling mode {self.sampling!r}")
+        if self.sampling not in SAMPLING_MODES:
+            raise DataError(
+                f"sampling must be one of {list(SAMPLING_MODES)}, got {self.sampling!r}"
+            )
 
     @property
     def capacity(self) -> int:
-        return self.archive_capacity or 10 * self.population_size
+        return 10 * self.population_size
 
     @property
     def offspring(self) -> int:
         """Offspring per generation; defaults to the population size."""
         return self.offspring_size or self.population_size
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when vector a is no worse everywhere and better somewhere."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"objective vectors differ in shape: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def fast_nondominated_sort(vectors: Sequence[np.ndarray] | np.ndarray) -> list[list[int]]:
@@ -442,12 +435,6 @@ class GenerationHistory:
         self.records.append(entry)
         return entry
 
-    @property
-    def final(self) -> GenerationRecord:
-        if not self.records:
-            raise DataError("history is empty")
-        return self.records[-1]
-
 
 ProgressCallback = Callable[[str, int, np.ndarray, float], None]
 
@@ -515,13 +502,7 @@ def evolve(
 
     started = time.perf_counter()
     population = [
-        generate_candidate(
-            plan,
-            target,
-            rules,
-            substream(seed, stage_id, 0, _OP_INIT, i),
-            config.max_retries,
-        )
+        generate_candidate(plan, target, compiled, substream(seed, stage_id, 0, _OP_INIT, i))
         for i in range(config.population_size)
     ]
     objectives = _evaluate_population(population, evaluator)

@@ -22,8 +22,6 @@ from .census_data import (
     Attribute,
     AttributeSchema,
     ContingencyTable,
-    FrequencyVector,
-    attribute_weights,
     marginalize,
 )
 from .errors import DataError, EvolutionError
@@ -33,16 +31,6 @@ ENTITY_DTYPE = np.int16
 INDEPENDENT = "independent"
 JOINT = "joint"
 SAMPLING_MODES = (INDEPENDENT, JOINT)
-
-
-@dataclass(frozen=True)
-class SyntheticPerson:
-    """One synthetic entity: a category code per configured attribute."""
-
-    assignments: Mapping[str, str]
-
-    def __getitem__(self, attribute: str) -> str:
-        return self.assignments[attribute]
 
 
 @dataclass(frozen=True)
@@ -174,11 +162,6 @@ class CompiledRules:
         return True
 
 
-def _cdf(probabilities: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
-    return cdf
-
-
 def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(idx, len(cdf) - 1)
@@ -223,20 +206,13 @@ class SamplingPlan:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def weights(self, attribute: str) -> np.ndarray:
-        """Marginal sampling probabilities for one attribute."""
-        if attribute not in self._marginal_cdfs:
-            raise DataError(f"sampling plan has no attribute {attribute!r}")
-        cdf = self._marginal_cdfs[attribute]
-        return np.diff(cdf, prepend=0.0)
-
     @cached_property
     def redraw_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """What resample mutation draws from, in column order: the chance
         of hitting each column (proportional to its category count) and
-        each column's cumulative weights."""
+        each column's cumulative marginal weights."""
         sizes = np.array([a.size for a in self.attributes], dtype=np.float64)
-        cdfs = tuple(np.cumsum(self.weights(a.name)) for a in self.attributes)
+        cdfs = tuple(self._marginal_cdfs[a.name] for a in self.attributes)
         return sizes / sizes.sum(), cdfs
 
     @classmethod
@@ -257,7 +233,7 @@ class SamplingPlan:
             if np.any(weights < 0) or weights.sum() <= 0:
                 raise DataError(f"weights for {attribute.name!r} must be "
                                 "non-negative and sum to a positive value")
-            cdfs[attribute.name] = _cdf(weights / weights.sum())
+            cdfs[attribute.name] = np.cumsum(weights / weights.sum())
         return cls(tuple(a for a, _ in pairs), INDEPENDENT, cdfs)
 
     @classmethod
@@ -285,10 +261,10 @@ class SamplingPlan:
                     return table
             raise DataError(f"no stage table lists attribute {attribute!r}")
 
-        marginal_cdfs = {
-            a.name: _cdf(attribute_weights(marginalize(source_table(a.name), a.name)))
-            for a in resolved
-        }
+        marginal_cdfs = {}
+        for a in resolved:
+            counts = marginalize(source_table(a.name), a.name)
+            marginal_cdfs[a.name] = np.cumsum(counts / counts.sum())
         if mode == INDEPENDENT:
             return cls(resolved, mode, marginal_cdfs)
 
@@ -301,7 +277,7 @@ class SamplingPlan:
             if not new:
                 continue
             given = [a for a in in_stage if a.name in assigned]
-            groups.append(_build_joint_group(table, given, new))
+            groups.append(_build_joint_group(table, given, new, columns))
             assigned.update(a.name for a in new)
         missing = [a.name for a in resolved if a.name not in assigned]
         if missing:
@@ -309,18 +285,7 @@ class SamplingPlan:
                 f"joint sampling cannot cover attributes {missing}: no stage "
                 "table lists them"
             )
-        bound = tuple(
-            _JointGroup(
-                table_name=g.table_name,
-                given_columns=tuple(columns[n] for n in g.given_columns),  # type: ignore[arg-type]
-                given_dims=g.given_dims,
-                new_columns=tuple(columns[n] for n in g.new_columns),  # type: ignore[arg-type]
-                new_dims=g.new_dims,
-                cdf_rows=g.cdf_rows,
-            )
-            for g in groups
-        )
-        return cls(resolved, mode, marginal_cdfs, bound)
+        return cls(resolved, mode, marginal_cdfs, tuple(groups))
 
     def sample_codes(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a (count, n_attributes) matrix of category indices."""
@@ -354,12 +319,10 @@ def _build_joint_group(
     table: ContingencyTable,
     given: Sequence[Attribute],
     new: Sequence[Attribute],
+    columns: Mapping[str, int],
 ) -> _JointGroup:
-    """Condition a table's cells on its already-assigned axes.
-
-    Returns a group whose column tuples still hold attribute names; the
-    caller rebinds them to roster column indices.
-    """
+    """Condition a table's cells on its already-assigned axes; ``columns``
+    maps attribute names to roster column indices."""
     given_names = [a.name for a in given]
     new_names = [a.name for a in new]
     order = given_names + new_names + [
@@ -385,9 +348,9 @@ def _build_joint_group(
     cdf_rows = np.cumsum(safe, axis=1)
     return _JointGroup(
         table_name=table.name,
-        given_columns=tuple(given_names),  # type: ignore[arg-type]
+        given_columns=tuple(columns[n] for n in given_names),
         given_dims=given_dims,
-        new_columns=tuple(new_names),  # type: ignore[arg-type]
+        new_columns=tuple(columns[n] for n in new_names),
         new_dims=new_dims,
         cdf_rows=cdf_rows,
     )
@@ -431,57 +394,37 @@ class CandidatePopulation:
     def column(self, attribute: str) -> np.ndarray:
         return self.codes[:, self.column_index(attribute)]
 
-    def person(self, index: int) -> SyntheticPerson:
-        """Category labels of one roster row."""
-        return SyntheticPerson(
-            assignments={
-                attribute.name: attribute.categories[int(code)]
-                for attribute, code in zip(self.attributes, self.codes[index])
-            }
-        )
+    def person(self, index: int) -> dict[str, str]:
+        """Category labels of one roster row, by attribute name."""
+        return {
+            attribute.name: attribute.categories[int(code)]
+            for attribute, code in zip(self.attributes, self.codes[index])
+        }
 
     def copy(self) -> CandidatePopulation:
         return CandidatePopulation(self.attributes, self.codes.copy())
-
-    def same_roster(self, other: CandidatePopulation) -> bool:
-        return (
-            self.attribute_names == other.attribute_names
-            and bool(np.array_equal(self.codes, other.codes))
-        )
-
-
-def observed_frequencies(
-    candidate: CandidatePopulation, attribute: str
-) -> FrequencyVector:
-    """Per-category counts for one attribute across the roster."""
-    col = candidate.column_index(attribute)
-    counts = np.bincount(
-        candidate.codes[:, col].astype(np.intp),
-        minlength=candidate.attributes[col].size,
-    )
-    return FrequencyVector(attribute=attribute, values=counts)
 
 
 def generate_candidate(
     plan: SamplingPlan,
     size: int,
-    rules: Sequence[ValidationRule],
+    rules: CompiledRules,
     rng: np.random.Generator,
     max_retries: int = 100,
 ) -> CandidatePopulation:
     """Build a roster of ``size`` valid entities by rejection sampling.
 
-    Every roster slot gets up to ``max_retries`` draws (the initial draw
-    included); slots still violating a rule after that raise, which points
-    at contradictory rules and weights.
+    ``rules`` must be compiled for the plan's attributes. Every roster slot
+    gets up to ``max_retries`` draws (the initial draw included); slots
+    still violating a rule after that raise, which points at contradictory
+    rules and weights.
     """
     if size <= 0:
         raise DataError("roster size must be positive")
     if max_retries < 1:
         raise DataError("max_retries must be at least 1")
-    compiled = CompiledRules(rules, plan.attributes)
     codes = plan.sample_codes(size, rng)
-    bad = compiled.violation_mask(codes)
+    bad = rules.violation_mask(codes)
     attempts = 1
     while bad.any():
         if attempts >= max_retries:
@@ -492,6 +435,6 @@ def generate_candidate(
             )
         fresh = plan.sample_codes(size, rng)
         codes[bad] = fresh[bad]
-        bad = compiled.violation_mask(codes)
+        bad = rules.violation_mask(codes)
         attempts += 1
     return CandidatePopulation(tuple(plan.attributes), codes)

@@ -330,7 +330,7 @@ def rmse_rows(
             if attribute.name not in names:
                 continue
             marginal = marginalize(table, attribute.name)
-            target = marginal.values * (len(candidate) / marginal.total)
+            target = marginal * (len(candidate) / float(marginal.sum()))
             observed = np.bincount(
                 candidate.column(attribute.name), minlength=attribute.size
             ).astype(np.float64)

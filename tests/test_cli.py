@@ -53,6 +53,13 @@ class TestValidateData:
         assert run_cli("validate-data", "-c", config_tree) == 1
         assert "check(s) failed" in capsys.readouterr().out
 
+    def test_unknown_rule_category_fails(self, config_tree, capsys):
+        rules = config_tree.parent / "person_rules.yaml"
+        rules.write_text(rules.read_text().replace("age: [a0_17]", "age: [no_such_band]"))
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no_such_band" in err
+
 
 class TestRun:
     def test_writes_every_output(self, config_tree, tmp_path):

@@ -112,6 +112,23 @@ class TestLoadRunConfig:
         with pytest.raises(DataError, match="unknown evolution keys.*elitism"):
             load_run_config(config_tree)
 
+    @pytest.mark.parametrize("key", ["archive_capacity", "max_retries", "seed"])
+    def test_non_settable_evolution_keys_rejected(self, config_tree, key):
+        text = config_tree.read_text().replace(
+            "offspring_size: 20}", f"offspring_size: 20, {key}: 50}}"
+        )
+        config_tree.write_text(text)
+        with pytest.raises(DataError, match=f"unknown evolution keys \\['{key}'\\]"):
+            load_run_config(config_tree)
+
+    def test_evolution_range_error_names_the_stage(self, config_tree):
+        text = config_tree.read_text().replace(
+            "offspring_size: 20}", "offspring_size: 20, sampling: stratified}"
+        )
+        config_tree.write_text(text)
+        with pytest.raises(DataError, match="stage 'persons': sampling must be one of"):
+            load_run_config(config_tree)
+
     def test_unknown_metric_rejected(self, config_tree):
         text = config_tree.read_text().replace(
             "{name: sex_fit, table: sex_age, attribute: sex}",
@@ -196,8 +213,49 @@ class TestLoadRunConfig:
                 'strict_validation: "false"',
                 "strict_validation must be a boolean, got 'false'",
             ),
+            (
+                "population_size: 10, generations: 3",
+                'population_size: "100", generations: 3',
+                "stage 'persons': population_size must be an integer, got '100'",
+            ),
+            (
+                "generations: 3",
+                "generations: 1.5",
+                "stage 'persons': generations must be an integer, got 1.5",
+            ),
+            (
+                "offspring_size: 20}",
+                "offspring_size: 20, mutation_probability: high}",
+                "stage 'persons': mutation_probability must be a number, got 'high'",
+            ),
+            (
+                "target_count: 100",
+                "target_count: true",
+                "stage 'persons': target_count must be an integer, got True",
+            ),
+            (
+                "validation_tolerance: 0.01",
+                "validation_tolerance: .nan",
+                "validation_tolerance must be a finite number, got nan",
+            ),
+            (
+                "attribute: sex}",
+                "attribute: sex, weight: .nan}",
+                "weight must be a finite number, got nan",
+            ),
         ],
-        ids=["seed", "seed-bool", "validation_tolerance", "strict_validation"],
+        ids=[
+            "seed",
+            "seed-bool",
+            "validation_tolerance",
+            "strict_validation",
+            "population_size-str",
+            "generations-float",
+            "mutation_probability-str",
+            "target_count-bool",
+            "validation_tolerance-nan",
+            "weight-nan",
+        ],
     )
     def test_mistyped_scalar_is_named(self, config_tree, old, new, message):
         config_tree.write_text(config_tree.read_text().replace(old, new))

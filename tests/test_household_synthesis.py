@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synthpop import (
     Attribute,
@@ -170,21 +172,35 @@ class TestAllocate:
         result = allocate(persons, households, schema_small)
         assert result.households[0].assignments == {"composition": "2A"}
 
-    def test_allocation_partitions_the_roster(self, schema_small):
-        rng = np.random.default_rng(31)
-        letters = "CAE"
-        categories = ("1A", "1A 1C", "2A", "2A 3C", "1E")
-        for _ in range(25):
-            persons = make_persons(
-                schema_small, [letters[i] for i in rng.integers(0, 3, size=60)]
-            )
-            households = make_households(
-                categories, list(rng.integers(0, len(categories), size=20))
-            )
-            result = allocate(persons, households, schema_small)
-            allocated = [m for h in result.households for m in h.members]
-            assert len(set(allocated)) == len(allocated)
-            assert sorted(allocated + list(result.unallocated)) == list(range(60))
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        letters=st.lists(st.sampled_from("CAE"), min_size=1, max_size=80),
+        categories=st.lists(
+            st.sampled_from(("1A", "1A 1C", "2A", "2A 3C", "1E", "1A 1E", "3A")),
+            min_size=1,
+            unique=True,
+        ),
+        n_households=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_allocation_partitions_the_roster(
+        self, schema_small, letters, categories, n_households, seed
+    ):
+        # Any person mix, composition mix and roster sizes: allocated
+        # members and the unallocated remainder cover every person once.
+        rng = np.random.default_rng(seed)
+        persons = make_persons(schema_small, letters)
+        households = make_households(
+            tuple(categories), list(rng.integers(0, len(categories), size=n_households))
+        )
+        result = allocate(persons, households, schema_small)
+        allocated = [m for h in result.households for m in h.members]
+        assert len(set(allocated)) == len(allocated)
+        assert sorted(allocated + list(result.unallocated)) == list(range(len(letters)))
 
     def test_complete_means_requirements_met_exactly(self, schema_small):
         rng = np.random.default_rng(37)
@@ -218,7 +234,7 @@ class TestAllocate:
         result = allocate(persons, households, schema_small)
         assert result.unallocated == ()
         assert result.complete_count == 4
-        assert result.allocated_count == 7
+        assert sum(len(h.members) for h in result.households) == 7
 
     def test_repeat_runs_are_identical(self, schema_small):
         rng = np.random.default_rng(41)

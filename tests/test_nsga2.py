@@ -15,9 +15,9 @@ from synthpop import (
     ParetoArchive,
     RegionDataset,
     SamplingPlan,
+    ValidationRule,
     binary_tournament,
     crowding_distance,
-    dominates,
     environmental_selection,
     evolve,
     fast_nondominated_sort,
@@ -29,6 +29,11 @@ from synthpop.nsga2 import rank_population, resample_mutation, substream
 from synthpop.population_model import CompiledRules
 
 TOL = 1e-9
+
+
+def dominates(a, b):
+    """Pairwise-dominance oracle: a is no worse everywhere, better somewhere."""
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def brute_force_fronts(vectors):
@@ -79,18 +84,21 @@ class FixedPick:
 
 
 class TestDominates:
+    """Dominance as the sort applies it: a dominated vector falls to a
+    later front, and vectors that do not dominate each other share one."""
+
     def test_strict_improvement(self):
-        assert dominates(np.array([1.0, 2.0]), np.array([2.0, 3.0]))
+        assert fast_nondominated_sort(np.array([[1.0, 2.0], [2.0, 3.0]])) == [[0], [1]]
 
     def test_equal_vectors_do_not_dominate(self):
-        assert not dominates(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        assert fast_nondominated_sort(np.array([[1.0, 2.0], [1.0, 2.0]])) == [[0, 1]]
 
     def test_incomparable_pair(self):
-        assert not dominates(np.array([1.0, 3.0]), np.array([2.0, 2.0]))
-        assert not dominates(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
+        assert fast_nondominated_sort(np.array([[1.0, 3.0], [2.0, 2.0]])) == [[0, 1]]
+        assert fast_nondominated_sort(np.array([[2.0, 2.0], [1.0, 3.0]])) == [[0, 1]]
 
     def test_partial_improvement_dominates(self):
-        assert dominates(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
+        assert fast_nondominated_sort(np.array([[1.0, 3.0], [1.0, 2.0]])) == [[1], [0]]
 
 
 class TestFastNondominatedSort:
@@ -208,16 +216,16 @@ class TestTwoPointCrossover:
         first = make_candidate(schema_small, rng)
         second = make_candidate(schema_small, rng)
         child_a, child_b = two_point_crossover(first, second, FixedCuts(0, len(first)))
-        assert child_a.same_roster(second)
-        assert child_b.same_roster(first)
+        assert np.array_equal(child_a.codes, second.codes)
+        assert np.array_equal(child_b.codes, first.codes)
 
     def test_equal_cuts_copy_parents(self, schema_small):
         rng = np.random.default_rng(4)
         first = make_candidate(schema_small, rng)
         second = make_candidate(schema_small, rng)
         child_a, child_b = two_point_crossover(first, second, FixedCuts(2, 2))
-        assert child_a.same_roster(first)
-        assert child_b.same_roster(second)
+        assert np.array_equal(child_a.codes, first.codes)
+        assert np.array_equal(child_b.codes, second.codes)
 
     def test_children_mix_rows_from_both_parents(self, schema_small):
         rng = np.random.default_rng(5)
@@ -249,19 +257,36 @@ class TestSwapMutation:
         candidate = make_candidate(schema_small, rng)
         assert swap_mutation(candidate, 0.0, rng) is candidate
 
-    def test_marginals_preserved(self, schema_small):
-        rng = np.random.default_rng(8)
-        candidate = make_candidate(schema_small, rng, size=50)
-        before = {
-            name: np.bincount(candidate.column(name), minlength=3)
-            for name in candidate.attribute_names
-        }
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        roster=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        with_rule=st.booleans(),
+    )
+    def test_marginals_preserved(self, sizes, roster, seed, with_rule):
+        # Any category mix, roster size and seed; with a rule, reverted
+        # swaps must conserve the counts too.
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
+            for i, n in enumerate(sizes)
+        )
+        rng = np.random.default_rng(seed)
+        mix = [rng.dirichlet(np.full(n, 0.5)) for n in sizes]
+        codes = np.column_stack(
+            [rng.choice(n, size=roster, p=p) for n, p in zip(sizes, mix)]
+        ).astype(np.int16)
+        candidate = CandidatePopulation(attributes, codes)
+        rules = None
+        if with_rule:
+            rule = ValidationRule("no-c0", (("x0", frozenset({"c0"})),))
+            rules = CompiledRules([rule], attributes)
         mutated = candidate
-        for _ in range(200):
-            mutated = swap_mutation(mutated, 1.0, rng)
-        for name in candidate.attribute_names:
-            after = np.bincount(mutated.column(name), minlength=3)
-            assert np.array_equal(before[name], after)
+        for _ in range(50):
+            mutated = swap_mutation(mutated, 1.0, rng, rules)
+        for col, n in enumerate(sizes):
+            before = np.bincount(candidate.codes[:, col], minlength=n)
+            assert np.array_equal(np.bincount(mutated.codes[:, col], minlength=n), before)
 
     def test_rule_violating_swap_reverts(self, schema_small, rule_no_child_marriage):
         attributes = tuple(schema_small.attributes)
@@ -311,8 +336,8 @@ class TestResampleMutation:
     def test_rules_hold_after_mutation(self, schema_small, rule_no_child_marriage):
         rng = np.random.default_rng(11)
         plan = self.make_plan(schema_small)
-        candidate = generate_candidate(plan, 80, [rule_no_child_marriage], rng)
-        compiled = CompiledRules([rule_no_child_marriage], candidate.attributes)
+        compiled = CompiledRules([rule_no_child_marriage], plan.attributes)
+        candidate = generate_candidate(plan, 80, compiled, rng)
         current = candidate
         for _ in range(100):
             current = resample_mutation(current, 1.0, plan, rng, compiled, slots=8)
@@ -340,7 +365,7 @@ class TestResampleMutation:
         second = resample_mutation(
             candidate, 1.0, plan, np.random.default_rng(99), slots=6
         )
-        assert first.same_roster(second)
+        assert np.array_equal(first.codes, second.codes)
 
 
 class TestEnvironmentalSelection:
@@ -553,7 +578,8 @@ class TestEvolve:
             )
             evolve(dataset_small, self.specs(), config, [rule_no_child_marriage])
             counts.append(len(compiles))
-        assert counts[0] == counts[1]
+        # One compilation per evolve call, however long the run.
+        assert counts == [1, 1]
 
     def test_zero_generations_archives_initial_front(self, dataset_small):
         config = EvolutionConfig(population_size=10, generations=0, seed=5)
@@ -580,7 +606,7 @@ class TestEvolve:
             first_archive.objective_matrix(), second_archive.objective_matrix()
         )
         for a, b in zip(first_archive.candidates, second_archive.candidates):
-            assert a.same_roster(b)
+            assert np.array_equal(a.codes, b.codes)
         for r1, r2 in zip(first_history.records, second_history.records):
             assert np.array_equal(r1.best, r2.best)
             assert np.array_equal(r1.best_normalized, r2.best_normalized)

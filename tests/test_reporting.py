@@ -106,7 +106,8 @@ class TestPersonsCsv:
         path = tmp_path / "persons.csv"
         export_persons(path, candidate)
         loaded = load_persons(path, schema_small)
-        assert loaded.same_roster(candidate)
+        assert loaded.attribute_names == candidate.attribute_names
+        assert np.array_equal(loaded.codes, candidate.codes)
 
     def test_labels_not_codes_on_disk(self, schema_small, tmp_path):
         attributes = tuple(schema_small.attributes)
@@ -249,7 +250,8 @@ class TestArchiveBundle:
         assert np.array_equal(objectives, archive.objective_matrix())
         assert len(members) == 3
         for loaded, kept in zip(members, archive.candidates):
-            assert loaded.same_roster(kept)
+            assert loaded.attribute_names == kept.attribute_names
+            assert np.array_equal(loaded.codes, kept.codes)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -287,7 +289,8 @@ class TestArchiveBundle:
         assert np.array_equal(loaded_objectives, objectives)
         assert len(loaded) == members
         for roster, kept in zip(loaded, rosters):
-            assert roster.same_roster(kept)
+            assert roster.attribute_names == kept.attribute_names
+            assert np.array_equal(roster.codes, kept.codes)
             assert roster.codes.dtype == np.int16
 
     def test_empty_archive_rejected(self, tmp_path):
