@@ -16,7 +16,7 @@ from .census_data import (
     marginalize,
     validate_dataset,
 )
-from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_stage_rules
+from .config import load_dataset, load_run_config, load_stage_rules
 from .errors import DataError, EvolutionError, SynthPopError
 from .fitness import (
     ObjectiveEvaluator,
@@ -27,8 +27,6 @@ from .fitness import (
     trapezoid_area,
 )
 from .household_synthesis import (
-    AllocationResult,
-    CompositionSpec,
     SyntheticHousehold,
     allocate,
     generate_households,
@@ -75,11 +73,9 @@ from .population_model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationResult",
     "Attribute",
     "AttributeSchema",
     "CandidatePopulation",
-    "CompositionSpec",
     "ContingencyTable",
     "DataError",
     "EvolutionConfig",
@@ -90,9 +86,7 @@ __all__ = [
     "ParetoArchive",
     "RegionDataset",
     "RmseRow",
-    "RunConfig",
     "SamplingPlan",
-    "StageConfig",
     "SynthPopError",
     "SyntheticHousehold",
     "ValidationRule",

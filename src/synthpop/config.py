@@ -159,6 +159,18 @@ def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
         raise DataError(f"{context}: at least one objective must carry positive weight")
     rules = entry.get("rules")
     table_paths = tuple((base / str(p)).resolve() for p in tables)
+    # Tables are named by file stem (see load_dataset).
+    stems = sorted({p.stem for p in table_paths})
+    seen: set[str] = set()
+    for objective in objectives:
+        if objective.name in seen:
+            raise DataError(f"{context}: objective name {objective.name!r} is used twice")
+        seen.add(objective.name)
+        if objective.table not in stems:
+            raise DataError(
+                f"{context} objective {objective.name!r}: table {objective.table!r} "
+                f"is not one of this stage's tables {stems}"
+            )
     rules_path = (base / str(rules)).resolve() if rules else None
     for file_path in (*table_paths, *([rules_path] if rules_path else [])):
         if not file_path.is_file():

@@ -168,12 +168,10 @@ class ObjectiveEvaluator:
             kind, metric, target = plan[0], plan[1], plan[2]
             if kind == "marginal":
                 col, size = plan[3], plan[4]
-                observed = np.bincount(codes[:, col].astype(np.intp), minlength=size)
+                observed = np.bincount(codes[:, col], minlength=size)
             else:
                 cols, dims = plan[3], plan[4]
-                flat = np.ravel_multi_index(
-                    tuple(codes[:, c].astype(np.intp) for c in cols), dims
-                )
+                flat = np.ravel_multi_index(tuple(codes[:, c] for c in cols), dims)
                 observed = np.bincount(flat, minlength=int(np.prod(dims)))
             values[i] = metric(target, observed)
         return values

@@ -261,7 +261,7 @@ def resample_mutation(
         drawn = np.minimum(
             np.searchsorted(cdf, uniforms[hits], side="right"), len(cdf) - 1
         )
-        codes[rows[hits], col] = drawn.astype(codes.dtype)
+        codes[rows[hits], col] = drawn
     touched = np.unique(rows)
     if rules is not None:
         violating = touched[rules.violation_mask(codes[touched])]
@@ -531,8 +531,7 @@ def evolve(
             if cross_rng.random() < config.crossover_probability:
                 child_a, child_b = two_point_crossover(parent_a, parent_b, cross_rng)
             else:
-                child_a = parent_a.copy()
-                child_b = parent_b.copy()
+                child_a, child_b = parent_a, parent_b
             for child in (child_a, child_b):
                 child = swap_mutation(
                     child, config.mutation_probability, mutate_rng, compiled

@@ -26,8 +26,6 @@ from .census_data import (
 )
 from .errors import DataError, EvolutionError
 
-ENTITY_DTYPE = np.int16
-
 INDEPENDENT = "independent"
 JOINT = "joint"
 SAMPLING_MODES = (INDEPENDENT, JOINT)
@@ -97,14 +95,17 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             )
         clauses = []
         for attribute, categories in when.items():
-            declared = schema[str(attribute)]
             if not isinstance(categories, list) or not categories:
                 raise DataError(
                     f"rules file {path}: rule {entry['name']!r} needs a non-empty "
                     f"category list for {attribute!r}"
                 )
-            for code in categories:
-                declared.index_of(str(code))
+            try:
+                declared = schema[str(attribute)]
+                for code in categories:
+                    declared.index_of(str(code))
+            except DataError as exc:
+                raise DataError(f"rules file {path}: rule {entry['name']!r}: {exc}") from None
             clauses.append((str(attribute), frozenset(str(c) for c in categories)))
         rules.append(
             ValidationRule(
@@ -114,6 +115,13 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             )
         )
     return tuple(rules)
+
+
+def code_dtype(attributes: Sequence[Attribute]) -> np.dtype:
+    """The dtype of a roster's category codes for an attribute layout: the
+    narrowest unsigned integer holding every category index, which is one
+    byte up to 256 categories per attribute and two bytes up to 65,536."""
+    return np.min_scalar_type(max((a.size for a in attributes), default=1) - 1)
 
 
 class CompiledRules:
@@ -291,7 +299,7 @@ class SamplingPlan:
         """Draw a (count, n_attributes) matrix of category indices."""
         if count <= 0:
             raise DataError("sample count must be positive")
-        codes = np.empty((count, len(self.attributes)), dtype=ENTITY_DTYPE)
+        codes = np.empty((count, len(self.attributes)), dtype=code_dtype(self.attributes))
         if self.mode == INDEPENDENT:
             for col, attribute in enumerate(self.attributes):
                 cdf = self._marginal_cdfs[attribute.name]
@@ -300,8 +308,7 @@ class SamplingPlan:
         for group in self._joint_groups:
             if group.given_columns:
                 rows = np.ravel_multi_index(
-                    tuple(codes[:, c].astype(np.intp) for c in group.given_columns),
-                    group.given_dims,
+                    tuple(codes[:, c] for c in group.given_columns), group.given_dims
                 )
                 row_cdfs = group.cdf_rows[rows]
                 uniforms = rng.random(count)
@@ -311,7 +318,7 @@ class SamplingPlan:
                 flat = _draw(group.cdf_rows[0], rng.random(count))
             parts = np.unravel_index(flat, group.new_dims)
             for col, part in zip(group.new_columns, parts):
-                codes[:, col] = part.astype(ENTITY_DTYPE)
+                codes[:, col] = part
         return codes
 
 
@@ -360,7 +367,8 @@ def _build_joint_group(
 class CandidatePopulation:
     """A fixed-length roster of synthetic entities; one search-space point.
 
-    ``codes`` is read-only after construction; variation operators copy it.
+    ``codes`` is read-only after construction, so rosters can share it;
+    variation operators change a copy.
     """
 
     attributes: tuple[Attribute, ...]
@@ -374,7 +382,7 @@ class CandidatePopulation:
                 f"(n, {len(self.attributes)})"
             )
         if not np.issubdtype(codes.dtype, np.integer):
-            codes = codes.astype(ENTITY_DTYPE)
+            codes = codes.astype(code_dtype(self.attributes))
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -400,9 +408,6 @@ class CandidatePopulation:
             attribute.name: attribute.categories[int(code)]
             for attribute, code in zip(self.attributes, self.codes[index])
         }
-
-    def copy(self) -> CandidatePopulation:
-        return CandidatePopulation(self.attributes, self.codes.copy())
 
 
 def generate_candidate(

@@ -22,7 +22,7 @@ from .errors import DataError
 from .fitness import normalize_objectives, rmse
 from .household_synthesis import SyntheticHousehold
 from .nsga2 import ParetoArchive
-from .population_model import ENTITY_DTYPE, CandidatePopulation
+from .population_model import CandidatePopulation, code_dtype
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
 # round-trip the objective magnitudes we emit without trailing noise.
@@ -120,7 +120,7 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
             rows.append(codes)
     if not rows:
         raise DataError(f"persons file {path} has no rows")
-    return CandidatePopulation(attributes, np.array(rows, dtype=ENTITY_DTYPE))
+    return CandidatePopulation(attributes, np.array(rows, dtype=code_dtype(attributes)))
 
 
 def export_households(path: str | Path, households: Sequence[SyntheticHousehold]) -> None:
@@ -222,7 +222,7 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
     """Persist an archive's rosters and objectives as an ``.npz`` bundle.
 
     Rosters are stored slot-major, ``slot_codes[slot, member, attribute]``,
-    in the narrowest unsigned dtype that holds every category index.
+    in their layout's code dtype (see ``population_model.code_dtype``).
     Crossover is positional, so members often share the row at a slot; in
     this layout those repeats sit a few bytes apart, inside deflate's match
     window, where a member-major layout puts them a whole roster apart.
@@ -232,8 +232,7 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
     candidates = archive.candidates
     attributes = candidates[0].attributes
     slots, width = candidates[0].codes.shape
-    dtype = np.min_scalar_type(max(a.size for a in attributes) - 1)
-    slot_codes = np.empty((slots, len(candidates), width), dtype=dtype)
+    slot_codes = np.empty((slots, len(candidates), width), dtype=code_dtype(attributes))
     for index, candidate in enumerate(candidates):
         slot_codes[:, index, :] = candidate.codes
     np.savez_compressed(
@@ -290,7 +289,7 @@ def load_archive(
                 f"{path}: code {code} is out of range for attribute "
                 f"{attribute.name!r} ({attribute.size} categories)"
             )
-    codes = np.ascontiguousarray(slot_codes.transpose(1, 0, 2), dtype=ENTITY_DTYPE)
+    codes = np.ascontiguousarray(slot_codes.transpose(1, 0, 2), dtype=code_dtype(attributes))
     members = [CandidatePopulation(attributes, roster) for roster in codes]
     return members, objectives.astype(np.float64), objective_names
 

@@ -259,6 +259,25 @@ class TestExitCodes:
         assert run_cli("validate-data", "-c", config_tree) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("{name: size_fit, table: size_comp,", "{name: size_fit, table: age_marital,"),
+            ("{name: size_fit, table: size_comp,", "{name: size_fit, table: no_such_table,"),
+            ("{name: comp_fit,", "{name: size_fit,"),
+        ],
+        ids=["other-stage-table", "unknown-table", "duplicate-name"],
+    )
+    def test_objective_mistake_fails_before_any_write(
+        self, config_tree, tmp_path, capsys, old, new
+    ):
+        config_tree.write_text(config_tree.read_text().replace(old, new))
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'households'") and "size_fit" in err
+        assert not out.exists()
+
     def test_impossible_rules_are_an_evolution_error(self, config_tree, tmp_path, capsys):
         rules = config_tree.parent / "person_rules.yaml"
         rules.write_text(

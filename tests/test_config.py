@@ -138,6 +138,31 @@ class TestLoadRunConfig:
         with pytest.raises(DataError, match="metric"):
             load_run_config(config_tree)
 
+    @pytest.mark.parametrize(
+        "table", ["sex_age", "no_such_table"], ids=["other-stage", "unknown"]
+    )
+    def test_objective_table_outside_the_stage_rejected(self, config_tree, table):
+        config_tree.write_text(
+            config_tree.read_text().replace(
+                "{name: size_fit, table: size_comp,", f"{{name: size_fit, table: {table},"
+            )
+        )
+        message = (
+            f"stage 'households' objective 'size_fit': table '{table}' "
+            "is not one of this stage's tables \\['size_comp'\\]"
+        )
+        with pytest.raises(DataError, match=message):
+            load_run_config(config_tree)
+
+    def test_duplicate_objective_name_rejected(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace("{name: comp_fit,", "{name: size_fit,")
+        )
+        with pytest.raises(
+            DataError, match="stage 'households': objective name 'size_fit' is used twice"
+        ):
+            load_run_config(config_tree)
+
     def test_bad_target_count_rejected(self, config_tree):
         config_tree.write_text(
             config_tree.read_text().replace("target_count: 100", "target_count: 0")

@@ -7,15 +7,24 @@ from hypothesis import strategies as st
 
 from synthpop import (
     Attribute,
+    AttributeSchema,
     CandidatePopulation,
     DataError,
     EvolutionError,
+    ParetoArchive,
     SamplingPlan,
     ValidationRule,
+    export_persons,
     generate_candidate,
+    load_archive,
+    load_persons,
     load_rules,
+    save_archive,
+    swap_mutation,
+    two_point_crossover,
 )
-from synthpop.population_model import INDEPENDENT, JOINT, CompiledRules
+from synthpop.nsga2 import resample_mutation
+from synthpop.population_model import INDEPENDENT, JOINT, CompiledRules, code_dtype
 
 
 def make_plan(schema):
@@ -80,6 +89,22 @@ class TestLoadRules:
         path.write_text("rules:\n- name: bad\n  when:\n    income: [low]\n")
         with pytest.raises(DataError):
             load_rules(path, schema_small)
+
+    @pytest.mark.parametrize(
+        "clause, detail",
+        [
+            ("marital: [no_such_status]", "unknown category 'no_such_status'"),
+            ("income: [low]", "no attribute named 'income'"),
+        ],
+        ids=["category", "attribute"],
+    )
+    def test_error_names_the_file_and_rule(self, tmp_path, schema_small, clause, detail):
+        path = tmp_path / "rules.yaml"
+        path.write_text(f"rules:\n- name: bad-rule\n  when:\n    {clause}\n")
+        with pytest.raises(DataError) as exc:
+            load_rules(path, schema_small)
+        assert str(exc.value).startswith(f"rules file {path}: rule 'bad-rule': ")
+        assert detail in str(exc.value)
 
 
 class TestCompiledRules:
@@ -255,13 +280,34 @@ class TestCandidatePopulation:
         )
         assert candidate.person(0) == {"sex": "f", "age": "a65p", "marital": "single"}
 
-    def test_copy_is_detached(self, schema_small):
-        attributes = tuple(schema_small.attributes)
-        original = CandidatePopulation(attributes, np.zeros((4, 3), dtype=np.int16))
-        duplicate = original.copy()
-        assert duplicate.attributes == original.attributes
-        assert np.array_equal(duplicate.codes, original.codes)
-        assert duplicate.codes is not original.codes
+
+class TestCodeDtype:
+    @pytest.mark.parametrize(
+        "widest, dtype", [(3, np.uint8), (256, np.uint8), (257, np.uint16)]
+    )
+    def test_rosters_come_out_in_the_layout_dtype(self, tmp_path, widest, dtype):
+        attributes = (
+            Attribute("sex", ("m", "f")),
+            Attribute("code", tuple(f"c{i}" for i in range(widest))),
+        )
+        assert code_dtype(attributes) == dtype
+        plan = SamplingPlan.independent([(a, np.ones(a.size)) for a in attributes])
+        rules = CompiledRules([], attributes)
+        rng = np.random.default_rng(3)
+        first, second = (generate_candidate(plan, 50, rules, rng) for _ in range(2))
+        children = [
+            *two_point_crossover(first, second, rng),
+            swap_mutation(first, 1.0, rng),
+            resample_mutation(first, 1.0, plan, rng, slots=10),
+        ]
+        schema = AttributeSchema(attributes)
+        export_persons(tmp_path / "persons.csv", first)
+        loaded = load_persons(tmp_path / "persons.csv", schema)
+        archive = ParetoArchive.restore([first, second], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
+        members, _, _ = load_archive(tmp_path / "archive.npz", schema)
+        for roster in (first, second, *children, loaded, *members):
+            assert roster.codes.dtype == dtype
 
 
 class TestObservedFrequencies:

@@ -34,6 +34,7 @@ from synthpop import (
     select_best,
     write_manifest,
 )
+from synthpop.population_model import code_dtype
 
 TOL = 1e-9
 
@@ -291,7 +292,7 @@ class TestArchiveBundle:
         for roster, kept in zip(loaded, rosters):
             assert roster.attribute_names == kept.attribute_names
             assert np.array_equal(roster.codes, kept.codes)
-            assert roster.codes.dtype == np.int16
+            assert roster.codes.dtype == code_dtype(attributes)
 
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
