@@ -16,9 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_traced_name_resolves(tmp_path):
     spans = tmp_path / "spans.json"
-    source = str(ROOT / "src")
-    pythonpath = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{source}{os.pathsep}{pythonpath}" if pythonpath else source)
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [
             sys.executable,
