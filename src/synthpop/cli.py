@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -116,19 +117,21 @@ def _export_stage(
     out_dir: Path,
     stage_config: StageConfig,
     dataset: RegionDataset,
-    archive: ParetoArchive,
+    objectives: np.ndarray,
+    members: Sequence[CandidatePopulation],
     rules: tuple[ValidationRule, ...],
 ) -> tuple[CandidatePopulation, dict]:
-    """Select the exported member, check it against the rules, and write
-    the stage's Pareto and RMSE files.
+    """Select the exported member from the archive's objective matrix,
+    check it against the rules, and write the stage's Pareto and RMSE
+    files. Only the selected member is read from ``members``.
 
     Returns the member and its manifest summary. Nothing is written when
     the member breaks a rule.
     """
     stage = stage_config.stage
     names = [spec.name for spec in stage_config.objectives]
-    chosen = select_best(archive, [spec.weight for spec in stage_config.objectives])
-    candidate = archive.candidates[chosen]
+    chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
+    candidate = members[chosen]
     if rules:
         compiled = CompiledRules(rules, candidate.attributes)
         violations = int(compiled.violation_mask(candidate.codes).sum())
@@ -137,16 +140,15 @@ def _export_stage(
                 f"{stage} export would contain {violations} validation-rule violations"
             )
     rows = rmse_rows(candidate, dataset.stage_tables(stage))
-    export_pareto_pairs(out_dir / f"pareto_{stage}.csv", archive, names, chosen)
+    export_pareto_pairs(out_dir / f"pareto_{stage}.csv", objectives, names, chosen)
     export_rmse(out_dir / f"rmse_{stage}.csv", rows)
-    matrix = archive.objective_matrix()
-    normalized = normalize_objectives(matrix)
+    normalized = normalize_objectives(objectives)
     summary = {
         "selected_member": chosen,
-        "archive_size": len(archive),
+        "archive_size": len(objectives),
         "final_objectives": {
             name: {
-                "raw": float(matrix[chosen, i]),
+                "raw": float(objectives[chosen, i]),
                 "normalized": float(normalized[chosen, i]),
             }
             for i, name in enumerate(names)
@@ -165,7 +167,10 @@ def _make_persons(
     """The persons stage: evolve, export, write ``persons.csv``."""
     out_dir = config.output_dir
     archive, wall = _evolve_stage(out_dir, config.persons, dataset, rules[PERSONS], quiet=quiet)
-    persons, summary = _export_stage(out_dir, config.persons, dataset, archive, rules[PERSONS])
+    persons, summary = _export_stage(
+        out_dir, config.persons, dataset, archive.objective_matrix(), archive.candidates,
+        rules[PERSONS],
+    )
     export_persons(out_dir / "persons.csv", persons)
     print(f"persons: {len(persons)} exported, archive size {len(archive)}, {wall:.1f}s")
     return persons, summary, wall
@@ -186,7 +191,8 @@ def _make_households(
         out_dir, config.households, dataset, rules[HOUSEHOLDS], quiet=quiet
     )
     households, summary = _export_stage(
-        out_dir, config.households, dataset, archive, rules[HOUSEHOLDS]
+        out_dir, config.households, dataset, archive.objective_matrix(), archive.candidates,
+        rules[HOUSEHOLDS],
     )
     allocation_started = time.perf_counter()
     result = allocate(persons, households, dataset.schema)
@@ -305,18 +311,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _restore_archive(path: Path, schema, stage_config: StageConfig) -> ParetoArchive:
-    """Rebuild a Pareto archive from a saved bundle that must track the
-    stage's configured objectives, in order."""
+def _load_stage_archive(
+    path: Path, schema, stage_config: StageConfig
+) -> tuple[np.ndarray, Sequence[CandidatePopulation]]:
+    """Load a saved bundle that must track the stage's configured
+    objectives, in order; returns its objective matrix and its members,
+    which decode only when indexed."""
     if not path.exists():
         raise DataError(f"{path} not found; run the pipeline first")
-    candidates, objectives, names = load_archive(path, schema)
+    members, objectives, names = load_archive(path, schema)
     expected = [spec.name for spec in stage_config.objectives]
     if names != expected:
         raise DataError(
             f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
         )
-    return ParetoArchive.restore(candidates, objectives)
+    return objectives, members
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -325,26 +334,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rules = load_stage_rules(config, dataset.schema)
     out_dir = config.output_dir
 
-    # Both bundles are restored and checked before any file is rewritten.
-    archive = _restore_archive(out_dir / "archive_persons.npz", dataset.schema, config.persons)
+    # Both bundles are loaded and checked before any file is rewritten.
+    archive = _load_stage_archive(out_dir / "archive_persons.npz", dataset.schema, config.persons)
     household_bundle = out_dir / "archive_households.npz"
     household_archive = None
     if config.households is not None and household_bundle.exists():
-        household_archive = _restore_archive(household_bundle, dataset.schema, config.households)
+        household_archive = _load_stage_archive(household_bundle, dataset.schema, config.households)
 
-    persons, summary = _export_stage(out_dir, config.persons, dataset, archive, rules[PERSONS])
+    persons, summary = _export_stage(out_dir, config.persons, dataset, *archive, rules[PERSONS])
     export_persons(out_dir / "persons.csv", persons)
-    print(f"persons: member {summary['selected_member']} of {len(archive)} re-exported")
+    print(f"persons: member {summary['selected_member']} of {summary['archive_size']}"
+          " re-exported")
     for row in summary["rmse"]:
         print(f"  rmse {row['table']}/{row['attribute']} ({row['level']}): {row['value']:.3f}")
 
     if household_archive is not None:
         households, summary = _export_stage(
-            out_dir, config.households, dataset, household_archive, rules[HOUSEHOLDS]
+            out_dir, config.households, dataset, *household_archive, rules[HOUSEHOLDS]
         )
         result = allocate(persons, households, dataset.schema)
         export_households(out_dir / "households.csv", result.households)
-        print(f"households: member {summary['selected_member']} of {len(household_archive)}"
+        print(f"households: member {summary['selected_member']} of {summary['archive_size']}"
               f" re-exported, complete rate {result.complete_rate:.1%}")
     return 0
 

@@ -22,6 +22,7 @@ from .census_data import (
     HOUSEHOLDS,
     PERSONS,
     AttributeSchema,
+    ContingencyTable,
     RegionDataset,
     load_contingency_table,
     load_schema,
@@ -265,22 +266,37 @@ def load_run_config(
     )
 
 
+def _load_stage_tables(
+    stage: StageConfig, schema: AttributeSchema
+) -> tuple[ContingencyTable, ...]:
+    """Load one stage's tables; each objective's attribute must be an axis
+    of its table."""
+    tables = tuple(load_contingency_table(p, schema) for p in stage.table_paths)
+    axes = {table.name: table.axis_names for table in tables}
+    for spec in stage.objectives:
+        if spec.attribute is not None and spec.attribute not in axes[spec.table]:
+            raise DataError(
+                f"stage '{stage.stage}' objective {spec.name!r}: attribute "
+                f"{spec.attribute!r} is not an axis of table {spec.table!r} "
+                f"(axes {list(axes[spec.table])})"
+            )
+    return tables
+
+
 def load_dataset(config: RunConfig) -> RegionDataset:
     """Load the schema and every configured table into one dataset.
 
     Table names are the file stems, which is what objective specs and the
-    manifest refer to.
+    manifest refer to. An objective that projects onto an attribute its
+    table does not tabulate is a :class:`DataError` here, before any stage
+    runs.
     """
     schema = load_schema(config.schema_path)
-    person_tables = tuple(
-        load_contingency_table(p, schema) for p in config.persons.table_paths
-    )
+    person_tables = _load_stage_tables(config.persons, schema)
     household_tables = ()
     target_households = 0
     if config.households is not None:
-        household_tables = tuple(
-            load_contingency_table(p, schema) for p in config.households.table_paths
-        )
+        household_tables = _load_stage_tables(config.households, schema)
         target_households = config.households.target_count
     return RegionDataset(
         region=config.region,

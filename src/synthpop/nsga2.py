@@ -311,26 +311,6 @@ class ParetoArchive:
         self._candidates: list[CandidatePopulation] = []
         self._objectives = np.empty((0, 0), dtype=np.float64)
 
-    @classmethod
-    def restore(
-        cls,
-        candidates: Sequence[CandidatePopulation],
-        objectives: np.ndarray,
-        capacity: int | None = None,
-    ) -> "ParetoArchive":
-        """Rebuild an archive from previously saved members.
-
-        Members are attached as-is, in order: a saved archive is already
-        mutually non-dominated, so the insertion checks would all pass.
-        """
-        if len(candidates) != len(objectives):
-            raise ValueError("candidate and objective counts differ")
-        archive = cls(capacity if capacity is not None else max(len(candidates), 1))
-        archive._candidates = list(candidates)
-        if archive._candidates:
-            archive._objectives = np.array(objectives, dtype=np.float64)
-        return archive
-
     def __len__(self) -> int:
         return len(self._candidates)
 

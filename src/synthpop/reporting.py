@@ -30,6 +30,9 @@ _FLOAT_FORMAT = "{:.10g}"
 
 _CHECKSUM_CHUNK = 1 << 20
 
+# Slot-member pairs that save_archive encodes at a time.
+_BLOCK_ENTRIES = 1 << 18
+
 
 def _fmt(value: float) -> str:
     return _FLOAT_FORMAT.format(float(value))
@@ -55,19 +58,20 @@ def file_checksum(path: str | Path) -> str:
 # Selecting one member from an archive
 
 
-def select_best(archive: ParetoArchive, weights: Sequence[float]) -> int:
+def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
     """Pick one archive member as the exported population.
 
+    ``objectives`` is the archive's objective matrix, one row per member.
     Objectives are min-max normalized across the archive so that scales do
     not leak into the choice, then combined as a weighted sum with
-    ``weights``, one per objective column of the archive (the stage's
+    ``weights``, one per objective column (the stage's
     ``ObjectiveSpec.weight`` values). The member with the lowest score
     wins; ties go to the earliest member, which keeps the choice stable
     for a given archive order.
     """
-    if not len(archive):
+    if not len(objectives):
         raise DataError("archive is empty, nothing to select")
-    matrix = archive.objective_matrix()
+    matrix = np.asarray(objectives, dtype=np.float64)
     vector = np.asarray(weights, dtype=np.float64)
     if vector.shape != matrix.shape[1:]:
         raise DataError(
@@ -88,14 +92,14 @@ def select_best(archive: ParetoArchive, weights: Sequence[float]) -> int:
 def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
     attributes = candidate.attributes
+    labels = [
+        np.array(a.categories, dtype=object)[candidate.codes[:, column]]
+        for column, a in enumerate(attributes)
+    ]
     with open(path, "w", newline="") as handle:
         writer = _writer(handle)
         writer.writerow(["person_id", *(a.name for a in attributes)])
-        for row_index in range(len(candidate)):
-            row = candidate.codes[row_index]
-            writer.writerow(
-                [row_index, *(a.categories[code] for a, code in zip(attributes, row))]
-            )
+        writer.writerows(zip(range(len(candidate)), *labels))
 
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
@@ -198,19 +202,20 @@ def export_convergence(path: str | Path, history, names: Sequence[str]) -> None:
 
 def export_pareto_pairs(
     path: str | Path,
-    archive: ParetoArchive,
+    objectives: np.ndarray,
     names: Sequence[str],
     selected: int,
 ) -> None:
     """Write the archive's objective pairs, flagging the selected member.
 
-    One row per archive member: member index, each objective min-max
-    normalized across the archive (the same scaling selection uses), and a
-    ``selected`` column that is 1 on exactly one row.
+    ``objectives`` is the archive's objective matrix. One row per archive
+    member: member index, each objective min-max normalized across the
+    archive (the same scaling selection uses), and a ``selected`` column
+    that is 1 on exactly one row.
     """
-    if not 0 <= selected < len(archive):
+    if not 0 <= selected < len(objectives):
         raise DataError("selected index is outside the archive")
-    matrix = normalize_objectives(archive.objective_matrix())
+    matrix = normalize_objectives(objectives)
     with open(path, "w", newline="") as handle:
         writer = _writer(handle)
         writer.writerow(["member_id", *names, "selected"])
@@ -218,79 +223,177 @@ def export_pareto_pairs(
             writer.writerow([index, *(_fmt(v) for v in row), int(index == selected)])
 
 
+def _palette_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode ``block[slot, member, attribute]`` as per-slot palettes.
+
+    Returns the distinct rows of every slot, slot-major and within a slot in
+    the order of the first member that holds them; the number of rows at
+    each slot; and each member's index into its slot's rows.
+    """
+    slots, members, width = block.shape
+    flat = block.reshape(-1, width)
+    columns = np.ascontiguousarray(flat.T)
+    slot_of = np.repeat(np.arange(slots, dtype=np.min_scalar_type(slots - 1)), members)
+    # Sort by slot, then by every code column. The sort is stable, so equal
+    # rows sit together in member order and each run starts at its first
+    # holder; rows compare exactly whatever the layout's width.
+    order = np.lexsort((*columns, slot_of))
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in (slot_of, *columns):
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    first = np.zeros(len(order), dtype=bool)
+    first[order[starts]] = True
+    # Palette rows are the first holders in slot-major order.
+    number = np.cumsum(first) - 1
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = number[order[starts]][np.cumsum(starts) - 1]
+    counts = np.count_nonzero(first.reshape(slots, members), axis=1)
+    index = index.reshape(slots, members) - (np.cumsum(counts) - counts)[:, None]
+    return flat[first], counts, index
+
+
 def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str]) -> None:
     """Persist an archive's rosters and objectives as an ``.npz`` bundle.
 
-    Rosters are stored slot-major, ``slot_codes[slot, member, attribute]``,
-    in their layout's code dtype (see ``population_model.code_dtype``).
-    Crossover is positional, so members often share the row at a slot; in
-    this layout those repeats sit a few bytes apart, inside deflate's match
-    window, where a member-major layout puts them a whole roster apart.
+    Crossover is positional, so members often share the row at a slot.
+    The bundle stores each slot's distinct rows once, ``palette[row,
+    attribute]`` (slot-major, in the roster code dtype), their number per
+    slot, ``palette_counts[slot]``, and each member's index into its slot's
+    rows, ``member_rows[slot, member]``, in the narrowest unsigned dtype.
+    Slots are encoded in blocks of about ``_BLOCK_ENTRIES`` slot-member
+    pairs, so the temporary arrays stay small whatever the archive's size.
     """
     if not len(archive):
         raise DataError("archive is empty, nothing to save")
     candidates = archive.candidates
     attributes = candidates[0].attributes
     slots, width = candidates[0].codes.shape
-    slot_codes = np.empty((slots, len(candidates), width), dtype=code_dtype(attributes))
-    for index, candidate in enumerate(candidates):
-        slot_codes[:, index, :] = candidate.codes
+    members = len(candidates)
+    step = max(1, _BLOCK_ENTRIES // members)
+    block = np.empty((min(step, slots), members, width), dtype=code_dtype(attributes))
+    member_rows = np.empty((slots, members), dtype=np.min_scalar_type(members - 1))
+    palettes, counts = [], []
+    for start in range(0, slots, step):
+        part = block[: min(step, slots - start)]
+        for column, candidate in enumerate(candidates):
+            part[:, column, :] = candidate.codes[start : start + len(part)]
+        rows, count, index = _palette_block(part)
+        palettes.append(rows)
+        counts.append(count)
+        member_rows[start : start + len(part)] = index
+    counts = np.concatenate(counts)
+    widest = int(counts.max())
     np.savez_compressed(
         path,
-        slot_codes=slot_codes,
+        palette=np.concatenate(palettes),
+        palette_counts=counts.astype(np.min_scalar_type(widest)),
+        member_rows=member_rows.astype(np.min_scalar_type(widest - 1), copy=False),
         objectives=archive.objective_matrix(),
         objective_names=np.array(list(names)),
         attribute_names=np.array([a.name for a in attributes]),
     )
 
 
+class _PaletteMembers(Sequence):
+    """An archive's members, each decoded from the palettes when indexed:
+    member ``m`` is ``palette[offsets + member_rows[:, m]]``."""
+
+    def __init__(self, attributes, palette, counts, member_rows) -> None:
+        self._attributes = attributes
+        self._palette = palette
+        counts = counts.astype(np.intp)
+        self._offsets = np.cumsum(counts) - counts
+        self._member_rows = member_rows
+
+    def __len__(self) -> int:
+        return self._member_rows.shape[1]
+
+    def __getitem__(self, index: int) -> CandidatePopulation:
+        # In intp: uint64 mixed with a signed offset would promote to float.
+        rows = self._offsets + self._member_rows[:, index].astype(np.intp)
+        return CandidatePopulation(self._attributes, self._palette[rows])
+
+
+# Axes of each palette array, in order.
+_PALETTE_AXES = {
+    "palette": ("row", "attribute"),
+    "palette_counts": ("slot",),
+    "member_rows": ("slot", "member"),
+}
+
+
 def load_archive(
     path: str | Path, schema: AttributeSchema
-) -> tuple[list[CandidatePopulation], np.ndarray, list[str]]:
-    """Load an ``.npz`` archive bundle back into candidates.
+) -> tuple[Sequence[CandidatePopulation], np.ndarray, list[str]]:
+    """Load an ``.npz`` archive bundle written by :func:`save_archive`.
 
-    Returns the member rosters, their objective matrix, and the objective
-    names, in saved order. A bundle whose arrays disagree in shape, or that
-    holds a code outside its attribute's categories, is a :class:`DataError`.
+    Returns the members, their objective matrix, and the objective names,
+    in saved order. Every array is checked here, so a bundle whose arrays
+    disagree in shape or dtype, or that points outside its palettes or its
+    attributes' categories, is a :class:`DataError`; a member's roster is
+    decoded only when the member is indexed.
     """
     with np.load(path, allow_pickle=False) as bundle:
-        if "slot_codes" not in bundle.files:
+        missing = [key for key in _PALETTE_AXES if key not in bundle.files]
+        if missing:
             raise DataError(
-                f"{path} has no slot_codes array (written by an older version?); "
+                f"{path} has no {missing[0]} array (written by an older version?); "
                 "re-run `synthpop run`"
             )
-        slot_codes = bundle["slot_codes"]
+        arrays = {key: bundle[key] for key in _PALETTE_AXES}
         objectives = bundle["objectives"]
         objective_names = [str(n) for n in bundle["objective_names"]]
         attributes = tuple(schema[str(n)] for n in bundle["attribute_names"])
-    if slot_codes.ndim != 3:
-        raise DataError(f"{path}: slot_codes has {slot_codes.ndim} axes, expected 3")
-    if slot_codes.dtype.kind != "u" or 0 in slot_codes.shape:
-        raise DataError(f"{path}: slot_codes must be a non-empty unsigned integer array")
+    for key, axes in _PALETTE_AXES.items():
+        array = arrays[key]
+        if array.ndim != len(axes):
+            noun = "axis" if len(axes) == 1 else "axes"
+            raise DataError(
+                f"{path}: {key} must have {len(axes)} {noun} ({', '.join(axes)}), "
+                f"got {array.ndim}"
+            )
+        if array.dtype.kind != "u" or array.size == 0:
+            raise DataError(f"{path}: {key} must be a non-empty unsigned integer array")
+    palette, counts, member_rows = arrays.values()
+    slots, members = member_rows.shape
     if objectives.ndim != 2 or objectives.shape[1] != len(objective_names):
         raise DataError(
             f"{path}: objectives has shape {objectives.shape}, "
             f"expected (members, {len(objective_names)})"
         )
-    if slot_codes.shape[1] != objectives.shape[0]:
+    if members != objectives.shape[0]:
         raise DataError(
-            f"{path}: slot_codes holds {slot_codes.shape[1]} members, "
-            f"objectives {objectives.shape[0]}"
+            f"{path}: member_rows holds {members} members, objectives {objectives.shape[0]}"
         )
-    if slot_codes.shape[2] != len(attributes):
+    if palette.shape[1] != len(attributes):
         raise DataError(
-            f"{path}: slot_codes has {slot_codes.shape[2]} attributes, "
+            f"{path}: palette has {palette.shape[1]} attributes, "
             f"attribute_names {len(attributes)}"
         )
+    if len(counts) != slots:
+        raise DataError(f"{path}: palette_counts has {len(counts)} slots, member_rows {slots}")
+    if counts.min() < 1 or counts.sum() != len(palette):
+        raise DataError(
+            f"{path}: palette_counts must be at least 1 at every slot and sum to "
+            f"the palette's {len(palette)} rows, got {counts.sum()}"
+        )
+    outside = (member_rows >= counts[:, None]).any(axis=1)
+    if outside.any():
+        slot = int(outside.argmax())
+        raise DataError(
+            f"{path}: member_rows at slot {slot} points past its {counts[slot]} palette rows"
+        )
     for column, attribute in enumerate(attributes):
-        code = slot_codes[..., column].max()
+        code = palette[:, column].max()
         if code >= attribute.size:
             raise DataError(
                 f"{path}: code {code} is out of range for attribute "
                 f"{attribute.name!r} ({attribute.size} categories)"
             )
-    codes = np.ascontiguousarray(slot_codes.transpose(1, 0, 2), dtype=code_dtype(attributes))
-    members = [CandidatePopulation(attributes, roster) for roster in codes]
+    palette = palette.astype(code_dtype(attributes), copy=False)
+    members = _PaletteMembers(attributes, palette, counts, member_rows)
     return members, objectives.astype(np.float64), objective_names
 
 

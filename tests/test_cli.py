@@ -53,6 +53,19 @@ class TestValidateData:
         assert run_cli("validate-data", "-c", config_tree) == 1
         assert "check(s) failed" in capsys.readouterr().out
 
+    def test_objective_attribute_outside_its_table_fails(self, config_tree, capsys):
+        config_tree.write_text(
+            config_tree.read_text().replace(
+                "{name: size_fit, table: size_comp, attribute: hsize}",
+                "{name: size_fit, table: size_comp, attribute: sex}",
+            )
+        )
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err.startswith("error: stage 'households' objective 'size_fit'")
+        assert "'sex' is not an axis of table 'size_comp'" in captured.err
+
     def test_unknown_rule_category_fails(self, config_tree, capsys):
         rules = config_tree.parent / "person_rules.yaml"
         rules.write_text(rules.read_text().replace("age: [a0_17]", "age: [no_such_band]"))
@@ -215,14 +228,20 @@ class TestReport:
     def test_report_rejects_a_tampered_archive(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        bundle = out / "archive_persons.npz"
+        # The households bundle is read after the persons one, and members
+        # decode lazily: its check must still come before persons.csv is
+        # rewritten.
+        bundle = out / "archive_households.npz"
         with np.load(bundle) as saved:
             arrays = {key: saved[key] for key in saved.files}
-        arrays["slot_codes"][:, 0, 0] = 99
+        arrays["member_rows"][0, -1] = arrays["palette_counts"][0]
         np.savez_compressed(bundle, **arrays)
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "member_rows at slot 0" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     @pytest.mark.parametrize(
         "objective",
@@ -265,8 +284,9 @@ class TestExitCodes:
             ("{name: size_fit, table: size_comp,", "{name: size_fit, table: age_marital,"),
             ("{name: size_fit, table: size_comp,", "{name: size_fit, table: no_such_table,"),
             ("{name: comp_fit,", "{name: size_fit,"),
+            ("table: size_comp, attribute: hsize}", "table: size_comp, attribute: marital}"),
         ],
-        ids=["other-stage-table", "unknown-table", "duplicate-name"],
+        ids=["other-stage-table", "unknown-table", "duplicate-name", "attribute-not-an-axis"],
     )
     def test_objective_mistake_fails_before_any_write(
         self, config_tree, tmp_path, capsys, old, new

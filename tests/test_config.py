@@ -310,6 +310,21 @@ class TestLoadDataset:
         assert dataset.schema.names == ("sex", "age", "marital", "hsize", "composition")
         assert dataset.schema["age"].group_of("a0_17") == "ch"
 
+    def test_objective_attribute_must_be_an_axis_of_its_table(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace(
+                "{name: sex_fit, table: sex_age, attribute: sex}",
+                "{name: sex_fit, table: sex_age, attribute: marital}",
+            )
+        )
+        config = load_run_config(config_tree)
+        message = (
+            "stage 'persons' objective 'sex_fit': attribute 'marital' "
+            "is not an axis of table 'sex_age'"
+        )
+        with pytest.raises(DataError, match=message):
+            load_dataset(config)
+
 
 class TestLoadStageRules:
     def test_rules_per_stage(self, config_tree):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synthpop import (
     CandidatePopulation,
@@ -50,6 +52,15 @@ class TestTrapezoidArea:
             a = rng.uniform(0, 100, size=m)
             b = rng.uniform(0, 100, size=m)
             assert trapezoid_area(a, b) >= 0.0
+
+    @given(
+        st.lists(
+            st.floats(0, 1e9, allow_nan=False, allow_infinity=False), min_size=2, max_size=40
+        )
+    )
+    def test_bit_identical_to_numpy_trapezoid(self, values):
+        diff = np.array(values)
+        assert trapezoid_area(diff, np.zeros_like(diff)) == float(np.trapezoid(diff))
 
 
 class TestRmse:

@@ -485,25 +485,6 @@ class TestParetoArchive:
                 if i != j:
                     assert not dominates(a, b)
                     assert not np.array_equal(a, b)
-        rebuilt = ParetoArchive.restore(candidates, matrix, capacity)
-        assert rebuilt.capacity == capacity
-        assert all(a is b for a, b in zip(rebuilt.candidates, candidates))
-        assert len(rebuilt) == len(candidates)
-        for candidate, row in zip(rebuilt.candidates, rebuilt.objective_matrix()):
-            assert np.array_equal(row, vector_of[id(candidate)])
-
-    def test_restore_round_trip(self, schema_small):
-        rng = np.random.default_rng(6)
-        archive = ParetoArchive(8)
-        for _ in range(20):
-            archive.insert(make_candidate(schema_small, rng), rng.uniform(0, 5, size=2))
-        rebuilt = ParetoArchive.restore(archive.candidates, archive.objective_matrix())
-        assert np.array_equal(rebuilt.objective_matrix(), archive.objective_matrix())
-
-    def test_restore_rejects_count_mismatch(self, schema_small):
-        candidate = make_candidate(schema_small, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="counts differ"):
-            ParetoArchive.restore([candidate], np.zeros((2, 2)))
 
 
 class TestEvolutionConfig:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from synthpop import (
     select_best,
     write_manifest,
 )
+from synthpop import reporting
 from synthpop.population_model import code_dtype
 
 TOL = 1e-9
@@ -48,8 +50,13 @@ def dummy_roster(schema, rng, size=6):
 
 
 def archive_of(schema, vectors):
+    """An archive of dummy rosters holding ``vectors``, which must be
+    mutually non-dominated."""
     rng = np.random.default_rng(0)
-    return ParetoArchive.restore([dummy_roster(schema, rng) for _ in vectors], vectors)
+    archive = ParetoArchive(len(vectors))
+    for vector in vectors:
+        assert archive.insert(dummy_roster(schema, rng), np.array(vector, dtype=float))
+    return archive
 
 
 def read_rows(path):
@@ -58,47 +65,47 @@ def read_rows(path):
 
 
 class TestSelectBest:
-    def test_equal_weights_pick_the_balanced_member(self, schema_small):
-        archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
+    def test_equal_weights_pick_the_balanced_member(self):
+        objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
         # Normalized columns are (0, .25, 1) and (1, .25, 0), so the middle
         # member scores 0.5 against 1.0 for both extremes.
-        assert select_best(archive, [1.0, 1.0]) == 1
+        assert select_best(objectives, [1.0, 1.0]) == 1
 
-    def test_zero_weight_ignores_an_objective(self, schema_small):
-        archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
-        assert select_best(archive, [1.0, 0.0]) == 0
-        assert select_best(archive, [0.0, 1.0]) == 2
+    def test_zero_weight_ignores_an_objective(self):
+        objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
+        assert select_best(objectives, [1.0, 0.0]) == 0
+        assert select_best(objectives, [0.0, 1.0]) == 2
 
-    def test_ties_go_to_the_earliest_member(self, schema_small):
-        archive = archive_of(schema_small, [[4, 0], [0, 4], [3, 3]])
+    def test_ties_go_to_the_earliest_member(self):
+        objectives = np.array([[4, 0], [0, 4], [3, 3]], dtype=float)
         # Members 0 and 1 both score 1.0, member 2 scores 1.5.
-        assert select_best(archive, [1.0, 1.0]) == 0
+        assert select_best(objectives, [1.0, 1.0]) == 0
 
-    def test_weight_scaling_does_not_change_the_winner(self, schema_small):
-        archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
-        one = select_best(archive, [2.0, 1.0])
-        two = select_best(archive, [4.0, 2.0])
+    def test_weight_scaling_does_not_change_the_winner(self):
+        objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
+        one = select_best(objectives, [2.0, 1.0])
+        two = select_best(objectives, [4.0, 2.0])
         assert one == two
 
-    def test_weight_length_mismatch_rejected(self, schema_small):
-        archive = archive_of(schema_small, [[1, 2], [2, 1]])
+    def test_weight_length_mismatch_rejected(self):
+        objectives = np.array([[1, 2], [2, 1]], dtype=float)
         for weights in ([1.0], [1.0, 1.0, 1.0], 1.0):
             with pytest.raises(DataError, match="2 archive objectives"):
-                select_best(archive, weights)
+                select_best(objectives, weights)
 
-    def test_negative_weight_rejected(self, schema_small):
-        archive = archive_of(schema_small, [[1, 2], [2, 1]])
+    def test_negative_weight_rejected(self):
+        objectives = np.array([[1, 2], [2, 1]], dtype=float)
         with pytest.raises(DataError, match="non-negative"):
-            select_best(archive, [-1.0, 1.0])
+            select_best(objectives, [-1.0, 1.0])
 
-    def test_all_zero_weights_rejected(self, schema_small):
-        archive = archive_of(schema_small, [[1, 2], [2, 1]])
+    def test_all_zero_weights_rejected(self):
+        objectives = np.array([[1, 2], [2, 1]], dtype=float)
         with pytest.raises(DataError, match="positive"):
-            select_best(archive, [0.0, 0.0])
+            select_best(objectives, [0.0, 0.0])
 
     def test_empty_archive_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            select_best(ParetoArchive(4), [1.0])
+            select_best(np.empty((0, 1)), [1.0])
 
 
 class TestPersonsCsv:
@@ -214,36 +221,43 @@ class TestConvergenceCsv:
 
 
 class TestParetoPairsCsv:
-    def test_selected_flag_set_exactly_once(self, schema_small, tmp_path):
-        archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
+    def test_selected_flag_set_exactly_once(self, tmp_path):
+        objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
         path = tmp_path / "pareto.csv"
-        export_pareto_pairs(path, archive, ("a", "b"), 1)
+        export_pareto_pairs(path, objectives, ("a", "b"), 1)
         rows = read_rows(path)
         assert rows[0] == ["member_id", "a", "b", "selected"]
         assert [r[-1] for r in rows[1:]] == ["0", "1", "0"]
 
-    def test_values_are_archive_normalized(self, schema_small, tmp_path):
-        archive = archive_of(schema_small, [[1, 5], [2, 2], [5, 1]])
+    def test_values_are_archive_normalized(self, tmp_path):
+        objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
         path = tmp_path / "pareto.csv"
-        export_pareto_pairs(path, archive, ("a", "b"), 0)
+        export_pareto_pairs(path, objectives, ("a", "b"), 0)
         rows = read_rows(path)
         assert rows[1][1:3] == ["0", "1"]
         assert rows[2][1:3] == ["0.25", "0.25"]
         assert rows[3][1:3] == ["1", "0"]
 
-    def test_out_of_range_selection_rejected(self, schema_small, tmp_path):
-        archive = archive_of(schema_small, [[1, 2], [2, 1]])
+    def test_out_of_range_selection_rejected(self, tmp_path):
+        objectives = np.array([[1, 2], [2, 1]], dtype=float)
         with pytest.raises(DataError, match="outside"):
-            export_pareto_pairs(tmp_path / "pareto.csv", archive, ("a", "b"), 5)
+            export_pareto_pairs(tmp_path / "pareto.csv", objectives, ("a", "b"), 5)
+
+
+def _bundle_arrays(source):
+    with np.load(source) as bundle:
+        return {key: bundle[key] for key in bundle.files}
+
+
+def _slot_palettes(arrays):
+    """Each slot's palette rows, split from the slot-major palette."""
+    ends = np.cumsum(arrays["palette_counts"].astype(np.intp))
+    return np.split(arrays["palette"], ends[:-1])
 
 
 class TestArchiveBundle:
     def test_round_trip(self, schema_small, tmp_path):
-        rng = np.random.default_rng(7)
-        archive = ParetoArchive.restore(
-            [dummy_roster(schema_small, rng) for _ in range(3)],
-            np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0]]),
-        )
+        archive = archive_of(schema_small, [[1.0, 4.0], [2.0, 2.0], [4.0, 1.0]])
         path = tmp_path / "archive.npz"
         save_archive(path, archive, ("a", "b"))
         members, objectives, names = load_archive(path, schema_small)
@@ -256,34 +270,69 @@ class TestArchiveBundle:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        members=st.integers(1, 5),
+        members=st.integers(1, 40),
         slots=st.integers(1, 30),
         sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
         wide=st.one_of(st.none(), st.integers(257, 700)),
+        crowd=st.one_of(st.none(), st.integers(257, 300)),
+        pool=st.integers(1, 50),
+        block=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_round_trip_any_shape(self, members, slots, sizes, wide, seed):
+    def test_round_trip_any_shape(
+        self, members, slots, sizes, wide, crowd, pool, block, seed
+    ):
         if wide is not None:
             sizes = [*sizes, wide]
+        if crowd is not None:
+            # One attribute gives each of ``crowd`` members its own row at
+            # slot 0, so member_rows needs more than one byte.
+            members, sizes = crowd, [*sizes, crowd]
         attributes = tuple(
             Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
             for i, size in enumerate(sizes)
         )
         rng = np.random.default_rng(seed)
+        # Members draw each slot's row from a small pool, so rows repeat
+        # across members as they do after positional crossover.
+        pools = np.stack(
+            [rng.integers(0, size, size=(slots, pool)) for size in sizes], axis=-1
+        )
         rosters = []
-        for _ in range(members):
-            codes = np.column_stack([rng.integers(0, size, size=slots) for size in sizes])
+        for member in range(members):
+            codes = pools[np.arange(slots), rng.integers(0, pool, size=slots)]
             # Every attribute's highest category appears, so the dtype bound is hit.
             codes[0] = [size - 1 for size in sizes]
+            if crowd is not None:
+                codes[0, -1] = member
             rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
-        objectives = rng.random((members, 3))
-        archive = ParetoArchive.restore(rosters, objectives)
+        # Strictly decreasing second objective: no vector dominates another.
+        objectives = np.column_stack(
+            [np.arange(members), -np.arange(members), rng.random(members)]
+        ).astype(float)
+        archive = ParetoArchive(members)
+        for roster, vector in zip(rosters, objectives):
+            assert archive.insert(roster, vector)
         buffer = io.BytesIO()
-        save_archive(buffer, archive, ("x", "y", "z"))
+        # Small blocks make the encoder cross block boundaries.
+        with patch.object(reporting, "_BLOCK_ENTRIES", block):
+            save_archive(buffer, archive, ("x", "y", "z"))
         buffer.seek(0)
-        with np.load(buffer) as bundle:
-            stored = bundle["slot_codes"].dtype
-        assert stored == (np.uint8 if max(sizes) <= 256 else np.uint16)
+        arrays = _bundle_arrays(buffer)
+        assert arrays["palette"].dtype == (np.uint8 if max(sizes) <= 256 else np.uint16)
+        counts = arrays["palette_counts"]
+        assert counts.dtype.kind == "u" and len(counts) == slots
+        member_rows = arrays["member_rows"]
+        assert member_rows.shape == (slots, members)
+        assert member_rows.dtype == np.min_scalar_type(int(counts.max()) - 1)
+        if crowd is not None:
+            assert member_rows.dtype == np.uint16
+        for slot, palette in enumerate(_slot_palettes(arrays)):
+            assert len(np.unique(palette, axis=0)) == len(palette)
+            # Rows come in the order of the first member that holds them.
+            first_seen = dict.fromkeys(tuple(r.codes[slot]) for r in rosters)
+            assert [tuple(row) for row in palette] == list(first_seen)
+        assert not member_rows[:, 0].any()
         buffer.seek(0)
         loaded, loaded_objectives, names = load_archive(buffer, AttributeSchema(attributes))
         assert names == ["x", "y", "z"]
@@ -294,6 +343,18 @@ class TestArchiveBundle:
             assert np.array_equal(roster.codes, kept.codes)
             assert roster.codes.dtype == code_dtype(attributes)
 
+    def test_wider_unsigned_arrays_decode(self, schema_small, tmp_path):
+        archive = archive_of(schema_small, [[1.0, 2.0], [2.0, 1.0]])
+        path = tmp_path / "archive.npz"
+        save_archive(path, archive, ("a", "b"))
+        arrays = {key: value.astype(np.uint64) if value.dtype.kind == "u" else value
+                  for key, value in _bundle_arrays(path).items()}
+        np.savez_compressed(path, **arrays)
+        members, _, _ = load_archive(path, schema_small)
+        for loaded, kept in zip(members, archive.candidates):
+            assert np.array_equal(loaded.codes, kept.codes)
+            assert loaded.codes.dtype == code_dtype(schema_small.attributes)
+
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             save_archive(tmp_path / "archive.npz", ParetoArchive(3), ("a",))
@@ -302,18 +363,20 @@ class TestArchiveBundle:
 def _tampered_bundle(schema, path, tamper):
     """Save a valid two-member bundle, apply ``tamper`` to its arrays, save again."""
     save_archive(path, archive_of(schema, [[1, 2], [2, 1]]), ("a", "b"))
-    with np.load(path) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files}
+    arrays = _bundle_arrays(path)
     tamper(arrays)
     np.savez_compressed(path, **arrays)
 
 
 def _legacy_layout(arrays):
-    arrays["codes"] = arrays.pop("slot_codes").transpose(1, 0, 2).astype(np.int16)
+    # The slot_codes layout that bundles held before palettes.
+    for key in ("palette", "palette_counts", "member_rows"):
+        del arrays[key]
+    arrays["slot_codes"] = np.zeros((6, 2, 3), dtype=np.uint8)
 
 
 def _flat_codes(arrays):
-    arrays["slot_codes"] = arrays["slot_codes"][:, 0, :]
+    arrays["palette"] = arrays["palette"].ravel()
 
 
 def _extra_member(arrays):
@@ -321,7 +384,7 @@ def _extra_member(arrays):
 
 
 def _missing_attribute(arrays):
-    arrays["slot_codes"] = arrays["slot_codes"][:, :, :2]
+    arrays["palette"] = arrays["palette"][:, :2]
 
 
 def _extra_objective(arrays):
@@ -330,13 +393,36 @@ def _extra_objective(arrays):
 
 def _code_out_of_range(arrays):
     # ``sex`` has two categories, so 2 is the first code out of range.
-    arrays["slot_codes"][:, 0, 0] = 2
+    arrays["palette"][0, 0] = 2
 
 
 def _negative_code(arrays):
-    signed = arrays["slot_codes"].astype(np.int16)
-    signed[0, 0, 0] = -1
-    arrays["slot_codes"] = signed
+    signed = arrays["palette"].astype(np.int16)
+    signed[0, 0] = -1
+    arrays["palette"] = signed
+
+
+def _signed_member_rows(arrays):
+    arrays["member_rows"] = arrays["member_rows"].astype(np.int16)
+
+
+def _member_row_at_count(arrays):
+    # The slot's own count is the first index past its palette rows.
+    arrays["member_rows"][0, 1] = arrays["palette_counts"][0]
+
+
+def _counts_over_palette(arrays):
+    arrays["palette_counts"][-1] += 1
+
+
+def _empty_slot(arrays):
+    counts = arrays["palette_counts"]
+    counts[1] += counts[0]
+    counts[0] = 0
+
+
+def _missing_slot(arrays):
+    arrays["palette_counts"] = arrays["palette_counts"][:-1]
 
 
 class TestMalformedArchiveBundle:
@@ -344,12 +430,17 @@ class TestMalformedArchiveBundle:
         "tamper, message",
         [
             (_legacy_layout, "re-run `synthpop run`"),
-            (_flat_codes, "2 axes, expected 3"),
+            (_flat_codes, r"2 axes \(row, attribute\), got 1"),
             (_extra_member, "holds 2 members, objectives 3"),
-            (_missing_attribute, "2 attributes, attribute_names 3"),
+            (_missing_attribute, "palette has 2 attributes, attribute_names 3"),
             (_extra_objective, r"expected \(members, 3\)"),
             (_code_out_of_range, "code 2 is out of range for attribute 'sex'"),
             (_negative_code, "unsigned integer"),
+            (_signed_member_rows, "member_rows must be a non-empty unsigned integer"),
+            (_member_row_at_count, "member_rows at slot 0 points past its"),
+            (_counts_over_palette, "sum to the palette's"),
+            (_empty_slot, "at least 1 at every slot"),
+            (_missing_slot, "palette_counts has 5 slots, member_rows 6"),
         ],
     )
     def test_rejected_with_a_named_error(self, schema_small, tmp_path, tamper, message):
