@@ -27,7 +27,6 @@ from .fitness import (
     trapezoid_area,
 )
 from .household_synthesis import (
-    SyntheticHousehold,
     allocate,
     generate_households,
     parse_composition,
@@ -54,7 +53,6 @@ from .reporting import (
     export_timings,
     file_checksum,
     load_archive,
-    load_households,
     load_persons,
     read_manifest,
     rmse_rows,
@@ -88,7 +86,6 @@ __all__ = [
     "RmseRow",
     "SamplingPlan",
     "SynthPopError",
-    "SyntheticHousehold",
     "ValidationRule",
     "allocate",
     "binary_tournament",
@@ -109,7 +106,6 @@ __all__ = [
     "load_archive",
     "load_contingency_table",
     "load_dataset",
-    "load_households",
     "load_persons",
     "load_run_config",
     "load_rules",

@@ -194,14 +194,29 @@ def _make_households(
         out_dir, config.households, dataset, archive.objective_matrix(), archive.candidates,
         rules[HOUSEHOLDS],
     )
-    allocation_started = time.perf_counter()
-    result = allocate(persons, households, dataset.schema)
-    allocation_wall = time.perf_counter() - allocation_started
-    export_households(out_dir / "households.csv", result.households)
-    print(f"households: {len(result.households)} exported,"
-          f" complete rate {result.complete_rate:.1%},"
-          f" unallocated persons {len(result.unallocated)}, {wall:.1f}s")
+    allocation_wall = _nest_households(
+        out_dir, persons, households, dataset.schema,
+        f"households: {len(households)} exported, archive size {len(archive)}, {wall:.1f}s",
+    )
     return summary, wall, allocation_wall
+
+
+def _nest_households(
+    out_dir: Path, persons: CandidatePopulation, households: CandidatePopulation, schema,
+    lead: str,
+) -> float:
+    """Allocate ``persons`` into the exported household roster, write
+    ``households.csv`` and print ``lead`` with the allocation's figures.
+
+    Returns the allocation's wall-clock seconds.
+    """
+    started = time.perf_counter()
+    result = allocate(persons, households, schema)
+    wall = time.perf_counter() - started
+    export_households(out_dir / "households.csv", households, result)
+    print(f"{lead}, complete rate {result.complete_rate:.1%},"
+          f" unallocated persons {len(result.unallocated)}")
+    return wall
 
 
 def _stage_manifest(stage_config: StageConfig, summary: dict) -> dict:
@@ -352,10 +367,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         households, summary = _export_stage(
             out_dir, config.households, dataset, *household_archive, rules[HOUSEHOLDS]
         )
-        result = allocate(persons, households, dataset.schema)
-        export_households(out_dir / "households.csv", result.households)
-        print(f"households: member {summary['selected_member']} of {summary['archive_size']}"
-              f" re-exported, complete rate {result.complete_rate:.1%}")
+        _nest_households(
+            out_dir, persons, households, dataset.schema,
+            f"households: member {summary['selected_member']} of {summary['archive_size']}"
+            " re-exported",
+        )
     return 0
 
 

@@ -2,17 +2,24 @@
 
 Households evolve through the same NSGA-II loop as persons, over household
 attributes (size, accommodation type, composition). Afterwards a greedy
-allocator fills each household's composition from the person roster:
-households are served in roster order and people are taken first-fit in
-roster order from per-class age pools.
+allocator fills each household's composition from the person roster.
+Persons are pooled by age class (adult A, child C, elder E), each pool in
+roster order. Households are served in roster order, each taking the first
+free persons of every class it needs: household ``h`` takes a class's pool
+from the summed need of the households before it to that sum plus its own
+need, both capped at the pool's size. A class that runs dry therefore
+leaves that household and every later one short of that class. A
+household's members are listed class by class in letter order (A, C, E),
+each class in roster order.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .census_data import HOUSEHOLDS, AttributeSchema, RegionDataset
 from .errors import DataError
@@ -29,6 +36,12 @@ from .population_model import CandidatePopulation, ValidationRule
 
 # Age-class letters used in composition codes, keyed by schema group label.
 AGE_CLASS_BY_GROUP = {"ch": "C", "ad": "A", "el": "E"}
+# The order in which a household takes its classes: letter order.
+_CLASSES = tuple(sorted(AGE_CLASS_BY_GROUP.values()))
+# The person attribute that sorts persons into classes, and the household
+# attribute holding each household's composition code.
+AGE_ATTRIBUTE = "age"
+COMPOSITION_ATTRIBUTE = "composition"
 
 _TOKEN = re.compile(r"^(\d+)([A-Za-z])$")
 
@@ -71,33 +84,23 @@ def parse_composition(code: str) -> CompositionSpec:
 
 
 @dataclass(frozen=True)
-class SyntheticHousehold:
-    """One allocated household: attribute codes plus member person ids."""
-
-    household_id: int
-    assignments: Mapping[str, str]
-    members: tuple[int, ...]
-    complete: bool
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     """Outcome of nesting a person roster into a household roster.
 
-    Allocated members and the unallocated remainder partition the person
-    roster exactly; no person appears twice.
+    ``members[h]`` holds household ``h``'s person ids, ``complete[h]``
+    whether it got every member its composition asks for, and
+    ``unallocated`` the person ids no household took, sorted. Allocated
+    members and the unallocated remainder partition the person roster
+    exactly; no person appears twice.
     """
 
-    households: tuple[SyntheticHousehold, ...]
-    unallocated: tuple[int, ...]
-
-    @property
-    def complete_count(self) -> int:
-        return sum(1 for h in self.households if h.complete)
+    members: tuple[np.ndarray, ...]
+    complete: np.ndarray
+    unallocated: np.ndarray
 
     @property
     def complete_rate(self) -> float:
-        return self.complete_count / len(self.households) if self.households else 0.0
+        return int(np.count_nonzero(self.complete)) / len(self.complete)
 
 
 def generate_households(
@@ -120,24 +123,22 @@ def allocate(
     persons: CandidatePopulation,
     households: CandidatePopulation,
     schema: AttributeSchema,
-    *,
-    age_attribute: str = "age",
-    composition_attribute: str = "composition",
 ) -> AllocationResult:
     """Fill household compositions from the person roster.
 
-    Persons are split into age-class pools (child, adult, elder) keeping
-    roster order. Households are served in their own roster order and take
-    the first available persons of each required class. When a pool runs
-    dry the household stays partial; it never borrows from another class.
-    Deterministic throughout.
+    Households are served in roster order and take the first free persons
+    of each class they need (see the module docstring): with ``needs[h,
+    k]`` the persons of class ``k`` household ``h`` needs, the class's pool
+    is cut at ``min(cumsum(needs), supply)``. A household short of any
+    class is incomplete; no class borrows from another. Deterministic
+    throughout.
     """
     if len(persons) == 0 or len(households) == 0:
         raise DataError("allocation needs non-empty person and household rosters")
 
-    age = schema[age_attribute]
-    age_col = persons.column_index(age_attribute)
-    class_of_bin: list[str] = []
+    age = schema[AGE_ATTRIBUTE]
+    age_codes = persons.column(AGE_ATTRIBUTE)
+    class_of_bin = []
     for code in age.categories:
         group = age.group_of(code)
         if group is None or group not in AGE_CLASS_BY_GROUP:
@@ -145,42 +146,27 @@ def allocate(
                 f"age bin {code!r} lacks a child/adult/elder grouping, so "
                 "persons cannot be classified for allocation"
             )
-        class_of_bin.append(AGE_CLASS_BY_GROUP[group])
+        class_of_bin.append(_CLASSES.index(AGE_CLASS_BY_GROUP[group]))
+    person_class = np.array(class_of_bin)[age_codes]
+    pools = [np.flatnonzero(person_class == k) for k in range(len(_CLASSES))]
 
-    pools: dict[str, deque[int]] = {c: deque() for c in AGE_CLASS_BY_GROUP.values()}
-    age_codes = persons.codes[:, age_col]
-    for index in range(len(persons)):
-        pools[class_of_bin[int(age_codes[index])]].append(index)
+    composition = households.attributes[households.column_index(COMPOSITION_ATTRIBUTE)]
+    need_of_code = np.array([
+        [parse_composition(code).requirements.get(letter, 0) for letter in _CLASSES]
+        for code in composition.categories
+    ])
+    needs = need_of_code[households.column(COMPOSITION_ATTRIBUTE)]
+    ends = np.minimum(np.cumsum(needs, axis=0), [len(pool) for pool in pools])
+    taken = np.diff(ends, axis=0, prepend=0)
 
-    comp_col = households.column_index(composition_attribute)
-    comp_attr = households.attributes[comp_col]
-    spec_of_code = {c: parse_composition(c) for c in comp_attr.categories}
-    comp_codes = households.codes[:, comp_col]
-
-    members: list[tuple[int, ...]] = [()] * len(households)
-    complete: list[bool] = [False] * len(households)
-    for h in range(len(households)):
-        spec = spec_of_code[comp_attr.categories[int(comp_codes[h])]]
-        taken: list[int] = []
-        filled = True
-        for letter in sorted(spec.requirements):
-            need = spec.requirements[letter]
-            pool = pools[letter]
-            grab = min(need, len(pool))
-            taken.extend(pool.popleft() for _ in range(grab))
-            if grab < need:
-                filled = False
-        members[h] = tuple(taken)
-        complete[h] = filled
-
-    synthesised = tuple(
-        SyntheticHousehold(
-            household_id=h,
-            assignments=households.person(h),
-            members=members[h],
-            complete=complete[h],
-        )
-        for h in range(len(households))
+    used = ends[-1]
+    ids = np.concatenate([pool[:end] for pool, end in zip(pools, used)])
+    owners = np.concatenate(
+        [np.repeat(np.arange(len(households)), taken[:, k]) for k in range(len(pools))]
     )
-    unallocated = tuple(sorted(i for pool in pools.values() for i in pool))
-    return AllocationResult(households=synthesised, unallocated=unallocated)
+    # ids run class by class in letter order, each class in roster order, so
+    # a stable sort by household keeps that order within every household.
+    flat = ids[np.argsort(owners, kind="stable")]
+    members = tuple(np.split(flat, np.cumsum(taken.sum(axis=1))[:-1]))
+    unallocated = np.sort(np.concatenate([pool[end:] for pool, end in zip(pools, used)]))
+    return AllocationResult(members, (taken == needs).all(axis=1), unallocated)

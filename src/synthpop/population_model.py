@@ -177,10 +177,9 @@ def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _JointGroup:
-    """One table's contribution to a joint draw: which columns it fills and
-    how its cells are conditioned on columns filled by earlier tables."""
+    """One table's contribution to a draw: which columns it fills and how
+    its cells are conditioned on columns filled by earlier tables."""
 
-    table_name: str
     given_columns: tuple[int, ...]
     given_dims: tuple[int, ...]
     new_columns: tuple[int, ...]
@@ -191,22 +190,22 @@ class _JointGroup:
 class SamplingPlan:
     """How entity attribute values are drawn for one pipeline stage.
 
-    Independent mode draws every attribute from its own marginal weight
-    vector. Joint mode walks the stage tables in order and draws each
-    table's not-yet-assigned axes from the table's cells, conditioned on
-    any axes already assigned by earlier tables; this preserves the
-    cross-attribute structure the tables record.
+    A plan draws its groups in order, each filling its columns from a
+    table's cells conditioned on columns earlier groups filled. Independent
+    mode has one unconditioned group per attribute, in attribute order,
+    holding the attribute's own marginal weights. Joint mode walks the
+    stage tables in order and draws each table's not-yet-assigned axes from
+    the table's cells, conditioned on any axes already assigned by earlier
+    tables; this preserves the cross-attribute structure the tables record.
     """
 
     def __init__(
         self,
         attributes: tuple[Attribute, ...],
-        mode: str,
         marginal_cdfs: dict[str, np.ndarray],
-        joint_groups: tuple[_JointGroup, ...] = (),
+        joint_groups: tuple[_JointGroup, ...],
     ):
         self.attributes = attributes
-        self.mode = mode
         self._marginal_cdfs = marginal_cdfs
         self._joint_groups = joint_groups
 
@@ -242,7 +241,8 @@ class SamplingPlan:
                 raise DataError(f"weights for {attribute.name!r} must be "
                                 "non-negative and sum to a positive value")
             cdfs[attribute.name] = np.cumsum(weights / weights.sum())
-        return cls(tuple(a for a, _ in pairs), INDEPENDENT, cdfs)
+        attributes = tuple(a for a, _ in pairs)
+        return cls(attributes, cdfs, _marginal_groups(attributes, cdfs))
 
     @classmethod
     def from_tables(
@@ -274,7 +274,7 @@ class SamplingPlan:
             counts = marginalize(source_table(a.name), a.name)
             marginal_cdfs[a.name] = np.cumsum(counts / counts.sum())
         if mode == INDEPENDENT:
-            return cls(resolved, mode, marginal_cdfs)
+            return cls(resolved, marginal_cdfs, _marginal_groups(resolved, marginal_cdfs))
 
         columns = {a.name: i for i, a in enumerate(resolved)}
         assigned: set[str] = set()
@@ -293,18 +293,13 @@ class SamplingPlan:
                 f"joint sampling cannot cover attributes {missing}: no stage "
                 "table lists them"
             )
-        return cls(resolved, mode, marginal_cdfs, tuple(groups))
+        return cls(resolved, marginal_cdfs, tuple(groups))
 
     def sample_codes(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a (count, n_attributes) matrix of category indices."""
         if count <= 0:
             raise DataError("sample count must be positive")
         codes = np.empty((count, len(self.attributes)), dtype=code_dtype(self.attributes))
-        if self.mode == INDEPENDENT:
-            for col, attribute in enumerate(self.attributes):
-                cdf = self._marginal_cdfs[attribute.name]
-                codes[:, col] = _draw(cdf, rng.random(count))
-            return codes
         for group in self._joint_groups:
             if group.given_columns:
                 rows = np.ravel_multi_index(
@@ -320,6 +315,16 @@ class SamplingPlan:
             for col, part in zip(group.new_columns, parts):
                 codes[:, col] = part
         return codes
+
+
+def _marginal_groups(
+    attributes: Sequence[Attribute], marginal_cdfs: Mapping[str, np.ndarray]
+) -> tuple[_JointGroup, ...]:
+    """One unconditioned group per attribute, drawn from its marginal."""
+    return tuple(
+        _JointGroup((), (), (column,), (a.size,), marginal_cdfs[a.name][None, :])
+        for column, a in enumerate(attributes)
+    )
 
 
 def _build_joint_group(
@@ -354,7 +359,6 @@ def _build_joint_group(
     safe = np.where(totals > 0, matrix / np.where(totals > 0, totals, 1.0), overall)
     cdf_rows = np.cumsum(safe, axis=1)
     return _JointGroup(
-        table_name=table.name,
         given_columns=tuple(columns[n] for n in given_names),
         given_dims=given_dims,
         new_columns=tuple(columns[n] for n in new_names),

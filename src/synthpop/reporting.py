@@ -20,7 +20,7 @@ import numpy as np
 from .census_data import AttributeSchema, ContingencyTable, marginalize
 from .errors import DataError
 from .fitness import normalize_objectives, rmse
-from .household_synthesis import SyntheticHousehold
+from .household_synthesis import AllocationResult
 from .nsga2 import ParetoArchive
 from .population_model import CandidatePopulation, code_dtype
 
@@ -89,17 +89,20 @@ def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
 # Population CSVs
 
 
+def _labels(candidate: CandidatePopulation) -> list[np.ndarray]:
+    """Each attribute's category labels for every roster row, column by column."""
+    return [
+        np.array(a.categories, dtype=object)[candidate.codes[:, column]]
+        for column, a in enumerate(candidate.attributes)
+    ]
+
+
 def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
-    attributes = candidate.attributes
-    labels = [
-        np.array(a.categories, dtype=object)[candidate.codes[:, column]]
-        for column, a in enumerate(attributes)
-    ]
     with open(path, "w", newline="") as handle:
         writer = _writer(handle)
-        writer.writerow(["person_id", *(a.name for a in attributes)])
-        writer.writerows(zip(range(len(candidate)), *labels))
+        writer.writerow(["person_id", *candidate.attribute_names])
+        writer.writerows(zip(range(len(candidate)), *_labels(candidate)))
 
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
@@ -127,51 +130,21 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
     return CandidatePopulation(attributes, np.array(rows, dtype=code_dtype(attributes)))
 
 
-def export_households(path: str | Path, households: Sequence[SyntheticHousehold]) -> None:
-    """Write one row per household; members are ``;``-joined person ids."""
-    if not households:
+def export_households(
+    path: str | Path, households: CandidatePopulation, allocation: AllocationResult
+) -> None:
+    """Write one row per household: ``household_id``, category labels, the
+    members' ``;``-joined person ids and a 0/1 ``complete`` flag."""
+    if not len(households):
         raise DataError("no households to export")
-    names = list(households[0].assignments)
+    members = [";".join(map(str, ids.tolist())) for ids in allocation.members]
     with open(path, "w", newline="") as handle:
         writer = _writer(handle)
-        writer.writerow(["household_id", *names, "member_ids", "complete"])
-        for household in households:
-            writer.writerow(
-                [
-                    household.household_id,
-                    *(household.assignments[name] for name in names),
-                    ";".join(str(pid) for pid in household.members),
-                    int(household.complete),
-                ]
-            )
-
-
-def load_households(path: str | Path) -> tuple[SyntheticHousehold, ...]:
-    """Read a households CSV written by :func:`export_households`."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"households file {path} is empty") from None
-        expected_tail = ["member_ids", "complete"]
-        if header[:1] != ["household_id"] or header[-2:] != expected_tail:
-            raise DataError(f"households file {path} has an unexpected header")
-        names = header[1:-2]
-        households = []
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
-            members = tuple(int(p) for p in row[-2].split(";")) if row[-2] else ()
-            households.append(
-                SyntheticHousehold(
-                    household_id=int(row[0]),
-                    assignments=dict(zip(names, row[1:-2])),
-                    members=members,
-                    complete=bool(int(row[-1])),
-                )
-            )
-    return tuple(households)
+        writer.writerow(["household_id", *households.attribute_names, "member_ids", "complete"])
+        writer.writerows(zip(
+            range(len(households)), *_labels(households), members,
+            allocation.complete.astype(np.uint8).tolist(), strict=True,
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +304,10 @@ def load_archive(
 
     Returns the members, their objective matrix, and the objective names,
     in saved order. Every array is checked here, so a bundle whose arrays
-    disagree in shape or dtype, or that points outside its palettes or its
-    attributes' categories, is a :class:`DataError`; a member's roster is
-    decoded only when the member is indexed.
+    disagree in shape or dtype, that points outside its palettes or its
+    attributes' categories, or whose objectives are not all finite floats,
+    is a :class:`DataError`; a member's roster is decoded only when the
+    member is indexed.
     """
     with np.load(path, allow_pickle=False) as bundle:
         missing = [key for key in _PALETTE_AXES if key not in bundle.files]
@@ -363,6 +337,8 @@ def load_archive(
             f"{path}: objectives has shape {objectives.shape}, "
             f"expected (members, {len(objective_names)})"
         )
+    if objectives.dtype.kind != "f" or not np.isfinite(objectives).all():
+        raise DataError(f"{path}: objectives must be finite floats")
     if members != objectives.shape[0]:
         raise DataError(
             f"{path}: member_rows holds {members} members, objectives {objectives.shape[0]}"

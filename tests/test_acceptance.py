@@ -194,10 +194,10 @@ class TestCriterion3:
                 (comp,), rng.integers(0, comp.size, size=(n_households, 1)).astype(np.int16)
             )
             result = allocate(persons, households, small_schema)
-            allocated = [m for h in result.households for m in h.members]
+            allocated = [m for members in result.members for m in members.tolist()]
             if len(set(allocated)) != len(allocated):
                 partition_failures += 1
-            elif sorted(allocated + list(result.unallocated)) != list(range(n_persons)):
+            elif sorted(allocated + result.unallocated.tolist()) != list(range(n_persons)):
                 partition_failures += 1
 
         ok = deviations == 0 and partition_failures == 0

@@ -243,6 +243,22 @@ class TestReport:
         assert err.startswith("error:") and "member_rows at slot 0" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
+    def test_report_rejects_text_objectives(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_persons.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        arrays["objectives"] = arrays["objectives"].astype(str)
+        arrays["objectives"][0, 0] = "abc"
+        np.savez_compressed(bundle, **arrays)
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "objectives must be finite floats" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
     @pytest.mark.parametrize(
         "objective",
         [

@@ -1,5 +1,7 @@
 """Tests for composition parsing, household evolution and allocation."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +20,7 @@ from synthpop import (
     generate_households,
     parse_composition,
 )
-from synthpop.household_synthesis import CompositionSpec
+from synthpop.household_synthesis import AGE_CLASS_BY_GROUP, CompositionSpec
 
 _CLASS_CODE = {"C": 0, "A": 1, "E": 2}
 
@@ -27,6 +29,36 @@ def make_persons(schema, letters):
     """Single-attribute person roster with one slot per age-class letter."""
     codes = np.array([[_CLASS_CODE[c]] for c in letters], dtype=np.int16)
     return CandidatePopulation((schema["age"],), codes)
+
+
+def member_lists(result):
+    return [m.tolist() for m in result.members]
+
+
+def reference_allocate(persons, households, schema):
+    """The person-by-person greedy that allocate's cumulative counts
+    replace, kept as the reference: households in roster order each take
+    the first free persons of every class they need, class by class in
+    letter order. Returns member lists, complete flags and the sorted
+    unallocated ids."""
+    age = schema["age"]
+    class_of_bin = [AGE_CLASS_BY_GROUP[age.group_of(code)] for code in age.categories]
+    pools = {letter: deque() for letter in AGE_CLASS_BY_GROUP.values()}
+    for index, code in enumerate(persons.column("age")):
+        pools[class_of_bin[int(code)]].append(index)
+    composition = households.attributes[households.column_index("composition")]
+    members, complete = [], []
+    for code in households.column("composition"):
+        spec = parse_composition(composition.categories[int(code)])
+        taken = []
+        for letter in sorted(spec.requirements):
+            pool = pools[letter]
+            grab = min(spec.requirements[letter], len(pool))
+            taken.extend(pool.popleft() for _ in range(grab))
+        members.append(taken)
+        complete.append(len(taken) == spec.size)
+    unallocated = sorted(i for pool in pools.values() for i in pool)
+    return members, complete, unallocated
 
 
 def make_households(categories, codes):
@@ -104,7 +136,7 @@ class TestClassifyPerson:
         persons = make_persons(schema_small, "EAC")
         households = make_households(("1C", "1A", "1E"), [0, 1, 2])
         result = allocate(persons, households, schema_small)
-        assert [h.members for h in result.households] == [(2,), (1,), (0,)]
+        assert member_lists(result) == [[2], [1], [0]]
 
     def test_missing_assignment_rejected(self, schema_small):
         persons = CandidatePopulation((schema_small["sex"],), np.zeros((2, 1), dtype=np.int16))
@@ -112,13 +144,12 @@ class TestClassifyPerson:
         with pytest.raises(DataError, match="no attribute 'age'"):
             allocate(persons, households, schema_small)
 
-    def test_ungrouped_bin_rejected(self, schema_small):
-        persons = CandidatePopulation(
-            (schema_small["marital"],), np.zeros((2, 1), dtype=np.int16)
-        )
+    def test_ungrouped_bin_rejected(self):
+        age = Attribute(name="age", categories=("young", "old"))
+        persons = CandidatePopulation((age,), np.zeros((2, 1), dtype=np.int16))
         households = make_households(("1A",), [0])
-        with pytest.raises(DataError, match="grouping"):
-            allocate(persons, households, schema_small, age_attribute="marital")
+        with pytest.raises(DataError, match="'young' lacks a child/adult/elder grouping"):
+            allocate(persons, households, AttributeSchema((age,)))
 
     def test_unmapped_group_label_rejected(self):
         odd = Attribute(name="age", categories=("a0",), groups={"a0": "xx"})
@@ -129,22 +160,39 @@ class TestClassifyPerson:
             allocate(persons, households, schema)
 
 
+# Compositions for the random rosters: repeated letters, and households
+# large enough to drain a small pool.
+_COMPOSITIONS = ("1A", "1A 1C", "2A", "2A 3C", "1E", "1A 1E", "3A", "1A 1A", "1C 2E 1C", "4A 4C 2E")
+
+
+@st.composite
+def random_rosters(draw):
+    """Person age letters, composition categories and household codes. The
+    persons come from a random subset of the classes, so the classes left
+    out have zero supply."""
+    classes = sorted(draw(st.sets(st.sampled_from("CAE"), min_size=1)))
+    letters = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=60))
+    categories = draw(st.lists(st.sampled_from(_COMPOSITIONS), min_size=1, unique=True))
+    codes = draw(st.lists(st.integers(0, len(categories) - 1), min_size=1, max_size=30))
+    return letters, tuple(categories), codes
+
+
 class TestAllocate:
     def test_exact_fill_completes(self, schema_small):
         persons = make_persons(schema_small, "AACCC")
         households = make_households(("2A 3C",), [0])
         result = allocate(persons, households, schema_small)
-        assert result.households[0].complete
-        assert sorted(result.households[0].members) == [0, 1, 2, 3, 4]
-        assert result.unallocated == ()
+        assert result.complete.tolist() == [True]
+        assert member_lists(result) == [[0, 1, 2, 3, 4]]
+        assert result.unallocated.tolist() == []
         assert result.complete_rate == 1.0
 
     def test_short_pool_leaves_partial(self, schema_small):
         persons = make_persons(schema_small, "A")
         households = make_households(("2A",), [0])
         result = allocate(persons, households, schema_small)
-        assert not result.households[0].complete
-        assert result.households[0].members == (0,)
+        assert result.complete.tolist() == [False]
+        assert member_lists(result) == [[0]]
         assert result.complete_rate == 0.0
 
     def test_households_served_in_roster_order(self, schema_small):
@@ -154,23 +202,43 @@ class TestAllocate:
         persons = make_persons(schema_small, "AC")
         households = make_households(("1A", "1A 1C"), [0, 1])
         result = allocate(persons, households, schema_small)
-        first, second = result.households
-        assert first.complete and first.members == (0,)
-        assert not second.complete and second.members == (1,)
-        assert result.unallocated == ()
+        assert member_lists(result) == [[0], [1]]
+        assert result.complete.tolist() == [True, False]
+        assert result.unallocated.tolist() == []
+
+    def test_members_come_class_by_class_in_letter_order(self, schema_small):
+        persons = make_persons(schema_small, "ECACA")
+        households = make_households(("1E 2C 2A",), [0])
+        result = allocate(persons, households, schema_small)
+        assert member_lists(result) == [[2, 4, 1, 3, 0]]
 
     def test_classes_never_borrow(self, schema_small):
         persons = make_persons(schema_small, "EEE")
         households = make_households(("2A",), [0])
         result = allocate(persons, households, schema_small)
-        assert result.households[0].members == ()
-        assert result.unallocated == (0, 1, 2)
+        assert member_lists(result) == [[]]
+        assert result.unallocated.tolist() == [0, 1, 2]
 
-    def test_assignments_carry_household_attributes(self, schema_small):
+    def test_composition_comes_from_the_roster_code(self, schema_small):
+        # Code 1 is "2A", so the one adult leaves the household short.
         persons = make_persons(schema_small, "A")
         households = make_households(("1A", "2A"), [1])
         result = allocate(persons, households, schema_small)
-        assert result.households[0].assignments == {"composition": "2A"}
+        assert member_lists(result) == [[0]]
+        assert result.complete.tolist() == [False]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rosters=random_rosters())
+    def test_matches_the_person_by_person_greedy(self, schema_small, rosters):
+        letters, categories, codes = rosters
+        persons = make_persons(schema_small, letters)
+        households = make_households(categories, codes)
+        result = allocate(persons, households, schema_small)
+        members, complete, unallocated = reference_allocate(persons, households, schema_small)
+        assert member_lists(result) == members
+        assert result.complete.tolist() == complete
+        assert result.unallocated.tolist() == unallocated
 
     @settings(
         max_examples=80,
@@ -198,9 +266,9 @@ class TestAllocate:
             tuple(categories), list(rng.integers(0, len(categories), size=n_households))
         )
         result = allocate(persons, households, schema_small)
-        allocated = [m for h in result.households for m in h.members]
+        allocated = [m for members in member_lists(result) for m in members]
         assert len(set(allocated)) == len(allocated)
-        assert sorted(allocated + list(result.unallocated)) == list(range(len(letters)))
+        assert sorted(allocated + result.unallocated.tolist()) == list(range(len(letters)))
 
     def test_complete_means_requirements_met_exactly(self, schema_small):
         rng = np.random.default_rng(37)
@@ -212,13 +280,15 @@ class TestAllocate:
             categories, list(rng.integers(0, len(categories), size=15))
         )
         result = allocate(persons, households, schema_small)
-        for household in result.households:
-            spec = parse_composition(household.assignments["composition"])
+        for code, members, complete in zip(
+            households.codes[:, 0], result.members, result.complete
+        ):
+            spec = parse_composition(categories[code])
             got = {}
-            for member in household.members:
+            for member in members:
                 letter = {0: "C", 1: "A", 2: "E"}[int(persons.codes[member, 0])]
                 got[letter] = got.get(letter, 0) + 1
-            if household.complete:
+            if complete:
                 assert got == dict(spec.requirements)
             else:
                 assert all(
@@ -232,9 +302,9 @@ class TestAllocate:
         # Demand: two of "1A 1C" (2A 2C), one "2A", one "1E".
         persons = make_persons(schema_small, "AAAACCE")
         result = allocate(persons, households, schema_small)
-        assert result.unallocated == ()
-        assert result.complete_count == 4
-        assert sum(len(h.members) for h in result.households) == 7
+        assert result.unallocated.tolist() == []
+        assert result.complete.all()
+        assert sum(len(m) for m in result.members) == 7
 
     def test_repeat_runs_are_identical(self, schema_small):
         rng = np.random.default_rng(41)
@@ -244,7 +314,9 @@ class TestAllocate:
         households = make_households(("1A", "2A 3C"), [0, 1, 0, 1])
         first = allocate(persons, households, schema_small)
         second = allocate(persons, households, schema_small)
-        assert first == second
+        assert member_lists(first) == member_lists(second)
+        assert np.array_equal(first.complete, second.complete)
+        assert np.array_equal(first.unallocated, second.unallocated)
 
     def test_empty_rosters_rejected(self, schema_small):
         households = make_households(("1A",), [0])
@@ -260,13 +332,6 @@ class TestAllocate:
         households = make_households(("9Z",), [0])
         with pytest.raises(DataError):
             allocate(persons, households, schema_small)
-
-    def test_ungrouped_age_bins_rejected(self, schema_small):
-        marital = schema_small["marital"]
-        persons = CandidatePopulation((marital,), np.zeros((2, 1), dtype=np.int16))
-        households = make_households(("1A",), [0])
-        with pytest.raises(DataError, match="grouping"):
-            allocate(persons, households, schema_small, age_attribute="marital")
 
 
 class TestGenerateHouseholds:

@@ -1,8 +1,11 @@
-"""Every name perfbench/layer_trace.py wraps still exists in the package.
+"""Every name perfbench/layer_trace.py wraps still exists in the package,
+and every observer hook it installs still reads what the program returns.
 
 The tracer resolves all its targets when it installs, before the command
 runs, so even the short ``validate-data`` lists a renamed or deleted
-function under ``missing``, where the benchmark would only count it.
+function under ``missing``, where the benchmark would only count it. The
+observer hooks run only when their function is called, so a short real
+``run`` and ``report`` exercise them.
 """
 
 import json
@@ -12,21 +15,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG = str(ROOT / "fixtures" / "config.yaml")
 
 
-def test_every_traced_name_resolves(tmp_path):
-    spans = tmp_path / "spans.json"
+def trace(spans, *command):
+    """Run one traced ``synthpop`` subcommand and return its span record."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
-        [
-            sys.executable,
-            str(ROOT / "perfbench" / "layer_trace.py"),
-            str(spans),
-            "validate-data",
-            "-c",
-            str(ROOT / "fixtures" / "config.yaml"),
-        ],
+        [sys.executable, str(ROOT / "perfbench" / "layer_trace.py"), str(spans), *command],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -34,6 +31,22 @@ def test_every_traced_name_resolves(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    trace = json.loads(spans.read_text(encoding="utf-8"))
-    assert trace["missing"] == []
-    assert trace["observer_errors"] == []
+    return json.loads(spans.read_text(encoding="utf-8"))
+
+
+def test_every_traced_name_resolves(tmp_path):
+    record = trace(tmp_path / "spans.json", "validate-data", "-c", CONFIG)
+    assert record["missing"] == []
+    assert record["observer_errors"] == []
+
+
+def test_a_short_run_and_report_feed_every_observer(tmp_path):
+    common = ("-c", CONFIG, "--out-dir", str(tmp_path / "out"), "--quiet")
+    run = trace(
+        tmp_path / "run.json", "run", *common, "--generations", "1", "--population-size", "10"
+    )
+    report = trace(tmp_path / "report.json", "report", *common)
+    for record in (run, report):
+        assert record["missing"] == []
+        assert record["observer_errors"] == []
+    assert {"complete_rate", "archive_bytes"} <= set(run["counts"])

@@ -18,7 +18,6 @@ from synthpop import (
     GenerationHistory,
     ParetoArchive,
     RmseRow,
-    SyntheticHousehold,
     export_convergence,
     export_households,
     export_pareto_pairs,
@@ -27,7 +26,6 @@ from synthpop import (
     export_timings,
     file_checksum,
     load_archive,
-    load_households,
     load_persons,
     read_manifest,
     rmse_rows,
@@ -36,6 +34,7 @@ from synthpop import (
     write_manifest,
 )
 from synthpop import reporting
+from synthpop.household_synthesis import AllocationResult
 from synthpop.population_model import code_dtype
 
 TOL = 1e-9
@@ -155,44 +154,28 @@ class TestPersonsCsv:
 
 class TestHouseholdsCsv:
     def households(self):
-        return (
-            SyntheticHousehold(
-                household_id=0,
-                assignments={"hsize": "s2", "composition": "1A 1C"},
-                members=(0, 2),
-                complete=True,
-            ),
-            SyntheticHousehold(
-                household_id=1,
-                assignments={"hsize": "s1", "composition": "1A"},
-                members=(),
-                complete=False,
-            ),
-        )
+        hsize = Attribute("hsize", ("s1", "s2"))
+        composition = Attribute("composition", ("1A", "1A 1C"))
+        return CandidatePopulation((hsize, composition), np.array([[1, 1], [0, 0]]))
 
     def test_member_ids_join_with_semicolons(self, tmp_path):
         path = tmp_path / "households.csv"
-        export_households(path, self.households())
+        allocation = AllocationResult(
+            members=(np.array([0, 2]), np.array([], dtype=np.intp)),
+            complete=np.array([True, False]),
+            unallocated=np.array([1]),
+        )
+        export_households(path, self.households(), allocation)
         rows = read_rows(path)
         assert rows[0] == ["household_id", "hsize", "composition", "member_ids", "complete"]
         assert rows[1] == ["0", "s2", "1A 1C", "0;2", "1"]
         assert rows[2] == ["1", "s1", "1A", "", "0"]
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "households.csv"
-        original = self.households()
-        export_households(path, original)
-        assert load_households(path) == original
-
     def test_empty_export_rejected(self, tmp_path):
+        empty = CandidatePopulation(self.households().attributes, np.empty((0, 2), dtype=np.uint8))
+        allocation = AllocationResult((), np.array([], dtype=bool), np.array([], dtype=np.intp))
         with pytest.raises(DataError, match="no households"):
-            export_households(tmp_path / "households.csv", ())
-
-    def test_foreign_header_rejected(self, tmp_path):
-        path = tmp_path / "households.csv"
-        path.write_text("household_id,size\n0,2\n")
-        with pytest.raises(DataError, match="header"):
-            load_households(path)
+            export_households(tmp_path / "households.csv", empty, allocation)
 
 
 class TestConvergenceCsv:
@@ -425,6 +408,14 @@ def _missing_slot(arrays):
     arrays["palette_counts"] = arrays["palette_counts"][:-1]
 
 
+def _text_objectives(arrays):
+    arrays["objectives"] = np.array([["abc", "1"], ["2", "1"]])
+
+
+def _nan_objective(arrays):
+    arrays["objectives"][0, 1] = np.nan
+
+
 class TestMalformedArchiveBundle:
     @pytest.mark.parametrize(
         "tamper, message",
@@ -441,6 +432,8 @@ class TestMalformedArchiveBundle:
             (_counts_over_palette, "sum to the palette's"),
             (_empty_slot, "at least 1 at every slot"),
             (_missing_slot, "palette_counts has 5 slots, member_rows 6"),
+            (_text_objectives, "objectives must be finite floats"),
+            (_nan_objective, "objectives must be finite floats"),
         ],
     )
     def test_rejected_with_a_named_error(self, schema_small, tmp_path, tamper, message):
