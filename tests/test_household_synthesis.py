@@ -333,6 +333,16 @@ class TestAllocate:
         with pytest.raises(DataError):
             allocate(persons, households, schema_small)
 
+    def test_ungrouped_age_bins_rejected(self, schema_small):
+        # An age attribute whose bins carry no groups, here the marital
+        # categories, cannot sort persons into age classes.
+        age = Attribute(name="age", categories=schema_small["marital"].categories)
+        schema = AttributeSchema((schema_small["sex"], age, schema_small["marital"]))
+        persons = CandidatePopulation((age,), np.zeros((2, 1), dtype=np.int16))
+        households = make_households(("1A",), [0])
+        with pytest.raises(DataError, match="grouping"):
+            allocate(persons, households, schema)
+
 
 class TestGenerateHouseholds:
     def test_requires_household_tables(self, dataset_small):
