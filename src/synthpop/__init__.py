@@ -54,7 +54,6 @@ from .reporting import (
     file_checksum,
     load_archive,
     load_persons,
-    read_manifest,
     rmse_rows,
     save_archive,
     select_best,
@@ -114,7 +113,6 @@ __all__ = [
     "marginalize",
     "normalize_objectives",
     "parse_composition",
-    "read_manifest",
     "rmse",
     "rmse_rows",
     "save_archive",

@@ -11,6 +11,10 @@ Subcommands:
 * ``report``: re-export populations from the archives a previous run
   saved, without re-running evolution.
 
+Every command exports a stage the same way: evolving saves the stage's
+archive bundle, and exporting reads that bundle back, so ``run`` and
+``report`` write their CSVs from the same bytes.
+
 Exit codes: 0 success, 1 configuration or data problem, 2 evolution
 failure, 3 filesystem problem.
 """
@@ -22,7 +26,6 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_
 from .errors import DataError, EvolutionError
 from .fitness import normalize_objectives
 from .household_synthesis import allocate, generate_households
-from .nsga2 import ParetoArchive, evolve
+from .nsga2 import evolve
 from .population_model import CandidatePopulation, CompiledRules, ValidationRule
 from .reporting import (
     export_convergence,
@@ -89,59 +92,55 @@ def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[Validati
 
 
 def _evolve_stage(
-    out_dir: Path,
-    stage_config: StageConfig,
-    dataset: RegionDataset,
-    rules: tuple[ValidationRule, ...],
-    *,
-    quiet: bool,
-) -> tuple[ParetoArchive, float]:
-    """Evolve one stage and write its convergence trace and archive bundle.
+    config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
+    *, quiet: bool,
+) -> float:
+    """Evolve one stage and write its convergence trace and archive bundle,
+    which the stage's export then reads back.
 
-    Returns the archive and the evolution's wall-clock seconds.
+    Returns the evolution's wall-clock seconds.
     """
-    search = generate_households if stage_config.stage == HOUSEHOLDS else evolve
+    stage = stage_config.stage
+    search = generate_households if stage == HOUSEHOLDS else evolve
     started = time.perf_counter()
     archive, history = search(
-        dataset, stage_config.objectives, stage_config.evolution, rules,
+        dataset, stage_config.objectives, stage_config.evolution, rules[stage],
         progress=None if quiet else _Progress(),
     )
     wall = time.perf_counter() - started
     names = [spec.name for spec in stage_config.objectives]
-    export_convergence(out_dir / f"convergence_{stage_config.stage}.csv", history, names)
-    save_archive(out_dir / f"archive_{stage_config.stage}.npz", archive, names)
-    return archive, wall
+    export_convergence(config.output_dir / f"convergence_{stage}.csv", history, names)
+    save_archive(config.output_dir / f"archive_{stage}.npz", archive, names)
+    print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
+    return wall
 
 
 def _export_stage(
-    out_dir: Path,
-    stage_config: StageConfig,
-    dataset: RegionDataset,
-    objectives: np.ndarray,
-    members: Sequence[CandidatePopulation],
-    rules: tuple[ValidationRule, ...],
+    config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
+    bundle: tuple[np.ndarray, Sequence[CandidatePopulation]],
 ) -> tuple[CandidatePopulation, dict]:
-    """Select the exported member from the archive's objective matrix,
+    """Select the exported member from the bundle's objective matrix,
     check it against the rules, and write the stage's Pareto and RMSE
-    files. Only the selected member is read from ``members``.
+    files. Only the selected member is read from the bundle's members.
 
     Returns the member and its manifest summary. Nothing is written when
     the member breaks a rule.
     """
     stage = stage_config.stage
+    objectives, members = bundle
     names = [spec.name for spec in stage_config.objectives]
     chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
     candidate = members[chosen]
-    if rules:
-        compiled = CompiledRules(rules, candidate.attributes)
+    if rules[stage]:
+        compiled = CompiledRules(rules[stage], candidate.attributes)
         violations = int(compiled.violation_mask(candidate.codes).sum())
         if violations:
             raise EvolutionError(
                 f"{stage} export would contain {violations} validation-rule violations"
             )
     rows = rmse_rows(candidate, dataset.stage_tables(stage))
-    export_pareto_pairs(out_dir / f"pareto_{stage}.csv", objectives, names, chosen)
-    export_rmse(out_dir / f"rmse_{stage}.csv", rows)
+    export_pareto_pairs(config.output_dir / f"pareto_{stage}.csv", objectives, names, chosen)
+    export_rmse(config.output_dir / f"rmse_{stage}.csv", rows)
     normalized = normalize_objectives(objectives)
     summary = {
         "selected_member": chosen,
@@ -161,78 +160,50 @@ def _export_stage(
     return candidate, summary
 
 
-def _make_persons(
-    config: RunConfig, dataset: RegionDataset, rules: dict, *, quiet: bool
-) -> tuple[CandidatePopulation, dict, float]:
-    """The persons stage: evolve, export, write ``persons.csv``."""
-    out_dir = config.output_dir
-    archive, wall = _evolve_stage(out_dir, config.persons, dataset, rules[PERSONS], quiet=quiet)
-    persons, summary = _export_stage(
-        out_dir, config.persons, dataset, archive.objective_matrix(), archive.candidates,
-        rules[PERSONS],
-    )
-    export_persons(out_dir / "persons.csv", persons)
-    print(f"persons: {len(persons)} exported, archive size {len(archive)}, {wall:.1f}s")
-    return persons, summary, wall
+def _print_export(stage: str, summary: dict, detail: str, *, quiet: bool) -> None:
+    print(f"{stage}: member {summary['selected_member']} of {summary['archive_size']}"
+          f" exported{detail}")
+    if not quiet:
+        for row in summary["rmse"]:
+            print(f"  rmse {row['table']}/{row['attribute']} ({row['level']}): {row['value']:.3f}")
 
 
-def _make_households(
-    config: RunConfig,
-    dataset: RegionDataset,
-    rules: dict,
-    persons: CandidatePopulation,
-    *,
-    quiet: bool,
-) -> tuple[dict, float, float]:
-    """The households stage: evolve, export, allocate ``persons`` into the
-    exported roster and write ``households.csv``."""
-    out_dir = config.output_dir
-    archive, wall = _evolve_stage(
-        out_dir, config.households, dataset, rules[HOUSEHOLDS], quiet=quiet
-    )
-    households, summary = _export_stage(
-        out_dir, config.households, dataset, archive.objective_matrix(), archive.candidates,
-        rules[HOUSEHOLDS],
-    )
-    allocation_wall = _nest_households(
-        out_dir, persons, households, dataset.schema,
-        f"households: {len(households)} exported, archive size {len(archive)}, {wall:.1f}s",
-    )
-    return summary, wall, allocation_wall
+def _export_persons(
+    config: RunConfig, dataset: RegionDataset, rules: dict, bundle: tuple, *, quiet: bool
+) -> tuple[CandidatePopulation, dict]:
+    """Export the persons bundle's selected member and write ``persons.csv``."""
+    persons, summary = _export_stage(config, config.persons, dataset, rules, bundle)
+    export_persons(config.output_dir / "persons.csv", persons)
+    _print_export(PERSONS, summary, "", quiet=quiet)
+    return persons, summary
 
 
-def _nest_households(
-    out_dir: Path, persons: CandidatePopulation, households: CandidatePopulation, schema,
-    lead: str,
-) -> float:
-    """Allocate ``persons`` into the exported household roster, write
-    ``households.csv`` and print ``lead`` with the allocation's figures.
+def _export_households(
+    config: RunConfig, dataset: RegionDataset, rules: dict, bundle: tuple,
+    persons: CandidatePopulation, *, quiet: bool,
+) -> tuple[dict, float]:
+    """Export the households bundle's selected member, allocate ``persons``
+    into it and write ``households.csv``.
 
-    Returns the allocation's wall-clock seconds.
+    Returns the stage's manifest summary and the allocation's wall-clock
+    seconds.
     """
+    households, summary = _export_stage(config, config.households, dataset, rules, bundle)
     started = time.perf_counter()
-    result = allocate(persons, households, schema)
+    result = allocate(persons, households, dataset.schema)
     wall = time.perf_counter() - started
-    export_households(out_dir / "households.csv", households, result)
-    print(f"{lead}, complete rate {result.complete_rate:.1%},"
-          f" unallocated persons {len(result.unallocated)}")
-    return wall
+    export_households(config.output_dir / "households.csv", households, result)
+    detail = (f", complete rate {result.complete_rate:.1%},"
+              f" unallocated persons {len(result.unallocated)}")
+    _print_export(HOUSEHOLDS, summary, detail, quiet=quiet)
+    return summary, wall
 
 
 def _stage_manifest(stage_config: StageConfig, summary: dict) -> dict:
     return {
         "target_count": stage_config.target_count,
         "rules": stage_config.rules_path.name if stage_config.rules_path else None,
-        "objectives": [
-            {
-                "name": spec.name,
-                "table": spec.table,
-                "attribute": spec.attribute,
-                "metric": spec.metric,
-                "weight": spec.weight,
-            }
-            for spec in stage_config.objectives
-        ],
+        "objectives": [asdict(spec) for spec in stage_config.objectives],
         "evolution": asdict(stage_config.evolution),
         "result": summary,
     }
@@ -280,10 +251,30 @@ def _cmd_validate_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_stage_archive(
+    config: RunConfig, schema, stage_config: StageConfig
+) -> tuple[np.ndarray, Sequence[CandidatePopulation]]:
+    """Load the stage's saved bundle, which must track the stage's
+    configured objectives, in order; returns its objective matrix and its
+    members, which decode only when indexed."""
+    path = config.output_dir / f"archive_{stage_config.stage}.npz"
+    if not path.exists():
+        raise DataError(f"{path} not found; run the pipeline first")
+    members, objectives, names = load_archive(path, schema)
+    expected = [spec.name for spec in stage_config.objectives]
+    if names != expected:
+        raise DataError(
+            f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
+        )
+    return objectives, members
+
+
 def _cmd_generate_persons(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset, rules = _prepare(config)
-    _make_persons(config, dataset, rules, quiet=args.quiet)
+    _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
+    bundle = _load_stage_archive(config, dataset.schema, config.persons)
+    _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
     return 0
 
 
@@ -298,7 +289,9 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
             f"{persons_path} not found; run generate-persons (or run) first"
         )
     persons = load_persons(persons_path, dataset.schema)
-    _make_households(config, dataset, rules, persons, quiet=args.quiet)
+    _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
+    bundle = _load_stage_archive(config, dataset.schema, config.households)
+    _export_households(config, dataset, rules, bundle, persons, quiet=args.quiet)
     return 0
 
 
@@ -307,11 +300,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset, rules = _prepare(config)
     total_started = time.perf_counter()
     summaries: dict = {}
-    persons, summaries[PERSONS], wall = _make_persons(config, dataset, rules, quiet=args.quiet)
+    wall = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
     timings = [("persons_evolve", wall)]
+    bundle = _load_stage_archive(config, dataset.schema, config.persons)
+    persons, summaries[PERSONS] = _export_persons(config, dataset, rules, bundle,
+                                                  quiet=args.quiet)
     if config.households is not None:
-        summaries[HOUSEHOLDS], wall, allocation_wall = _make_households(
-            config, dataset, rules, persons, quiet=args.quiet
+        wall = _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
+        bundle = _load_stage_archive(config, dataset.schema, config.households)
+        summaries[HOUSEHOLDS], allocation_wall = _export_households(
+            config, dataset, rules, bundle, persons, quiet=args.quiet
         )
         timings += [("households_evolve", wall), ("allocation", allocation_wall)]
 
@@ -326,75 +324,43 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_stage_archive(
-    path: Path, schema, stage_config: StageConfig
-) -> tuple[np.ndarray, Sequence[CandidatePopulation]]:
-    """Load a saved bundle that must track the stage's configured
-    objectives, in order; returns its objective matrix and its members,
-    which decode only when indexed."""
-    if not path.exists():
-        raise DataError(f"{path} not found; run the pipeline first")
-    members, objectives, names = load_archive(path, schema)
-    expected = [spec.name for spec in stage_config.objectives]
-    if names != expected:
-        raise DataError(
-            f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
-        )
-    return objectives, members
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset = load_dataset(config)
     rules = load_stage_rules(config, dataset.schema)
-    out_dir = config.output_dir
 
     # Both bundles are loaded and checked before any file is rewritten.
-    archive = _load_stage_archive(out_dir / "archive_persons.npz", dataset.schema, config.persons)
-    household_bundle = out_dir / "archive_households.npz"
-    household_archive = None
-    if config.households is not None and household_bundle.exists():
-        household_archive = _load_stage_archive(household_bundle, dataset.schema, config.households)
+    bundle = _load_stage_archive(config, dataset.schema, config.persons)
+    household_bundle = None
+    if config.households is not None and (config.output_dir / "archive_households.npz").exists():
+        household_bundle = _load_stage_archive(config, dataset.schema, config.households)
 
-    persons, summary = _export_stage(out_dir, config.persons, dataset, *archive, rules[PERSONS])
-    export_persons(out_dir / "persons.csv", persons)
-    print(f"persons: member {summary['selected_member']} of {summary['archive_size']}"
-          " re-exported")
-    for row in summary["rmse"]:
-        print(f"  rmse {row['table']}/{row['attribute']} ({row['level']}): {row['value']:.3f}")
-
-    if household_archive is not None:
-        households, summary = _export_stage(
-            out_dir, config.households, dataset, *household_archive, rules[HOUSEHOLDS]
-        )
-        _nest_households(
-            out_dir, persons, households, dataset.schema,
-            f"households: member {summary['selected_member']} of {summary['archive_size']}"
-            " re-exported",
-        )
+    persons, _ = _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
+    if household_bundle is not None:
+        _export_households(config, dataset, rules, household_bundle, persons, quiet=args.quiet)
     return 0
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     return load_run_config(
         args.config,
-        seed=args.seed,
-        generations=args.generations,
-        population_size=args.population_size,
-        output_dir=args.out_dir,
+        seed=getattr(args, "seed", None),
+        generations=getattr(args, "generations", None),
+        population_size=getattr(args, "population_size", None),
+        output_dir=getattr(args, "out_dir", None),
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-c", "--config", required=True, help="run configuration YAML")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--generations", type=int, default=None,
-                        help="override generations for every stage")
-    parser.add_argument("--population-size", type=int, default=None,
-                        help="override population size for every stage")
-    parser.add_argument("--out-dir", default=None, help="override the output directory")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-generation progress lines")
+# Optional flags, by name; each subcommand takes only the ones it reads.
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--generations": dict(type=int, default=None, help="override generations for every stage"),
+    "--population-size": dict(type=int, default=None,
+                              help="override population size for every stage"),
+    "--out-dir": dict(default=None, help="override the output directory"),
+    "--quiet": dict(action="store_true",
+                    help="suppress per-generation progress and per-table RMSE lines"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,16 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"synthpop {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, text in (
-        ("validate-data", _cmd_validate_data, "check input table consistency"),
-        ("generate-persons", _cmd_generate_persons, "evolve and export the person stage"),
+    for name, handler, text, flags in (
+        ("validate-data", _cmd_validate_data, "check input table consistency", ()),
+        ("generate-persons", _cmd_generate_persons, "evolve and export the person stage",
+         tuple(_FLAGS)),
         ("generate-households", _cmd_generate_households,
-         "evolve households and allocate persons into them"),
-        ("run", _cmd_run, "full pipeline: persons, households, allocation, manifest"),
-        ("report", _cmd_report, "re-export populations from saved archives"),
+         "evolve households and allocate persons into them", tuple(_FLAGS)),
+        ("run", _cmd_run, "full pipeline: persons, households, allocation, manifest",
+         tuple(_FLAGS)),
+        ("report", _cmd_report, "re-export populations from saved archives",
+         ("--out-dir", "--quiet")),
     ):
         sub = commands.add_parser(name, help=text)
-        _add_common(sub)
+        sub.add_argument("-c", "--config", required=True, help="run configuration YAML")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -116,10 +116,11 @@ def _parse_objective(entry, context: str) -> ObjectiveSpec:
     )
 
 
-def _parse_evolution(entry, seed: int, context: str) -> EvolutionConfig:
+def _parse_evolution(entry, seed: int, overrides: Mapping, context: str) -> EvolutionConfig:
     """Build a stage's evolution settings. The settable keys are
     ``EvolutionConfig``'s fields, except ``seed``, which is the run's; each
-    one present must hold its field's kind (``int | None`` holds an int)."""
+    one present must hold its field's kind (``int | None`` holds an int).
+    ``overrides`` replace the file's values before the settings are checked."""
     entry = _as_mapping(entry, context) if entry is not None else {}
     hints = get_type_hints(EvolutionConfig)
     kinds = {
@@ -131,13 +132,14 @@ def _parse_evolution(entry, seed: int, context: str) -> EvolutionConfig:
     if unknown:
         raise DataError(f"{context}: unknown evolution keys {sorted(unknown)}")
     values = {key: _scalar(entry, key, None, kinds[key], context) for key in entry}
+    values.update(overrides)
     try:
         return EvolutionConfig(seed=seed, **values)
     except DataError as exc:
         raise DataError(f"{context}: {exc}") from None
 
 
-def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
+def _parse_stage(stage: str, entry, base: Path, seed: int, overrides: Mapping) -> StageConfig:
     context = f"stage '{stage}'"
     entry = _as_mapping(entry, context)
     unknown = set(entry) - {"target_count", "tables", "rules", "objectives", "evolution"}
@@ -182,7 +184,7 @@ def _parse_stage(stage: str, entry, base: Path, seed: int) -> StageConfig:
         table_paths=table_paths,
         rules_path=rules_path,
         objectives=objectives,
-        evolution=_parse_evolution(entry.get("evolution"), seed, context),
+        evolution=_parse_evolution(entry.get("evolution"), seed, overrides, context),
     )
 
 
@@ -196,9 +198,10 @@ def load_run_config(
 ) -> RunConfig:
     """Load a run configuration, applying any CLI overrides.
 
-    ``generations`` and ``population_size`` overrides apply to every stage;
-    ``seed`` replaces the file's top-level seed before stage configs are
-    built, so both stages always share it.
+    ``generations`` and ``population_size`` overrides merge into every
+    stage's evolution values before they are checked, so an invalid one is
+    reported with its stage; ``seed`` replaces the file's top-level seed
+    before stage configs are built, so both stages always share it.
     """
     config_path = Path(path).resolve()
     try:
@@ -227,23 +230,17 @@ def load_run_config(
     file_seed = _scalar(raw, "seed", 0, int, str(config_path))
     effective_seed = seed if seed is not None else file_seed
 
-    persons = _parse_stage(PERSONS, _require(raw, PERSONS, str(config_path)), base, effective_seed)
+    overrides = {
+        key: value
+        for key, value in (("generations", generations), ("population_size", population_size))
+        if value is not None
+    }
+    persons = _parse_stage(
+        PERSONS, _require(raw, PERSONS, str(config_path)), base, effective_seed, overrides
+    )
     households = None
     if HOUSEHOLDS in raw:
-        households = _parse_stage(HOUSEHOLDS, raw[HOUSEHOLDS], base, effective_seed)
-
-    stages = {PERSONS: persons, HOUSEHOLDS: households}
-    if generations is not None or population_size is not None:
-        for name, stage in stages.items():
-            if stage is None:
-                continue
-            updates = {}
-            if generations is not None:
-                updates["generations"] = generations
-            if population_size is not None:
-                updates["population_size"] = population_size
-            stages[name] = replace(stage, evolution=replace(stage.evolution, **updates))
-        persons, households = stages[PERSONS], stages[HOUSEHOLDS]
+        households = _parse_stage(HOUSEHOLDS, raw[HOUSEHOLDS], base, effective_seed, overrides)
 
     tolerance = _scalar(raw, "validation_tolerance", 0.01, float, str(config_path))
     if tolerance < 0:

@@ -449,11 +449,6 @@ def write_manifest(path: str | Path, payload: Mapping) -> None:
         handle.write("\n")
 
 
-def read_manifest(path: str | Path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def export_timings(path: str | Path, rows: Sequence[tuple[str, float]]) -> None:
     """Write wall-clock timings, one labelled stage per row.
 

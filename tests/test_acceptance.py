@@ -7,6 +7,7 @@ once per session and is shared by the criteria that inspect its outputs.
 """
 
 import csv
+import json
 import math
 import time
 from pathlib import Path
@@ -30,7 +31,6 @@ from synthpop import (
     load_schema,
     load_stage_rules,
     parse_composition,
-    read_manifest,
     rmse,
     swap_mutation,
     trapezoid_area,
@@ -323,7 +323,7 @@ class TestCriterion8:
             if selected != 1:
                 problems.append(f"pareto_{stage} selects {selected} members")
 
-        manifest = read_manifest(fixture_run / "manifest.json")
+        manifest = json.loads((fixture_run / "manifest.json").read_text())
         if manifest.get("seed") != 42:
             problems.append("manifest seed missing or wrong")
         for key in ("region", "inputs", "stages", "outputs"):

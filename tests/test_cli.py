@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface on a small config tree."""
 
 import csv
+import json
+import re
 
 import numpy as np
 import pytest
 
-from synthpop import file_checksum, read_manifest
+from synthpop import file_checksum
 from synthpop.cli import main
 
 
@@ -41,6 +43,19 @@ class TestParser:
             run_cli("run", "-c", config_tree, "--workers", 2)
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("validate-data", "--seed"), ("report", "--generations")],
+        ids=["validate-data", "report"],
+    )
+    def test_subcommand_rejects_a_flag_it_does_not_read(
+        self, config_tree, capsys, command, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "-c", config_tree, flag, 1)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestValidateData:
@@ -112,7 +127,7 @@ class TestRun:
     def test_manifest_describes_the_run(self, config_tree, tmp_path):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        manifest = read_manifest(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["region"] == "test-region"
         assert manifest["inputs"]["config"]["sha256"] == file_checksum(config_tree)
@@ -214,10 +229,22 @@ class TestReport:
         saved = {name: (out / name).read_bytes() for name in names}
         for name in names:
             (out / name).unlink()
+        capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 0
         for name in names:
             assert (out / name).read_bytes() == saved[name]
-        assert "re-exported" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        for stage in ("persons", "households"):
+            assert re.search(rf"^{stage}: member \d+ of \d+ exported", printed, re.MULTILINE)
+
+    def test_report_quiet_omits_rmse_lines(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 0
+        assert "  rmse " in capsys.readouterr().out
+        assert run_cli("report", "-c", config_tree, "--out-dir", out, "--quiet") == 0
+        assert "rmse" not in capsys.readouterr().out
 
     def test_report_without_archives(self, config_tree, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -284,6 +311,15 @@ class TestReport:
 
 
 class TestExitCodes:
+    def test_invalid_override_names_its_stage(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        code = run_cli("run", "-c", config_tree, "--out-dir", out, "--population-size", 3)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: stage 'persons': population size must be an even number of at least 2\n"
+        )
+        assert not out.exists()
+
     def test_missing_table_is_a_config_error(self, config_tree, capsys):
         (config_tree.parent / "tables" / "sex_age.csv").unlink()
         assert run_cli("run", "-c", config_tree, "--quiet") == 1

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from unittest.mock import patch
 
 import numpy as np
@@ -27,7 +28,6 @@ from synthpop import (
     file_checksum,
     load_archive,
     load_persons,
-    read_manifest,
     rmse_rows,
     save_archive,
     select_best,
@@ -507,7 +507,7 @@ class TestManifest:
         payload = {"b": 1, "a": {"nested": [1, 2, 3]}, "c": "x"}
         path = tmp_path / "manifest.json"
         write_manifest(path, payload)
-        assert read_manifest(path) == payload
+        assert json.loads(path.read_text()) == payload
 
     def test_canonical_bytes(self, tmp_path):
         first = tmp_path / "one.json"
