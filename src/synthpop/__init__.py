@@ -26,11 +26,7 @@ from .fitness import (
     rmse,
     trapezoid_area,
 )
-from .household_synthesis import (
-    allocate,
-    generate_households,
-    parse_composition,
-)
+from .household_synthesis import allocate, parse_composition
 from .nsga2 import (
     EvolutionConfig,
     GenerationHistory,
@@ -100,7 +96,6 @@ __all__ = [
     "fast_nondominated_sort",
     "file_checksum",
     "generate_candidate",
-    "generate_households",
     "l1_objective",
     "load_archive",
     "load_contingency_table",

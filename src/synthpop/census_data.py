@@ -125,16 +125,6 @@ class ContingencyTable:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def cell(self, codes: tuple[str, ...]) -> float:
-        """Count for one fully specified cell, addressed by category codes."""
-        if len(codes) != len(self.axes):
-            raise DataError(
-                f"table {self.name!r} needs {len(self.axes)} codes per cell, "
-                f"got {len(codes)}"
-            )
-        idx = tuple(a.index_of(c) for a, c in zip(self.axes, codes))
-        return float(self.counts[idx])
-
 
 @dataclass(frozen=True)
 class RegionDataset:

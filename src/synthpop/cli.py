@@ -34,7 +34,7 @@ from .census_data import HOUSEHOLDS, PERSONS, RegionDataset, validate_dataset
 from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_stage_rules
 from .errors import DataError, EvolutionError
 from .fitness import normalize_objectives
-from .household_synthesis import allocate, generate_households
+from .household_synthesis import allocate
 from .nsga2 import evolve
 from .population_model import CandidatePopulation, CompiledRules, ValidationRule
 from .reporting import (
@@ -94,17 +94,17 @@ def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[Validati
 def _evolve_stage(
     config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
     *, quiet: bool,
-) -> float:
-    """Evolve one stage and write its convergence trace and archive bundle,
-    which the stage's export then reads back.
+) -> tuple[tuple[np.ndarray, Sequence[CandidatePopulation]], float]:
+    """Evolve one stage, write its convergence trace and archive bundle,
+    and read the bundle back for the stage's export.
 
-    Returns the evolution's wall-clock seconds.
+    Returns the bundle as :func:`_load_stage_archive` gives it and the
+    evolution's wall-clock seconds.
     """
     stage = stage_config.stage
-    search = generate_households if stage == HOUSEHOLDS else evolve
     started = time.perf_counter()
-    archive, history = search(
-        dataset, stage_config.objectives, stage_config.evolution, rules[stage],
+    archive, history = evolve(
+        dataset, stage, stage_config.objectives, stage_config.evolution, rules[stage],
         progress=None if quiet else _Progress(),
     )
     wall = time.perf_counter() - started
@@ -112,7 +112,7 @@ def _evolve_stage(
     export_convergence(config.output_dir / f"convergence_{stage}.csv", history, names)
     save_archive(config.output_dir / f"archive_{stage}.npz", archive, names)
     print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
-    return wall
+    return _load_stage_archive(config, dataset.schema, stage_config), wall
 
 
 def _export_stage(
@@ -272,8 +272,7 @@ def _load_stage_archive(
 def _cmd_generate_persons(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset, rules = _prepare(config)
-    _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
-    bundle = _load_stage_archive(config, dataset.schema, config.persons)
+    bundle, _ = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
     _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
     return 0
 
@@ -282,15 +281,16 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if config.households is None:
         raise DataError("config has no households section")
-    dataset, rules = _prepare(config)
+    # Checked before _prepare creates the output directory; loading the
+    # persons needs the schema, so it waits until after.
     persons_path = config.output_dir / "persons.csv"
     if not persons_path.exists():
         raise DataError(
             f"{persons_path} not found; run generate-persons (or run) first"
         )
+    dataset, rules = _prepare(config)
     persons = load_persons(persons_path, dataset.schema)
-    _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
-    bundle = _load_stage_archive(config, dataset.schema, config.households)
+    bundle, _ = _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
     _export_households(config, dataset, rules, bundle, persons, quiet=args.quiet)
     return 0
 
@@ -300,14 +300,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset, rules = _prepare(config)
     total_started = time.perf_counter()
     summaries: dict = {}
-    wall = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
+    bundle, wall = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
     timings = [("persons_evolve", wall)]
-    bundle = _load_stage_archive(config, dataset.schema, config.persons)
     persons, summaries[PERSONS] = _export_persons(config, dataset, rules, bundle,
                                                   quiet=args.quiet)
     if config.households is not None:
-        wall = _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
-        bundle = _load_stage_archive(config, dataset.schema, config.households)
+        bundle, wall = _evolve_stage(config, config.households, dataset, rules,
+                                     quiet=args.quiet)
         summaries[HOUSEHOLDS], allocation_wall = _export_households(
             config, dataset, rules, bundle, persons, quiet=args.quiet
         )

@@ -1,10 +1,9 @@
-"""Household roster evolution and nesting of persons into households.
+"""Nesting persons into households.
 
-Households evolve through the same NSGA-II loop as persons, over household
-attributes (size, accommodation type, composition). Afterwards a greedy
-allocator fills each household's composition from the person roster.
-Persons are pooled by age class (adult A, child C, elder E), each pool in
-roster order. Households are served in roster order, each taking the first
+A greedy allocator fills each household's composition (parsed from codes
+such as ``2A 1C``) from the person roster. Persons are pooled by age
+class (adult A, child C, elder E), each pool in roster order.
+Households are served in roster order, each taking the first
 free persons of every class it needs: household ``h`` takes a class's pool
 from the summed need of the households before it to that sum plus its own
 need, both capped at the pool's size. A class that runs dry therefore
@@ -16,23 +15,14 @@ each class in roster order.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .census_data import HOUSEHOLDS, AttributeSchema, RegionDataset
+from .census_data import AttributeSchema
 from .errors import DataError
-from .fitness import ObjectiveSpec
-from .nsga2 import (
-    EvolutionConfig,
-    GenerationHistory,
-    ParetoArchive,
-    ProgressCallback,
-    evolve,
-    infer_stage,
-)
-from .population_model import CandidatePopulation, ValidationRule
+from .population_model import CandidatePopulation
 
 # Age-class letters used in composition codes, keyed by schema group label.
 AGE_CLASS_BY_GROUP = {"ch": "C", "ad": "A", "el": "E"}
@@ -101,22 +91,6 @@ class AllocationResult:
     @property
     def complete_rate(self) -> float:
         return int(np.count_nonzero(self.complete)) / len(self.complete)
-
-
-def generate_households(
-    dataset: RegionDataset,
-    specs: Sequence[ObjectiveSpec],
-    config: EvolutionConfig,
-    rules: Sequence[ValidationRule] = (),
-    *,
-    progress: ProgressCallback | None = None,
-) -> tuple[ParetoArchive, GenerationHistory]:
-    """Evolve household rosters against the dataset's household tables."""
-    if not dataset.household_tables:
-        raise DataError(f"dataset {dataset.region!r} has no household tables")
-    if specs and infer_stage(dataset, specs) != HOUSEHOLDS:
-        raise DataError("household objectives must reference household tables")
-    return evolve(dataset, specs, config, rules, progress=progress)
 
 
 def allocate(

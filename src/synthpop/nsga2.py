@@ -419,21 +419,6 @@ class GenerationHistory:
 ProgressCallback = Callable[[str, int, np.ndarray, float], None]
 
 
-def infer_stage(dataset: RegionDataset, specs: Sequence[ObjectiveSpec]) -> str:
-    """Which pipeline stage a set of objectives belongs to."""
-    person_names = {t.name for t in dataset.person_tables}
-    household_names = {t.name for t in dataset.household_tables}
-    referenced = {s.table for s in specs}
-    if referenced <= person_names:
-        return PERSONS
-    if referenced <= household_names:
-        return HOUSEHOLDS
-    raise DataError(
-        "objectives must reference tables of a single stage; got tables "
-        f"{sorted(referenced)}"
-    )
-
-
 def _stage_attributes(dataset: RegionDataset, stage: str) -> tuple[str, ...]:
     """Roster attributes for a stage: the union of its tables' axes, in
     schema order."""
@@ -452,20 +437,29 @@ def _evaluate_population(
 
 def evolve(
     dataset: RegionDataset,
+    stage: str,
     specs: Sequence[ObjectiveSpec],
     config: EvolutionConfig,
     rules: Sequence[ValidationRule] = (),
     *,
     progress: ProgressCallback | None = None,
 ) -> tuple[ParetoArchive, GenerationHistory]:
-    """Run the full NSGA-II loop for one stage.
+    """Run the full NSGA-II loop for one ``stage`` (``persons`` or
+    ``households``) against that stage's tables.
 
-    Returns the Pareto archive of non-dominated rosters and the
-    per-generation history. Deterministic for a given config seed.
+    Every objective must reference one of ``dataset.stage_tables(stage)``;
+    one that references another stage's table, or any table when the
+    stage has none, is a :class:`DataError` naming the table. Returns the
+    Pareto archive of non-dominated rosters and the per-generation
+    history. Deterministic for a given config seed.
     """
     if not specs:
         raise DataError("need at least one objective")
-    stage = infer_stage(dataset, specs)
+    stage_tables = {table.name for table in dataset.stage_tables(stage)}
+    for spec in specs:
+        if spec.table not in stage_tables:
+            raise DataError(f"objective {spec.name!r} references table {spec.table!r}, "
+                            f"which is not a {stage} table")
     target = dataset.stage_target(stage)
     attributes = _stage_attributes(dataset, stage)
     plan = SamplingPlan.from_tables(

@@ -29,6 +29,8 @@ from .errors import DataError, EvolutionError
 INDEPENDENT = "independent"
 JOINT = "joint"
 SAMPLING_MODES = (INDEPENDENT, JOINT)
+# Draws each roster slot gets before rejection sampling gives up.
+SAMPLING_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,6 @@ class ValidationRule:
                 raise DataError(
                     f"rule {self.name!r} has an empty category set for {attribute!r}"
                 )
-
-    def violated_by(self, assignments: Mapping[str, str]) -> bool:
-        return all(
-            assignments.get(attribute) in categories
-            for attribute, categories in self.clauses
-        )
 
 
 def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRule, ...]:
@@ -223,28 +219,6 @@ class SamplingPlan:
         return sizes / sizes.sum(), cdfs
 
     @classmethod
-    def independent(
-        cls, pairs: Sequence[tuple[Attribute, np.ndarray]]
-    ) -> SamplingPlan:
-        """Plan drawing each attribute from an explicit weight vector."""
-        if not pairs:
-            raise DataError("sampling plan needs at least one attribute")
-        cdfs: dict[str, np.ndarray] = {}
-        for attribute, weights in pairs:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (attribute.size,):
-                raise DataError(
-                    f"weight vector for {attribute.name!r} has length "
-                    f"{weights.shape}, expected {attribute.size}"
-                )
-            if np.any(weights < 0) or weights.sum() <= 0:
-                raise DataError(f"weights for {attribute.name!r} must be "
-                                "non-negative and sum to a positive value")
-            cdfs[attribute.name] = np.cumsum(weights / weights.sum())
-        attributes = tuple(a for a, _ in pairs)
-        return cls(attributes, cdfs, _marginal_groups(attributes, cdfs))
-
-    @classmethod
     def from_tables(
         cls,
         schema: AttributeSchema,
@@ -406,39 +380,29 @@ class CandidatePopulation:
     def column(self, attribute: str) -> np.ndarray:
         return self.codes[:, self.column_index(attribute)]
 
-    def person(self, index: int) -> dict[str, str]:
-        """Category labels of one roster row, by attribute name."""
-        return {
-            attribute.name: attribute.categories[int(code)]
-            for attribute, code in zip(self.attributes, self.codes[index])
-        }
-
 
 def generate_candidate(
     plan: SamplingPlan,
     size: int,
     rules: CompiledRules,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> CandidatePopulation:
     """Build a roster of ``size`` valid entities by rejection sampling.
 
     ``rules`` must be compiled for the plan's attributes. Every roster slot
-    gets up to ``max_retries`` draws (the initial draw included); slots
-    still violating a rule after that raise, which points at contradictory
-    rules and weights.
+    gets up to ``SAMPLING_RETRIES`` draws (the initial draw included);
+    slots still violating a rule after that raise, which points at
+    contradictory rules and weights.
     """
     if size <= 0:
         raise DataError("roster size must be positive")
-    if max_retries < 1:
-        raise DataError("max_retries must be at least 1")
     codes = plan.sample_codes(size, rng)
     bad = rules.violation_mask(codes)
     attempts = 1
     while bad.any():
-        if attempts >= max_retries:
+        if attempts >= SAMPLING_RETRIES:
             raise EvolutionError(
-                f"rejection sampling exhausted {max_retries} retries with "
+                f"rejection sampling exhausted {SAMPLING_RETRIES} retries with "
                 f"{int(bad.sum())} roster slots still violating rules; the rule "
                 "set and sampling weights may be contradictory"
             )

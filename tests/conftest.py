@@ -1,4 +1,5 @@
-"""Shared fixtures: a small three-attribute world with consistent tables."""
+"""Shared fixtures, a small three-attribute world with consistent tables,
+and the test-side helpers that read rosters, tables and rules by label."""
 
 from pathlib import Path
 
@@ -10,10 +11,44 @@ from synthpop import (
     AttributeSchema,
     ContingencyTable,
     RegionDataset,
+    SamplingPlan,
     ValidationRule,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def violated_by(rule: ValidationRule, assignments: dict[str, str]) -> bool:
+    """Whether an entity, given as category labels by attribute name, falls
+    inside every clause of ``rule``: a per-entity oracle written apart from
+    the vectorised ``CompiledRules`` it checks."""
+    return all(
+        assignments.get(attribute) in categories for attribute, categories in rule.clauses
+    )
+
+
+def labels(candidate, index: int) -> dict[str, str]:
+    """Category labels of one roster row, by attribute name."""
+    return {
+        attribute.name: attribute.categories[int(code)]
+        for attribute, code in zip(candidate.attributes, candidate.codes[index])
+    }
+
+
+def cell(table: ContingencyTable, *codes: str) -> float:
+    """Count of one table cell, addressed by one category code per axis."""
+    return float(table.counts[tuple(a.index_of(c) for a, c in zip(table.axes, codes))])
+
+
+def weighted_plan(pairs) -> SamplingPlan:
+    """Independent sampling plan drawing each attribute from its weight
+    vector, built through ``SamplingPlan.from_tables`` from one single-axis
+    table per attribute."""
+    attributes = tuple(attribute for attribute, _ in pairs)
+    tables = [ContingencyTable(a.name, (a,), np.asarray(w, dtype=np.float64)) for a, w in pairs]
+    return SamplingPlan.from_tables(
+        AttributeSchema(attributes), [a.name for a in attributes], tables
+    )
 
 
 @pytest.fixture

@@ -38,6 +38,8 @@ from synthpop import (
 from synthpop.census_data import PERSONS
 from synthpop.cli import main
 
+from conftest import violated_by
+
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_CONFIG = FIXTURE_DIR / "config.yaml"
 
@@ -249,7 +251,7 @@ class TestCriterion5:
                 assignments = dict(zip(header[1:], row[1:]))
                 checked += 1
                 violations += sum(
-                    1 for rule in rules if rule.violated_by(assignments)
+                    1 for rule in rules if violated_by(rule, assignments)
                 )
         ok = violations == 0
         detail = f"{checked} exported rows, {violations} rule violations"
@@ -282,6 +284,7 @@ class TestCriterion7:
         rules = load_stage_rules(config, dataset.schema)
         _, history = evolve(
             dataset,
+            PERSONS,
             config.persons.objectives,
             config.persons.evolution,
             rules[PERSONS],

@@ -190,6 +190,7 @@ class TestStageCommands:
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
         assert code == 1
         assert "generate-persons" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_households_after_persons(self, config_tree, tmp_path):
         out = tmp_path / "result"

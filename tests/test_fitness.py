@@ -16,6 +16,8 @@ from synthpop import (
     trapezoid_area,
 )
 
+from conftest import cell
+
 TOL = 1e-9
 
 
@@ -117,12 +119,12 @@ class TestObjectiveEvaluator:
         # fill jointly so that both tables are reproduced: iterate the
         # sex x age cells, then hand out marital within each age column
         marital_left = {
-            a: [int(age_marital.cell((a, m))) for m in ("single", "married")]
+            a: [int(cell(age_marital, a, m)) for m in ("single", "married")]
             for a in schema["age"].categories
         }
         for s in ("m", "f"):
             for a in schema["age"].categories:
-                for _ in range(int(sex_age.cell((s, a)))):
+                for _ in range(int(cell(sex_age, s, a))):
                     m_idx = 0 if marital_left[a][0] > 0 else 1
                     marital_left[a][m_idx] -= 1
                     rows.append(

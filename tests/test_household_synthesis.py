@@ -1,4 +1,4 @@
-"""Tests for composition parsing, household evolution and allocation."""
+"""Tests for composition parsing, the household stage's search and allocation."""
 
 from collections import deque
 
@@ -17,9 +17,10 @@ from synthpop import (
     ObjectiveSpec,
     RegionDataset,
     allocate,
-    generate_households,
+    evolve,
     parse_composition,
 )
+from synthpop.census_data import HOUSEHOLDS
 from synthpop.household_synthesis import AGE_CLASS_BY_GROUP, CompositionSpec
 
 _CLASS_CODE = {"C": 0, "A": 1, "E": 2}
@@ -345,27 +346,29 @@ class TestAllocate:
 
 
 class TestGenerateHouseholds:
+    """``evolve`` over the household stage, as the CLI runs it."""
+
     def test_requires_household_tables(self, dataset_small):
         specs = [ObjectiveSpec(name="x", table="sex_age", attribute="sex")]
-        with pytest.raises(DataError, match="no household tables"):
-            generate_households(
-                dataset_small, specs, EvolutionConfig(population_size=10, generations=1)
+        with pytest.raises(DataError, match="'sex_age', which is not a households table"):
+            evolve(
+                dataset_small, HOUSEHOLDS, specs,
+                EvolutionConfig(population_size=10, generations=1),
             )
 
     def test_person_objectives_rejected(self, household_dataset):
         specs = [ObjectiveSpec(name="x", table="sex_age", attribute="sex")]
-        with pytest.raises(DataError, match="household"):
-            generate_households(
+        with pytest.raises(DataError, match="'sex_age', which is not a households table"):
+            evolve(
                 household_dataset,
+                HOUSEHOLDS,
                 specs,
                 EvolutionConfig(population_size=10, generations=1),
             )
 
     def test_evolves_household_rosters(self, household_dataset):
         config = EvolutionConfig(population_size=10, generations=3, seed=7)
-        archive, history = generate_households(
-            household_dataset, household_specs(), config
-        )
+        archive, history = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         assert len(archive) >= 1
         assert len(history.records) == 4
         for candidate in archive.candidates:
@@ -375,15 +378,15 @@ class TestGenerateHouseholds:
 
     def test_same_seed_reproduces(self, household_dataset):
         config = EvolutionConfig(population_size=10, generations=4, seed=11)
-        first, _ = generate_households(household_dataset, household_specs(), config)
-        second, _ = generate_households(household_dataset, household_specs(), config)
+        first, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
+        second, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         assert np.array_equal(first.objective_matrix(), second.objective_matrix())
 
     def test_joint_sampling_draws_observed_cells_only(self, household_dataset):
         config = EvolutionConfig(
             population_size=10, generations=0, seed=3, sampling="joint"
         )
-        archive, _ = generate_households(household_dataset, household_specs(), config)
+        archive, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         observed_pairs = {(0, 0), (1, 1), (1, 2)}
         for candidate in archive.candidates:
             pairs = {tuple(row) for row in candidate.codes.tolist()}

@@ -14,7 +14,6 @@ from synthpop import (
     ObjectiveSpec,
     ParetoArchive,
     RegionDataset,
-    SamplingPlan,
     ValidationRule,
     binary_tournament,
     crowding_distance,
@@ -25,8 +24,11 @@ from synthpop import (
     swap_mutation,
     two_point_crossover,
 )
+from synthpop.census_data import PERSONS
 from synthpop.nsga2 import rank_population, resample_mutation, substream
 from synthpop.population_model import CompiledRules
+
+from conftest import weighted_plan
 
 TOL = 1e-9
 
@@ -311,7 +313,7 @@ class TestSwapMutation:
 
 class TestResampleMutation:
     def make_plan(self, schema):
-        return SamplingPlan.independent(
+        return weighted_plan(
             [
                 (schema["sex"], np.array([0.5, 0.5])),
                 (schema["age"], np.array([0.4, 0.4, 0.2])),
@@ -346,7 +348,7 @@ class TestResampleMutation:
     def test_candidate_layout_must_match_plan(self, schema_small):
         rng = np.random.default_rng(13)
         candidate = make_candidate(schema_small, rng)
-        reordered = SamplingPlan.independent(
+        reordered = weighted_plan(
             [
                 (schema_small["marital"], np.array([0.7, 0.3])),
                 (schema_small["age"], np.array([0.4, 0.4, 0.2])),
@@ -557,14 +559,14 @@ class TestEvolve:
                 resample_slots=3,
                 seed=8,
             )
-            evolve(dataset_small, self.specs(), config, [rule_no_child_marriage])
+            evolve(dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage])
             counts.append(len(compiles))
         # One compilation per evolve call, however long the run.
         assert counts == [1, 1]
 
     def test_zero_generations_archives_initial_front(self, dataset_small):
         config = EvolutionConfig(population_size=10, generations=0, seed=5)
-        archive, history = evolve(dataset_small, self.specs(), config)
+        archive, history = evolve(dataset_small, PERSONS, self.specs(), config)
         assert len(history.records) == 1
         assert len(archive) >= 1
         matrix = archive.objective_matrix()
@@ -578,10 +580,10 @@ class TestEvolve:
             population_size=10, generations=6, seed=9, resample_probability=0.5
         )
         first_archive, first_history = evolve(
-            dataset_small, self.specs(), config, [rule_no_child_marriage]
+            dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         second_archive, second_history = evolve(
-            dataset_small, self.specs(), config, [rule_no_child_marriage]
+            dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         assert np.array_equal(
             first_archive.objective_matrix(), second_archive.objective_matrix()
@@ -597,6 +599,7 @@ class TestEvolve:
         config = EvolutionConfig(population_size=10, generations=4, seed=3)
         evolve(
             dataset_small,
+            PERSONS,
             self.specs(),
             config,
             progress=lambda stage, gen, best, secs: seen.append((stage, gen)),
@@ -612,7 +615,7 @@ class TestEvolve:
             resample_slots=10,
         )
         _, history = evolve(
-            dataset_small, self.specs(), config, [rule_no_child_marriage]
+            dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         trace = np.vstack([r.best_normalized for r in history.records])
         assert np.all(np.diff(trace, axis=0) <= TOL)
@@ -626,7 +629,7 @@ class TestEvolve:
             resample_slots=4,
         )
         archive, _ = evolve(
-            dataset_small, self.specs(), config, [rule_no_child_marriage]
+            dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         compiled = CompiledRules(
             [rule_no_child_marriage], archive.candidates[0].attributes
@@ -636,7 +639,7 @@ class TestEvolve:
 
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):
-            evolve(dataset_small, [], EvolutionConfig(population_size=10, generations=1))
+            evolve(dataset_small, PERSONS, [], EvolutionConfig(population_size=10, generations=1))
 
     def test_mixed_stage_specs_rejected(self, schema_small, dataset_small):
         homes = ContingencyTable(
@@ -654,5 +657,7 @@ class TestEvolve:
             ObjectiveSpec(name="a", table="sex_age", attribute="sex"),
             ObjectiveSpec(name="b", table="household_size", attribute="sex"),
         ]
-        with pytest.raises(DataError):
-            evolve(dataset, specs, EvolutionConfig(population_size=10, generations=1))
+        # The off-stage table shares the persons' sex axis, so only the
+        # stage check can reject it.
+        with pytest.raises(DataError, match="'household_size', which is not a persons table"):
+            evolve(dataset, PERSONS, specs, EvolutionConfig(population_size=10, generations=1))
