@@ -33,7 +33,7 @@ from . import __version__
 from .census_data import HOUSEHOLDS, PERSONS, RegionDataset, validate_dataset
 from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_stage_rules
 from .errors import DataError, EvolutionError
-from .fitness import normalize_objectives
+from .fitness import ObjectiveEvaluator, normalize_objectives
 from .household_synthesis import allocate
 from .nsga2 import evolve
 from .population_model import CandidatePopulation, CompiledRules, ValidationRule
@@ -120,17 +120,29 @@ def _export_stage(
     bundle: tuple[np.ndarray, Sequence[CandidatePopulation]],
 ) -> tuple[CandidatePopulation, dict]:
     """Select the exported member from the bundle's objective matrix,
-    check it against the rules, and write the stage's Pareto and RMSE
-    files. Only the selected member is read from the bundle's members.
+    re-score it and check it against the rules, and write the stage's
+    Pareto and RMSE files. Only the selected member is read from the
+    bundle's members.
 
     Returns the member and its manifest summary. Nothing is written when
-    the member breaks a rule.
+    the member's fresh scores differ from the bundle's row or when it
+    breaks a rule.
     """
     stage = stage_config.stage
     objectives, members = bundle
     names = [spec.name for spec in stage_config.objectives]
     chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
     candidate = members[chosen]
+    evaluator = ObjectiveEvaluator(
+        dataset, stage_config.objectives, len(candidate), candidate.attributes
+    )
+    scores = evaluator([candidate])[0]
+    for name, fresh, saved in zip(names, scores, objectives[chosen]):
+        if fresh != saved:
+            raise EvolutionError(
+                f"{stage} archive member {chosen} scores {float(fresh)!r} on {name!r}, "
+                f"but its bundle records {float(saved)!r}"
+            )
     if rules[stage]:
         compiled = CompiledRules(rules[stage], candidate.attributes)
         violations = int(compiled.violation_mask(candidate.codes).sum())

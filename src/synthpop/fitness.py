@@ -4,6 +4,13 @@ Each objective projects a contingency table onto one attribute (or keeps
 the full joint cells), rescales the census counts to the roster length,
 and scores the absolute error between expected and observed frequencies.
 Lower is better for every metric.
+
+The metrics work row-wise over the last axis, so one formula scores one
+frequency vector or a whole matrix of them. The evaluator scores a
+generation in one call: a marginal objective reads every roster's
+carried category counts (see ``CandidatePopulation.category_counts``) and
+makes one metric call over the stacked rows. A full-cell objective still
+counts each roster's joint cells with its own ``bincount``.
 """
 
 from __future__ import annotations
@@ -15,21 +22,23 @@ import numpy as np
 
 from .census_data import Attribute, RegionDataset, marginalize
 from .errors import DataError
-from .population_model import CandidatePopulation
+from .population_model import CandidatePopulation, count_offsets
 
 L1 = "l1"
 TRAPEZOID = "trapezoid"
 METRICS = (L1, TRAPEZOID)
 
 
-def l1_objective(actual: np.ndarray, observed: np.ndarray) -> float:
-    """Sum of absolute per-category differences."""
+def l1_objective(actual: np.ndarray, observed: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute per-category differences over the last axis: a
+    float for two vectors, one value per row otherwise."""
     actual, observed = _as_pair(actual, observed)
-    return float(np.abs(actual - observed).sum())
+    return _rows(np.abs(actual - observed).sum(axis=-1))
 
 
-def trapezoid_area(actual: np.ndarray, observed: np.ndarray) -> float:
-    """Area under the absolute difference curve across ordered categories.
+def trapezoid_area(actual: np.ndarray, observed: np.ndarray) -> float | np.ndarray:
+    """Area under the absolute difference curve across ordered categories,
+    over the last axis.
 
     Categories sit at unit spacing, so the area is the trapezoidal sum of
     consecutive difference pairs, written out as ``np.trapezoid`` computes
@@ -38,26 +47,36 @@ def trapezoid_area(actual: np.ndarray, observed: np.ndarray) -> float:
     """
     actual, observed = _as_pair(actual, observed)
     diff = np.abs(actual - observed)
-    if len(diff) == 1:
-        return float(diff[0])
-    return float(((diff[1:] + diff[:-1]) / 2.0).sum())
+    if diff.shape[-1] == 1:
+        return _rows(diff[..., 0])
+    return _rows(((diff[..., 1:] + diff[..., :-1]) / 2.0).sum(axis=-1))
 
 
-def rmse(actual: np.ndarray, observed: np.ndarray) -> float:
-    """Root mean squared error across categories."""
+def rmse(actual: np.ndarray, observed: np.ndarray) -> float | np.ndarray:
+    """Root mean squared error across categories, over the last axis."""
     actual, observed = _as_pair(actual, observed)
-    return float(np.sqrt(np.mean((actual - observed) ** 2)))
+    return _rows(np.sqrt(np.mean((actual - observed) ** 2, axis=-1)))
 
 
 def _as_pair(actual: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     actual = np.asarray(actual, dtype=np.float64)
     observed = np.asarray(observed, dtype=np.float64)
-    if actual.shape != observed.shape or actual.ndim != 1 or len(actual) == 0:
+    if (
+        actual.ndim == 0
+        or observed.ndim == 0
+        or actual.shape[-1] != observed.shape[-1]
+        or actual.shape[-1] == 0
+    ):
         raise ValueError(
-            f"frequency vectors must be equal-length and one-dimensional, "
-            f"got {actual.shape} and {observed.shape}"
+            f"frequency vectors must have one equal, non-zero length on the last "
+            f"axis, got {actual.shape} and {observed.shape}"
         )
     return actual, observed
+
+
+def _rows(values: np.ndarray) -> float | np.ndarray:
+    """A metric's result: a float for two vectors, else one value per row."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 _METRIC_FUNCTIONS = {L1: l1_objective, TRAPEZOID: trapezoid_area}
@@ -111,8 +130,9 @@ class ObjectiveSpec:
 class ObjectiveEvaluator:
     """Precomputed targets for scoring rosters against one dataset.
 
-    Calling the evaluator on a roster returns its objective vector, one
-    value per spec in spec order.
+    Calling the evaluator on a sequence of rosters returns their objective
+    matrix: one row per roster, in order, and one column per spec, in spec
+    order. The rosters must share the attribute layout it was built for.
     """
 
     def __init__(
@@ -130,6 +150,7 @@ class ObjectiveEvaluator:
         if len(set(names)) != len(names):
             raise DataError("objective names must be unique")
         columns = {a.name: i for i, a in enumerate(attributes)}
+        offsets = count_offsets(attributes)
         self.specs = tuple(specs)
         self._plans: list[tuple] = []
         for spec in specs:
@@ -144,8 +165,8 @@ class ObjectiveEvaluator:
                     )
                 target = marginalize(table, spec.attribute) * scale
                 col = columns[spec.attribute]
-                size = attributes[col].size
-                self._plans.append(("marginal", metric, target, col, size))
+                block = slice(offsets[col], offsets[col + 1])
+                self._plans.append(("marginal", metric, target, block))
             else:
                 missing = [n for n in table.axis_names if n not in columns]
                 if missing:
@@ -162,17 +183,20 @@ class ObjectiveEvaluator:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
 
-    def __call__(self, candidate: CandidatePopulation) -> np.ndarray:
-        codes = candidate.codes
-        values = np.empty(len(self._plans), dtype=np.float64)
+    def __call__(self, candidates: Sequence[CandidatePopulation]) -> np.ndarray:
+        values = np.empty((len(candidates), len(self._plans)), dtype=np.float64)
+        counts = None
         for i, plan in enumerate(self._plans):
             kind, metric, target = plan[0], plan[1], plan[2]
             if kind == "marginal":
-                col, size = plan[3], plan[4]
-                observed = np.bincount(codes[:, col], minlength=size)
+                if counts is None:
+                    counts = np.stack([c.category_counts for c in candidates])
+                values[:, i] = metric(target, counts[:, plan[3]])
             else:
                 cols, dims = plan[3], plan[4]
-                flat = np.ravel_multi_index(tuple(codes[:, c] for c in cols), dims)
-                observed = np.bincount(flat, minlength=int(np.prod(dims)))
-            values[i] = metric(target, observed)
+                for row, candidate in enumerate(candidates):
+                    codes = candidate.codes
+                    flat = np.ravel_multi_index(tuple(codes[:, c] for c in cols), dims)
+                    observed = np.bincount(flat, minlength=int(np.prod(dims)))
+                    values[row, i] = metric(target, observed)
         return values

@@ -3,9 +3,12 @@
 The engine minimises every objective. A population is a list of rosters
 plus one objective matrix, row for row; ranking returns rank and crowding
 vectors over those rows, and tournament and environmental selection return
-row indices, as in Deb et al. (2002). Determinism is strict: every random
-draw goes through a named substream of the master seed, so a run's outputs
-are byte-identical for a given config and seed.
+row indices, as in Deb et al. (2002). Every variation operator hands its
+child the category counts it derives from the parent's, touching only the
+rows it changed, so the loop scores each generation's offspring with one
+evaluator call and no roster is recounted. Determinism is strict: every
+random draw goes through a named substream of the master seed, so a run's
+outputs are byte-identical for a given config and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from .population_model import (
     CompiledRules,
     SamplingPlan,
     ValidationRule,
+    count_offsets,
     generate_candidate,
+    tally,
 )
 
 _STAGE_IDS = {PERSONS: 0, HOUSEHOLDS: 1}
@@ -179,7 +184,9 @@ def two_point_crossover(
     """Exchange the roster slice between two random cut points.
 
     Cuts satisfy 0 <= c1 <= c2 <= length; equal cuts yield copies of the
-    parents, and cuts (0, length) yield the parents swapped.
+    parents, and cuts (0, length) yield the parents swapped. Each child's
+    category counts are its parent's, shifted by the tallies of the
+    exchanged slice, or of its complement when that is shorter.
     """
     if len(first) != len(second):
         raise ValueError("parents must have equal roster length")
@@ -190,9 +197,18 @@ def two_point_crossover(
     child_b = second.codes.copy()
     child_a[cut_a:cut_b] = second.codes[cut_a:cut_b]
     child_b[cut_a:cut_b] = first.codes[cut_a:cut_b]
+    # What child_a gains over first, and child_b loses against second.
+    offsets = count_offsets(first.attributes)
+    if 2 * (cut_b - cut_a) <= len(first):
+        gain = (tally(second.codes[cut_a:cut_b], offsets)
+                - tally(first.codes[cut_a:cut_b], offsets))
+    else:
+        kept_a = tally(np.concatenate((first.codes[:cut_a], first.codes[cut_b:])), offsets)
+        kept_b = tally(np.concatenate((second.codes[:cut_a], second.codes[cut_b:])), offsets)
+        gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
     return (
-        CandidatePopulation(first.attributes, child_a),
-        CandidatePopulation(second.attributes, child_b),
+        CandidatePopulation(first.attributes, child_a, first.category_counts + gain),
+        CandidatePopulation(second.attributes, child_b, second.category_counts - gain),
     )
 
 
@@ -205,21 +221,25 @@ def swap_mutation(
     """With the given probability, swap one attribute value between two
     random roster slots.
 
-    Swapping conserves every attribute's frequency vector. If the swap
-    would violate one of ``rules`` (compiled for the candidate's layout)
-    it is reverted and the candidate returned unchanged.
+    Swapping conserves every attribute's frequency vector, so the child
+    shares the candidate's category counts. The candidate itself is
+    returned when the two values are equal, so the swap would change
+    nothing, and when the swap would violate one of ``rules`` (compiled
+    for the candidate's layout) and is reverted.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
     if rng.random() >= probability:
         return candidate
-    codes = candidate.codes.copy()
     i, j = (int(x) for x in rng.integers(0, len(candidate), size=2))
-    col = int(rng.integers(0, codes.shape[1]))
+    col = int(rng.integers(0, candidate.codes.shape[1]))
+    if candidate.codes[i, col] == candidate.codes[j, col]:
+        return candidate
+    codes = candidate.codes.copy()
     codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
     if rules is not None and not (rules.row_ok(codes, i) and rules.row_ok(codes, j)):
         return candidate
-    return CandidatePopulation(candidate.attributes, codes)
+    return CandidatePopulation(candidate.attributes, codes, candidate.category_counts)
 
 
 def resample_mutation(
@@ -239,6 +259,8 @@ def resample_mutation(
     category count, since wide value spaces need more redraw traffic to
     drift. Roster slots whose redraws leave them violating one of
     ``rules`` revert to their previous values; the others stand. The
+    child's category counts are the candidate's, less the tally of the
+    touched slots' old values plus that of their final ones. The
     candidate must share the plan's attribute layout.
     """
     if not 0.0 <= probability <= 1.0:
@@ -263,14 +285,18 @@ def resample_mutation(
         )
         codes[rows[hits], col] = drawn
     touched = np.unique(rows)
+    old = candidate.codes[touched]
     if rules is not None:
         violating = touched[rules.violation_mask(codes[touched])]
         if violating.size:
             codes[violating] = candidate.codes[violating]
     # Only the touched rows can differ from the input.
-    if np.array_equal(codes[touched], candidate.codes[touched]):
+    new = codes[touched]
+    if np.array_equal(new, old):
         return candidate
-    return CandidatePopulation(candidate.attributes, codes)
+    offsets = count_offsets(candidate.attributes)
+    counts = candidate.category_counts - tally(old, offsets) + tally(new, offsets)
+    return CandidatePopulation(candidate.attributes, codes, counts)
 
 
 def environmental_selection(
@@ -428,13 +454,6 @@ def _stage_attributes(dataset: RegionDataset, stage: str) -> tuple[str, ...]:
     return tuple(n for n in dataset.schema.names if n in present)
 
 
-def _evaluate_population(
-    candidates: Sequence[CandidatePopulation], evaluator: ObjectiveEvaluator
-) -> np.ndarray:
-    """Score candidates in order, one objective vector per row."""
-    return np.vstack([evaluator(c) for c in candidates])
-
-
 def evolve(
     dataset: RegionDataset,
     stage: str,
@@ -479,7 +498,7 @@ def evolve(
         generate_candidate(plan, target, compiled, substream(seed, stage_id, 0, _OP_INIT, i))
         for i in range(config.population_size)
     ]
-    objectives = _evaluate_population(population, evaluator)
+    objectives = evaluator(population)
     rank, crowding = rank_population(objectives)
     archive = ParetoArchive(config.capacity)
     archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
@@ -524,7 +543,7 @@ def evolve(
         # Survivors keep the rank and crowding of the combined ranking,
         # which the next generation's tournaments compare.
         population += offspring
-        objectives = np.vstack([objectives, _evaluate_population(offspring, evaluator)])
+        objectives = np.vstack([objectives, evaluator(offspring)])
         rank, crowding = rank_population(objectives)
         archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
         survivors = environmental_selection(rank, crowding, config.population_size)

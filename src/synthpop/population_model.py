@@ -11,8 +11,8 @@ jointly from their cells.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -341,18 +341,52 @@ def _build_joint_group(
     )
 
 
+def count_offsets(attributes: Sequence[Attribute]) -> np.ndarray:
+    """Where each attribute's block starts in a roster's category counts,
+    in column order, followed by the counts' total length; read-only."""
+    return _offsets(tuple(a.size for a in attributes))
+
+
+@lru_cache(maxsize=None)
+def _offsets(sizes: tuple[int, ...]) -> np.ndarray:
+    offsets = np.cumsum([0, *sizes])
+    offsets.setflags(write=False)
+    return offsets
+
+
+# Below this many rows one ``bincount`` over codes shifted into their
+# column's block is faster than one ``bincount`` per column; above it the
+# shifted copy costs more than the extra calls.
+_SHIFTED_TALLY_ROWS = 2048
+
+
+def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Category counts of a block of roster rows, laid out as
+    :attr:`CandidatePopulation.category_counts`; ``offsets`` comes from
+    :func:`count_offsets`. The codes must lie inside their attributes."""
+    if len(codes) < _SHIFTED_TALLY_ROWS:
+        return np.bincount((codes + offsets[:-1]).ravel(), minlength=offsets[-1])
+    return np.concatenate([
+        np.bincount(codes[:, col], minlength=offsets[col + 1] - offsets[col])
+        for col in range(codes.shape[1])
+    ])
+
+
 @dataclass(eq=False)
 class CandidatePopulation:
     """A fixed-length roster of synthetic entities; one search-space point.
 
     ``codes`` is read-only after construction, so rosters can share it;
-    variation operators change a copy.
+    variation operators change a copy. ``counts``, when given, must equal
+    the :attr:`category_counts` of ``codes``: variation operators pass the
+    counts they derive from a parent's, so the child is never recounted.
     """
 
     attributes: tuple[Attribute, ...]
     codes: np.ndarray
+    counts: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, counts: np.ndarray | None) -> None:
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[1] != len(self.attributes):
             raise DataError(
@@ -363,9 +397,35 @@ class CandidatePopulation:
             codes = codes.astype(code_dtype(self.attributes))
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        if counts is not None:
+            counts.setflags(write=False)
+        self._counts = counts
 
     def __len__(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def category_counts(self) -> np.ndarray:
+        """Each column's category counts (its ``bincount`` at the
+        attribute's category count), concatenated in column order.
+
+        An int64 read-only vector, counted on first access unless the
+        roster was built with its counts.
+        """
+        if self._counts is None:
+            blocks = []
+            for col, attribute in enumerate(self.attributes):
+                block = np.bincount(self.codes[:, col], minlength=attribute.size)
+                if len(block) > attribute.size:
+                    raise DataError(
+                        f"roster column {attribute.name!r} holds code {len(block) - 1}, "
+                        f"out of range for {attribute.size} categories"
+                    )
+                blocks.append(block)
+            counts = np.concatenate(blocks).astype(np.int64, copy=False)
+            counts.setflags(write=False)
+            self._counts = counts
+        return self._counts
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from .errors import DataError
 from .fitness import normalize_objectives, rmse
 from .household_synthesis import AllocationResult
 from .nsga2 import ParetoArchive
-from .population_model import CandidatePopulation, code_dtype
+from .population_model import CandidatePopulation, code_dtype, count_offsets
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
 # round-trip the objective magnitudes we emit without trailing noise.
@@ -403,15 +403,17 @@ def rmse_rows(
     """
     rows: list[RmseRow] = []
     names = set(candidate.attribute_names)
+    offsets = count_offsets(candidate.attributes)
     for table in tables:
         for attribute in table.axes:
             if attribute.name not in names:
                 continue
             marginal = marginalize(table, attribute.name)
             target = marginal * (len(candidate) / float(marginal.sum()))
-            observed = np.bincount(
-                candidate.column(attribute.name), minlength=attribute.size
-            ).astype(np.float64)
+            col = candidate.column_index(attribute.name)
+            observed = candidate.category_counts[offsets[col]:offsets[col + 1]].astype(
+                np.float64
+            )
             rows.append(RmseRow(table.name, attribute.name, "category", rmse(target, observed)))
             if attribute.groups:
                 labels = sorted(set(attribute.groups.values()))

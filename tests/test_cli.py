@@ -287,6 +287,27 @@ class TestReport:
         assert err.startswith("error:") and "objectives must be finite floats" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
+    def test_report_rejects_a_rewritten_objective(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        stage = json.loads((out / "manifest.json").read_text())["stages"]["persons"]
+        chosen = stage["result"]["selected_member"]
+        bundle = out / "archive_persons.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        # Lowering the exported member's first objective keeps it selected.
+        objectives = arrays["objectives"]
+        objectives[chosen, 0] = np.nextafter(objectives[chosen, 0], -np.inf)
+        np.savez_compressed(bundle, **arrays)
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        name = stage["objectives"][0]["name"]
+        assert err.startswith(f"evolution error: persons archive member {chosen} scores")
+        assert f"on {name!r}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
     @pytest.mark.parametrize(
         "objective",
         [

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthpop import (
@@ -15,10 +15,31 @@ from synthpop import (
     rmse,
     trapezoid_area,
 )
+from synthpop.census_data import marginalize
 
 from conftest import cell
 
 TOL = 1e-9
+
+
+def l1_oracle(actual, observed):
+    """The scalar L1 formula, as it stood before the metrics went row-wise."""
+    actual = np.asarray(actual, dtype=np.float64)
+    observed = np.asarray(observed, dtype=np.float64)
+    return float(np.abs(actual - observed).sum())
+
+
+def trapezoid_oracle(actual, observed):
+    """The scalar trapezoid formula, as it stood before the metrics went
+    row-wise."""
+    diff = np.abs(np.asarray(actual, dtype=np.float64) - np.asarray(observed, dtype=np.float64))
+    if len(diff) == 1:
+        return float(diff[0])
+    return float(((diff[1:] + diff[:-1]) / 2.0).sum())
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 class TestL1Objective:
@@ -63,6 +84,33 @@ class TestTrapezoidArea:
     def test_bit_identical_to_numpy_trapezoid(self, values):
         diff = np.array(values)
         assert trapezoid_area(diff, np.zeros_like(diff)) == float(np.trapezoid(diff))
+
+
+class TestBatchedRows:
+    """A metric over a matrix of counts gives, row for row, the bits of the
+    scalar formula over each row."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False),
+    )
+    def test_rows_match_the_scalar_formulas(self, rows, seed, scale):
+        rng = np.random.default_rng(seed)
+        for metric, oracle, widths in (
+            (l1_objective, l1_oracle, range(1, 200)),
+            (trapezoid_area, trapezoid_oracle, range(1, 60)),
+        ):
+            for width in widths:
+                target = rng.uniform(0, 1000, size=width) * scale
+                # A block of a wider count matrix, as the evaluator slices it.
+                counts = rng.integers(0, 70_000, size=(rows, width + 3))
+                block = counts[:, 2:2 + width]
+                batched = metric(target, block)
+                expected = [oracle(target, row) for row in block]
+                assert bits(batched) == bits(expected), (metric.__name__, width)
+                assert bits(metric(target, block[0])) == bits(expected[0])
 
 
 class TestRmse:
@@ -144,7 +192,7 @@ class TestObjectiveEvaluator:
         ]
         values = ObjectiveEvaluator(
             dataset_small, specs, len(candidate), candidate.attributes
-        )(candidate)
+        )([candidate])[0]
         assert np.allclose(values, 0.0, atol=TOL)
 
     def test_l1_spec_composes_with_oracle(self, dataset_small):
@@ -157,7 +205,7 @@ class TestObjectiveEvaluator:
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
         value = ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )(candidate)[0]
+        )([candidate])[0, 0]
         expected = l1_objective(
             np.array([32.0, 68.0]), np.array([53.0, 47.0])
         )
@@ -169,7 +217,7 @@ class TestObjectiveEvaluator:
         twin = ObjectiveSpec(name="age_fit_again", table="sex_age", attribute="age")
         values = ObjectiveEvaluator(
             dataset_small, [spec, twin], len(candidate), candidate.attributes
-        )(candidate)
+        )([candidate])[0]
         assert values[0] == pytest.approx(values[1], abs=TOL)
 
     def test_full_cell_objective(self, dataset_small):
@@ -177,7 +225,7 @@ class TestObjectiveEvaluator:
         spec = ObjectiveSpec(name="cells", table="age_marital", attribute=None, metric="l1")
         values = ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )(candidate)
+        )([candidate])[0]
         assert values[0] == pytest.approx(0.0, abs=TOL)
 
     def test_target_scales_with_roster_size(self, dataset_small):
@@ -190,7 +238,7 @@ class TestObjectiveEvaluator:
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
         value = ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )(candidate)[0]
+        )([candidate])[0, 0]
         expected = l1_objective(np.array([25.0, 25.0]), np.array([26.5, 23.5]))
         assert value == pytest.approx(expected, abs=TOL)
 
@@ -200,6 +248,44 @@ class TestObjectiveEvaluator:
         with pytest.raises(DataError):
             ObjectiveEvaluator(dataset_small, [spec], 100, attributes)
 
+    def test_one_call_scores_every_roster_as_the_scalar_formulas_do(self, dataset_small):
+        schema = dataset_small.schema
+        attributes = tuple(schema.attributes)
+        rng = np.random.default_rng(17)
+        candidates = [
+            CandidatePopulation(
+                attributes,
+                np.column_stack([rng.integers(0, a.size, size=37) for a in attributes]),
+            )
+            for _ in range(9)
+        ]
+        specs = [
+            ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1"),
+            ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
+            ObjectiveSpec(name="marital_fit", table="age_marital", attribute="marital"),
+            ObjectiveSpec(name="cells", table="age_marital", attribute=None),
+        ]
+        matrix = ObjectiveEvaluator(dataset_small, specs, 37, attributes)(candidates)
+        assert matrix.shape == (9, 4)
+        for candidate, row in zip(candidates, matrix):
+            expected = []
+            for spec in specs:
+                table = dataset_small.table(spec.table)
+                oracle = l1_oracle if spec.metric == "l1" else trapezoid_oracle
+                if spec.attribute is None:
+                    flat = np.ravel_multi_index(
+                        tuple(candidate.column(a.name) for a in table.axes),
+                        table.counts.shape,
+                    )
+                    observed = np.bincount(flat, minlength=table.counts.size)
+                    target = table.counts.ravel() * (37 / table.total)
+                else:
+                    size = schema[spec.attribute].size
+                    observed = np.bincount(candidate.column(spec.attribute), minlength=size)
+                    target = marginalize(table, spec.attribute) * (37 / table.total)
+                expected.append(oracle(target, observed))
+            assert bits(row) == bits(expected)
+
     def test_repeated_evaluation_is_pure(self, dataset_small):
         candidate = self.perfect_candidate(dataset_small)
         evaluator = ObjectiveEvaluator(
@@ -208,6 +294,6 @@ class TestObjectiveEvaluator:
             len(candidate),
             candidate.attributes,
         )
-        first = evaluator(candidate)
-        second = evaluator(candidate)
+        first = evaluator([candidate])
+        second = evaluator([candidate])
         assert np.array_equal(first, second)

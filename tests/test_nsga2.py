@@ -311,6 +311,34 @@ class TestSwapMutation:
         assert mutated is candidate
 
 
+    def test_equal_values_return_the_input(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        # A constant marital column: any swap there changes nothing.
+        codes = np.column_stack([np.arange(6) % 2, np.arange(6) % 3, np.zeros(6)])
+        candidate = CandidatePopulation(attributes, codes.astype(np.int16))
+        for pair, col in (((0, 3), 2), ((4, 4), 1)):
+
+            class ForcedSwap:
+                def random(self):
+                    return 0.0
+
+                def integers(self, low, high, size=None):
+                    return np.array(pair) if size == 2 else col
+
+            assert swap_mutation(candidate, 1.0, ForcedSwap()) is candidate
+
+    def test_a_skipped_swap_draws_what_an_applied_one_does(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        candidate = CandidatePopulation(attributes, np.zeros((8, 3), dtype=np.int16))
+        rng = np.random.default_rng(21)
+        twin = np.random.default_rng(21)
+        assert swap_mutation(candidate, 1.0, rng) is candidate
+        twin.random()
+        twin.integers(0, 8, size=2)
+        twin.integers(0, 3)
+        assert rng.random() == twin.random()
+
+
 class TestResampleMutation:
     def make_plan(self, schema):
         return weighted_plan(
@@ -368,6 +396,76 @@ class TestResampleMutation:
             candidate, 1.0, plan, np.random.default_rng(99), slots=6
         )
         assert np.array_equal(first.codes, second.codes)
+
+
+def fresh_counts(candidate):
+    """Each column's bincount, concatenated: what carried counts must equal."""
+    return np.concatenate([
+        np.bincount(candidate.codes[:, col], minlength=a.size)
+        for col, a in enumerate(candidate.attributes)
+    ])
+
+
+class TestCarriedCounts:
+    """Every operator derives a child's category counts from its parent's;
+    whatever the chain of operators, they equal a fresh count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        # Long rosters make slices long enough for the per-column tally.
+        roster=st.one_of(st.integers(1, 40), st.integers(6000, 9000)),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("crossover", "equal-cuts", "full-span", "swap", "resample")),
+                st.integers(0, 2**16),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_counts_after_any_operator_sequence(self, sizes, roster, seed, steps):
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
+            for i, n in enumerate(sizes)
+        )
+        # No row may start and end on c0 (with one column: hold c0). The
+        # plan redraws c0 often and swaps move it, so both revert.
+        ends = (attributes[0], attributes[-1])
+        clauses = tuple(dict.fromkeys((a.name, frozenset({"c0"})) for a in ends))
+        rules = CompiledRules([ValidationRule("no-c0-pair", clauses)], attributes)
+        plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
+        rng = np.random.default_rng(seed)
+
+        def roster_codes():
+            codes = np.column_stack([rng.integers(0, n, size=roster) for n in sizes])
+            bad = (codes[:, 0] == 0) & (codes[:, -1] == 0)
+            codes[bad, 0] = rng.integers(1, sizes[0], size=int(bad.sum()))
+            return codes
+
+        pool = [CandidatePopulation(attributes, roster_codes()) for _ in range(2)]
+        for op, pick, cut in steps:
+            first = pool[pick % len(pool)]
+            second = pool[(pick // len(pool)) % len(pool)]
+            if op == "swap":
+                children = [swap_mutation(first, 1.0, rng, rules)]
+            elif op == "resample":
+                slots = 1 + cut % 12
+                children = [resample_mutation(first, 1.0, plan, rng, rules, slots=slots)]
+            else:
+                cuts = {
+                    "crossover": rng,
+                    "equal-cuts": FixedCuts(cut % (roster + 1), cut % (roster + 1)),
+                    "full-span": FixedCuts(0, roster),
+                }[op]
+                children = list(two_point_crossover(first, second, cuts))
+            for child in children:
+                assert child.category_counts.dtype == np.int64
+                assert np.array_equal(child.category_counts, fresh_counts(child))
+                assert not rules.violation_mask(child.codes).any()
+            pool.extend(children)
 
 
 class TestEnvironmentalSelection:

@@ -24,7 +24,15 @@ from synthpop import (
     two_point_crossover,
 )
 from synthpop.nsga2 import resample_mutation
-from synthpop.population_model import INDEPENDENT, JOINT, CompiledRules, code_dtype
+from synthpop.population_model import (
+    _SHIFTED_TALLY_ROWS,
+    INDEPENDENT,
+    JOINT,
+    CompiledRules,
+    code_dtype,
+    count_offsets,
+    tally,
+)
 
 from conftest import labels, violated_by, weighted_plan
 
@@ -270,6 +278,35 @@ class TestCandidatePopulation:
             CandidatePopulation(
                 tuple(schema_small.attributes), np.zeros((4, 2), dtype=np.int16)
             )
+
+
+class TestCategoryCounts:
+    def test_each_column_counted_in_order(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        codes = np.array([[0, 2, 1], [1, 2, 0], [1, 0, 1]], dtype=np.uint8)
+        counts = CandidatePopulation(attributes, codes).category_counts
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [1, 2, 1, 0, 2, 1, 2]
+        with pytest.raises(ValueError):
+            counts[0] = 5
+
+    def test_out_of_range_code_rejected(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        codes = np.array([[0, 3, 0]], dtype=np.uint8)
+        with pytest.raises(DataError, match="'age' holds code 3"):
+            CandidatePopulation(attributes, codes).category_counts
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 500])
+    def test_tally_agrees_on_both_sides_of_its_threshold(self, schema_small, offset):
+        attributes = tuple(schema_small.attributes)
+        rng = np.random.default_rng(8)
+        rows = _SHIFTED_TALLY_ROWS + offset
+        codes = np.column_stack([rng.integers(0, a.size, size=rows) for a in attributes])
+        candidate = CandidatePopulation(attributes, codes.astype(np.uint8))
+        offsets = count_offsets(attributes)
+        assert offsets.tolist() == [0, 2, 5, 7]
+        assert np.array_equal(tally(candidate.codes, offsets), candidate.category_counts)
+        assert np.array_equal(tally(candidate.codes[:0], offsets), np.zeros(7))
 
 
 class TestCodeDtype:
