@@ -31,13 +31,11 @@ from .nsga2 import (
     EvolutionConfig,
     GenerationHistory,
     ParetoArchive,
-    binary_tournament,
+    breed,
     crowding_distance,
     environmental_selection,
     evolve,
     fast_nondominated_sort,
-    swap_mutation,
-    two_point_crossover,
 )
 from .reporting import (
     RmseRow,
@@ -83,7 +81,7 @@ __all__ = [
     "SynthPopError",
     "ValidationRule",
     "allocate",
-    "binary_tournament",
+    "breed",
     "crowding_distance",
     "environmental_selection",
     "evolve",
@@ -112,9 +110,7 @@ __all__ = [
     "rmse_rows",
     "save_archive",
     "select_best",
-    "swap_mutation",
     "trapezoid_area",
-    "two_point_crossover",
     "validate_dataset",
     "write_manifest",
 ]

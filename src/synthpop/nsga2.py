@@ -1,14 +1,17 @@
-"""NSGA-II evolutionary core: dominance, sorting, operators and the loop.
+"""NSGA-II evolutionary core: dominance, sorting, breeding and the loop.
 
 The engine minimises every objective. A population is a list of rosters
 plus one objective matrix, row for row; ranking returns rank and crowding
 vectors over those rows, and tournament and environmental selection return
-row indices, as in Deb et al. (2002). Every variation operator hands its
-child the category counts it derives from the parent's, touching only the
-rows it changed, so the loop scores each generation's offspring with one
-evaluator call and no roster is recounted. Determinism is strict: every
-random draw goes through a named substream of the master seed, so a run's
-outputs are byte-identical for a given config and seed.
+row indices, as in Deb et al. (2002). :func:`breed` makes a generation's
+offspring in one pass: it makes every random draw first, per child and in
+the order that one operator call per child would, then applies crossover,
+swap and resample mutation to the whole generation with one rule check per
+operator. Each child carries the category counts derived from its parent's,
+touching only the rows that changed, so the loop scores each generation's
+offspring with one evaluator call and no roster is recounted. Determinism
+is strict: every random draw goes through a named substream of the master
+seed, so a run's outputs are byte-identical for a given config and seed.
 """
 
 from __future__ import annotations
@@ -109,8 +112,13 @@ def fast_nondominated_sort(vectors: Sequence[np.ndarray] | np.ndarray) -> list[l
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("need a non-empty sequence of objective vectors")
     n = len(matrix)
-    less_eq = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=2)
-    less = (matrix[:, None, :] < matrix[None, :, :]).any(axis=2)
+    # One (n, n) comparison per objective: reducing (n, n, m) arrays over
+    # their short last axis costs several times more.
+    less_eq = np.ones((n, n), dtype=bool)
+    less = np.zeros((n, n), dtype=bool)
+    for column in matrix.T:
+        less_eq &= np.less_equal.outer(column, column)
+        less |= np.less.outer(column, column)
     dominated_by = less_eq & less  # [i, j]: i dominates j
     counts = dominated_by.sum(axis=0).astype(np.int64)
     fronts: list[list[int]] = []
@@ -129,23 +137,29 @@ def crowding_distance(front: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Crowding distance of each member within one front.
 
     Boundary members of every objective get infinity; interior members sum
-    normalised neighbour gaps. Objectives with zero range contribute
-    nothing, so a front of identical vectors has zero interior distance.
+    normalised neighbour gaps, objective by objective. Objectives with zero
+    range contribute nothing, so a front of identical vectors has zero
+    interior distance.
     """
     matrix = np.asarray(front, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("need a non-empty front")
     n, m = matrix.shape
+    order = np.argsort(matrix, axis=0, kind="stable")
     distance = np.zeros(n, dtype=np.float64)
-    for j in range(m):
-        order = np.argsort(matrix[:, j], kind="stable")
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-        span = matrix[order[-1], j] - matrix[order[0], j]
-        if span <= 0 or n < 3:
-            continue
-        gaps = (matrix[order[2:], j] - matrix[order[:-2], j]) / span
-        distance[order[1:-1]] += gaps
+    if n >= 3:
+        objective = np.arange(m)
+        ranked = matrix[order, objective]
+        span = ranked[-1] - ranked[0]
+        gaps = np.zeros((n, m), dtype=np.float64)
+        gaps[order[1:-1], objective] = np.divide(
+            ranked[2:] - ranked[:-2], span, out=np.zeros((n - 2, m)), where=span > 0
+        )
+        # Summed in objective order, as one objective at a time would.
+        for j in range(m):
+            distance += gaps[:, j]
+    distance[order[0]] = np.inf
+    distance[order[-1]] = np.inf
     return distance
 
 
@@ -161,38 +175,32 @@ def rank_population(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, crowding
 
 
-def binary_tournament(
-    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Pick two contestants uniformly and return the winner's index: lower
-    rank wins, then higher crowding distance, then a fair coin."""
-    if len(rank) == 0:
-        raise ValueError("tournament needs a non-empty population")
-    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i if int(rng.integers(0, 2)) == 0 else j
+def _tournaments(
+    rank: np.ndarray, crowding: np.ndarray, count: int, rng: np.random.Generator
+) -> list[int]:
+    """Winners of ``count`` binary tournaments, in order. Each draws two
+    contestants uniformly: lower rank wins, then higher crowding distance,
+    and only a full tie draws a fair coin."""
+    ranks, crowdings = rank.tolist(), crowding.tolist()
+    winners = []
+    for _ in range(count):
+        i, j = rng.integers(0, len(ranks), size=2).tolist()
+        if ranks[i] != ranks[j]:
+            winners.append(i if ranks[i] < ranks[j] else j)
+        elif crowdings[i] != crowdings[j]:
+            winners.append(i if crowdings[i] > crowdings[j] else j)
+        else:
+            winners.append(i if int(rng.integers(0, 2)) == 0 else j)
+    return winners
 
 
-def two_point_crossover(
-    first: CandidatePopulation,
-    second: CandidatePopulation,
-    rng: np.random.Generator,
-) -> tuple[CandidatePopulation, CandidatePopulation]:
-    """Exchange the roster slice between two random cut points.
-
-    Cuts satisfy 0 <= c1 <= c2 <= length; equal cuts yield copies of the
-    parents, and cuts (0, length) yield the parents swapped. Each child's
-    category counts are its parent's, shifted by the tallies of the
-    exchanged slice, or of its complement when that is shorter.
-    """
-    if len(first) != len(second):
-        raise ValueError("parents must have equal roster length")
-    if first.attribute_names != second.attribute_names:
-        raise ValueError("parents must share the same attribute layout")
-    cut_a, cut_b = sorted(int(c) for c in rng.integers(0, len(first) + 1, size=2))
+def _cross(
+    first: CandidatePopulation, second: CandidatePopulation, cut_a: int, cut_b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Codes and counts of the two children that exchange the parents'
+    rows ``cut_a:cut_b``. The codes are fresh, writable arrays. Each
+    child's counts are its parent's, shifted by the tallies of the
+    exchanged slice, or of its complement when that is shorter."""
     child_a = first.codes.copy()
     child_b = second.codes.copy()
     child_a[cut_a:cut_b] = second.codes[cut_a:cut_b]
@@ -206,97 +214,164 @@ def two_point_crossover(
         kept_a = tally(np.concatenate((first.codes[:cut_a], first.codes[cut_b:])), offsets)
         kept_b = tally(np.concatenate((second.codes[:cut_a], second.codes[cut_b:])), offsets)
         gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
-    return (
-        CandidatePopulation(first.attributes, child_a, first.category_counts + gain),
-        CandidatePopulation(second.attributes, child_b, second.category_counts - gain),
-    )
+    return child_a, child_b, first.category_counts + gain, second.category_counts - gain
 
 
-def swap_mutation(
-    candidate: CandidatePopulation,
-    probability: float,
-    rng: np.random.Generator,
-    rules: CompiledRules | None = None,
-) -> CandidatePopulation:
-    """With the given probability, swap one attribute value between two
-    random roster slots.
-
-    Swapping conserves every attribute's frequency vector, so the child
-    shares the candidate's category counts. The candidate itself is
-    returned when the two values are equal, so the swap would change
-    nothing, and when the swap would violate one of ``rules`` (compiled
-    for the candidate's layout) and is reverted.
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("mutation probability must lie in [0, 1]")
-    if rng.random() >= probability:
-        return candidate
-    i, j = (int(x) for x in rng.integers(0, len(candidate), size=2))
-    col = int(rng.integers(0, candidate.codes.shape[1]))
-    if candidate.codes[i, col] == candidate.codes[j, col]:
-        return candidate
-    codes = candidate.codes.copy()
-    codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
-    if rules is not None and not (rules.row_ok(codes, i) and rules.row_ok(codes, j)):
-        return candidate
-    return CandidatePopulation(candidate.attributes, codes, candidate.category_counts)
-
-
-def resample_mutation(
-    candidate: CandidatePopulation,
-    probability: float,
+def breed(
+    population: Sequence[CandidatePopulation],
+    rank: np.ndarray,
+    crowding: np.ndarray,
+    config: EvolutionConfig,
     plan: SamplingPlan,
-    rng: np.random.Generator,
-    rules: CompiledRules | None = None,
-    slots: int = 1,
-) -> CandidatePopulation:
-    """With the given probability, redraw the attribute value of ``slots``
-    random (slot, attribute) cells from the plan's marginal weights.
+    rules: CompiledRules,
+    rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
+) -> list[CandidatePopulation]:
+    """One generation's ``config.offspring`` children of ``population``.
 
-    Unlike the swap this shifts marginal frequencies, so it injects the
-    fresh variation that recombination alone cannot reach once the
-    population converges. Attributes are hit in proportion to their
-    category count, since wide value spaces need more redraw traffic to
-    drift. Roster slots whose redraws leave them violating one of
-    ``rules`` revert to their previous values; the others stand. The
-    child's category counts are the candidate's, less the tally of the
-    touched slots' old values plus that of their final ones. The
-    candidate must share the plan's attribute layout.
+    ``rngs`` are the selection, crossover and mutation streams. Pairs of
+    parents come from binary tournaments on ``rank`` and ``crowding``. A
+    pair recombines by two-point crossover with the crossover probability,
+    or else passes on copies. Each child, in order, then gets at most one
+    swap and one resample mutation:
+
+    - The swap exchanges one attribute's values between two random roster
+      slots. It is skipped when the values are equal or when either slot
+      would then break one of ``rules``. It keeps the category counts.
+    - The resample redraws ``config.resample_slots`` random (slot,
+      attribute) cells from the plan's marginal weights. Attributes are
+      hit in proportion to their category count, and a cell drawn twice
+      keeps its last draw. Slots that then break a rule revert to their
+      values after the swap. It injects the fresh variation that
+      recombination alone cannot reach once the population converges.
+
+    Each stream makes its draws per child, in the order and call shapes
+    that one operator call per child would, so this equals applying the
+    operators child by child. The draws need no roster data, so they come
+    first and the operators are applied to the whole generation at once:
+    one rule check per operator and one tally of the resampled rows. A
+    child that neither crossover nor mutation changed is its parent.
     """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("mutation probability must lie in [0, 1]")
-    if slots < 1:
-        raise ValueError("slots must be at least 1")
-    if candidate.attributes != plan.attributes:
-        raise ValueError("candidate and sampling plan attribute layouts differ")
-    if rng.random() >= probability:
-        return candidate
+    select_rng, cross_rng, mutate_rng = rngs
+    length, width = population[0].codes.shape
+    children = config.offspring
+    winners = _tournaments(rank, crowding, children, select_rng)
+    parents = [population[w] for w in winners]
+    # A child's codes are writable exactly when they are its own array.
+    codes: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    for first, second in zip(parents[::2], parents[1::2]):
+        if cross_rng.random() < config.crossover_probability:
+            cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
+            child_a, child_b, counts_a, counts_b = _cross(first, second, cut_a, cut_b)
+            codes += (child_a, child_b)
+            counts += (counts_a, counts_b)
+        else:
+            codes += (first.codes, second.codes)
+            counts += (first.category_counts, second.category_counts)
+
+    swaps: list[tuple[int, int, int, int]] = []
+    redrawn: list[int] = []
+    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    slots = config.resample_slots
+    for child in range(children):
+        if mutate_rng.random() < config.mutation_probability:
+            i, j = mutate_rng.integers(0, length, size=2).tolist()
+            swaps.append((child, i, j, int(mutate_rng.integers(0, width))))
+        if (config.resample_probability > 0
+                and mutate_rng.random() < config.resample_probability):
+            redrawn.append(child)
+            # Row, column-choice and value uniforms, as Generator.choice
+            # draws its uniforms between the other two.
+            draws.append((
+                mutate_rng.integers(0, length, size=slots),
+                mutate_rng.random(slots),
+                mutate_rng.random(slots),
+            ))
+
+    swaps = [s for s in swaps if codes[s[0]][s[1], s[3]] != codes[s[0]][s[2], s[3]]]
+    if swaps:
+        # Both slots of every swap, swapped, then checked in one call.
+        pairs = np.stack([codes[child][[i, j]] for child, i, j, _ in swaps])
+        each, cols = np.arange(len(swaps)), np.array([col for *_, col in swaps])
+        pairs[each, :, cols] = pairs[each, ::-1, cols]
+        broken = rules.violation_mask(pairs.reshape(-1, width)).reshape(-1, 2).any(axis=1)
+        for (child, i, j, _), pair, skip in zip(swaps, pairs, broken.tolist()):
+            if not skip:
+                _own(codes, child)[[i, j]] = pair
+
+    if redrawn:
+        _resample(codes, counts, redrawn, draws, plan, rules)
+
+    return [
+        CandidatePopulation(plan.attributes, child_codes, child_counts)
+        if child_codes.flags.writeable else parent
+        for child_codes, child_counts, parent in zip(codes, counts, parents)
+    ]
+
+
+def _own(codes: list[np.ndarray], child: int) -> np.ndarray:
+    """A child's codes to write to: copied first while they are still its
+    parent's read-only array."""
+    if not codes[child].flags.writeable:
+        codes[child] = codes[child].copy()
+    return codes[child]
+
+
+def _resample(
+    codes: list[np.ndarray],
+    counts: list[np.ndarray],
+    redrawn: list[int],
+    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    plan: SamplingPlan,
+    rules: CompiledRules,
+) -> None:
+    """Apply the resample draws of the ``redrawn`` children to their codes
+    and counts, in place; see :func:`breed`."""
+    length, width = codes[0].shape
     column_p, cdfs = plan.redraw_tables
-    codes = candidate.codes.copy()
-    rows = rng.integers(0, len(candidate), size=slots)
-    cols = rng.choice(codes.shape[1], size=slots, p=column_p)
-    uniforms = rng.random(slots)
+    column_cdf = column_p.cumsum()
+    column_cdf /= column_cdf[-1]
+    # One row of draws per redrawn child, flattened in draw order.
+    rows, column_u, value_u = (np.stack(part) for part in zip(*draws))
+    keys = (rows + length * np.arange(len(redrawn))[:, None]).ravel()
+    columns = np.searchsorted(column_cdf, column_u.ravel(), side="right")
+    value_u = value_u.ravel()
+    # The touched (child, slot) rows once each, child-major, and where each
+    # draw lands among them: sorting and masking repeats costs far less
+    # than np.unique.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    at = np.empty(len(keys), dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
+    owner, slot = np.divmod(ordered[first], length)
+    bounds = np.searchsorted(owner, np.arange(len(redrawn) + 1)).tolist()
+    blocks = list(zip(redrawn, bounds[:-1], bounds[1:]))
+    old = np.concatenate([codes[child].take(slot[a:b], axis=0) for child, a, b in blocks])
+    new = old.copy()
+    # In draw order, so a cell drawn twice keeps its last draw.
     for col, cdf in enumerate(cdfs):
-        hits = cols == col
-        if not hits.any():
-            continue
-        drawn = np.minimum(
-            np.searchsorted(cdf, uniforms[hits], side="right"), len(cdf) - 1
+        hits = columns == col
+        new[at[hits], col] = np.minimum(
+            np.searchsorted(cdf, value_u[hits], side="right"), len(cdf) - 1
         )
-        codes[rows[hits], col] = drawn
-    touched = np.unique(rows)
-    old = candidate.codes[touched]
-    if rules is not None:
-        violating = touched[rules.violation_mask(codes[touched])]
-        if violating.size:
-            codes[violating] = candidate.codes[violating]
-    # Only the touched rows can differ from the input.
-    new = codes[touched]
-    if np.array_equal(new, old):
-        return candidate
-    offsets = count_offsets(candidate.attributes)
-    counts = candidate.category_counts - tally(old, offsets) + tally(new, offsets)
-    return CandidatePopulation(candidate.attributes, codes, counts)
+    broken = rules.violation_mask(new)
+    new[broken] = old[broken]
+    # Each changed cell counts its new code up and its old one down, in
+    # its child's block: one bincount for the whole generation.
+    cells = np.flatnonzero(new != old)
+    row, col = np.divmod(cells, width)
+    offsets = count_offsets(plan.attributes)
+    size = int(offsets[-1])
+    base = owner[row] * size + offsets[col]
+    up, down = base + new.ravel()[cells], base + old.ravel()[cells] + len(redrawn) * size
+    tallies = np.bincount(np.concatenate((up, down)), minlength=2 * len(redrawn) * size)
+    delta = np.subtract(*tallies.reshape(2, len(redrawn), size))
+    for k in np.unique(owner[row]).tolist():
+        child, a, b = blocks[k]
+        _own(codes, child)[slot[a:b]] = new[a:b]
+        counts[child] = counts[child] + delta[k]
 
 
 def environmental_selection(
@@ -362,13 +437,19 @@ class ParetoArchive:
             matrix = self._objectives
             if matrix.shape[1] != objectives.shape[0]:
                 raise ValueError("objective vector length does not match archive")
-            le = (matrix <= objectives).all(axis=1)
-            lt = (matrix < objectives).any(axis=1)
-            if np.any(le & lt) or np.any((matrix == objectives).all(axis=1)):
+            # One compare per objective over the members' column of it. A
+            # member no worse anywhere dominates or equals the offer.
+            columns = matrix.T
+            le = columns[0] <= objectives[0]
+            for column, value in zip(columns[1:], objectives[1:]):
+                le &= column <= value
+            if le.any():
                 return False
-            ge = (matrix >= objectives).all(axis=1)
-            gt = (matrix > objectives).any(axis=1)
-            evicted = ge & gt
+            # No member equals the offer, so one no better anywhere is
+            # worse somewhere: the offer dominates it.
+            evicted = columns[0] >= objectives[0]
+            for column, value in zip(columns[1:], objectives[1:]):
+                evicted &= column >= value
             if evicted.any():
                 self._candidates = [
                     c for c, gone in zip(self._candidates, evicted) if not gone
@@ -513,37 +594,16 @@ def evolve(
 
     for generation in range(1, config.generations + 1):
         started = time.perf_counter()
-        select_rng = substream(seed, stage_id, generation, _OP_SELECT)
-        cross_rng = substream(seed, stage_id, generation, _OP_CROSSOVER)
-        mutate_rng = substream(seed, stage_id, generation, _OP_MUTATE)
-
-        offspring: list[CandidatePopulation] = []
-        for _ in range(config.offspring // 2):
-            parent_a = population[binary_tournament(rank, crowding, select_rng)]
-            parent_b = population[binary_tournament(rank, crowding, select_rng)]
-            if cross_rng.random() < config.crossover_probability:
-                child_a, child_b = two_point_crossover(parent_a, parent_b, cross_rng)
-            else:
-                child_a, child_b = parent_a, parent_b
-            for child in (child_a, child_b):
-                child = swap_mutation(
-                    child, config.mutation_probability, mutate_rng, compiled
-                )
-                if config.resample_probability > 0:
-                    child = resample_mutation(
-                        child,
-                        config.resample_probability,
-                        plan,
-                        mutate_rng,
-                        compiled,
-                        slots=config.resample_slots,
-                    )
-                offspring.append(child)
-
+        rngs = tuple(
+            substream(seed, stage_id, generation, op)
+            for op in (_OP_SELECT, _OP_CROSSOVER, _OP_MUTATE)
+        )
+        # No name holds the last generation's offspring, so the ones that
+        # did not survive are freed before these are bred.
+        population += breed(population, rank, crowding, config, plan, compiled, rngs)
         # Survivors keep the rank and crowding of the combined ranking,
         # which the next generation's tournaments compare.
-        population += offspring
-        objectives = np.vstack([objectives, evaluator(offspring)])
+        objectives = np.vstack([objectives, evaluator(population[len(objectives):])])
         rank, crowding = rank_population(objectives)
         archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
         survivors = environmental_selection(rank, crowding, config.population_size)

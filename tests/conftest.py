@@ -1,6 +1,8 @@
 """Shared fixtures, a small three-attribute world with consistent tables,
-and the test-side helpers that read rosters, tables and rules by label."""
+the test-side helpers that read rosters, tables and rules by label, and
+the per-child variation operators that ``nsga2.breed`` must reproduce."""
 
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,15 @@ import pytest
 from synthpop import (
     Attribute,
     AttributeSchema,
+    CandidatePopulation,
     ContingencyTable,
+    EvolutionConfig,
     RegionDataset,
     SamplingPlan,
     ValidationRule,
+    breed,
 )
+from synthpop.population_model import CompiledRules, count_offsets, tally
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -49,6 +55,221 @@ def weighted_plan(pairs) -> SamplingPlan:
     return SamplingPlan.from_tables(
         AttributeSchema(attributes), [a.name for a in attributes], tables
     )
+
+
+# The per-child operators, one call per tournament, pair or child, as the
+# generation loop ran them before ``breed`` made a generation in one pass.
+# ``reference_breed`` composes them; ``breed`` must equal it child by child
+# and draw for draw.
+
+
+def binary_tournament(
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Pick two contestants uniformly and return the winner's index: lower
+    rank wins, then higher crowding distance, then a fair coin."""
+    if len(rank) == 0:
+        raise ValueError("tournament needs a non-empty population")
+    i, j = (int(x) for x in rng.integers(0, len(rank), size=2))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i if int(rng.integers(0, 2)) == 0 else j
+
+
+def two_point_crossover(
+    first: CandidatePopulation,
+    second: CandidatePopulation,
+    rng: np.random.Generator,
+) -> tuple[CandidatePopulation, CandidatePopulation]:
+    """Exchange the roster slice between two random cut points.
+
+    Cuts satisfy 0 <= c1 <= c2 <= length; equal cuts yield copies of the
+    parents, and cuts (0, length) yield the parents swapped. Each child's
+    category counts are its parent's, shifted by the tallies of the
+    exchanged slice, or of its complement when that is shorter.
+    """
+    if len(first) != len(second):
+        raise ValueError("parents must have equal roster length")
+    if first.attribute_names != second.attribute_names:
+        raise ValueError("parents must share the same attribute layout")
+    cut_a, cut_b = sorted(int(c) for c in rng.integers(0, len(first) + 1, size=2))
+    child_a = first.codes.copy()
+    child_b = second.codes.copy()
+    child_a[cut_a:cut_b] = second.codes[cut_a:cut_b]
+    child_b[cut_a:cut_b] = first.codes[cut_a:cut_b]
+    # What child_a gains over first, and child_b loses against second.
+    offsets = count_offsets(first.attributes)
+    if 2 * (cut_b - cut_a) <= len(first):
+        gain = (tally(second.codes[cut_a:cut_b], offsets)
+                - tally(first.codes[cut_a:cut_b], offsets))
+    else:
+        kept_a = tally(np.concatenate((first.codes[:cut_a], first.codes[cut_b:])), offsets)
+        kept_b = tally(np.concatenate((second.codes[:cut_a], second.codes[cut_b:])), offsets)
+        gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
+    return (
+        CandidatePopulation(first.attributes, child_a, first.category_counts + gain),
+        CandidatePopulation(second.attributes, child_b, second.category_counts - gain),
+    )
+
+
+def swap_mutation(
+    candidate: CandidatePopulation,
+    probability: float,
+    rng: np.random.Generator,
+    rules: CompiledRules | None = None,
+) -> CandidatePopulation:
+    """With the given probability, swap one attribute value between two
+    random roster slots.
+
+    Swapping conserves every attribute's frequency vector, so the child
+    shares the candidate's category counts. The candidate itself is
+    returned when the two values are equal, so the swap would change
+    nothing, and when the swap would violate one of ``rules`` (compiled
+    for the candidate's layout) and is reverted.
+    """
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("mutation probability must lie in [0, 1]")
+    if rng.random() >= probability:
+        return candidate
+    i, j = (int(x) for x in rng.integers(0, len(candidate), size=2))
+    col = int(rng.integers(0, candidate.codes.shape[1]))
+    if candidate.codes[i, col] == candidate.codes[j, col]:
+        return candidate
+    codes = candidate.codes.copy()
+    codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
+    if rules is not None and not (rules.row_ok(codes, i) and rules.row_ok(codes, j)):
+        return candidate
+    return CandidatePopulation(candidate.attributes, codes, candidate.category_counts)
+
+
+def resample_mutation(
+    candidate: CandidatePopulation,
+    probability: float,
+    plan: SamplingPlan,
+    rng: np.random.Generator,
+    rules: CompiledRules | None = None,
+    slots: int = 1,
+) -> CandidatePopulation:
+    """With the given probability, redraw the attribute value of ``slots``
+    random (slot, attribute) cells from the plan's marginal weights.
+
+    Unlike the swap this shifts marginal frequencies, so it injects the
+    fresh variation that recombination alone cannot reach once the
+    population converges. Attributes are hit in proportion to their
+    category count, since wide value spaces need more redraw traffic to
+    drift. Roster slots whose redraws leave them violating one of
+    ``rules`` revert to their previous values; the others stand. The
+    child's category counts are the candidate's, less the tally of the
+    touched slots' old values plus that of their final ones. The
+    candidate must share the plan's attribute layout.
+    """
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("mutation probability must lie in [0, 1]")
+    if slots < 1:
+        raise ValueError("slots must be at least 1")
+    if candidate.attributes != plan.attributes:
+        raise ValueError("candidate and sampling plan attribute layouts differ")
+    if rng.random() >= probability:
+        return candidate
+    column_p, cdfs = plan.redraw_tables
+    codes = candidate.codes.copy()
+    rows = rng.integers(0, len(candidate), size=slots)
+    cols = rng.choice(codes.shape[1], size=slots, p=column_p)
+    uniforms = rng.random(slots)
+    for col, cdf in enumerate(cdfs):
+        hits = cols == col
+        if not hits.any():
+            continue
+        drawn = np.minimum(
+            np.searchsorted(cdf, uniforms[hits], side="right"), len(cdf) - 1
+        )
+        codes[rows[hits], col] = drawn
+    touched = np.unique(rows)
+    old = candidate.codes[touched]
+    if rules is not None:
+        violating = touched[rules.violation_mask(codes[touched])]
+        if violating.size:
+            codes[violating] = candidate.codes[violating]
+    # Only the touched rows can differ from the input.
+    new = codes[touched]
+    if np.array_equal(new, old):
+        return candidate
+    offsets = count_offsets(candidate.attributes)
+    counts = candidate.category_counts - tally(old, offsets) + tally(new, offsets)
+    return CandidatePopulation(candidate.attributes, codes, counts)
+
+
+def reference_breed(
+    population: Sequence[CandidatePopulation],
+    rank: np.ndarray,
+    crowding: np.ndarray,
+    config: EvolutionConfig,
+    plan: SamplingPlan,
+    rules: CompiledRules | None,
+    rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
+) -> list[CandidatePopulation]:
+    """One generation's offspring, made by the operators above in turn."""
+    select_rng, cross_rng, mutate_rng = rngs
+    offspring: list[CandidatePopulation] = []
+    for _ in range(config.offspring // 2):
+        parent_a = population[binary_tournament(rank, crowding, select_rng)]
+        parent_b = population[binary_tournament(rank, crowding, select_rng)]
+        if cross_rng.random() < config.crossover_probability:
+            child_a, child_b = two_point_crossover(parent_a, parent_b, cross_rng)
+        else:
+            child_a, child_b = parent_a, parent_b
+        for child in (child_a, child_b):
+            child = swap_mutation(child, config.mutation_probability, mutate_rng, rules)
+            if config.resample_probability > 0:
+                child = resample_mutation(
+                    child,
+                    config.resample_probability,
+                    plan,
+                    mutate_rng,
+                    rules,
+                    slots=config.resample_slots,
+                )
+            offspring.append(child)
+    return offspring
+
+
+def reference_crowding(front: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Crowding distance of each member within one front, one objective at
+    a time: what ``nsga2.crowding_distance`` must equal float for float.
+
+    Boundary members of every objective get infinity; interior members sum
+    normalised neighbour gaps. Objectives with zero range contribute
+    nothing, so a front of identical vectors has zero interior distance.
+    """
+    matrix = np.asarray(front, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError("need a non-empty front")
+    n, m = matrix.shape
+    distance = np.zeros(n, dtype=np.float64)
+    for j in range(m):
+        order = np.argsort(matrix[:, j], kind="stable")
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        span = matrix[order[-1], j] - matrix[order[0], j]
+        if span <= 0 or n < 3:
+            continue
+        gaps = (matrix[order[2:], j] - matrix[order[:-2], j]) / span
+        distance[order[1:-1]] += gaps
+    return distance
+
+
+def streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """Selection, crossover and mutation streams for one ``breed`` call."""
+    return tuple(np.random.default_rng([seed, op]) for op in range(3))
+
+
+def breed_tied(population, config, plan, rules, rngs):
+    """``breed`` with every member tied on rank and crowding, so each
+    tournament picks one of its two contestants by a coin."""
+    n = len(population)
+    return breed(population, np.ones(n), np.zeros(n), config, plan, rules, rngs)
 
 
 @pytest.fixture

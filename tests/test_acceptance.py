@@ -19,6 +19,7 @@ from synthpop import (
     Attribute,
     AttributeSchema,
     CandidatePopulation,
+    EvolutionConfig,
     allocate,
     crowding_distance,
     evolve,
@@ -32,13 +33,13 @@ from synthpop import (
     load_stage_rules,
     parse_composition,
     rmse,
-    swap_mutation,
     trapezoid_area,
 )
 from synthpop.census_data import PERSONS
 from synthpop.cli import main
+from synthpop.population_model import CompiledRules
 
-from conftest import violated_by
+from conftest import breed_tied, streams, violated_by, weighted_plan
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_CONFIG = FIXTURE_DIR / "config.yaml"
@@ -167,10 +168,18 @@ class TestCriterion3:
             a.name: np.bincount(candidate.column(a.name), minlength=a.size)
             for a in attributes
         }
+        # A thousand generations of one child that only swaps.
+        plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
+        rules = CompiledRules([], attributes)
+        swap_only = EvolutionConfig(
+            population_size=2, offspring_size=2, crossover_probability=0.0,
+            mutation_probability=1.0,
+        )
+        rngs = streams(2026)
         deviations = 0
         current = candidate
         for _ in range(1000):
-            current = swap_mutation(current, 1.0, rng)
+            current = breed_tied([current], swap_only, plan, rules, rngs)[0]
             for a in attributes:
                 after = np.bincount(current.column(a.name), minlength=a.size)
                 if not np.array_equal(after, initial[a.name]):

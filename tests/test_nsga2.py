@@ -1,4 +1,8 @@
-"""Tests for the multi-objective engine: sorting, operators, archive, loop."""
+"""Tests for the multi-objective engine: sorting, breeding, archive, loop.
+
+The per-child operators live in conftest as the reference that ``breed``
+must reproduce; their own tests pin that reference down by hand.
+"""
 
 import numpy as np
 import pytest
@@ -15,20 +19,28 @@ from synthpop import (
     ParetoArchive,
     RegionDataset,
     ValidationRule,
-    binary_tournament,
+    breed,
     crowding_distance,
     environmental_selection,
     evolve,
     fast_nondominated_sort,
     generate_candidate,
-    swap_mutation,
-    two_point_crossover,
 )
 from synthpop.census_data import PERSONS
-from synthpop.nsga2 import rank_population, resample_mutation, substream
+from synthpop.nsga2 import rank_population, substream
 from synthpop.population_model import CompiledRules
 
-from conftest import weighted_plan
+from conftest import (
+    binary_tournament,
+    breed_tied,
+    reference_breed,
+    reference_crowding,
+    resample_mutation,
+    streams,
+    swap_mutation,
+    two_point_crossover,
+    weighted_plan,
+)
 
 TOL = 1e-9
 
@@ -150,6 +162,19 @@ class TestCrowdingDistance:
         assert np.isfinite(distances).sum() >= 1
         assert all(d == 0.0 for d in distances if np.isfinite(d))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=12
+            )
+        )
+    )
+    def test_matches_the_per_objective_formula(self, rows):
+        # Few values: ties and zero spans are common, and n = 1, 2 occur.
+        front = np.array(rows, dtype=np.float64) / 7
+        assert np.array_equal(crowding_distance(front), reference_crowding(front))
+
     def test_interior_formula_on_random_fronts(self):
         rng = np.random.default_rng(59)
         values = np.sort(rng.uniform(0, 10, size=8))
@@ -267,8 +292,8 @@ class TestSwapMutation:
         with_rule=st.booleans(),
     )
     def test_marginals_preserved(self, sizes, roster, seed, with_rule):
-        # Any category mix, roster size and seed; with a rule, reverted
-        # swaps must conserve the counts too.
+        # Any category mix, roster size and seed, through generations that
+        # only swap; with a rule, skipped swaps must conserve the counts too.
         attributes = tuple(
             Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
             for i, n in enumerate(sizes)
@@ -279,16 +304,21 @@ class TestSwapMutation:
             [rng.choice(n, size=roster, p=p) for n, p in zip(sizes, mix)]
         ).astype(np.int16)
         candidate = CandidatePopulation(attributes, codes)
-        rules = None
-        if with_rule:
-            rule = ValidationRule("no-c0", (("x0", frozenset({"c0"})),))
-            rules = CompiledRules([rule], attributes)
-        mutated = candidate
-        for _ in range(50):
-            mutated = swap_mutation(mutated, 1.0, rng, rules)
-        for col, n in enumerate(sizes):
-            before = np.bincount(candidate.codes[:, col], minlength=n)
-            assert np.array_equal(np.bincount(mutated.codes[:, col], minlength=n), before)
+        rule = ValidationRule("no-c0", (("x0", frozenset({"c0"})),))
+        rules = CompiledRules([rule] if with_rule else [], attributes)
+        plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
+        config = EvolutionConfig(
+            population_size=2, offspring_size=4, crossover_probability=0.0,
+            mutation_probability=1.0,
+        )
+        rngs = streams(seed)
+        population = [candidate]
+        for _ in range(15):
+            population = breed_tied(population, config, plan, rules, rngs)
+        for mutated in population:
+            for col, n in enumerate(sizes):
+                before = np.bincount(candidate.codes[:, col], minlength=n)
+                assert np.array_equal(np.bincount(mutated.codes[:, col], minlength=n), before)
 
     def test_rule_violating_swap_reverts(self, schema_small, rule_no_child_marriage):
         attributes = tuple(schema_small.attributes)
@@ -367,11 +397,16 @@ class TestResampleMutation:
         rng = np.random.default_rng(11)
         plan = self.make_plan(schema_small)
         compiled = CompiledRules([rule_no_child_marriage], plan.attributes)
-        candidate = generate_candidate(plan, 80, compiled, rng)
-        current = candidate
-        for _ in range(100):
-            current = resample_mutation(current, 1.0, plan, rng, compiled, slots=8)
-            assert not compiled.violation_mask(current.codes).any()
+        population = [generate_candidate(plan, 80, compiled, rng)]
+        config = EvolutionConfig(
+            population_size=2, offspring_size=4, crossover_probability=0.0,
+            mutation_probability=1.0, resample_probability=1.0, resample_slots=8,
+        )
+        rngs = streams(11)
+        for _ in range(25):
+            population = breed_tied(population, config, plan, compiled, rngs)
+            for child in population:
+                assert not compiled.violation_mask(child.codes).any()
 
     def test_candidate_layout_must_match_plan(self, schema_small):
         rng = np.random.default_rng(13)
@@ -406,9 +441,35 @@ def fresh_counts(candidate):
     ])
 
 
+def labelled(sizes):
+    """Attributes x0, x1, ... with categories c0, c1, ... of the given sizes."""
+    return tuple(
+        Attribute(f"x{i}", tuple(f"c{k}" for k in range(n))) for i, n in enumerate(sizes)
+    )
+
+
+def c0_pair_rule(attributes):
+    """No row may start and end on c0 (with one column: hold c0). Plans
+    redraw c0 and swaps move it, so both break the rule."""
+    ends = (attributes[0], attributes[-1])
+    clauses = tuple(dict.fromkeys((a.name, frozenset({"c0"})) for a in ends))
+    return ValidationRule("no-c0-pair", clauses)
+
+
+def valid_codes(sizes, roster, rng):
+    """Random codes that keep :func:`c0_pair_rule`."""
+    codes = np.column_stack([rng.integers(0, n, size=roster) for n in sizes])
+    bad = (codes[:, 0] == 0) & (codes[:, -1] == 0)
+    codes[bad, 0] = rng.integers(1, sizes[0], size=int(bad.sum()))
+    return codes
+
+
+PROBABILITY = st.sampled_from((0.0, 0.3, 1.0))
+
+
 class TestCarriedCounts:
-    """Every operator derives a child's category counts from its parent's;
-    whatever the chain of operators, they equal a fresh count."""
+    """``breed`` derives each child's category counts from its parent's;
+    through any chain of generations they equal a fresh count."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -416,56 +477,83 @@ class TestCarriedCounts:
         # Long rosters make slices long enough for the per-column tally.
         roster=st.one_of(st.integers(1, 40), st.integers(6000, 9000)),
         seed=st.integers(0, 2**32 - 1),
-        steps=st.lists(
-            st.tuples(
-                st.sampled_from(("crossover", "equal-cuts", "full-span", "swap", "resample")),
-                st.integers(0, 2**16),
-                st.integers(0, 2**16),
-            ),
+        generations=st.lists(
+            st.tuples(PROBABILITY, PROBABILITY, PROBABILITY, st.integers(1, 12)),
             min_size=1,
-            max_size=20,
+            max_size=6,
         ),
     )
-    def test_counts_after_any_operator_sequence(self, sizes, roster, seed, steps):
-        attributes = tuple(
-            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
-            for i, n in enumerate(sizes)
-        )
-        # No row may start and end on c0 (with one column: hold c0). The
-        # plan redraws c0 often and swaps move it, so both revert.
-        ends = (attributes[0], attributes[-1])
-        clauses = tuple(dict.fromkeys((a.name, frozenset({"c0"})) for a in ends))
-        rules = CompiledRules([ValidationRule("no-c0-pair", clauses)], attributes)
+    def test_counts_after_any_operator_sequence(self, sizes, roster, seed, generations):
+        attributes = labelled(sizes)
+        rules = CompiledRules([c0_pair_rule(attributes)], attributes)
         plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
         rng = np.random.default_rng(seed)
-
-        def roster_codes():
-            codes = np.column_stack([rng.integers(0, n, size=roster) for n in sizes])
-            bad = (codes[:, 0] == 0) & (codes[:, -1] == 0)
-            codes[bad, 0] = rng.integers(1, sizes[0], size=int(bad.sum()))
-            return codes
-
-        pool = [CandidatePopulation(attributes, roster_codes()) for _ in range(2)]
-        for op, pick, cut in steps:
-            first = pool[pick % len(pool)]
-            second = pool[(pick // len(pool)) % len(pool)]
-            if op == "swap":
-                children = [swap_mutation(first, 1.0, rng, rules)]
-            elif op == "resample":
-                slots = 1 + cut % 12
-                children = [resample_mutation(first, 1.0, plan, rng, rules, slots=slots)]
-            else:
-                cuts = {
-                    "crossover": rng,
-                    "equal-cuts": FixedCuts(cut % (roster + 1), cut % (roster + 1)),
-                    "full-span": FixedCuts(0, roster),
-                }[op]
-                children = list(two_point_crossover(first, second, cuts))
-            for child in children:
+        population = [
+            CandidatePopulation(attributes, valid_codes(sizes, roster, rng)) for _ in range(2)
+        ]
+        for generation, (cross, swap, resample, slots) in enumerate(generations):
+            config = EvolutionConfig(
+                population_size=2, offspring_size=4, crossover_probability=cross,
+                mutation_probability=swap, resample_probability=resample,
+                resample_slots=slots,
+            )
+            rngs = streams(seed + generation)
+            population = breed_tied(population, config, plan, rules, rngs)
+            for child in population:
                 assert child.category_counts.dtype == np.int64
                 assert np.array_equal(child.category_counts, fresh_counts(child))
                 assert not rules.violation_mask(child.codes).any()
-            pool.extend(children)
+
+
+class TestBreed:
+    """One pass over a generation equals the per-child operators in turn."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+        roster=st.integers(1, 40),
+        members=st.integers(1, 5),
+        pairs=st.integers(1, 6),
+        probabilities=st.tuples(PROBABILITY, PROBABILITY, PROBABILITY),
+        # Up to 60 slots on at most 40 rows, so rows and cells repeat.
+        slots=st.integers(1, 60),
+        with_rule=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_child_operators(
+        self, sizes, roster, members, pairs, probabilities, slots, with_rule, seed
+    ):
+        attributes = labelled(sizes)
+        rng = np.random.default_rng(seed)
+        plan = weighted_plan([(a, rng.dirichlet(np.ones(a.size))) for a in attributes])
+        rules = CompiledRules([c0_pair_rule(attributes)] if with_rule else [], attributes)
+        population = [
+            CandidatePopulation(attributes, valid_codes(sizes, roster, rng).astype(np.uint8))
+            for _ in range(members)
+        ]
+        # Few distinct ranks and crowdings, so tournaments often tie fully.
+        rank = rng.integers(1, 3, size=members)
+        crowding = rng.choice([0.0, 1.0, np.inf], size=members)
+        cross, swap, resample = probabilities
+        config = EvolutionConfig(
+            population_size=2, offspring_size=2 * pairs, crossover_probability=cross,
+            mutation_probability=swap, resample_probability=resample, resample_slots=slots,
+        )
+        ours, theirs = streams(seed), streams(seed)
+        children = breed(population, rank, crowding, config, plan, rules, ours)
+        expected = reference_breed(
+            population, rank, crowding, config, plan, rules if with_rule else None, theirs
+        )
+        assert len(children) == len(expected) == 2 * pairs
+        for child, reference in zip(children, expected):
+            assert child.codes.dtype == reference.codes.dtype
+            assert np.array_equal(child.codes, reference.codes)
+            assert np.array_equal(child.category_counts, reference.category_counts)
+            # A child that nothing changed is its parent, in both.
+            assert (child is reference) == any(reference is p for p in population)
+        # Every stream made the same draws.
+        for a, b in zip(ours, theirs):
+            assert a.random() == b.random()
 
 
 class TestEnvironmentalSelection:

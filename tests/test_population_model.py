@@ -10,6 +10,7 @@ from synthpop import (
     AttributeSchema,
     CandidatePopulation,
     DataError,
+    EvolutionConfig,
     EvolutionError,
     ParetoArchive,
     SamplingPlan,
@@ -20,10 +21,7 @@ from synthpop import (
     load_persons,
     load_rules,
     save_archive,
-    swap_mutation,
-    two_point_crossover,
 )
-from synthpop.nsga2 import resample_mutation
 from synthpop.population_model import (
     _SHIFTED_TALLY_ROWS,
     INDEPENDENT,
@@ -34,7 +32,7 @@ from synthpop.population_model import (
     tally,
 )
 
-from conftest import labels, violated_by, weighted_plan
+from conftest import breed_tied, labels, streams, violated_by, weighted_plan
 
 
 def make_plan(schema):
@@ -323,11 +321,11 @@ class TestCodeDtype:
         rules = CompiledRules([], attributes)
         rng = np.random.default_rng(3)
         first, second = (generate_candidate(plan, 50, rules, rng) for _ in range(2))
-        children = [
-            *two_point_crossover(first, second, rng),
-            swap_mutation(first, 1.0, rng),
-            resample_mutation(first, 1.0, plan, rng, slots=10),
-        ]
+        config = EvolutionConfig(
+            population_size=2, offspring_size=8, crossover_probability=0.5,
+            mutation_probability=1.0, resample_probability=1.0, resample_slots=10,
+        )
+        children = breed_tied([first, second], config, plan, rules, streams(3))
         schema = AttributeSchema(attributes)
         export_persons(tmp_path / "persons.csv", first)
         loaded = load_persons(tmp_path / "persons.csv", schema)
