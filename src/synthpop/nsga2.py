@@ -31,6 +31,7 @@ from .population_model import (
     CompiledRules,
     SamplingPlan,
     ValidationRule,
+    cell_count,
     count_offsets,
     generate_candidate,
     tally,
@@ -549,7 +550,9 @@ def evolve(
 
     Every objective must reference one of ``dataset.stage_tables(stage)``;
     one that references another stage's table, or any table when the
-    stage has none, is a :class:`DataError` naming the table. Returns the
+    stage has none, is a :class:`DataError` naming the table; so is a
+    stage whose attributes have 2**63 joint cells or more (see
+    :func:`~synthpop.population_model.cell_count`). Returns the
     Pareto archive of non-dominated rosters and the per-generation
     history. Deterministic for a given config seed.
     """
@@ -562,6 +565,8 @@ def evolve(
                             f"which is not a {stage} table")
     target = dataset.stage_target(stage)
     attributes = _stage_attributes(dataset, stage)
+    # Archive bundles store each roster row as its joint cell index.
+    cell_count([dataset.schema[name] for name in attributes])
     plan = SamplingPlan.from_tables(
         dataset.schema,
         attributes,

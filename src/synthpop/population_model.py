@@ -10,6 +10,7 @@ jointly from their cells.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
@@ -120,6 +121,21 @@ def code_dtype(attributes: Sequence[Attribute]) -> np.dtype:
     return np.min_scalar_type(max((a.size for a in attributes), default=1) - 1)
 
 
+def cell_count(attributes: Sequence[Attribute]) -> int:
+    """The number of joint cells of an attribute layout: the product of its
+    attributes' category counts. A row's cell index over the layout is a
+    numpy index (int64), so a layout of 2**63 cells or more is a
+    :class:`DataError`."""
+    count = math.prod(a.size for a in attributes)
+    if count >= 2**63:
+        names = ", ".join(a.name for a in attributes)
+        raise DataError(
+            f"attributes {names} have {count:,} joint cells; "
+            "a row's joint cell index must stay below 2**63"
+        )
+    return count
+
+
 class CompiledRules:
     """Rules bound to a roster's column layout for vectorised checking.
 
@@ -158,12 +174,6 @@ class CompiledRules:
                     break
             bad |= hit
         return bad
-
-    def row_ok(self, codes: np.ndarray, row: int) -> bool:
-        for bound in self._bound:
-            if all(forbidden[codes[row, col]] for col, forbidden in bound):
-                return False
-        return True
 
 
 def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from .errors import DataError
 from .fitness import normalize_objectives, rmse
 from .household_synthesis import AllocationResult
 from .nsga2 import ParetoArchive
-from .population_model import CandidatePopulation, code_dtype, count_offsets
+from .population_model import CandidatePopulation, cell_count, code_dtype, count_offsets
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
 # round-trip the objective magnitudes we emit without trailing noise.
@@ -196,71 +197,96 @@ def export_pareto_pairs(
             writer.writerow([index, *(_fmt(v) for v in row), int(index == selected)])
 
 
-def _palette_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode ``block[slot, member, attribute]`` as per-slot palettes.
+def _palette_block(cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode ``cells[slot, member]``, joint cell indices below ``count``,
+    as per-slot palettes.
 
-    Returns the distinct rows of every slot, slot-major and within a slot in
-    the order of the first member that holds them; the number of rows at
-    each slot; and each member's index into its slot's rows.
+    Returns the distinct cells of every slot, slot-major and within a slot
+    in the order of the first member that holds them; the number of cells
+    at each slot; and each member's index into its slot's cells.
     """
-    slots, members, width = block.shape
-    flat = block.reshape(-1, width)
-    columns = np.ascontiguousarray(flat.T)
-    slot_of = np.repeat(np.arange(slots, dtype=np.min_scalar_type(slots - 1)), members)
-    # Sort by slot, then by every code column. The sort is stable, so equal
-    # rows sit together in member order and each run starts at its first
-    # holder; rows compare exactly whatever the layout's width.
-    order = np.lexsort((*columns, slot_of))
-    starts = np.zeros(len(order), dtype=bool)
+    slots, members = cells.shape
+    # One sort of the packed (slot, cell) keys groups every slot's equal
+    # cells. The group's first holder is its least flat position whatever
+    # order the sort leaves ties in, so the result is the same for any sort.
+    offsets = np.arange(slots, dtype=np.min_scalar_type(slots * count)) * count
+    keys = (cells + offsets[:, None]).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(len(order), dtype=bool)
     starts[0] = True
-    for key in (slot_of, *columns):
-        ordered = key[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    first = np.zeros(len(order), dtype=bool)
-    first[order[starts]] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    heads = np.flatnonzero(starts)
+    holders = np.minimum.reduceat(order, heads)
     # Palette rows are the first holders in slot-major order.
-    number = np.cumsum(first) - 1
-    index = np.empty(len(order), dtype=np.intp)
-    index[order] = number[order[starts]][np.cumsum(starts) - 1]
-    counts = np.count_nonzero(first.reshape(slots, members), axis=1)
-    index = index.reshape(slots, members) - (np.cumsum(counts) - counts)[:, None]
-    return flat[first], counts, index
+    by_holder = np.argsort(holders)
+    slot = holders // members
+    counts = np.bincount(slot, minlength=slots)
+    number = np.empty(len(heads), dtype=np.intp)
+    number[by_holder] = np.arange(len(heads))
+    number -= (np.cumsum(counts) - counts)[slot]
+    index = np.empty(len(order), dtype=np.min_scalar_type(members - 1))
+    index[order] = np.repeat(number, np.diff(heads, append=len(order)))
+    return cells.ravel()[holders[by_holder]], counts, index.reshape(slots, members)
+
+
+def _planes(count: int) -> int:
+    """Bytes of a joint cell index below ``count``: at least one."""
+    return max(1, -(-(count - 1).bit_length() // 8))
 
 
 def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str]) -> None:
     """Persist an archive's rosters and objectives as an ``.npz`` bundle.
 
-    Crossover is positional, so members often share the row at a slot.
-    The bundle stores each slot's distinct rows once, ``palette[row,
-    attribute]`` (slot-major, in the roster code dtype), their number per
-    slot, ``palette_counts[slot]``, and each member's index into its slot's
-    rows, ``member_rows[slot, member]``, in the narrowest unsigned dtype.
-    Slots are encoded in blocks of about ``_BLOCK_ENTRIES`` slot-member
-    pairs, so the temporary arrays stay small whatever the archive's size.
+    Each roster row is stored as its joint cell index over the layout's
+    attributes, in mixed radix: the index of its code tuple in an array of
+    the attributes' sizes (``np.ravel_multi_index``). Crossover is
+    positional, so members often share the row at a slot. The bundle
+    stores each slot's distinct cells once, slot-major and within a slot in
+    the order of the first member that holds them, split into byte planes:
+    ``palette_cells[byte, row]`` (uint8) holds bits ``8 * byte`` to
+    ``8 * byte + 7``, with as many planes as the largest cell needs. It
+    also stores their number per slot, ``palette_counts[slot]``, and each
+    member's index into its slot's cells, ``member_rows[slot, member]``,
+    both in the narrowest unsigned dtype. Slots are encoded in blocks of
+    about ``_BLOCK_ENTRIES`` slot-member pairs, so the temporary arrays
+    stay small whatever the archive's size.
     """
     if not len(archive):
         raise DataError("archive is empty, nothing to save")
     candidates = archive.candidates
     attributes = candidates[0].attributes
-    slots, width = candidates[0].codes.shape
+    count = cell_count(attributes)
+    slots = len(candidates[0])
     members = len(candidates)
-    step = max(1, _BLOCK_ENTRIES // members)
-    block = np.empty((min(step, slots), members, width), dtype=code_dtype(attributes))
+    # A block's (slot, cell) keys must fit 64 bits.
+    step = max(1, min(_BLOCK_ENTRIES // members, (2**64 - 1) // count))
+    # Wide enough for every size and cell, so the place values fit.
+    cell_type = np.min_scalar_type(count)
+    sizes = [a.size for a in attributes]
+    place = np.array([math.prod(sizes[column + 1 :]) for column in range(len(sizes))],
+                     dtype=cell_type)
+    block = np.empty((min(step, slots), members), dtype=cell_type)
     member_rows = np.empty((slots, members), dtype=np.min_scalar_type(members - 1))
     palettes, counts = [], []
     for start in range(0, slots, step):
         part = block[: min(step, slots - start)]
         for column, candidate in enumerate(candidates):
-            part[:, column, :] = candidate.codes[start : start + len(part)]
-        rows, count, index = _palette_block(part)
-        palettes.append(rows)
-        counts.append(count)
+            # In the cell dtype whatever the codes' integer dtype: every cell fits.
+            np.matmul(candidate.codes[start : start + len(part)], place,
+                      out=part[:, column], dtype=cell_type, casting="unsafe")
+        palette, slot_counts, index = _palette_block(part, count)
+        palettes.append(palette)
+        counts.append(slot_counts)
         member_rows[start : start + len(part)] = index
+    cells = np.concatenate(palettes)
     counts = np.concatenate(counts)
     widest = int(counts.max())
     np.savez_compressed(
         path,
-        palette=np.concatenate(palettes),
+        palette_cells=np.stack(
+            [(cells >> 8 * plane).astype(np.uint8) for plane in range(_planes(count))]
+        ),
         palette_counts=counts.astype(np.min_scalar_type(widest)),
         member_rows=member_rows.astype(np.min_scalar_type(widest - 1), copy=False),
         objectives=archive.objective_matrix(),
@@ -271,11 +297,11 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
 
 class _PaletteMembers(Sequence):
     """An archive's members, each decoded from the palettes when indexed:
-    member ``m`` is ``palette[offsets + member_rows[:, m]]``."""
+    member ``m`` is the rows of ``cells[offsets + member_rows[:, m]]``."""
 
-    def __init__(self, attributes, palette, counts, member_rows) -> None:
+    def __init__(self, attributes, cells, counts, member_rows) -> None:
         self._attributes = attributes
-        self._palette = palette
+        self._cells = cells
         counts = counts.astype(np.intp)
         self._offsets = np.cumsum(counts) - counts
         self._member_rows = member_rows
@@ -286,12 +312,14 @@ class _PaletteMembers(Sequence):
     def __getitem__(self, index: int) -> CandidatePopulation:
         # In intp: uint64 mixed with a signed offset would promote to float.
         rows = self._offsets + self._member_rows[:, index].astype(np.intp)
-        return CandidatePopulation(self._attributes, self._palette[rows])
+        columns = np.unravel_index(self._cells[rows], [a.size for a in self._attributes])
+        codes = np.stack(columns, axis=1).astype(code_dtype(self._attributes))
+        return CandidatePopulation(self._attributes, codes)
 
 
 # Axes of each palette array, in order.
 _PALETTE_AXES = {
-    "palette": ("row", "attribute"),
+    "palette_cells": ("byte", "row"),
     "palette_counts": ("slot",),
     "member_rows": ("slot", "member"),
 }
@@ -304,10 +332,11 @@ def load_archive(
 
     Returns the members, their objective matrix, and the objective names,
     in saved order. Every array is checked here, so a bundle whose arrays
-    disagree in shape or dtype, that points outside its palettes or its
-    attributes' categories, or whose objectives are not all finite floats,
-    is a :class:`DataError`; a member's roster is decoded only when the
-    member is indexed.
+    disagree in shape or dtype, whose byte planes are not the layout's,
+    that points outside its palettes or holds a cell at or above its
+    attributes' joint cell count, or whose objectives are not all finite
+    floats, is a :class:`DataError`; a member's roster is decoded from its
+    cells only when the member is indexed.
     """
     with np.load(path, allow_pickle=False) as bundle:
         missing = [key for key in _PALETTE_AXES if key not in bundle.files]
@@ -330,7 +359,7 @@ def load_archive(
             )
         if array.dtype.kind != "u" or array.size == 0:
             raise DataError(f"{path}: {key} must be a non-empty unsigned integer array")
-    palette, counts, member_rows = arrays.values()
+    planes, counts, member_rows = arrays.values()
     slots, members = member_rows.shape
     if objectives.ndim != 2 or objectives.shape[1] != len(objective_names):
         raise DataError(
@@ -343,17 +372,20 @@ def load_archive(
         raise DataError(
             f"{path}: member_rows holds {members} members, objectives {objectives.shape[0]}"
         )
-    if palette.shape[1] != len(attributes):
+    if planes.dtype != np.uint8:
+        raise DataError(f"{path}: palette_cells must hold bytes (uint8), got {planes.dtype}")
+    count = cell_count(attributes)
+    if len(planes) != _planes(count):
         raise DataError(
-            f"{path}: palette has {palette.shape[1]} attributes, "
-            f"attribute_names {len(attributes)}"
+            f"{path}: palette_cells has {len(planes)} byte planes, but the "
+            f"{count:,} joint cells of attribute_names take {_planes(count)}"
         )
     if len(counts) != slots:
         raise DataError(f"{path}: palette_counts has {len(counts)} slots, member_rows {slots}")
-    if counts.min() < 1 or counts.sum() != len(palette):
+    if counts.min() < 1 or counts.sum() != planes.shape[1]:
         raise DataError(
             f"{path}: palette_counts must be at least 1 at every slot and sum to "
-            f"the palette's {len(palette)} rows, got {counts.sum()}"
+            f"the {planes.shape[1]} rows of palette_cells, got {counts.sum()}"
         )
     outside = (member_rows >= counts[:, None]).any(axis=1)
     if outside.any():
@@ -361,15 +393,16 @@ def load_archive(
         raise DataError(
             f"{path}: member_rows at slot {slot} points past its {counts[slot]} palette rows"
         )
-    for column, attribute in enumerate(attributes):
-        code = palette[:, column].max()
-        if code >= attribute.size:
-            raise DataError(
-                f"{path}: code {code} is out of range for attribute "
-                f"{attribute.name!r} ({attribute.size} categories)"
-            )
-    palette = palette.astype(code_dtype(attributes), copy=False)
-    members = _PaletteMembers(attributes, palette, counts, member_rows)
+    cell_type = np.min_scalar_type(count - 1)
+    cells = planes[0].astype(cell_type)
+    for plane in range(1, len(planes)):
+        cells |= planes[plane].astype(cell_type) << 8 * plane
+    if (highest := cells.max()) >= count:
+        raise DataError(
+            f"{path}: palette_cells holds cell {highest}, at or above the "
+            f"{count:,} joint cells of attribute_names"
+        )
+    members = _PaletteMembers(attributes, cells, counts, member_rows)
     return members, objectives.astype(np.float64), objective_names
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures, a small three-attribute world with consistent tables,
-the test-side helpers that read rosters, tables and rules by label, and
-the per-child variation operators that ``nsga2.breed`` must reproduce."""
+the test-side helpers that read rosters, tables and rules by label, the
+per-child variation operators that ``nsga2.breed`` must reproduce, and the
+palette encoder that ``reporting.save_archive`` must reproduce."""
 
 from collections.abc import Sequence
 from pathlib import Path
@@ -31,6 +32,15 @@ def violated_by(rule: ValidationRule, assignments: dict[str, str]) -> bool:
     return all(
         assignments.get(attribute) in categories for attribute, categories in rule.clauses
     )
+
+
+def row_ok(rules: CompiledRules, codes: np.ndarray, row: int) -> bool:
+    """Whether one roster row breaks none of ``rules``, checked row by row
+    apart from the vectorised ``violation_mask``."""
+    for bound in rules._bound:
+        if all(forbidden[codes[row, col]] for col, forbidden in bound):
+            return False
+    return True
 
 
 def labels(candidate, index: int) -> dict[str, str]:
@@ -139,7 +149,7 @@ def swap_mutation(
         return candidate
     codes = candidate.codes.copy()
     codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
-    if rules is not None and not (rules.row_ok(codes, i) and rules.row_ok(codes, j)):
+    if rules is not None and not (row_ok(rules, codes, i) and row_ok(rules, codes, j)):
         return candidate
     return CandidatePopulation(candidate.attributes, codes, candidate.category_counts)
 
@@ -402,3 +412,38 @@ def config_tree(tmp_path: Path) -> Path:
     config_path = tmp_path / "config.yaml"
     config_path.write_text(_CONFIG_YAML)
     return config_path
+
+
+def reference_palette_block(
+    block: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode ``block[slot, member, attribute]`` as per-slot palettes, with
+    a lexsort over the slot and every code column, as archive bundles were
+    encoded before they stored joint cell indices.
+
+    Returns the distinct rows of every slot, slot-major and within a slot in
+    the order of the first member that holds them; the number of rows at
+    each slot; and each member's index into its slot's rows.
+    """
+    slots, members, width = block.shape
+    flat = block.reshape(-1, width)
+    columns = np.ascontiguousarray(flat.T)
+    slot_of = np.repeat(np.arange(slots, dtype=np.min_scalar_type(slots - 1)), members)
+    # Sort by slot, then by every code column. The sort is stable, so equal
+    # rows sit together in member order and each run starts at its first
+    # holder; rows compare exactly whatever the layout's width.
+    order = np.lexsort((*columns, slot_of))
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in (slot_of, *columns):
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    first = np.zeros(len(order), dtype=bool)
+    first[order[starts]] = True
+    # Palette rows are the first holders in slot-major order.
+    number = np.cumsum(first) - 1
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = number[order[starts]][np.cumsum(starts) - 1]
+    counts = np.count_nonzero(first.reshape(slots, members), axis=1)
+    index = index.reshape(slots, members) - (np.cumsum(counts) - counts)[:, None]
+    return flat[first], counts, index

@@ -262,13 +262,32 @@ class TestReport:
         bundle = out / "archive_households.npz"
         with np.load(bundle) as saved:
             arrays = {key: saved[key] for key in saved.files}
-        arrays["member_rows"][0, -1] = arrays["palette_counts"][0]
+        # hsize and composition have 2 * 3 = 6 joint cells; 6 is the first
+        # cell past them.
+        arrays["palette_cells"][0, 0] = 6
         np.savez_compressed(bundle, **arrays)
         saved = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "member_rows at slot 0" in err
+        assert err.startswith("error:") and "palette_cells holds cell 6" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    def test_report_rejects_a_palette_of_codes(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_persons.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        # Bundles held palette[row, attribute] codes before joint cells.
+        planes = arrays.pop("palette_cells")
+        arrays["palette"] = np.zeros((planes.shape[1], 3), dtype=np.uint8)
+        np.savez_compressed(bundle, **arrays)
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "no palette_cells array (written by an older version?)" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     def test_report_rejects_text_objectives(self, config_tree, tmp_path, capsys):

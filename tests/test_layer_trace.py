@@ -22,9 +22,11 @@ CONFIG = str(ROOT / "fixtures" / "config.yaml")
 # the old household search until its next change moves that span to
 # ``cli.evolve`` per stage. ``nsga2.breed`` makes each generation in one
 # pass, so the tracer's four per-child operators are gone too, until its
-# next change spans ``breed`` instead. Any other missing name fails these
-# tests.
+# next change spans ``breed`` instead; ``breed`` checks rules with
+# ``violation_mask``, so ``CompiledRules.row_ok`` is gone as well. Any other
+# missing name fails these tests.
 DELETED = [
+    "population_model.CompiledRules.row_ok",
     "nsga2.binary_tournament",
     "nsga2.two_point_crossover",
     "nsga2.swap_mutation",

@@ -4,6 +4,8 @@ The per-child operators live in conftest as the reference that ``breed``
 must reproduce; their own tests pin that reference down by hand.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from synthpop import (
     Attribute,
+    AttributeSchema,
     CandidatePopulation,
     ContingencyTable,
     DataError,
@@ -826,6 +829,26 @@ class TestEvolve:
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):
             evolve(dataset_small, PERSONS, [], EvolutionConfig(population_size=10, generations=1))
+
+    @pytest.mark.parametrize("sizes", [(2**13,) * 5, (2**13,) * 4 + (2**11,)])
+    def test_layout_of_2_63_joint_cells_rejected_before_any_generation(self, sizes):
+        # 2**65 and 2**63 joint cells: a row's cell index would leave int64.
+        attributes = tuple(
+            Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
+            for i, size in enumerate(sizes)
+        )
+        tables = tuple(
+            ContingencyTable(f"t{i}", (a,), np.ones(a.size)) for i, a in enumerate(attributes)
+        )
+        dataset = RegionDataset("r", AttributeSchema(attributes), tables, target_persons=10)
+        specs = [ObjectiveSpec(name="fit", table="t0", attribute="a0")]
+        generations = []
+        with pytest.raises(DataError, match=f"have {math.prod(sizes):,} joint cells"):
+            evolve(
+                dataset, PERSONS, specs, EvolutionConfig(population_size=4, generations=1),
+                progress=lambda *args: generations.append(args),
+            )
+        assert generations == []
 
     def test_mixed_stage_specs_rejected(self, schema_small, dataset_small):
         homes = ContingencyTable(

@@ -32,7 +32,7 @@ from synthpop.population_model import (
     tally,
 )
 
-from conftest import breed_tied, labels, streams, violated_by, weighted_plan
+from conftest import breed_tied, labels, row_ok, streams, violated_by, weighted_plan
 
 
 def make_plan(schema):
@@ -59,7 +59,7 @@ class TestValidationRule:
         child_married = np.array([[0, 0, 1]], dtype=np.int16)
         compiled = CompiledRules([], attributes)
         assert not compiled.violation_mask(child_married).any()
-        assert compiled.row_ok(child_married, 0)
+        assert row_ok(compiled, child_married, 0)
 
     def test_rule_needs_clauses(self):
         with pytest.raises(DataError):
@@ -171,7 +171,7 @@ class TestCompiledRules:
             assignments = labels(candidate, index)
             expected = any(violated_by(rule, assignments) for rule in rules)
             assert mask[index] == expected
-            assert compiled.row_ok(candidate.codes, index) == (not expected)
+            assert row_ok(compiled, candidate.codes, index) == (not expected)
 
     def test_rule_must_use_roster_attributes(self, schema_small):
         rule = ValidationRule(name="odd", clauses=(("income", frozenset({"low"})),))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -36,6 +37,8 @@ from synthpop import (
 from synthpop import reporting
 from synthpop.household_synthesis import AllocationResult
 from synthpop.population_model import code_dtype
+
+from conftest import reference_palette_block
 
 TOL = 1e-9
 
@@ -232,10 +235,80 @@ def _bundle_arrays(source):
         return {key: bundle[key] for key in bundle.files}
 
 
-def _slot_palettes(arrays):
+def _palette_rows(arrays, attributes):
+    """The palette's rows of category codes, decoded from its byte planes."""
+    cells = sum(
+        plane.astype(np.uint64) << np.uint64(8 * byte)
+        for byte, plane in enumerate(arrays["palette_cells"])
+    )
+    return np.stack(np.unravel_index(cells, [a.size for a in attributes]), axis=1)
+
+
+def _slot_palettes(arrays, attributes):
     """Each slot's palette rows, split from the slot-major palette."""
     ends = np.cumsum(arrays["palette_counts"].astype(np.intp))
-    return np.split(arrays["palette"], ends[:-1])
+    return np.split(_palette_rows(arrays, attributes), ends[:-1])
+
+
+def _saved(archive, block):
+    """The arrays of ``archive``'s bundle, encoded ``block`` slot-member
+    pairs at a time."""
+    buffer = io.BytesIO()
+    # Small blocks make the encoder cross block boundaries.
+    with patch.object(reporting, "_BLOCK_ENTRIES", block):
+        save_archive(buffer, archive, ("x", "y", "z"))
+    buffer.seek(0)
+    return buffer, _bundle_arrays(buffer)
+
+
+# Archives of any layout and size whose members share rows at a slot.
+ARCHIVE_SHAPES = dict(
+    members=st.integers(1, 40),
+    slots=st.integers(1, 30),
+    sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
+    wide=st.one_of(st.none(), st.integers(257, 700)),
+    crowd=st.one_of(st.none(), st.integers(257, 300)),
+    pool=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _repeating_archive(members, slots, sizes, wide, crowd, pool, seed):
+    """An archive of rosters that draw each slot's row from a small pool,
+    so rows repeat across members as they do after positional crossover.
+
+    ``wide`` adds an attribute of more than 256 categories; ``crowd`` gives
+    each of that many members its own row at slot 0, so member_rows needs
+    more than one byte. Returns the archive and its rosters.
+    """
+    if wide is not None:
+        sizes = [*sizes, wide]
+    if crowd is not None:
+        members, sizes = crowd, [*sizes, crowd]
+    attributes = tuple(
+        Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
+        for i, size in enumerate(sizes)
+    )
+    rng = np.random.default_rng(seed)
+    pools = np.stack(
+        [rng.integers(0, size, size=(slots, pool)) for size in sizes], axis=-1
+    )
+    rosters = []
+    for member in range(members):
+        codes = pools[np.arange(slots), rng.integers(0, pool, size=slots)]
+        # Every attribute's highest category appears, so the dtype bound is hit.
+        codes[0] = [size - 1 for size in sizes]
+        if crowd is not None:
+            codes[0, -1] = member
+        rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
+    # Strictly decreasing second objective: no vector dominates another.
+    objectives = np.column_stack(
+        [np.arange(members), -np.arange(members), rng.random(members)]
+    ).astype(float)
+    archive = ParetoArchive(members)
+    for roster, vector in zip(rosters, objectives):
+        assert archive.insert(roster, vector)
+    return archive, rosters
 
 
 class TestArchiveBundle:
@@ -252,65 +325,25 @@ class TestArchiveBundle:
             assert np.array_equal(loaded.codes, kept.codes)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        members=st.integers(1, 40),
-        slots=st.integers(1, 30),
-        sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
-        wide=st.one_of(st.none(), st.integers(257, 700)),
-        crowd=st.one_of(st.none(), st.integers(257, 300)),
-        pool=st.integers(1, 50),
-        block=st.integers(1, 64),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_round_trip_any_shape(
-        self, members, slots, sizes, wide, crowd, pool, block, seed
-    ):
-        if wide is not None:
-            sizes = [*sizes, wide]
-        if crowd is not None:
-            # One attribute gives each of ``crowd`` members its own row at
-            # slot 0, so member_rows needs more than one byte.
-            members, sizes = crowd, [*sizes, crowd]
-        attributes = tuple(
-            Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
-            for i, size in enumerate(sizes)
-        )
-        rng = np.random.default_rng(seed)
-        # Members draw each slot's row from a small pool, so rows repeat
-        # across members as they do after positional crossover.
-        pools = np.stack(
-            [rng.integers(0, size, size=(slots, pool)) for size in sizes], axis=-1
-        )
-        rosters = []
-        for member in range(members):
-            codes = pools[np.arange(slots), rng.integers(0, pool, size=slots)]
-            # Every attribute's highest category appears, so the dtype bound is hit.
-            codes[0] = [size - 1 for size in sizes]
-            if crowd is not None:
-                codes[0, -1] = member
-            rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
-        # Strictly decreasing second objective: no vector dominates another.
-        objectives = np.column_stack(
-            [np.arange(members), -np.arange(members), rng.random(members)]
-        ).astype(float)
-        archive = ParetoArchive(members)
-        for roster, vector in zip(rosters, objectives):
-            assert archive.insert(roster, vector)
-        buffer = io.BytesIO()
-        # Small blocks make the encoder cross block boundaries.
-        with patch.object(reporting, "_BLOCK_ENTRIES", block):
-            save_archive(buffer, archive, ("x", "y", "z"))
-        buffer.seek(0)
-        arrays = _bundle_arrays(buffer)
-        assert arrays["palette"].dtype == (np.uint8 if max(sizes) <= 256 else np.uint16)
+    @given(**ARCHIVE_SHAPES, block=st.integers(1, 64))
+    def test_round_trip_any_shape(self, block, **shape):
+        archive, rosters = _repeating_archive(**shape)
+        attributes = rosters[0].attributes
+        members, slots = len(rosters), len(rosters[0])
+        buffer, arrays = _saved(archive, block)
+        planes = arrays["palette_cells"]
+        cells = math.prod(a.size for a in attributes)
+        assert planes.dtype == np.uint8
+        # One plane per byte of the largest cell index.
+        assert 256 ** (len(planes) - 1) < cells <= 256 ** len(planes) or len(planes) == 1
         counts = arrays["palette_counts"]
         assert counts.dtype.kind == "u" and len(counts) == slots
         member_rows = arrays["member_rows"]
         assert member_rows.shape == (slots, members)
         assert member_rows.dtype == np.min_scalar_type(int(counts.max()) - 1)
-        if crowd is not None:
+        if shape["crowd"] is not None:
             assert member_rows.dtype == np.uint16
-        for slot, palette in enumerate(_slot_palettes(arrays)):
+        for slot, palette in enumerate(_slot_palettes(arrays, attributes)):
             assert len(np.unique(palette, axis=0)) == len(palette)
             # Rows come in the order of the first member that holds them.
             first_seen = dict.fromkeys(tuple(r.codes[slot]) for r in rosters)
@@ -319,19 +352,64 @@ class TestArchiveBundle:
         buffer.seek(0)
         loaded, loaded_objectives, names = load_archive(buffer, AttributeSchema(attributes))
         assert names == ["x", "y", "z"]
-        assert np.array_equal(loaded_objectives, objectives)
+        assert np.array_equal(loaded_objectives, archive.objective_matrix())
         assert len(loaded) == members
         for roster, kept in zip(loaded, rosters):
             assert roster.attribute_names == kept.attribute_names
             assert np.array_equal(roster.codes, kept.codes)
             assert roster.codes.dtype == code_dtype(attributes)
 
+    @settings(max_examples=40, deadline=None)
+    @given(**ARCHIVE_SHAPES, block=st.integers(1, 64))
+    def test_encoder_matches_the_lexsort_reference(self, block, **shape):
+        archive, rosters = _repeating_archive(**shape)
+        attributes = rosters[0].attributes
+        _, arrays = _saved(archive, block)
+        stacked = np.stack([r.codes for r in rosters], axis=1).astype(code_dtype(attributes))
+        rows, counts, index = reference_palette_block(stacked)
+        assert np.array_equal(_palette_rows(arrays, attributes), rows)
+        widest = int(counts.max())
+        assert arrays["palette_counts"].dtype == np.min_scalar_type(widest)
+        assert np.array_equal(arrays["palette_counts"], counts)
+        assert arrays["member_rows"].dtype == np.min_scalar_type(widest - 1)
+        assert np.array_equal(arrays["member_rows"], index)
+
+    def test_round_trip_near_the_cell_bound(self):
+        # 2**62 joint cells: keys of two slots already need 64 bits, so the
+        # encoder takes at most three slots at a time.
+        sizes = (2**16, 2**16, 2**16, 2**14)
+        attributes = tuple(
+            Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
+            for i, size in enumerate(sizes)
+        )
+        rng = np.random.default_rng(5)
+        rosters = [
+            CandidatePopulation(
+                attributes, np.column_stack([rng.integers(0, s, size=7) for s in sizes])
+            )
+            for _ in range(3)
+        ]
+        # The last member repeats the first at every slot.
+        rosters.append(rosters[0])
+        archive = ParetoArchive(4)
+        for member, roster in enumerate(rosters):
+            assert archive.insert(roster, np.array([member, -member, 0.0]))
+        buffer, arrays = _saved(archive, 1 << 18)
+        assert arrays["palette_cells"].shape[0] == 8
+        assert np.array_equal(arrays["member_rows"][:, 3], arrays["member_rows"][:, 0])
+        buffer.seek(0)
+        loaded, _, _ = load_archive(buffer, AttributeSchema(attributes))
+        for roster, kept in zip(loaded, rosters):
+            assert np.array_equal(roster.codes, kept.codes)
+
     def test_wider_unsigned_arrays_decode(self, schema_small, tmp_path):
         archive = archive_of(schema_small, [[1.0, 2.0], [2.0, 1.0]])
         path = tmp_path / "archive.npz"
         save_archive(path, archive, ("a", "b"))
-        arrays = {key: value.astype(np.uint64) if value.dtype.kind == "u" else value
-                  for key, value in _bundle_arrays(path).items()}
+        arrays = _bundle_arrays(path)
+        # palette_cells stays in bytes; the index arrays may be any width.
+        for key in ("palette_counts", "member_rows"):
+            arrays[key] = arrays[key].astype(np.uint64)
         np.savez_compressed(path, **arrays)
         members, _, _ = load_archive(path, schema_small)
         for loaded, kept in zip(members, archive.candidates):
@@ -353,13 +431,19 @@ def _tampered_bundle(schema, path, tamper):
 
 def _legacy_layout(arrays):
     # The slot_codes layout that bundles held before palettes.
-    for key in ("palette", "palette_counts", "member_rows"):
+    for key in ("palette_cells", "palette_counts", "member_rows"):
         del arrays[key]
     arrays["slot_codes"] = np.zeros((6, 2, 3), dtype=np.uint8)
 
 
+def _palette_layout(arrays):
+    # The palette[row, attribute] codes that bundles held before cells.
+    planes = arrays.pop("palette_cells")
+    arrays["palette"] = np.zeros((planes.shape[1], 3), dtype=np.uint8)
+
+
 def _flat_codes(arrays):
-    arrays["palette"] = arrays["palette"].ravel()
+    arrays["palette_cells"] = arrays["palette_cells"].ravel()
 
 
 def _extra_member(arrays):
@@ -367,7 +451,8 @@ def _extra_member(arrays):
 
 
 def _missing_attribute(arrays):
-    arrays["palette"] = arrays["palette"][:, :2]
+    # sex, age: 6 joint cells, which the saved female rows' cells exceed.
+    arrays["attribute_names"] = arrays["attribute_names"][:2]
 
 
 def _extra_objective(arrays):
@@ -375,14 +460,23 @@ def _extra_objective(arrays):
 
 
 def _code_out_of_range(arrays):
-    # ``sex`` has two categories, so 2 is the first code out of range.
-    arrays["palette"][0, 0] = 2
+    # sex, age, marital: 2 * 3 * 2 = 12 joint cells, so 12 is the first out.
+    arrays["palette_cells"][0, 0] = 12
 
 
 def _negative_code(arrays):
-    signed = arrays["palette"].astype(np.int16)
+    signed = arrays["palette_cells"].astype(np.int16)
     signed[0, 0] = -1
-    arrays["palette"] = signed
+    arrays["palette_cells"] = signed
+
+
+def _wide_planes(arrays):
+    arrays["palette_cells"] = arrays["palette_cells"].astype(np.uint16)
+
+
+def _extra_plane(arrays):
+    planes = arrays["palette_cells"]
+    arrays["palette_cells"] = np.vstack([planes, np.zeros_like(planes)])
 
 
 def _signed_member_rows(arrays):
@@ -396,6 +490,10 @@ def _member_row_at_count(arrays):
 
 def _counts_over_palette(arrays):
     arrays["palette_counts"][-1] += 1
+
+
+def _palette_row_short(arrays):
+    arrays["palette_cells"] = arrays["palette_cells"][:, :-1]
 
 
 def _empty_slot(arrays):
@@ -421,15 +519,19 @@ class TestMalformedArchiveBundle:
         "tamper, message",
         [
             (_legacy_layout, "re-run `synthpop run`"),
-            (_flat_codes, r"2 axes \(row, attribute\), got 1"),
+            (_palette_layout, r"no palette_cells array \(written by an older version\?\)"),
+            (_flat_codes, r"2 axes \(byte, row\), got 1"),
             (_extra_member, "holds 2 members, objectives 3"),
-            (_missing_attribute, "palette has 2 attributes, attribute_names 3"),
+            (_missing_attribute, r"palette_cells holds cell \d+, at or above the 6 joint cells"),
             (_extra_objective, r"expected \(members, 3\)"),
-            (_code_out_of_range, "code 2 is out of range for attribute 'sex'"),
+            (_code_out_of_range, "palette_cells holds cell 12, at or above the 12 joint cells"),
             (_negative_code, "unsigned integer"),
+            (_wide_planes, r"palette_cells must hold bytes \(uint8\), got uint16"),
+            (_extra_plane, "palette_cells has 2 byte planes, but the 12 joint cells"),
             (_signed_member_rows, "member_rows must be a non-empty unsigned integer"),
             (_member_row_at_count, "member_rows at slot 0 points past its"),
-            (_counts_over_palette, "sum to the palette's"),
+            (_counts_over_palette, r"sum to the \d+ rows of palette_cells"),
+            (_palette_row_short, r"sum to the \d+ rows of palette_cells"),
             (_empty_slot, "at least 1 at every slot"),
             (_missing_slot, "palette_counts has 5 slots, member_rows 6"),
             (_text_objectives, "objectives must be finite floats"),
@@ -441,6 +543,19 @@ class TestMalformedArchiveBundle:
         _tampered_bundle(schema_small, path, tamper)
         with pytest.raises(DataError, match=message):
             load_archive(path, schema_small)
+
+    def test_missing_byte_plane_rejected(self, tmp_path):
+        # 2 * 300 = 600 joint cells take two byte planes.
+        schema = AttributeSchema((
+            Attribute("sex", ("m", "f")),
+            Attribute("wide", tuple(f"c{j}" for j in range(300))),
+        ))
+        path = tmp_path / "archive.npz"
+        _tampered_bundle(schema, path, lambda arrays: arrays.update(
+            palette_cells=arrays["palette_cells"][:1]
+        ))
+        with pytest.raises(DataError, match="palette_cells has 1 byte planes, but the 600 joint"):
+            load_archive(path, schema)
 
 
 class TestRmseRows:
