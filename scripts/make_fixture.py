@@ -321,7 +321,6 @@ def main() -> None:
                 "offspring_size": 400,
                 "resample_probability": 1.0,
                 "resample_slots": 100,
-                "sampling": "joint",
             },
         },
         "households": {
@@ -348,7 +347,6 @@ def main() -> None:
                 "offspring_size": 200,
                 "resample_probability": 1.0,
                 "resample_slots": 40,
-                "sampling": "joint",
             },
         },
     }

@@ -168,6 +168,15 @@ class RegionDataset:
     def stage_target(self, stage: str) -> int:
         return self.target_persons if stage == PERSONS else self.target_households
 
+    def stage_attributes(self, stage: str) -> tuple[str, ...]:
+        """A stage's roster layout: the union of its tables' axes, in schema
+        order. Evolution builds rosters with these columns, and a saved
+        archive bundle must list them."""
+        present: set[str] = set()
+        for table in self.stage_tables(stage):
+            present.update(table.axis_names)
+        return tuple(n for n in self.schema.names if n in present)
+
 
 def load_schema(path: str | Path) -> AttributeSchema:
     """Load an attribute schema from YAML.

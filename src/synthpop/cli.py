@@ -112,7 +112,7 @@ def _evolve_stage(
     export_convergence(config.output_dir / f"convergence_{stage}.csv", history, names)
     save_archive(config.output_dir / f"archive_{stage}.npz", archive, names)
     print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
-    return _load_stage_archive(config, dataset.schema, stage_config), wall
+    return _load_stage_archive(config, dataset, stage_config), wall
 
 
 def _export_stage(
@@ -264,19 +264,29 @@ def _cmd_validate_data(args: argparse.Namespace) -> int:
 
 
 def _load_stage_archive(
-    config: RunConfig, schema, stage_config: StageConfig
+    config: RunConfig, dataset: RegionDataset, stage_config: StageConfig
 ) -> tuple[np.ndarray, Sequence[CandidatePopulation]]:
     """Load the stage's saved bundle, which must track the stage's
-    configured objectives, in order; returns its objective matrix and its
-    members, which decode only when indexed."""
-    path = config.output_dir / f"archive_{stage_config.stage}.npz"
+    configured objectives, in order, over the stage's attribute layout
+    (:meth:`~synthpop.census_data.RegionDataset.stage_attributes`);
+    returns its objective matrix and its members, which decode only when
+    indexed."""
+    stage = stage_config.stage
+    path = config.output_dir / f"archive_{stage}.npz"
     if not path.exists():
         raise DataError(f"{path} not found; run the pipeline first")
-    members, objectives, names = load_archive(path, schema)
+    members, objectives, names = load_archive(path, dataset.schema)
     expected = [spec.name for spec in stage_config.objectives]
     if names != expected:
         raise DataError(
             f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
+        )
+    layout = [a.name for a in members.attributes]
+    stage_layout = list(dataset.stage_attributes(stage))
+    if layout != stage_layout:
+        raise DataError(
+            f"saved archive {path.name} lays out attributes {layout}, "
+            f"but the {stage} tables give {stage_layout}"
         )
     return objectives, members
 
@@ -341,10 +351,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rules = load_stage_rules(config, dataset.schema)
 
     # Both bundles are loaded and checked before any file is rewritten.
-    bundle = _load_stage_archive(config, dataset.schema, config.persons)
+    bundle = _load_stage_archive(config, dataset, config.persons)
     household_bundle = None
     if config.households is not None and (config.output_dir / "archive_households.npz").exists():
-        household_bundle = _load_stage_archive(config, dataset.schema, config.households)
+        household_bundle = _load_stage_archive(config, dataset, config.households)
 
     persons, _ = _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
     if household_bundle is not None:

@@ -79,7 +79,6 @@ _KINDS = {
     bool: ("a boolean", (bool,)),
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
-    str: ("a string", (str,)),
 }
 
 

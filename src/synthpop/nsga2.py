@@ -26,11 +26,11 @@ from .census_data import HOUSEHOLDS, PERSONS, RegionDataset
 from .errors import DataError
 from .fitness import ObjectiveEvaluator, ObjectiveSpec
 from .population_model import (
-    SAMPLING_MODES,
     CandidatePopulation,
     CompiledRules,
     SamplingPlan,
     ValidationRule,
+    _draw,
     cell_count,
     count_offsets,
     generate_candidate,
@@ -71,7 +71,6 @@ class EvolutionConfig:
     offspring_size: int | None = None
     resample_probability: float = 0.0
     resample_slots: int = 1
-    sampling: str = "independent"
 
     def __post_init__(self) -> None:
         if self.population_size < 2 or self.population_size % 2:
@@ -91,10 +90,6 @@ class EvolutionConfig:
             self.offspring_size < 2 or self.offspring_size % 2
         ):
             raise DataError("offspring size must be an even number of at least 2")
-        if self.sampling not in SAMPLING_MODES:
-            raise DataError(
-                f"sampling must be one of {list(SAMPLING_MODES)}, got {self.sampling!r}"
-            )
 
     @property
     def capacity(self) -> int:
@@ -354,9 +349,7 @@ def _resample(
     # In draw order, so a cell drawn twice keeps its last draw.
     for col, cdf in enumerate(cdfs):
         hits = columns == col
-        new[at[hits], col] = np.minimum(
-            np.searchsorted(cdf, value_u[hits], side="right"), len(cdf) - 1
-        )
+        new[at[hits], col] = _draw(cdf, value_u[hits])
     broken = rules.violation_mask(new)
     new[broken] = old[broken]
     # Each changed cell counts its new code up and its old one down, in
@@ -527,15 +520,6 @@ class GenerationHistory:
 ProgressCallback = Callable[[str, int, np.ndarray, float], None]
 
 
-def _stage_attributes(dataset: RegionDataset, stage: str) -> tuple[str, ...]:
-    """Roster attributes for a stage: the union of its tables' axes, in
-    schema order."""
-    present: set[str] = set()
-    for table in dataset.stage_tables(stage):
-        present.update(table.axis_names)
-    return tuple(n for n in dataset.schema.names if n in present)
-
-
 def evolve(
     dataset: RegionDataset,
     stage: str,
@@ -564,15 +548,10 @@ def evolve(
             raise DataError(f"objective {spec.name!r} references table {spec.table!r}, "
                             f"which is not a {stage} table")
     target = dataset.stage_target(stage)
-    attributes = _stage_attributes(dataset, stage)
+    attributes = dataset.stage_attributes(stage)
     # Archive bundles store each roster row as its joint cell index.
     cell_count([dataset.schema[name] for name in attributes])
-    plan = SamplingPlan.from_tables(
-        dataset.schema,
-        attributes,
-        dataset.stage_tables(stage),
-        mode=config.sampling,
-    )
+    plan = SamplingPlan.from_tables(dataset.schema, attributes, dataset.stage_tables(stage))
     evaluator = ObjectiveEvaluator(dataset, specs, target, plan.attributes)
     # Compiled once for the stage; this also fails fast on misconfigured rules.
     compiled = CompiledRules(rules, plan.attributes)

@@ -2,10 +2,10 @@
 
 A candidate solution is a fixed-length roster of synthetic entities
 (persons in stage one, households in stage two) stored as a dense matrix
-of category indices: one row per entity, one column per attribute. All
-sampling draws run through a :class:`SamplingPlan`, which either treats
-attributes as independent marginals or walks the stage tables and draws
-jointly from their cells.
+of category indices: one row per entity, one column per attribute. Initial
+rosters are drawn through a :class:`SamplingPlan`, which walks the stage
+tables and draws jointly from their cells; resample mutation redraws single
+values from each attribute's marginal, which the plan also holds.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .census_data import (
 )
 from .errors import DataError, EvolutionError
 
-INDEPENDENT = "independent"
-JOINT = "joint"
-SAMPLING_MODES = (INDEPENDENT, JOINT)
 # Draws each roster slot gets before rejection sampling gives up.
 SAMPLING_RETRIES = 100
 
@@ -177,6 +174,8 @@ class CompiledRules:
 
 
 def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The category each uniform falls in under a cumulative weight vector;
+    rounding in the last bin maps to the last category."""
     idx = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(idx, len(cdf) - 1)
 
@@ -196,13 +195,11 @@ class _JointGroup:
 class SamplingPlan:
     """How entity attribute values are drawn for one pipeline stage.
 
-    A plan draws its groups in order, each filling its columns from a
-    table's cells conditioned on columns earlier groups filled. Independent
-    mode has one unconditioned group per attribute, in attribute order,
-    holding the attribute's own marginal weights. Joint mode walks the
-    stage tables in order and draws each table's not-yet-assigned axes from
-    the table's cells, conditioned on any axes already assigned by earlier
-    tables; this preserves the cross-attribute structure the tables record.
+    A plan walks the stage tables in order and draws each table's
+    not-yet-assigned axes from the table's cells, conditioned on any axes
+    already assigned by earlier tables; this preserves the cross-attribute
+    structure the tables record. Each attribute's marginal, from the first
+    table listing it, is kept for resample mutation (:attr:`redraw_tables`).
     """
 
     def __init__(
@@ -234,15 +231,14 @@ class SamplingPlan:
         schema: AttributeSchema,
         attributes: Sequence[str],
         tables: Sequence[ContingencyTable],
-        mode: str = INDEPENDENT,
     ) -> SamplingPlan:
-        """Plan for a stage, deriving weights from the stage's tables.
+        """Plan for a stage, deriving its draws from the stage's tables.
 
-        In independent mode each attribute's weights come from the first
-        table listing it, marginalised.
+        Each table, in order, contributes one group for the attributes no
+        earlier table assigned. Each attribute's marginal weights come from
+        the first table listing it; an attribute that no table lists is a
+        :class:`DataError`.
         """
-        if mode not in SAMPLING_MODES:
-            raise DataError(f"unknown sampling mode {mode!r}")
         if not attributes:
             raise DataError("sampling plan needs at least one attribute")
         resolved = tuple(schema[name] for name in attributes)
@@ -257,8 +253,6 @@ class SamplingPlan:
         for a in resolved:
             counts = marginalize(source_table(a.name), a.name)
             marginal_cdfs[a.name] = np.cumsum(counts / counts.sum())
-        if mode == INDEPENDENT:
-            return cls(resolved, marginal_cdfs, _marginal_groups(resolved, marginal_cdfs))
 
         columns = {a.name: i for i, a in enumerate(resolved)}
         assigned: set[str] = set()
@@ -271,12 +265,6 @@ class SamplingPlan:
             given = [a for a in in_stage if a.name in assigned]
             groups.append(_build_joint_group(table, given, new, columns))
             assigned.update(a.name for a in new)
-        missing = [a.name for a in resolved if a.name not in assigned]
-        if missing:
-            raise DataError(
-                f"joint sampling cannot cover attributes {missing}: no stage "
-                "table lists them"
-            )
         return cls(resolved, marginal_cdfs, tuple(groups))
 
     def sample_codes(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,16 +287,6 @@ class SamplingPlan:
             for col, part in zip(group.new_columns, parts):
                 codes[:, col] = part
         return codes
-
-
-def _marginal_groups(
-    attributes: Sequence[Attribute], marginal_cdfs: Mapping[str, np.ndarray]
-) -> tuple[_JointGroup, ...]:
-    """One unconditioned group per attribute, drawn from its marginal."""
-    return tuple(
-        _JointGroup((), (), (column,), (a.size,), marginal_cdfs[a.name][None, :])
-        for column, a in enumerate(attributes)
-    )
 
 
 def _build_joint_group(

@@ -297,10 +297,11 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
 
 class _PaletteMembers(Sequence):
     """An archive's members, each decoded from the palettes when indexed:
-    member ``m`` is the rows of ``cells[offsets + member_rows[:, m]]``."""
+    member ``m`` is the rows of ``cells[offsets + member_rows[:, m]]``
+    over the bundle's ``attributes``."""
 
     def __init__(self, attributes, cells, counts, member_rows) -> None:
-        self._attributes = attributes
+        self.attributes = attributes
         self._cells = cells
         counts = counts.astype(np.intp)
         self._offsets = np.cumsum(counts) - counts
@@ -312,9 +313,9 @@ class _PaletteMembers(Sequence):
     def __getitem__(self, index: int) -> CandidatePopulation:
         # In intp: uint64 mixed with a signed offset would promote to float.
         rows = self._offsets + self._member_rows[:, index].astype(np.intp)
-        columns = np.unravel_index(self._cells[rows], [a.size for a in self._attributes])
-        codes = np.stack(columns, axis=1).astype(code_dtype(self._attributes))
-        return CandidatePopulation(self._attributes, codes)
+        columns = np.unravel_index(self._cells[rows], [a.size for a in self.attributes])
+        codes = np.stack(columns, axis=1).astype(code_dtype(self.attributes))
+        return CandidatePopulation(self.attributes, codes)
 
 
 # Axes of each palette array, in order.
@@ -331,7 +332,7 @@ def load_archive(
     """Load an ``.npz`` archive bundle written by :func:`save_archive`.
 
     Returns the members, their objective matrix, and the objective names,
-    in saved order. Every array is checked here, so a bundle whose arrays
+    in saved order; the members' ``attributes`` are the bundle's layout. Every array is checked here, so a bundle whose arrays
     disagree in shape or dtype, whose byte planes are not the layout's,
     that points outside its palettes or holds a cell at or above its
     attributes' joint cell count, or whose objectives are not all finite

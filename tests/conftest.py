@@ -57,9 +57,10 @@ def cell(table: ContingencyTable, *codes: str) -> float:
 
 
 def weighted_plan(pairs) -> SamplingPlan:
-    """Independent sampling plan drawing each attribute from its weight
-    vector, built through ``SamplingPlan.from_tables`` from one single-axis
-    table per attribute."""
+    """Sampling plan drawing each attribute from its weight vector, built
+    through ``SamplingPlan.from_tables`` from one single-axis table per
+    attribute, in attribute order: each table is one unconditioned group,
+    so the joint walk draws the attributes independently."""
     attributes = tuple(attribute for attribute, _ in pairs)
     tables = [ContingencyTable(a.name, (a,), np.asarray(w, dtype=np.float64)) for a, w in pairs]
     return SamplingPlan.from_tables(

@@ -273,6 +273,27 @@ class TestReport:
         assert err.startswith("error:") and "palette_cells holds cell 6" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
+    def test_report_rejects_a_bundle_of_another_layout(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_households.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        # Reversed, hsize and composition still have 2 * 3 = 6 joint cells,
+        # so every cell of the bundle still decodes.
+        layout = [str(name) for name in arrays["attribute_names"]]
+        assert layout == ["hsize", "composition"]
+        arrays["attribute_names"] = arrays["attribute_names"][::-1]
+        np.savez_compressed(bundle, **arrays)
+        (out / "persons.csv").unlink()
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "['composition', 'hsize']" in err and "['hsize', 'composition']" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
     def test_report_rejects_a_palette_of_codes(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")

@@ -121,12 +121,20 @@ class TestLoadRunConfig:
         with pytest.raises(DataError, match=f"unknown evolution keys \\['{key}'\\]"):
             load_run_config(config_tree)
 
-    def test_evolution_range_error_names_the_stage(self, config_tree):
+    def test_sampling_key_is_unknown(self, config_tree):
         text = config_tree.read_text().replace(
-            "offspring_size: 20}", "offspring_size: 20, sampling: stratified}"
+            "offspring_size: 20}", "offspring_size: 20, sampling: joint}"
         )
         config_tree.write_text(text)
-        with pytest.raises(DataError, match="stage 'persons': sampling must be one of"):
+        with pytest.raises(DataError, match="unknown evolution keys \\['sampling'\\]"):
+            load_run_config(config_tree)
+
+    def test_evolution_range_error_names_the_stage(self, config_tree):
+        text = config_tree.read_text().replace(
+            "offspring_size: 20}", "offspring_size: 20, resample_slots: 0}"
+        )
+        config_tree.write_text(text)
+        with pytest.raises(DataError, match="stage 'persons': resample_slots must be"):
             load_run_config(config_tree)
 
     def test_unknown_metric_rejected(self, config_tree):

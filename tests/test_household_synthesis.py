@@ -383,9 +383,7 @@ class TestGenerateHouseholds:
         assert np.array_equal(first.objective_matrix(), second.objective_matrix())
 
     def test_joint_sampling_draws_observed_cells_only(self, household_dataset):
-        config = EvolutionConfig(
-            population_size=10, generations=0, seed=3, sampling="joint"
-        )
+        config = EvolutionConfig(population_size=10, generations=0, seed=3)
         archive, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         observed_pairs = {(0, 0), (1, 1), (1, 2)}
         for candidate in archive.candidates:

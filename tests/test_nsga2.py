@@ -692,10 +692,6 @@ class TestEvolutionConfig:
         with pytest.raises(DataError):
             EvolutionConfig(crossover_probability=1.5)
 
-    def test_bad_sampling_mode_rejected(self):
-        with pytest.raises(DataError):
-            EvolutionConfig(sampling="stratified")
-
     def test_offspring_override(self):
         config = EvolutionConfig(population_size=10, offspring_size=40)
         assert config.offspring == 40

@@ -9,6 +9,7 @@ from synthpop import (
     Attribute,
     AttributeSchema,
     CandidatePopulation,
+    ContingencyTable,
     DataError,
     EvolutionConfig,
     EvolutionError,
@@ -24,8 +25,6 @@ from synthpop import (
 )
 from synthpop.population_model import (
     _SHIFTED_TALLY_ROWS,
-    INDEPENDENT,
-    JOINT,
     CompiledRules,
     code_dtype,
     count_offsets,
@@ -43,6 +42,35 @@ def make_plan(schema):
             (schema["marital"], np.array([0.6, 0.4])),
         ]
     )
+
+
+@st.composite
+def table_layouts(draw):
+    """A schema of two or three small attributes and two or three tables
+    over subsets of them, in any axis order, that together list every
+    attribute; cells are small counts, zero in many places."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    attributes = tuple(
+        Attribute(f"x{i}", tuple(f"c{j}" for j in range(size)))
+        for i, size in enumerate(sizes)
+    )
+    indices = st.integers(0, len(attributes) - 1)
+    axes = [
+        draw(st.lists(indices, min_size=1, max_size=len(attributes), unique=True))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    listed = {i for table in axes for i in table}
+    axes[-1] += [i for i in range(len(attributes)) if i not in listed]
+    tables = []
+    for t, table in enumerate(axes):
+        shape = tuple(sizes[i] for i in table)
+        size = int(np.prod(shape))
+        cells = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        counts = np.array(cells, dtype=np.float64).reshape(shape)
+        if not counts.any():
+            counts.flat[draw(st.integers(0, counts.size - 1))] = 1
+        tables.append(ContingencyTable(f"t{t}", tuple(attributes[i] for i in table), counts))
+    return AttributeSchema(attributes), tables
 
 
 class TestValidationRule:
@@ -225,7 +253,7 @@ class TestSamplingPlanJoint:
     def test_joint_mode_preserves_table_structure(self, dataset_small):
         schema = dataset_small.schema
         plan = SamplingPlan.from_tables(
-            schema, ("sex", "age", "marital"), dataset_small.person_tables, mode=JOINT
+            schema, ("sex", "age", "marital"), dataset_small.person_tables
         )
         rng = np.random.default_rng(23)
         codes = plan.sample_codes(40_000, rng)
@@ -242,12 +270,30 @@ class TestSamplingPlanJoint:
         sigma = np.sqrt(expected * (1 - expected) / len(elders))
         assert abs(share - expected) <= 4 * sigma
 
-    def test_independent_mode_uses_first_table_marginal(self, dataset_small):
+    @settings(max_examples=100, deadline=None)
+    @given(layout=table_layouts(), seed=st.integers(0, 2**32 - 1))
+    def test_draws_fall_in_positive_cells(self, layout, seed):
+        schema, tables = layout
+        plan = SamplingPlan.from_tables(schema, schema.names, tables)
+        codes = plan.sample_codes(200, np.random.default_rng(seed))
+        column = {name: i for i, name in enumerate(schema.names)}
+        assigned: set[str] = set()
+        # Each table that assigns an attribute no earlier table did is one
+        # group of the walk: its draws land in its positive cells wherever
+        # the row's values of the earlier attributes have a positive total.
+        for table in tables:
+            new = [i for i, name in enumerate(table.axis_names) if name not in assigned]
+            if not new:
+                continue
+            cells = tuple(codes[:, column[name]] for name in table.axis_names)
+            given = table.counts.sum(axis=tuple(new), keepdims=True)
+            conditioned = np.broadcast_to(given, table.counts.shape)[cells] > 0
+            assert (table.counts[cells][conditioned] > 0).all()
+            assigned.update(table.axis_names)
+
+    def test_redraw_tables_use_first_table_marginal(self, dataset_small):
         plan = SamplingPlan.from_tables(
-            dataset_small.schema,
-            ("sex", "age", "marital"),
-            dataset_small.person_tables,
-            mode=INDEPENDENT,
+            dataset_small.schema, ("sex", "age", "marital"), dataset_small.person_tables
         )
         age_cdf = plan.redraw_tables[1][1]
         assert np.allclose(np.diff(age_cdf, prepend=0.0), [0.30, 0.52, 0.18], atol=1e-12)
@@ -258,7 +304,6 @@ class TestSamplingPlanJoint:
                 dataset_small.schema,
                 ("sex", "age", "income"),
                 dataset_small.person_tables,
-                mode=JOINT,
             )
 
 
