@@ -7,9 +7,12 @@ row indices, as in Deb et al. (2002). :func:`breed` makes a generation's
 offspring in one pass: it makes every random draw first, per child and in
 the order that one operator call per child would, then applies crossover,
 swap and resample mutation to the whole generation with one rule check per
-operator. Each child carries the category counts derived from its parent's,
-touching only the rows that changed, so the loop scores each generation's
-offspring with one evaluator call and no roster is recounted. Determinism
+operator. A changed child is a recipe over its parents rather than a copy,
+and carries the category counts derived from its parents', touching only
+the rows that changed, so the loop scores each generation's offspring
+with one evaluator call and no roster is recounted. Only the survivors
+and the archive members build their codes, at the end of each
+generation; the other children never do. Determinism
 is strict: every random draw goes through a named substream of the master
 seed, so a run's outputs are byte-identical for a given config and seed.
 """
@@ -192,25 +195,24 @@ def _tournaments(
 
 def _cross(
     first: CandidatePopulation, second: CandidatePopulation, cut_a: int, cut_b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Codes and counts of the two children that exchange the parents'
-    rows ``cut_a:cut_b``. The codes are fresh, writable arrays. Each
-    child's counts are its parent's, shifted by the tallies of the
-    exchanged slice, or of its complement when that is shorter."""
-    child_a = first.codes.copy()
-    child_b = second.codes.copy()
-    child_a[cut_a:cut_b] = second.codes[cut_a:cut_b]
-    child_b[cut_a:cut_b] = first.codes[cut_a:cut_b]
-    # What child_a gains over first, and child_b loses against second.
+) -> tuple[CandidatePopulation, CandidatePopulation]:
+    """The two unbuilt children that exchange the parents' rows
+    ``cut_a:cut_b``. Each child's counts are its parent's, shifted by the
+    tallies of the exchanged slice, or of its complement when that is
+    shorter."""
+    # What the first child gains over first, and the second loses against second.
     offsets = count_offsets(first.attributes)
     if 2 * (cut_b - cut_a) <= len(first):
         gain = (tally(second.codes[cut_a:cut_b], offsets)
                 - tally(first.codes[cut_a:cut_b], offsets))
     else:
-        kept_a = tally(np.concatenate((first.codes[:cut_a], first.codes[cut_b:])), offsets)
-        kept_b = tally(np.concatenate((second.codes[:cut_a], second.codes[cut_b:])), offsets)
+        kept_a = tally(first.codes[:cut_a], offsets) + tally(first.codes[cut_b:], offsets)
+        kept_b = tally(second.codes[:cut_a], offsets) + tally(second.codes[cut_b:], offsets)
         gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
-    return child_a, child_b, first.category_counts + gain, second.category_counts - gain
+    return (
+        first.spliced(second, cut_a, cut_b, first.category_counts + gain),
+        second.spliced(first, cut_a, cut_b, second.category_counts - gain),
+    )
 
 
 def breed(
@@ -227,7 +229,7 @@ def breed(
     ``rngs`` are the selection, crossover and mutation streams. Pairs of
     parents come from binary tournaments on ``rank`` and ``crowding``. A
     pair recombines by two-point crossover with the crossover probability,
-    or else passes on copies. Each child, in order, then gets at most one
+    or else passes itself on. Each child, in order, then gets at most one
     swap and one resample mutation:
 
     - The swap exchanges one attribute's values between two random roster
@@ -245,25 +247,23 @@ def breed(
     operators child by child. The draws need no roster data, so they come
     first and the operators are applied to the whole generation at once:
     one rule check per operator and one tally of the resampled rows. A
-    child that neither crossover nor mutation changed is its parent.
+    child that neither crossover nor mutation changed is its parent; the
+    others are unbuilt rosters over their parents (see
+    :class:`~synthpop.population_model.CandidatePopulation`), whose rows
+    the mutations read through the crossover cut and the earlier patches.
     """
     select_rng, cross_rng, mutate_rng = rngs
-    length, width = population[0].codes.shape
+    length, width = len(population[0]), len(plan.attributes)
     children = config.offspring
     winners = _tournaments(rank, crowding, children, select_rng)
     parents = [population[w] for w in winners]
-    # A child's codes are writable exactly when they are its own array.
-    codes: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
+    offspring: list[CandidatePopulation] = []
     for first, second in zip(parents[::2], parents[1::2]):
         if cross_rng.random() < config.crossover_probability:
             cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
-            child_a, child_b, counts_a, counts_b = _cross(first, second, cut_a, cut_b)
-            codes += (child_a, child_b)
-            counts += (counts_a, counts_b)
+            offspring += _cross(first, second, cut_a, cut_b)
         else:
-            codes += (first.codes, second.codes)
-            counts += (first.category_counts, second.category_counts)
+            offspring += (first, second)
 
     swaps: list[tuple[int, int, int, int]] = []
     redrawn: list[int] = []
@@ -284,46 +284,36 @@ def breed(
                 mutate_rng.random(slots),
             ))
 
-    swaps = [s for s in swaps if codes[s[0]][s[1], s[3]] != codes[s[0]][s[2], s[3]]]
-    if swaps:
-        # Both slots of every swap, swapped, then checked in one call.
-        pairs = np.stack([codes[child][[i, j]] for child, i, j, _ in swaps])
-        each, cols = np.arange(len(swaps)), np.array([col for *_, col in swaps])
+    # Both slots of each swap, read through the child's recipe; a swap of
+    # equal values is skipped.
+    read = [(swap, offspring[swap[0]].rows(swap[1:3])) for swap in swaps]
+    read = [(swap, pair) for swap, pair in read if pair[0, swap[3]] != pair[1, swap[3]]]
+    if read:
+        # Swapped, then checked in one call.
+        pairs = np.stack([pair for _, pair in read])
+        each, cols = np.arange(len(read)), np.array([swap[3] for swap, _ in read])
         pairs[each, :, cols] = pairs[each, ::-1, cols]
         broken = rules.violation_mask(pairs.reshape(-1, width)).reshape(-1, 2).any(axis=1)
-        for (child, i, j, _), pair, skip in zip(swaps, pairs, broken.tolist()):
+        for ((child, i, j, _), _), pair, skip in zip(read, pairs, broken.tolist()):
             if not skip:
-                _own(codes, child)[[i, j]] = pair
+                offspring[child] = offspring[child].patched(np.array([i, j]), pair)
 
     if redrawn:
-        _resample(codes, counts, redrawn, draws, plan, rules)
-
-    return [
-        CandidatePopulation(plan.attributes, child_codes, child_counts)
-        if child_codes.flags.writeable else parent
-        for child_codes, child_counts, parent in zip(codes, counts, parents)
-    ]
-
-
-def _own(codes: list[np.ndarray], child: int) -> np.ndarray:
-    """A child's codes to write to: copied first while they are still its
-    parent's read-only array."""
-    if not codes[child].flags.writeable:
-        codes[child] = codes[child].copy()
-    return codes[child]
+        _resample(offspring, redrawn, draws, plan, rules)
+    return offspring
 
 
 def _resample(
-    codes: list[np.ndarray],
-    counts: list[np.ndarray],
+    offspring: list[CandidatePopulation],
     redrawn: list[int],
     draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     plan: SamplingPlan,
     rules: CompiledRules,
 ) -> None:
-    """Apply the resample draws of the ``redrawn`` children to their codes
-    and counts, in place; see :func:`breed`."""
-    length, width = codes[0].shape
+    """Apply the resample draws of the ``redrawn`` children, replacing each
+    child they change in ``offspring`` by its patched roster; see
+    :func:`breed`."""
+    length, width = len(offspring[0]), len(plan.attributes)
     column_p, cdfs = plan.redraw_tables
     column_cdf = column_p.cumsum()
     column_cdf /= column_cdf[-1]
@@ -344,7 +334,7 @@ def _resample(
     owner, slot = np.divmod(ordered[first], length)
     bounds = np.searchsorted(owner, np.arange(len(redrawn) + 1)).tolist()
     blocks = list(zip(redrawn, bounds[:-1], bounds[1:]))
-    old = np.concatenate([codes[child].take(slot[a:b], axis=0) for child, a, b in blocks])
+    old = np.concatenate([offspring[child].rows(slot[a:b]) for child, a, b in blocks])
     new = old.copy()
     # In draw order, so a cell drawn twice keeps its last draw.
     for col, cdf in enumerate(cdfs):
@@ -364,8 +354,8 @@ def _resample(
     delta = np.subtract(*tallies.reshape(2, len(redrawn), size))
     for k in np.unique(owner[row]).tolist():
         child, a, b = blocks[k]
-        _own(codes, child)[slot[a:b]] = new[a:b]
-        counts[child] = counts[child] + delta[k]
+        roster = offspring[child]
+        offspring[child] = roster.patched(slot[a:b], new[a:b], roster.category_counts + delta[k])
 
 
 def environmental_selection(
@@ -593,6 +583,10 @@ def evolve(
         survivors = environmental_selection(rank, crowding, config.population_size)
         population = [population[i] for i in survivors]
         objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
+        # Build the rosters kept past this generation, so no recipe outlives
+        # it; the children neither kept nor archived are never built.
+        for roster in (*population, *archive.candidates):
+            roster.build()
         entry = history.record(
             generation,
             archive.best_values(),

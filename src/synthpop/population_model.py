@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -360,37 +361,119 @@ def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     ])
 
 
-@dataclass(eq=False)
+class _Recipe(NamedTuple):
+    """How an unbuilt roster's codes are made: ``base``'s codes, with rows
+    ``cut_a:cut_b`` taken from ``donor`` when there is one, then each patch
+    of (rows, values) written in order."""
+
+    base: CandidatePopulation
+    donor: CandidatePopulation | None
+    cut_a: int
+    cut_b: int
+    patches: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 class CandidatePopulation:
     """A fixed-length roster of synthetic entities; one search-space point.
 
-    ``codes`` is read-only after construction, so rosters can share it;
-    variation operators change a copy. ``counts``, when given, must equal
-    the :attr:`category_counts` of ``codes``: variation operators pass the
-    counts they derive from a parent's, so the child is never recounted.
+    ``codes`` is read-only, so rosters can share it. A roster that variation
+    makes from others (:meth:`spliced`, :meth:`patched`) starts as a recipe
+    over them and builds its codes on first access, dropping the recipe;
+    :meth:`rows` reads single rows without building, so a child that is
+    never kept is never built. ``counts``, when given, must equal the
+    :attr:`category_counts` of ``codes``: variation derives a child's counts
+    from its parents', so the child is never recounted.
     """
 
-    attributes: tuple[Attribute, ...]
-    codes: np.ndarray
-    counts: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, counts: np.ndarray | None) -> None:
-        codes = np.asarray(self.codes)
-        if codes.ndim != 2 or codes.shape[1] != len(self.attributes):
+    def __init__(
+        self,
+        attributes: tuple[Attribute, ...],
+        codes: np.ndarray,
+        counts: np.ndarray | None = None,
+    ):
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or codes.shape[1] != len(attributes):
             raise DataError(
                 f"roster matrix has shape {codes.shape}, expected "
-                f"(n, {len(self.attributes)})"
+                f"(n, {len(attributes)})"
             )
         if not np.issubdtype(codes.dtype, np.integer):
-            codes = codes.astype(code_dtype(self.attributes))
+            codes = codes.astype(code_dtype(attributes))
         codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        self.attributes = attributes
+        self._codes: np.ndarray | None = codes
+        self._recipe: _Recipe | None = None
         if counts is not None:
             counts.setflags(write=False)
         self._counts = counts
 
+    @classmethod
+    def _deferred(cls, recipe: _Recipe, counts: np.ndarray) -> CandidatePopulation:
+        roster = cls.__new__(cls)
+        roster.attributes = recipe.base.attributes
+        roster._codes, roster._recipe = None, recipe
+        counts.setflags(write=False)
+        roster._counts = counts
+        return roster
+
+    def spliced(
+        self, donor: CandidatePopulation, cut_a: int, cut_b: int, counts: np.ndarray
+    ) -> CandidatePopulation:
+        """This roster with rows ``cut_a:cut_b`` taken from ``donor``, which
+        has the same layout and length; ``counts`` are the result's."""
+        return self._deferred(_Recipe(self, donor, cut_a, cut_b, ()), counts)
+
+    def patched(
+        self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray | None = None
+    ) -> CandidatePopulation:
+        """This roster with ``values`` written to ``rows`` (distinct row
+        indices); ``counts`` are the result's, by default this roster's."""
+        recipe = self._recipe or _Recipe(self, None, 0, 0, ())
+        recipe = recipe._replace(patches=(*recipe.patches, (rows, values)))
+        return self._deferred(recipe, self.category_counts if counts is None else counts)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The (n, n_attributes) category codes; built on first access."""
+        if self._codes is None:
+            self.build()
+        return self._codes
+
+    def build(self) -> None:
+        """Build the codes now, if they are not yet, and drop the recipe and
+        with it the references to the rosters it was made from."""
+        if self._recipe is None:
+            return
+        base, donor, cut_a, cut_b, patches = self._recipe
+        codes = base.codes.copy()
+        if donor is not None:
+            codes[cut_a:cut_b] = donor.codes[cut_a:cut_b]
+        for rows, values in patches:
+            codes[rows] = values
+        codes.setflags(write=False)
+        self._codes, self._recipe = codes, None
+
+    def rows(self, index: Sequence[int] | np.ndarray) -> np.ndarray:
+        """A new array of the codes at rows ``index``; an unbuilt roster
+        reads them through its recipe and stays unbuilt."""
+        index = np.asarray(index, dtype=np.intp)
+        if self._recipe is None:
+            return self._codes[index]
+        base, donor, cut_a, cut_b, patches = self._recipe
+        out = base.rows(index)
+        if donor is not None:
+            spliced = (cut_a <= index) & (index < cut_b)
+            out[spliced] = donor.rows(index[spliced])
+        # A patch's rows are distinct, so each index matches at most one.
+        for rows, values in patches:
+            order = np.argsort(rows)
+            at = np.minimum(np.searchsorted(rows, index, sorter=order), len(rows) - 1)
+            hit = rows[order[at]] == index
+            out[hit] = values[order[at[hit]]]
+        return out
+
     def __len__(self) -> int:
-        return self.codes.shape[0]
+        return len(self._recipe.base) if self._codes is None else self._codes.shape[0]
 
     @property
     def category_counts(self) -> np.ndarray:

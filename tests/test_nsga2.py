@@ -5,6 +5,8 @@ must reproduce; their own tests pin that reference down by hand.
 """
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from synthpop import (
     fast_nondominated_sort,
     generate_candidate,
 )
+from synthpop import nsga2
 from synthpop.census_data import PERSONS
 from synthpop.nsga2 import rank_population, substream
 from synthpop.population_model import CompiledRules
@@ -558,6 +561,36 @@ class TestBreed:
         for a, b in zip(ours, theirs):
             assert a.random() == b.random()
 
+    def test_uncrossed_child_swapped_then_resampled(self):
+        # Without crossover a swapped child is a roster over its parent and
+        # the swap alone; a resample of 40 cells over 12 rows then reads
+        # its old values through that swap.
+        sizes = (3, 4, 2)
+        attributes = labelled(sizes)
+        rng = np.random.default_rng(5)
+        plan = weighted_plan([(a, rng.dirichlet(np.ones(a.size))) for a in attributes])
+        rules = CompiledRules([c0_pair_rule(attributes)], attributes)
+        population = [
+            CandidatePopulation(attributes, valid_codes(sizes, 12, rng).astype(np.uint8))
+            for _ in range(3)
+        ]
+        config = EvolutionConfig(
+            population_size=2, offspring_size=8, crossover_probability=0.0,
+            mutation_probability=1.0, resample_probability=1.0, resample_slots=40,
+        )
+        rank, crowding = np.ones(3), np.zeros(3)
+        children = breed(population, rank, crowding, config, plan, rules, streams(11))
+        select_rng, _, mutate_rng = streams(11)
+        both = 0
+        for child in children:
+            parent = population[binary_tournament(rank, crowding, select_rng)]
+            swapped = swap_mutation(parent, 1.0, mutate_rng, rules)
+            reference = resample_mutation(swapped, 1.0, plan, mutate_rng, rules, slots=40)
+            assert np.array_equal(child.codes, reference.codes)
+            assert np.array_equal(child.category_counts, reference.category_counts)
+            both += swapped is not parent and reference is not swapped
+        assert both
+
 
 class TestEnvironmentalSelection:
     def select(self, ranks, crowdings, target):
@@ -821,6 +854,70 @@ class TestEvolve:
         )
         for candidate in archive.candidates:
             assert not compiled.violation_mask(candidate.codes).any()
+
+    def test_peak_memory_holds_no_offspring_copies(self, dataset_small):
+        # 200 offspring of a 20,000-row roster a generation. Built copies of
+        # them would take about 200 rosters; the archive and two
+        # generations' populations fit in far fewer.
+        dataset = RegionDataset(
+            "r", dataset_small.schema, dataset_small.person_tables, target_persons=20_000
+        )
+        config = EvolutionConfig(
+            population_size=4, generations=3, offspring_size=200,
+            resample_probability=1.0, resample_slots=5, seed=4,
+        )
+        roster_bytes = 20_000 * 3  # one byte per code
+        # A first run makes the lazy imports, which are not the run's memory.
+        warm_up = EvolutionConfig(population_size=4, generations=1)
+        evolve(dataset_small, PERSONS, self.specs(), warm_up)
+        tracemalloc.start()
+        try:
+            archive, _ = evolve(dataset, PERSONS, self.specs(), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert archive.candidates[0].codes.nbytes == roster_bytes
+        assert peak < (config.capacity + 2 * config.population_size + 4) * roster_bytes
+
+    def test_no_recipe_outlives_its_generation(
+        self, dataset_small, rule_no_child_marriage, monkeypatch
+    ):
+        archives, bred = [], []
+
+        class Recorded(ParetoArchive):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                archives.append(self)
+
+        def recording(population, *args):
+            # The population a generation breeds from has left the previous
+            # one: all built, as is every archive member.
+            for roster in (*population, *archives[0].candidates):
+                assert roster._recipe is None
+            # A roster bred two generations ago lives on only if it is still
+            # in the population or the archive.
+            if len(bred) >= 2:
+                kept = {id(r) for r in (*population, *archives[0].candidates)}
+                for ref in bred[-2]:
+                    assert ref() is None or id(ref()) in kept
+            children = breed(population, *args)
+            bred.append([weakref.ref(r) for r in (*population, *children)])
+            return children
+
+        monkeypatch.setattr(nsga2, "ParetoArchive", Recorded)
+        monkeypatch.setattr(nsga2, "breed", recording)
+        config = EvolutionConfig(
+            population_size=6, generations=6, offspring_size=12, seed=2,
+            mutation_probability=0.5, resample_probability=1.0, resample_slots=4,
+        )
+        archive, _ = evolve(
+            dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
+        )
+        assert len(bred) == 6
+        kept = {id(r) for r in archive.candidates}
+        for refs in bred:
+            assert all(ref() is None or id(ref()) in kept for ref in refs)
+        assert all(roster._recipe is None for roster in archive.candidates)
 
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):

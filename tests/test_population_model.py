@@ -322,6 +322,37 @@ class TestCandidatePopulation:
                 tuple(schema_small.attributes), np.zeros((4, 2), dtype=np.int16)
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_unbuilt_rosters_read_and_build_their_recipe(self, data, length, seed):
+        attributes = tuple(Attribute(f"x{i}", ("a", "b", "c")[: 2 + i % 2]) for i in range(3))
+        rng = np.random.default_rng(seed)
+        parents = [
+            np.column_stack([rng.integers(0, a.size, length) for a in attributes])
+            for _ in range(2)
+        ]
+        first, second = (CandidatePopulation(attributes, codes.copy()) for codes in parents)
+        cuts = st.lists(st.integers(0, length), min_size=2, max_size=2)
+        cut_a, cut_b = sorted(data.draw(cuts))
+        roster = first.spliced(second, cut_a, cut_b, first.category_counts)
+        expected = parents[0].copy()
+        expected[cut_a:cut_b] = parents[1][cut_a:cut_b]
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows = np.array(data.draw(st.lists(
+                st.integers(0, length - 1), min_size=1, max_size=length, unique=True
+            )))
+            values = np.column_stack([rng.integers(0, a.size, len(rows)) for a in attributes])
+            roster = roster.patched(rows, values)
+            expected[rows] = values
+            index = data.draw(st.lists(st.integers(0, length - 1), max_size=2 * length))
+            assert np.array_equal(roster.rows(index), expected[index].reshape(-1, 3))
+        assert roster._recipe is not None and len(roster) == length
+        assert np.array_equal(roster.codes, expected)
+        assert roster._recipe is None and not roster.codes.flags.writeable
+        assert np.array_equal(roster.column("x1"), expected[:, 1])
+        assert np.array_equal(first.codes, parents[0])
+        assert np.array_equal(second.codes, parents[1])
+
 
 class TestCategoryCounts:
     def test_each_column_counted_in_order(self, schema_small):
