@@ -8,6 +8,7 @@ category order. Everything here is immutable after loading.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,6 +111,8 @@ class ContingencyTable:
                 f"table {self.name!r} counts have shape {counts.shape}, "
                 f"expected {expected}"
             )
+        if not np.isfinite(counts).all():
+            raise DataError(f"table {self.name!r} has non-finite cell counts")
         if np.any(counts < 0):
             raise DataError(f"table {self.name!r} has negative cell counts")
         if not np.any(counts > 0):
@@ -272,6 +275,8 @@ def load_contingency_table(
             raise DataError(
                 f"table file {path}, line {lineno}: count {text!r} is not a number"
             ) from None
+        if not math.isfinite(value):
+            raise DataError(f"table file {path}, line {lineno}: non-finite count {text}")
         if value < 0:
             raise DataError(f"table file {path}, line {lineno}: negative count {text}")
         counts[idx] += value

@@ -99,14 +99,24 @@ def normalize_objectives(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarr
     return out
 
 
+def weighted_sums(objectives: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Each row's weighted sum of raw objective values, added in objective
+    order so that a row's sum does not depend on the rows scored with it."""
+    matrix = np.asarray(objectives, dtype=np.float64)
+    return sum((column * weight for column, weight in zip(matrix.T, weights)),
+               np.zeros(len(matrix)))
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """One reconstruction-error objective.
 
     ``attribute`` selects the table axis to project onto; leave it None to
     fit the table's full joint cell distribution instead. ``weight`` does
-    not steer the search; it weighs this objective when one archive member
-    is selected for export (see ``reporting.select_best``).
+    not steer the search: it weighs this objective's raw value in the sum
+    that picks the exported roster, and that the archive always keeps the
+    lowest of (see ``reporting.select_best``). The raw values add up
+    because every objective of a stage counts errors over the same roster.
     """
 
     name: str

@@ -12,7 +12,10 @@ and carries the category counts derived from its parents', touching only
 the rows that changed, so the loop scores each generation's offspring
 with one evaluator call and no roster is recounted. Only the survivors
 and the archive members build their codes, at the end of each
-generation; the other children never do. Determinism
+generation; the other children never do. Once per generation the Pareto
+archive merges the generation's first front and truncates to the
+population size, always keeping the lowest weighted sum of objectives any
+evaluated roster reached, which is the roster exported. Determinism
 is strict: every random draw goes through a named substream of the master
 seed, so a run's outputs are byte-identical for a given config and seed.
 """
@@ -20,14 +23,14 @@ seed, so a run's outputs are byte-identical for a given config and seed.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .census_data import HOUSEHOLDS, PERSONS, RegionDataset
 from .errors import DataError
-from .fitness import ObjectiveEvaluator, ObjectiveSpec
+from .fitness import ObjectiveEvaluator, ObjectiveSpec, weighted_sums
 from .population_model import (
     CandidatePopulation,
     CompiledRules,
@@ -62,8 +65,8 @@ class EvolutionConfig:
     """Parameters of one evolutionary stage.
 
     Every field but ``seed`` is a stage's ``evolution`` config key, typed
-    by its annotation. The Pareto archive holds up to ten times the
-    population size.
+    by its annotation. The Pareto archive holds at most the population
+    size.
     """
 
     population_size: int = 100
@@ -93,10 +96,6 @@ class EvolutionConfig:
             self.offspring_size < 2 or self.offspring_size % 2
         ):
             raise DataError("offspring size must be an even number of at least 2")
-
-    @property
-    def capacity(self) -> int:
-        return 10 * self.population_size
 
     @property
     def offspring(self) -> int:
@@ -380,21 +379,21 @@ def environmental_selection(
 
 
 class ParetoArchive:
-    """Non-dominated candidates accumulated across all generations.
+    """Non-dominated rosters kept across a run, updated once per generation.
 
-    Candidates keep insertion order, and row k of the objective matrix is
-    candidate k's vector. Inserting a candidate that is dominated by, or
-    objective-identical to, a member is a no-op; inserting a dominator
-    evicts everything it dominates. Over capacity, the most crowded member
-    is dropped first, which preserves the per-objective extremes.
+    Members keep the order in which they joined, and row k of the objective
+    matrix is member k's vector. The archive does not feed back into the
+    search. It always keeps the roster with the lowest weighted sum of raw
+    objectives, which ``reporting.select_best`` exports.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, weights: Sequence[float]):
         if capacity < 1:
             raise DataError("archive capacity must be positive")
         self.capacity = capacity
+        self.weights = np.asarray(weights, dtype=np.float64)
         self._candidates: list[CandidatePopulation] = []
-        self._objectives = np.empty((0, 0), dtype=np.float64)
+        self._objectives = np.empty((0, len(self.weights)), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._candidates)
@@ -411,50 +410,32 @@ class ParetoArchive:
         view.setflags(write=False)
         return view
 
-    def best_values(self) -> np.ndarray:
-        """Per-objective minimum across members; never worsens over a run."""
-        return self.objective_matrix().min(axis=0)
+    def update(self, candidates: Sequence[CandidatePopulation], objectives: np.ndarray) -> None:
+        """Merge the offered rosters, row for row with ``objectives``.
 
-    def insert(self, candidate: CandidatePopulation, objectives: np.ndarray) -> bool:
-        objectives = np.asarray(objectives, dtype=np.float64)
-        if self._candidates:
-            matrix = self._objectives
-            if matrix.shape[1] != objectives.shape[0]:
-                raise ValueError("objective vector length does not match archive")
-            # One compare per objective over the members' column of it. A
-            # member no worse anywhere dominates or equals the offer.
-            columns = matrix.T
-            le = columns[0] <= objectives[0]
-            for column, value in zip(columns[1:], objectives[1:]):
-                le &= column <= value
-            if le.any():
-                return False
-            # No member equals the offer, so one no better anywhere is
-            # worse somewhere: the offer dominates it.
-            evicted = columns[0] >= objectives[0]
-            for column, value in zip(columns[1:], objectives[1:]):
-                evicted &= column >= value
-            if evicted.any():
-                self._candidates = [
-                    c for c, gone in zip(self._candidates, evicted) if not gone
-                ]
-                matrix = matrix[~evicted]
-            self._objectives = np.vstack([matrix, objectives])
-        else:
-            self._objectives = np.vstack([objectives])
-        self._candidates.append(candidate)
-        while len(self._candidates) > self.capacity:
-            drop = int(np.argmin(crowding_distance(self._objectives)))
-            del self._candidates[drop]
-            self._objectives = np.delete(self._objectives, drop, axis=0)
-        return True
-
-    def update(
-        self, entries: Iterable[tuple[CandidatePopulation, np.ndarray]]
-    ) -> int:
-        """Offer each (candidate, objectives) pair in turn; returns how many
-        were inserted."""
-        return sum(self.insert(candidate, objectives) for candidate, objectives in entries)
+        The pool is the members followed by the offers. Of each group of
+        objective-identical rows only the first is kept, so a member wins a
+        tie, and then only the pool's non-dominated rows. Over capacity,
+        the row with the lowest weighted sum (the earliest on a tie) is
+        kept, and the others are truncated by descending crowding distance
+        as :func:`environmental_selection` truncates its last front. The
+        kept rows stay in pool order.
+        """
+        pool = np.vstack([self._objectives, np.asarray(objectives, dtype=np.float64)])
+        rosters = [*self._candidates, *candidates]
+        if len(rosters) != len(pool):
+            raise ValueError("need one objective vector per offered roster")
+        _, first = np.unique(pool, axis=0, return_index=True)
+        keep = np.sort(first)
+        keep = keep[fast_nondominated_sort(pool[keep])[0]]
+        if len(keep) > self.capacity:
+            rows = pool[keep]
+            rank = np.full(len(keep), 2)
+            rank[np.argmin(weighted_sums(rows, self.weights))] = 1
+            chosen = environmental_selection(rank, crowding_distance(rows), self.capacity)
+            keep = keep[np.sort(chosen)]
+        self._candidates = [rosters[i] for i in keep.tolist()]
+        self._objectives = pool[keep]
 
 
 @dataclass(frozen=True)
@@ -477,9 +458,12 @@ class GenerationRecord:
 class GenerationHistory:
     """Per-generation traces with a fixed normalisation baseline.
 
-    Normalised values divide raw values by the initial population's mean
-    for each objective, so every trace starts near 1 and the descent is
-    comparable across objectives of different scale.
+    A record's ``best`` is, per objective, the lowest value any roster
+    evaluated so far reached, so it never worsens; ``mean`` is the
+    surviving population's. Normalised values divide raw values by the
+    initial population's mean for each objective, so every trace starts
+    near 1 and the descent is comparable across objectives of different
+    scale.
     """
 
     names: tuple[str, ...]
@@ -527,8 +511,9 @@ def evolve(
     stage has none, is a :class:`DataError` naming the table; so is a
     stage whose attributes have 2**63 joint cells or more (see
     :func:`~synthpop.population_model.cell_count`). Returns the
-    Pareto archive of non-dominated rosters and the per-generation
-    history. Deterministic for a given config seed.
+    Pareto archive of at most ``config.population_size`` non-dominated
+    rosters, weighted by the specs' weights (see :class:`ParetoArchive`),
+    and the per-generation history. Deterministic for a given config seed.
     """
     if not specs:
         raise DataError("need at least one objective")
@@ -555,14 +540,14 @@ def evolve(
     ]
     objectives = evaluator(population)
     rank, crowding = rank_population(objectives)
-    archive = ParetoArchive(config.capacity)
-    archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
+    archive = ParetoArchive(config.population_size, [spec.weight for spec in specs])
+    front = np.flatnonzero(rank == 1)
+    archive.update([population[i] for i in front], objectives[front])
+    best = objectives.min(axis=0)
     history = GenerationHistory(
         names=evaluator.names, baseline=objectives.mean(axis=0)
     )
-    entry = history.record(
-        0, archive.best_values(), objectives.mean(axis=0), time.perf_counter() - started
-    )
+    entry = history.record(0, best, objectives.mean(axis=0), time.perf_counter() - started)
     if progress is not None:
         progress(stage, 0, entry.best, entry.seconds)
 
@@ -579,7 +564,9 @@ def evolve(
         # which the next generation's tournaments compare.
         objectives = np.vstack([objectives, evaluator(population[len(objectives):])])
         rank, crowding = rank_population(objectives)
-        archive.update((population[i], objectives[i]) for i in np.flatnonzero(rank == 1))
+        front = np.flatnonzero(rank == 1)
+        archive.update([population[i] for i in front], objectives[front])
+        best = np.minimum(best, objectives.min(axis=0))
         survivors = environmental_selection(rank, crowding, config.population_size)
         population = [population[i] for i in survivors]
         objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
@@ -588,10 +575,7 @@ def evolve(
         for roster in (*population, *archive.candidates):
             roster.build()
         entry = history.record(
-            generation,
-            archive.best_values(),
-            objectives.mean(axis=0),
-            time.perf_counter() - started,
+            generation, best, objectives.mean(axis=0), time.perf_counter() - started
         )
         if progress is not None:
             progress(stage, generation, entry.best, entry.seconds)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .census_data import AttributeSchema, ContingencyTable, marginalize
 from .errors import DataError
-from .fitness import normalize_objectives, rmse
+from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
 from .nsga2 import ParetoArchive
 from .population_model import CandidatePopulation, cell_count, code_dtype, count_offsets
@@ -62,13 +62,11 @@ def file_checksum(path: str | Path) -> str:
 def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
     """Pick one archive member as the exported population.
 
-    ``objectives`` is the archive's objective matrix, one row per member.
-    Objectives are min-max normalized across the archive so that scales do
-    not leak into the choice, then combined as a weighted sum with
-    ``weights``, one per objective column (the stage's
-    ``ObjectiveSpec.weight`` values). The member with the lowest score
-    wins; ties go to the earliest member, which keeps the choice stable
-    for a given archive order.
+    ``objectives`` is the archive's objective matrix, one row per member,
+    and ``weights`` holds one weight per objective column (the stage's
+    ``ObjectiveSpec.weight`` values). The member with the lowest weighted
+    sum of raw objective values wins, the earliest on a tie. Of all the
+    rosters an archive was offered, it always keeps the one this picks.
     """
     if not len(objectives):
         raise DataError("archive is empty, nothing to select")
@@ -82,8 +80,7 @@ def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
         raise DataError("selection weights must be non-negative")
     if not np.any(vector > 0):
         raise DataError("at least one selection weight must be positive")
-    scores = normalize_objectives(matrix) @ vector
-    return int(np.argmin(scores))
+    return int(np.argmin(weighted_sums(matrix, vector)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +152,9 @@ def export_households(
 def export_convergence(path: str | Path, history, names: Sequence[str]) -> None:
     """Write the per-generation descent trace in long form.
 
-    One row per (generation, objective) with the archive-best and
-    population-mean values, both on the history's fixed normalization so
-    the file is plot-ready without re-scaling.
+    One row per (generation, objective) with the best value any evaluated
+    roster had reached and the population mean, both on the history's
+    fixed normalization so the file is plot-ready without re-scaling.
     """
     with open(path, "w", newline="") as handle:
         writer = _writer(handle)
@@ -184,8 +181,7 @@ def export_pareto_pairs(
 
     ``objectives`` is the archive's objective matrix. One row per archive
     member: member index, each objective min-max normalized across the
-    archive (the same scaling selection uses), and a ``selected`` column
-    that is 1 on exactly one row.
+    archive, and a ``selected`` column that is 1 on exactly one row.
     """
     if not 0 <= selected < len(objectives):
         raise DataError("selected index is outside the archive")

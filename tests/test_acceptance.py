@@ -67,7 +67,7 @@ def read_rows(path: Path) -> list[list[str]]:
 
 
 def best_traces(convergence_path: Path) -> dict[str, list[float]]:
-    """Per-objective archive-best series, in generation order."""
+    """Per-objective best-so-far series, in generation order."""
     traces: dict[str, list[float]] = {}
     rows = read_rows(convergence_path)
     assert rows[0] == ["generation", "objective", "best", "mean"]

@@ -122,6 +122,13 @@ class TestLoadContingencyTable:
         with pytest.raises(DataError):
             load_contingency_table(path, schema_small)
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_count_raises(self, tmp_path, schema_small, count):
+        path = tmp_path / "sex.csv"
+        write_table_csv(path, ["sex", "count"], [["f", 3], ["m", count]])
+        with pytest.raises(DataError, match=rf"sex\.csv, line 3: non-finite count {count}"):
+            load_contingency_table(path, schema_small)
+
     def test_missing_file_names_the_path(self, tmp_path, schema_small):
         with pytest.raises(DataError, match="absent"):
             load_contingency_table(tmp_path / "absent.csv", schema_small)
@@ -133,6 +140,11 @@ class TestContingencyTable:
             ContingencyTable(
                 "bad", (schema_small["sex"],), np.array([[1.0, 2.0], [3.0, 4.0]])
             )
+
+    @pytest.mark.parametrize("count", [np.nan, np.inf])
+    def test_non_finite_counts_rejected(self, schema_small, count):
+        with pytest.raises(DataError, match="non-finite"):
+            ContingencyTable("sex", (schema_small["sex"],), np.array([3.0, count]))
 
     def test_counts_are_read_only(self, schema_small):
         table = ContingencyTable("sex", (schema_small["sex"],), np.array([3.0, 7.0]))

@@ -68,6 +68,15 @@ class TestValidateData:
         assert run_cli("validate-data", "-c", config_tree) == 1
         assert "check(s) failed" in capsys.readouterr().out
 
+    def test_non_finite_table_count_fails(self, config_tree, capsys):
+        table = config_tree.parent / "tables" / "sex_age.csv"
+        table.write_text(table.read_text().replace("m,a0_17,15", "m,a0_17,nan"))
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err.startswith("error: table file")
+        assert "sex_age.csv, line" in captured.err and "non-finite count nan" in captured.err
+
     def test_objective_attribute_outside_its_table_fails(self, config_tree, capsys):
         config_tree.write_text(
             config_tree.read_text().replace(

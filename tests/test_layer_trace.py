@@ -23,14 +23,18 @@ CONFIG = str(ROOT / "fixtures" / "config.yaml")
 # ``cli.evolve`` per stage. ``nsga2.breed`` makes each generation in one
 # pass, so the tracer's four per-child operators are gone too, until its
 # next change spans ``breed`` instead; ``breed`` checks rules with
-# ``violation_mask``, so ``CompiledRules.row_ok`` is gone as well. Any other
-# missing name fails these tests.
+# ``violation_mask``, so ``CompiledRules.row_ok`` is gone as well. The
+# archive takes one ``update`` per generation, so its per-offer ``insert``
+# and its ``best_values`` are gone until the tracer counts archive work from
+# ``update``. Any other missing name fails these tests.
 DELETED = [
     "population_model.CompiledRules.row_ok",
     "nsga2.binary_tournament",
     "nsga2.two_point_crossover",
     "nsga2.swap_mutation",
     "nsga2.resample_mutation",
+    "nsga2.ParetoArchive.insert",
+    "nsga2.ParetoArchive.best_values",
     "cli.generate_households",
 ]
 

@@ -7,6 +7,7 @@ must reproduce; their own tests pin that reference down by hand.
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from synthpop import (
     ContingencyTable,
     DataError,
     EvolutionConfig,
+    ObjectiveEvaluator,
     ObjectiveSpec,
     ParetoArchive,
     RegionDataset,
@@ -30,6 +32,7 @@ from synthpop import (
     evolve,
     fast_nondominated_sort,
     generate_candidate,
+    select_best,
 )
 from synthpop import nsga2
 from synthpop.census_data import PERSONS
@@ -621,101 +624,117 @@ class TestEnvironmentalSelection:
             self.select([1], [np.inf], 5)
 
 
+def archive_after(capacity, batches, weights=None):
+    """An archive given each batch of objective vectors in one update,
+    with a one-row roster per vector; returns it and the offered pairs."""
+    attributes = (Attribute("x", ("a", "b")),)
+    width = len(batches[0][0])
+    archive = ParetoArchive(capacity, np.ones(width) if weights is None else weights)
+    offered = []
+    for batch in batches:
+        rosters = [
+            CandidatePopulation(attributes, np.array([[(len(offered) + k) % 2]], dtype=np.int16))
+            for k in range(len(batch))
+        ]
+        vectors = np.array(batch, dtype=float).reshape(len(batch), width)
+        archive.update(rosters, vectors)
+        offered += zip(rosters, vectors)
+    return archive, offered
+
+
 class TestParetoArchive:
-    def test_dominated_insert_is_rejected(self, schema_small):
-        archive = ParetoArchive(10)
-        candidate = make_candidate(schema_small, np.random.default_rng(1))
-        assert archive.insert(candidate, np.array([1.0, 1.0]))
-        assert not archive.insert(candidate, np.array([2.0, 2.0]))
-        assert len(archive) == 1
+    def test_dominated_insert_is_rejected(self):
+        archive, offered = archive_after(10, [[[1, 1]], [[2, 2], [1, 3]]])
+        assert archive.objective_matrix().tolist() == [[1.0, 1.0]]
+        assert archive.candidates == (offered[0][0],)
 
-    def test_duplicate_objectives_rejected(self, schema_small):
-        archive = ParetoArchive(10)
-        candidate = make_candidate(schema_small, np.random.default_rng(2))
-        assert archive.insert(candidate, np.array([1.0, 2.0]))
-        assert not archive.insert(candidate, np.array([1.0, 2.0]))
+    def test_duplicate_objectives_rejected(self):
+        archive, offered = archive_after(10, [[[1, 2]], [[1, 2], [1, 2]]])
+        assert archive.candidates == (offered[0][0],)
+        # Within one batch, the first of the identical rows is kept.
+        archive, offered = archive_after(10, [[[2, 1], [2, 1]]])
+        assert archive.candidates == (offered[0][0],)
 
-    def test_dominator_evicts_only_what_it_dominates(self, schema_small):
-        archive = ParetoArchive(10)
-        candidate = make_candidate(schema_small, np.random.default_rng(3))
-        archive.insert(candidate, np.array([2.0, 2.0]))
-        archive.insert(candidate, np.array([3.0, 1.0]))
-        # (1, 2) dominates (2, 2) but is incomparable with (3, 1)
-        assert archive.insert(candidate, np.array([1.0, 2.0]))
-        matrix = archive.objective_matrix()
-        assert matrix.shape == (2, 2)
-        assert [3.0, 1.0] in matrix.tolist()
-        assert [1.0, 2.0] in matrix.tolist()
+    def test_dominator_evicts_only_what_it_dominates(self):
+        # (1, 2) dominates (2, 2) but is incomparable with (3, 1).
+        archive, offered = archive_after(10, [[[2, 2], [3, 1]], [[1, 2]]])
+        assert archive.objective_matrix().tolist() == [[3.0, 1.0], [1.0, 2.0]]
+        assert archive.candidates == (offered[1][0], offered[2][0])
 
-    def test_dominator_sweeps_the_whole_archive(self, schema_small):
-        archive = ParetoArchive(10)
-        candidate = make_candidate(schema_small, np.random.default_rng(7))
-        archive.insert(candidate, np.array([2.0, 2.0]))
-        archive.insert(candidate, np.array([3.0, 1.0]))
-        assert archive.insert(candidate, np.array([1.0, 1.0]))
+    def test_dominator_sweeps_the_whole_archive(self):
+        archive, _ = archive_after(10, [[[2, 2], [3, 1]], [[1, 1]]])
         assert archive.objective_matrix().tolist() == [[1.0, 1.0]]
 
-    def test_capacity_prune_keeps_extremes(self, schema_small):
-        archive = ParetoArchive(5)
-        candidate = make_candidate(schema_small, np.random.default_rng(4))
-        for k in range(9):
-            archive.insert(candidate, np.array([float(k), float(8 - k)]))
-        assert len(archive) == 5
-        matrix = archive.objective_matrix()
-        assert [0.0, 8.0] in matrix.tolist()
-        assert [8.0, 0.0] in matrix.tolist()
+    def test_capacity_prune_keeps_extremes(self):
+        # (4, 2) has the lowest sum; the extremes have infinite crowding.
+        front = [[k, (8 - k) ** 2 / 8] for k in range(9)]
+        archive, _ = archive_after(3, [front])
+        assert archive.objective_matrix().tolist() == [[0, 8], [4, 2], [8, 0]]
+        # At capacity 2 crowding alone would keep both extremes; the lowest
+        # sum takes one place, the earlier extreme the other.
+        archive, _ = archive_after(2, [front])
+        assert archive.objective_matrix().tolist() == [[0, 8], [4, 2]]
 
-    def test_best_values_never_worsen(self, schema_small):
-        rng = np.random.default_rng(5)
-        archive = ParetoArchive(6)
-        candidate = make_candidate(schema_small, rng)
-        previous = None
-        for _ in range(200):
-            archive.insert(candidate, rng.uniform(0, 10, size=3))
-            best = archive.best_values()
-            if previous is not None:
-                assert np.all(best <= previous + TOL)
-            previous = best
+    def test_weights_choose_the_kept_row(self):
+        front = [[0, 8], [3, 3], [8, 0], [1, 6], [6, 1]]
+        archive, _ = archive_after(1, [front], weights=[1.0, 0.0])
+        assert archive.objective_matrix().tolist() == [[0, 8]]
+        archive, _ = archive_after(1, [front], weights=[1.0, 1.0])
+        assert archive.objective_matrix().tolist() == [[3, 3]]
 
     @settings(max_examples=80, deadline=None)
     @given(
         capacity=st.integers(1, 6),
-        vectors=st.integers(1, 3).flatmap(
-            lambda m: st.lists(
-                st.lists(st.integers(0, 5), min_size=m, max_size=m),
-                min_size=1,
-                max_size=40,
+        data=st.integers(1, 3).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                st.lists(
+                    st.lists(
+                        st.lists(st.integers(0, 5), min_size=m, max_size=m),
+                        min_size=1,
+                        max_size=8,
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
             )
         ),
     )
-    def test_invariants_after_any_inserts(self, capacity, vectors):
+    def test_invariants_after_any_inserts(self, capacity, data):
+        weights, batches = data
         attributes = (Attribute("x", ("a", "b")),)
-        archive = ParetoArchive(capacity)
+        archive = ParetoArchive(capacity, weights)
         offered = []
-        for k, vector in enumerate(vectors):
-            codes = np.array([[k % 2]], dtype=np.int16)
-            offered.append((CandidatePopulation(attributes, codes), np.array(vector, float)))
-            archive.insert(*offered[-1])
-        vector_of = {id(candidate): vector for candidate, vector in offered}
-        candidates = archive.candidates
-        matrix = archive.objective_matrix()
-        assert not matrix.flags.writeable
-        assert 1 <= len(candidates) == len(matrix) <= capacity
-        # Through evictions and capacity truncation, row k stays candidate k's vector.
-        for candidate, row in zip(candidates, matrix):
-            assert np.array_equal(row, vector_of[id(candidate)])
-        for i, a in enumerate(matrix):
-            for j, b in enumerate(matrix):
-                if i != j:
-                    assert not dominates(a, b)
-                    assert not np.array_equal(a, b)
+        for batch in batches:
+            rosters = [
+                CandidatePopulation(attributes, np.array([[k % 2]], dtype=np.int16))
+                for k in range(len(batch))
+            ]
+            vectors = np.array(batch, dtype=float)
+            archive.update(rosters, vectors)
+            offered += zip(rosters, vectors)
+            vector_of = {id(roster): vector for roster, vector in offered}
+            candidates = archive.candidates
+            matrix = archive.objective_matrix()
+            assert not matrix.flags.writeable
+            assert 1 <= len(candidates) == len(matrix) <= capacity
+            # Through evictions and truncation, row k stays member k's vector.
+            for roster, row in zip(candidates, matrix):
+                assert np.array_equal(row, vector_of[id(roster)])
+            for i, a in enumerate(matrix):
+                for j, b in enumerate(matrix):
+                    if i != j:
+                        assert not dominates(a, b)
+                        assert not np.array_equal(a, b)
+            # The lowest weighted sum offered so far is always a member's.
+            sums = [float(np.dot(vector, weights)) for _, vector in offered]
+            assert min(float(np.dot(row, weights)) for row in matrix) == min(sums)
 
 
 class TestEvolutionConfig:
     def test_defaults_are_canonical(self):
         config = EvolutionConfig()
         assert config.offspring == config.population_size
-        assert config.capacity == 10 * config.population_size
 
     def test_odd_population_rejected(self):
         with pytest.raises(DataError):
@@ -747,6 +766,19 @@ class TestSubstream:
 
 
 class TestEvolve:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Every objective matrix the evaluator returns, in call order."""
+        calls = []
+        score = ObjectiveEvaluator.__call__
+
+        def recording(evaluator, candidates):
+            calls.append(score(evaluator, candidates))
+            return calls[-1]
+
+        monkeypatch.setattr(ObjectiveEvaluator, "__call__", recording)
+        return calls
+
     def specs(self):
         return [
             ObjectiveSpec(name="sex_fit", table="sex_age", attribute="sex"),
@@ -838,6 +870,41 @@ class TestEvolve:
         trace = np.vstack([r.best_normalized for r in history.records])
         assert np.all(np.diff(trace, axis=0) <= TOL)
 
+    @pytest.mark.parametrize(
+        ("seed", "weights"), [(1, (1.0, 1.0, 1.0)), (9, (1.0, 1.0, 1.0)), (4, (2.0, 1.0, 0.5))]
+    )
+    def test_export_has_the_lowest_weighted_sum_evaluated(
+        self, dataset_small, rule_no_child_marriage, evaluated, seed, weights
+    ):
+        specs = [replace(spec, weight=w) for spec, w in zip(self.specs(), weights)]
+        config = EvolutionConfig(
+            population_size=4, generations=10, seed=seed,
+            resample_probability=0.5, resample_slots=4,
+        )
+        archive, _ = evolve(dataset_small, PERSONS, specs, config, [rule_no_child_marriage])
+        assert len(archive) <= config.population_size
+        matrix = archive.objective_matrix()
+        chosen = select_best(matrix, weights)
+        assert np.dot(matrix[chosen], weights) == np.vstack(evaluated).dot(weights).min()
+
+    def test_history_best_is_the_running_minimum(self, dataset_small, evaluated):
+        # Five objectives and an archive of two: the archive cannot hold
+        # every objective's best, but the history still reports them.
+        specs = [
+            *self.specs(),
+            ObjectiveSpec(name="sex_age_cells", table="sex_age", metric="l1"),
+            ObjectiveSpec(name="age_marital_cells", table="age_marital"),
+        ]
+        config = EvolutionConfig(
+            population_size=2, generations=12, seed=6,
+            resample_probability=1.0, resample_slots=3,
+        )
+        _, history = evolve(dataset_small, PERSONS, specs, config)
+        running = np.minimum.accumulate([rows.min(axis=0) for rows in evaluated])
+        assert len(history.records) == len(running) == 13
+        for record, best in zip(history.records, running):
+            assert np.array_equal(record.best, best)
+
     def test_rules_hold_across_the_run(self, dataset_small, rule_no_child_marriage):
         config = EvolutionConfig(
             population_size=10,
@@ -857,8 +924,9 @@ class TestEvolve:
 
     def test_peak_memory_holds_no_offspring_copies(self, dataset_small):
         # 200 offspring of a 20,000-row roster a generation. Built copies of
-        # them would take about 200 rosters; the archive and two
-        # generations' populations fit in far fewer.
+        # them would take about 200 rosters; the archive, which holds at
+        # most a population, and two generations' populations fit in far
+        # fewer.
         dataset = RegionDataset(
             "r", dataset_small.schema, dataset_small.person_tables, target_persons=20_000
         )
@@ -870,14 +938,22 @@ class TestEvolve:
         # A first run makes the lazy imports, which are not the run's memory.
         warm_up = EvolutionConfig(population_size=4, generations=1)
         evolve(dataset_small, PERSONS, self.specs(), warm_up)
+        def after_sampling(stage, generation, best, seconds):
+            # Drawing the initial rosters has its own transient peak, which
+            # is not the loop's.
+            if generation == 0:
+                tracemalloc.reset_peak()
+
         tracemalloc.start()
         try:
-            archive, _ = evolve(dataset, PERSONS, self.specs(), config)
+            archive, _ = evolve(
+                dataset, PERSONS, self.specs(), config, progress=after_sampling
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert archive.candidates[0].codes.nbytes == roster_bytes
-        assert peak < (config.capacity + 2 * config.population_size + 4) * roster_bytes
+        assert peak < (3 * config.population_size + 4) * roster_bytes
 
     def test_no_recipe_outlives_its_generation(
         self, dataset_small, rule_no_child_marriage, monkeypatch
@@ -885,8 +961,8 @@ class TestEvolve:
         archives, bred = [], []
 
         class Recorded(ParetoArchive):
-            def __init__(self, capacity):
-                super().__init__(capacity)
+            def __init__(self, *args):
+                super().__init__(*args)
                 archives.append(self)
 
         def recording(population, *args):

@@ -405,9 +405,8 @@ class TestCodeDtype:
         schema = AttributeSchema(attributes)
         export_persons(tmp_path / "persons.csv", first)
         loaded = load_persons(tmp_path / "persons.csv", schema)
-        archive = ParetoArchive(2)
-        archive.insert(first, np.array([0.0, 1.0]))
-        archive.insert(second, np.array([1.0, 0.0]))
+        archive = ParetoArchive(2, [1.0, 1.0])
+        archive.update([first, second], np.array([[0.0, 1.0], [1.0, 0.0]]))
         save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
         members, _, _ = load_archive(tmp_path / "archive.npz", schema)
         for roster in (first, second, *children, loaded, *members):

@@ -55,9 +55,9 @@ def archive_of(schema, vectors):
     """An archive of dummy rosters holding ``vectors``, which must be
     mutually non-dominated."""
     rng = np.random.default_rng(0)
-    archive = ParetoArchive(len(vectors))
-    for vector in vectors:
-        assert archive.insert(dummy_roster(schema, rng), np.array(vector, dtype=float))
+    archive = ParetoArchive(len(vectors), np.ones(len(vectors[0])))
+    archive.update([dummy_roster(schema, rng) for _ in vectors], np.array(vectors, dtype=float))
+    assert len(archive) == len(vectors)
     return archive
 
 
@@ -69,9 +69,14 @@ def read_rows(path):
 class TestSelectBest:
     def test_equal_weights_pick_the_balanced_member(self):
         objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
-        # Normalized columns are (0, .25, 1) and (1, .25, 0), so the middle
-        # member scores 0.5 against 1.0 for both extremes.
+        # Raw sums are 6, 4 and 6.
         assert select_best(objectives, [1.0, 1.0]) == 1
+
+    def test_raw_values_are_not_rescaled(self):
+        # Min-max scaling would tie all three members at 1.0; the raw
+        # sums are 100, 91 and 10.
+        objectives = np.array([[0, 100], [1, 90], [10, 0]], dtype=float)
+        assert select_best(objectives, [1.0, 1.0]) == 2
 
     def test_zero_weight_ignores_an_objective(self):
         objectives = np.array([[1, 5], [2, 2], [5, 1]], dtype=float)
@@ -80,7 +85,7 @@ class TestSelectBest:
 
     def test_ties_go_to_the_earliest_member(self):
         objectives = np.array([[4, 0], [0, 4], [3, 3]], dtype=float)
-        # Members 0 and 1 both score 1.0, member 2 scores 1.5.
+        # Members 0 and 1 both sum to 4, member 2 to 6.
         assert select_best(objectives, [1.0, 1.0]) == 0
 
     def test_weight_scaling_does_not_change_the_winner(self):
@@ -305,9 +310,9 @@ def _repeating_archive(members, slots, sizes, wide, crowd, pool, seed):
     objectives = np.column_stack(
         [np.arange(members), -np.arange(members), rng.random(members)]
     ).astype(float)
-    archive = ParetoArchive(members)
-    for roster, vector in zip(rosters, objectives):
-        assert archive.insert(roster, vector)
+    archive = ParetoArchive(members, np.ones(3))
+    archive.update(rosters, objectives)
+    assert archive.candidates == tuple(rosters)
     return archive, rosters
 
 
@@ -391,9 +396,10 @@ class TestArchiveBundle:
         ]
         # The last member repeats the first at every slot.
         rosters.append(rosters[0])
-        archive = ParetoArchive(4)
-        for member, roster in enumerate(rosters):
-            assert archive.insert(roster, np.array([member, -member, 0.0]))
+        archive = ParetoArchive(4, np.ones(3))
+        member = np.arange(4.0)
+        archive.update(rosters, np.column_stack([member, -member, np.zeros(4)]))
+        assert archive.candidates == tuple(rosters)
         buffer, arrays = _saved(archive, 1 << 18)
         assert arrays["palette_cells"].shape[0] == 8
         assert np.array_equal(arrays["member_rows"][:, 3], arrays["member_rows"][:, 0])
@@ -418,7 +424,7 @@ class TestArchiveBundle:
 
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
-            save_archive(tmp_path / "archive.npz", ParetoArchive(3), ("a",))
+            save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",))
 
 
 def _tampered_bundle(schema, path, tamper):
