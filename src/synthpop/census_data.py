@@ -104,6 +104,8 @@ class ContingencyTable:
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 3:
             raise DataError(f"table {self.name!r} must have between one and three axes")
+        if len(set(self.axis_names)) < len(self.axes):
+            raise DataError(f"table {self.name!r} names an axis twice: {self.axis_names}")
         counts = np.asarray(self.counts, dtype=np.float64)
         expected = tuple(a.size for a in self.axes)
         if counts.shape != expected:
@@ -238,14 +240,16 @@ def load_contingency_table(
 ) -> ContingencyTable:
     """Load one contingency table from a CSV cell extract.
 
-    The header names the axis attributes followed by a literal ``count``
-    column. Cells absent from the file default to zero; repeated cells
-    accumulate. Row order does not matter.
+    The header names distinct axis attributes followed by a literal
+    ``count`` column. Cells absent from the file default to zero; repeated
+    cells accumulate. Row order does not matter. A leading UTF-8 byte order
+    mark is ignored.
     """
     path = Path(path)
     table_name = name if name is not None else path.stem
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark that spreadsheet exports write.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except FileNotFoundError:
         raise DataError(f"table file not found: {path}") from None
@@ -259,6 +263,9 @@ def load_contingency_table(
     axis_names = header[:-1]
     if len(axis_names) > 3:
         raise DataError(f"table file {path}: more than three axes")
+    for i, axis in enumerate(axis_names):
+        if axis in axis_names[:i]:
+            raise DataError(f"table file {path}: header names axis {axis!r} twice")
     axes = tuple(schema[a] for a in axis_names)
     counts = np.zeros(tuple(a.size for a in axes), dtype=np.float64)
     for lineno, row in enumerate(rows[1:], start=2):

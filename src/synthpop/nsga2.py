@@ -196,21 +196,21 @@ def _cross(
     first: CandidatePopulation, second: CandidatePopulation, cut_a: int, cut_b: int
 ) -> tuple[CandidatePopulation, CandidatePopulation]:
     """The two unbuilt children that exchange the parents' rows
-    ``cut_a:cut_b``. Each child's counts are its parent's, shifted by the
-    tallies of the exchanged slice, or of its complement when that is
-    shorter."""
+    ``cut_a:cut_b``: each is its parent patched with a view of the other's
+    slice. Each child's counts are its parent's, shifted by the tallies of
+    the exchanged slice, or of its complement when that is shorter."""
+    cut = slice(cut_a, cut_b)
     # What the first child gains over first, and the second loses against second.
     offsets = count_offsets(first.attributes)
     if 2 * (cut_b - cut_a) <= len(first):
-        gain = (tally(second.codes[cut_a:cut_b], offsets)
-                - tally(first.codes[cut_a:cut_b], offsets))
+        gain = tally(second.codes[cut], offsets) - tally(first.codes[cut], offsets)
     else:
         kept_a = tally(first.codes[:cut_a], offsets) + tally(first.codes[cut_b:], offsets)
         kept_b = tally(second.codes[:cut_a], offsets) + tally(second.codes[cut_b:], offsets)
         gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
     return (
-        first.spliced(second, cut_a, cut_b, first.category_counts + gain),
-        second.spliced(first, cut_a, cut_b, second.category_counts - gain),
+        first.patched(cut, second.codes[cut], first.category_counts + gain),
+        second.patched(cut, first.codes[cut], second.category_counts - gain),
     )
 
 
@@ -248,8 +248,9 @@ def breed(
     one rule check per operator and one tally of the resampled rows. A
     child that neither crossover nor mutation changed is its parent; the
     others are unbuilt rosters over their parents (see
-    :class:`~synthpop.population_model.CandidatePopulation`), whose rows
-    the mutations read through the crossover cut and the earlier patches.
+    :class:`~synthpop.population_model.CandidatePopulation`): a parent
+    patched with the crossover slice and then with each applied mutation,
+    whose rows the mutations read through those patches.
     """
     select_rng, cross_rng, mutate_rng = rngs
     length, width = len(population[0]), len(plan.attributes)
@@ -311,7 +312,9 @@ def _resample(
 ) -> None:
     """Apply the resample draws of the ``redrawn`` children, replacing each
     child they change in ``offspring`` by its patched roster; see
-    :func:`breed`."""
+    :func:`breed`. The touched (child, slot) rows are read once each
+    through their child's recipe, then redrawn, checked and tallied for the
+    whole generation at once; each changed child gets one patch."""
     length, width = len(offspring[0]), len(plan.attributes)
     column_p, cdfs = plan.redraw_tables
     column_cdf = column_p.cumsum()
@@ -322,15 +325,9 @@ def _resample(
     columns = np.searchsorted(column_cdf, column_u.ravel(), side="right")
     value_u = value_u.ravel()
     # The touched (child, slot) rows once each, child-major, and where each
-    # draw lands among them: sorting and masking repeats costs far less
-    # than np.unique.
-    order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    at = np.empty(len(keys), dtype=np.intp)
-    at[order] = np.cumsum(first) - 1
-    owner, slot = np.divmod(ordered[first], length)
+    # draw lands among them.
+    touched, at = np.unique(keys, return_inverse=True)
+    owner, slot = np.divmod(touched, length)
     bounds = np.searchsorted(owner, np.arange(len(redrawn) + 1)).tolist()
     blocks = list(zip(redrawn, bounds[:-1], bounds[1:]))
     old = np.concatenate([offspring[child].rows(slot[a:b]) for child, a, b in blocks])

@@ -213,10 +213,6 @@ class SamplingPlan:
         self._marginal_cdfs = marginal_cdfs
         self._joint_groups = joint_groups
 
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
-
     @cached_property
     def redraw_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """What resample mutation draws from, in column order: the chance
@@ -269,21 +265,30 @@ class SamplingPlan:
         return cls(resolved, marginal_cdfs, tuple(groups))
 
     def sample_codes(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw a (count, n_attributes) matrix of category indices."""
+        """Draw a (count, n_attributes) matrix of category indices.
+
+        Each group draws one uniform per row. A draw's row of ``cdf_rows`` is
+        the joint cell of the group's given columns, or row 0 when it has
+        none; the draws are sorted by that row, so each row is searched once.
+        """
         if count <= 0:
             raise DataError("sample count must be positive")
         codes = np.empty((count, len(self.attributes)), dtype=code_dtype(self.attributes))
         for group in self._joint_groups:
+            uniforms = rng.random(count)
             if group.given_columns:
                 rows = np.ravel_multi_index(
                     tuple(codes[:, c] for c in group.given_columns), group.given_dims
                 )
-                row_cdfs = group.cdf_rows[rows]
-                uniforms = rng.random(count)
-                flat = (row_cdfs <= uniforms[:, None]).sum(axis=1)
-                flat = np.minimum(flat, row_cdfs.shape[1] - 1)
             else:
-                flat = _draw(group.cdf_rows[0], rng.random(count))
+                rows = np.zeros(count, dtype=np.intp)
+            order = np.argsort(rows)
+            sizes = np.bincount(rows, minlength=len(group.cdf_rows))
+            ends = np.cumsum(sizes)
+            flat = np.empty(count, dtype=np.intp)
+            for row in np.flatnonzero(sizes).tolist():
+                take = order[ends[row] - sizes[row] : ends[row]]
+                flat[take] = _draw(group.cdf_rows[row], uniforms[take])
             parts = np.unravel_index(flat, group.new_dims)
             for col, part in zip(group.new_columns, parts):
                 codes[:, col] = part
@@ -362,25 +367,23 @@ def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 class _Recipe(NamedTuple):
-    """How an unbuilt roster's codes are made: ``base``'s codes, with rows
-    ``cut_a:cut_b`` taken from ``donor`` when there is one, then each patch
-    of (rows, values) written in order."""
+    """How an unbuilt roster's codes are made: ``base``'s codes with each
+    patch of (rows, values) written in order. A patch's rows are a slice,
+    as crossover writes a donor's rows ``cut_a:cut_b``, or an array of
+    distinct row indices, as the mutations write theirs."""
 
     base: CandidatePopulation
-    donor: CandidatePopulation | None
-    cut_a: int
-    cut_b: int
-    patches: tuple[tuple[np.ndarray, np.ndarray], ...]
+    patches: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
 
 
 class CandidatePopulation:
     """A fixed-length roster of synthetic entities; one search-space point.
 
     ``codes`` is read-only, so rosters can share it. A roster that variation
-    makes from others (:meth:`spliced`, :meth:`patched`) starts as a recipe
-    over them and builds its codes on first access, dropping the recipe;
-    :meth:`rows` reads single rows without building, so a child that is
-    never kept is never built. ``counts``, when given, must equal the
+    makes from another (:meth:`patched`) starts as a recipe over it and
+    builds its codes on first access, dropping the recipe; :meth:`rows`
+    reads single rows without building, so a child that is never kept is
+    never built. ``counts``, when given, must equal the
     :attr:`category_counts` of ``codes``: variation derives a child's counts
     from its parents', so the child is never recounted.
     """
@@ -407,30 +410,21 @@ class CandidatePopulation:
             counts.setflags(write=False)
         self._counts = counts
 
-    @classmethod
-    def _deferred(cls, recipe: _Recipe, counts: np.ndarray) -> CandidatePopulation:
-        roster = cls.__new__(cls)
-        roster.attributes = recipe.base.attributes
-        roster._codes, roster._recipe = None, recipe
-        counts.setflags(write=False)
-        roster._counts = counts
-        return roster
-
-    def spliced(
-        self, donor: CandidatePopulation, cut_a: int, cut_b: int, counts: np.ndarray
-    ) -> CandidatePopulation:
-        """This roster with rows ``cut_a:cut_b`` taken from ``donor``, which
-        has the same layout and length; ``counts`` are the result's."""
-        return self._deferred(_Recipe(self, donor, cut_a, cut_b, ()), counts)
-
     def patched(
-        self, rows: np.ndarray, values: np.ndarray, counts: np.ndarray | None = None
+        self, rows: slice | np.ndarray, values: np.ndarray, counts: np.ndarray | None = None
     ) -> CandidatePopulation:
-        """This roster with ``values`` written to ``rows`` (distinct row
-        indices); ``counts`` are the result's, by default this roster's."""
-        recipe = self._recipe or _Recipe(self, None, 0, 0, ())
-        recipe = recipe._replace(patches=(*recipe.patches, (rows, values)))
-        return self._deferred(recipe, self.category_counts if counts is None else counts)
+        """This roster, unbuilt, with ``values`` written to ``rows``: a slice,
+        or distinct row indices. ``counts`` are the result's, by default
+        this roster's. The values are held, not copied, until the result
+        is built."""
+        base, patches = self._recipe or (self, ())
+        roster = CandidatePopulation.__new__(CandidatePopulation)
+        roster.attributes = self.attributes
+        roster._codes = None
+        roster._recipe = _Recipe(base, (*patches, (rows, values)))
+        roster._counts = self.category_counts if counts is None else counts
+        roster._counts.setflags(write=False)
+        return roster
 
     @property
     def codes(self) -> np.ndarray:
@@ -441,13 +435,11 @@ class CandidatePopulation:
 
     def build(self) -> None:
         """Build the codes now, if they are not yet, and drop the recipe and
-        with it the references to the rosters it was made from."""
+        with it the references to the rosters and codes it was made from."""
         if self._recipe is None:
             return
-        base, donor, cut_a, cut_b, patches = self._recipe
+        base, patches = self._recipe
         codes = base.codes.copy()
-        if donor is not None:
-            codes[cut_a:cut_b] = donor.codes[cut_a:cut_b]
         for rows, values in patches:
             codes[rows] = values
         codes.setflags(write=False)
@@ -459,17 +451,18 @@ class CandidatePopulation:
         index = np.asarray(index, dtype=np.intp)
         if self._recipe is None:
             return self._codes[index]
-        base, donor, cut_a, cut_b, patches = self._recipe
+        base, patches = self._recipe
         out = base.rows(index)
-        if donor is not None:
-            spliced = (cut_a <= index) & (index < cut_b)
-            out[spliced] = donor.rows(index[spliced])
-        # A patch's rows are distinct, so each index matches at most one.
         for rows, values in patches:
-            order = np.argsort(rows)
-            at = np.minimum(np.searchsorted(rows, index, sorter=order), len(rows) - 1)
-            hit = rows[order[at]] == index
-            out[hit] = values[order[at[hit]]]
+            if isinstance(rows, slice):
+                hit = (rows.start <= index) & (index < rows.stop)
+                out[hit] = values[index[hit] - rows.start]
+            else:
+                # A patch's rows are distinct, so each index matches at most one.
+                order = np.argsort(rows)
+                at = np.minimum(np.searchsorted(rows, index, sorter=order), len(rows) - 1)
+                hit = rows[order[at]] == index
+                out[hit] = values[order[at[hit]]]
         return out
 
     def __len__(self) -> int:

@@ -32,7 +32,7 @@ _FLOAT_FORMAT = "{:.10g}"
 _CHECKSUM_CHUNK = 1 << 20
 
 # Slot-member pairs that save_archive encodes at a time.
-_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _fmt(value: float) -> str:

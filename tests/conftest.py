@@ -1,6 +1,7 @@
 """Shared fixtures, a small three-attribute world with consistent tables,
 the test-side helpers that read rosters, tables and rules by label, the
-per-child variation operators that ``nsga2.breed`` must reproduce, and the
+per-child variation operators that ``nsga2.breed`` must reproduce, the
+conditioned draw that ``SamplingPlan.sample_codes`` must reproduce, and the
 palette encoder that ``reporting.save_archive`` must reproduce."""
 
 from collections.abc import Sequence
@@ -20,7 +21,7 @@ from synthpop import (
     ValidationRule,
     breed,
 )
-from synthpop.population_model import CompiledRules, count_offsets, tally
+from synthpop.population_model import CompiledRules, _draw, code_dtype, count_offsets, tally
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -66,6 +67,31 @@ def weighted_plan(pairs) -> SamplingPlan:
     return SamplingPlan.from_tables(
         AttributeSchema(attributes), [a.name for a in attributes], tables
     )
+
+
+def reference_sample_codes(
+    plan: SamplingPlan, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` rows drawn through ``plan``'s joint groups as the plan drew
+    them before it sorted draws by their conditioning row: a conditioned
+    group gathers each draw's cumulative weight row into a (count, n_new)
+    array and counts the entries at or below the draw's uniform."""
+    codes = np.empty((count, len(plan.attributes)), dtype=code_dtype(plan.attributes))
+    for group in plan._joint_groups:
+        if group.given_columns:
+            rows = np.ravel_multi_index(
+                tuple(codes[:, c] for c in group.given_columns), group.given_dims
+            )
+            row_cdfs = group.cdf_rows[rows]
+            uniforms = rng.random(count)
+            flat = (row_cdfs <= uniforms[:, None]).sum(axis=1)
+            flat = np.minimum(flat, row_cdfs.shape[1] - 1)
+        else:
+            flat = _draw(group.cdf_rows[0], rng.random(count))
+        parts = np.unravel_index(flat, group.new_dims)
+        for col, part in zip(group.new_columns, parts):
+            codes[:, col] = part
+    return codes
 
 
 # The per-child operators, one call per tournament, pair or child, as the

@@ -133,6 +133,26 @@ class TestLoadContingencyTable:
         with pytest.raises(DataError, match="absent"):
             load_contingency_table(tmp_path / "absent.csv", schema_small)
 
+    def test_header_naming_an_axis_twice_raises(self, tmp_path, schema_small):
+        path = tmp_path / "age_marital.csv"
+        write_table_csv(
+            path, ["age", "marital", "marital", "count"], [["a0_17", "single", "single", 3]]
+        )
+        with pytest.raises(DataError, match=r"\.csv: header names axis 'marital' twice"):
+            load_contingency_table(path, schema_small)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, schema_small):
+        header = ["age", "marital", "count"]
+        rows = [["a0_17", "single", 30], ["a65p", "married", 10]]
+        plain, marked = tmp_path / "plain" / "age_marital.csv", tmp_path / "age_marital.csv"
+        plain.parent.mkdir()
+        write_table_csv(plain, header, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        table = load_contingency_table(marked, schema_small)
+        expected = load_contingency_table(plain, schema_small)
+        assert table.axes == expected.axes and table.name == expected.name
+        assert np.array_equal(table.counts, expected.counts)
+
 
 class TestContingencyTable:
     def test_shape_checked_against_axes(self, schema_small):
@@ -145,6 +165,11 @@ class TestContingencyTable:
     def test_non_finite_counts_rejected(self, schema_small, count):
         with pytest.raises(DataError, match="non-finite"):
             ContingencyTable("sex", (schema_small["sex"],), np.array([3.0, count]))
+
+    def test_an_axis_named_twice_rejected(self, schema_small):
+        sex = schema_small["sex"]
+        with pytest.raises(DataError, match="names an axis twice"):
+            ContingencyTable("sex_sex", (sex, sex), np.ones((2, 2)))
 
     def test_counts_are_read_only(self, schema_small):
         table = ContingencyTable("sex", (schema_small["sex"],), np.array([3.0, 7.0]))

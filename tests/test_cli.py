@@ -77,6 +77,17 @@ class TestValidateData:
         assert captured.err.startswith("error: table file")
         assert "sex_age.csv, line" in captured.err and "non-finite count nan" in captured.err
 
+    def test_table_header_naming_an_axis_twice_fails(self, config_tree, capsys):
+        table = config_tree.parent / "tables" / "age_marital.csv"
+        table.write_text(
+            table.read_text().replace("age,marital,count", "age,marital,marital,count")
+        )
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err.startswith("error: table file")
+        assert "age_marital.csv: header names axis 'marital' twice" in captured.err
+
     def test_objective_attribute_outside_its_table_fails(self, config_tree, capsys):
         config_tree.write_text(
             config_tree.read_text().replace(

@@ -1,5 +1,7 @@
 """Tests for validation rules, sampling plans, and candidate rosters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,15 @@ from synthpop.population_model import (
     tally,
 )
 
-from conftest import breed_tied, labels, row_ok, streams, violated_by, weighted_plan
+from conftest import (
+    breed_tied,
+    labels,
+    reference_sample_codes,
+    row_ok,
+    streams,
+    violated_by,
+    weighted_plan,
+)
 
 
 def make_plan(schema):
@@ -291,6 +301,48 @@ class TestSamplingPlanJoint:
             assert (table.counts[cells][conditioned] > 0).all()
             assigned.update(table.axis_names)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        layout=table_layouts(),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_equal_the_gather_and_compare_draw(self, data, layout, count, seed):
+        # Any order of any subset of the attributes: groups with and without
+        # given columns, and tables with off-stage axes.
+        schema, tables = layout
+        order = data.draw(st.permutations(schema.names))
+        names = order[: data.draw(st.integers(1, len(order)))]
+        plan = SamplingPlan.from_tables(schema, names, tables)
+        got = plan.sample_codes(count, np.random.default_rng(seed))
+        want = reference_sample_codes(plan, count, np.random.default_rng(seed))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_a_wide_conditioned_draw_holds_no_gathered_weight_rows(self):
+        # The second table adds 16 categories conditioned on the first's 4.
+        given = Attribute("g", tuple(f"g{i}" for i in range(4)))
+        wide = Attribute("w", tuple(f"w{i}" for i in range(16)))
+        tables = [
+            ContingencyTable("t0", (given,), np.arange(1.0, 5.0)),
+            ContingencyTable(
+                "t1", (given, wide), np.random.default_rng(3).integers(0, 5, (4, 16)) * 1.0
+            ),
+        ]
+        plan = SamplingPlan.from_tables(AttributeSchema((given, wide)), ("g", "w"), tables)
+        rules = CompiledRules((), plan.attributes)
+        count = 50_000
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            generate_candidate(plan, count, rules, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Less than one gathered row of 16 float64 weights per draw.
+        assert peak - start < 16 * 8 * count
+
     def test_redraw_tables_use_first_table_marginal(self, dataset_small):
         plan = SamplingPlan.from_tables(
             dataset_small.schema, ("sex", "age", "marital"), dataset_small.person_tables
@@ -334,7 +386,8 @@ class TestCandidatePopulation:
         first, second = (CandidatePopulation(attributes, codes.copy()) for codes in parents)
         cuts = st.lists(st.integers(0, length), min_size=2, max_size=2)
         cut_a, cut_b = sorted(data.draw(cuts))
-        roster = first.spliced(second, cut_a, cut_b, first.category_counts)
+        cut = slice(cut_a, cut_b)
+        roster = first.patched(cut, second.codes[cut], first.category_counts)
         expected = parents[0].copy()
         expected[cut_a:cut_b] = parents[1][cut_a:cut_b]
         for _ in range(data.draw(st.integers(0, 3))):
@@ -352,6 +405,39 @@ class TestCandidatePopulation:
         assert np.array_equal(roster.column("x1"), expected[:, 1])
         assert np.array_equal(first.codes, parents[0])
         assert np.array_equal(second.codes, parents[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_index_patches_over_a_slice_patch_read_every_row_as_built(
+        self, data, length, seed
+    ):
+        attributes = tuple(Attribute(f"x{i}", ("a", "b", "c", "d")) for i in range(2))
+        rng = np.random.default_rng(seed)
+        base, donor = (
+            CandidatePopulation(attributes, rng.integers(0, 4, (length, 2)).astype(np.uint8))
+            for _ in range(2)
+        )
+        cut_a, cut_b = sorted(data.draw(st.lists(st.integers(0, length), min_size=2, max_size=2)))
+        cut = slice(cut_a, cut_b)
+        roster = base.patched(cut, donor.codes[cut])
+        # The slice patch holds a view of the donor's codes, not a copy.
+        assert roster._recipe.patches[0][1].base is donor.codes
+        expected = base.codes.copy()
+        expected[cut] = donor.codes[cut]
+        # Index patches whose rows straddle the slice's edges and its inside.
+        near = st.integers(max(0, cut_a - 2), min(length - 1, cut_b + 1))
+        for _ in range(data.draw(st.integers(1, 4))):
+            rows = np.array(data.draw(st.lists(near, min_size=1, max_size=length, unique=True)))
+            values = rng.integers(0, 4, (len(rows), 2)).astype(np.uint8)
+            roster = roster.patched(rows, values)
+            expected[rows] = values
+        read = [roster.rows([i]) for i in range(length)]
+        assert roster._recipe is not None
+        roster.build()
+        assert roster._recipe is None
+        assert np.array_equal(roster.codes, expected)
+        for i, row in enumerate(read):
+            assert np.array_equal(row, roster.codes[[i]])
 
 
 class TestCategoryCounts:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -425,6 +426,38 @@ class TestArchiveBundle:
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",))
+
+    def test_saving_keeps_its_temporaries_to_a_few_times_the_codes(self, tmp_path):
+        # An 11-member households archive at persons-70k's size: 30,233
+        # slots of three attributes, random rows, so few members share a
+        # slot's cell and the palettes are nearly as long as the codes.
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{j}" for j in range(size)))
+            for i, size in enumerate((6, 4, 16))
+        )
+        rng = np.random.default_rng(5)
+        rosters = [
+            CandidatePopulation(
+                attributes,
+                np.column_stack([rng.integers(0, a.size, 30_233) for a in attributes])
+                .astype(np.uint8),
+            )
+            for _ in range(11)
+        ]
+        archive = ParetoArchive(11, np.ones(2))
+        archive.update(rosters, np.array([[i, 10 - i] for i in range(11)], dtype=float))
+        assert len(archive) == 11
+        codes = sum(roster.codes.nbytes for roster in rosters)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Slots are encoded a block at a time, so the encoder's temporaries
+        # stay a small multiple of the codes.
+        assert peak - start < 10 * codes
 
 
 def _tampered_bundle(schema, path, tamper):
