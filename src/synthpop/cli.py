@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* ``validate-data``: load the rules, check table consistency against the
-  configured tolerance and print one line per check.
+* ``validate-data``: load the rules, check that each names only its
+  stage's attributes and that allocation finds its inputs, check table
+  consistency against the configured tolerance and print one line per
+  check.
 * ``generate-persons``: evolve the person stage and export its outputs.
 * ``generate-households``: evolve the household stage, allocate persons
   from an existing persons export, and export household outputs.
@@ -34,7 +36,7 @@ from .census_data import HOUSEHOLDS, PERSONS, RegionDataset, validate_dataset
 from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_stage_rules
 from .errors import DataError, EvolutionError
 from .fitness import ObjectiveEvaluator, normalize_objectives
-from .household_synthesis import allocate
+from .household_synthesis import allocate, check_allocation_inputs
 from .nsga2 import evolve
 from .population_model import CandidatePopulation, CompiledRules, ValidationRule
 from .reporting import (
@@ -71,11 +73,30 @@ class _Progress:
         )
 
 
-def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
-    """Load the tables and rules, check table consistency and create the
-    output directory: the set-up every evolving command shares."""
+def _load_inputs(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
+    """Load the tables and rules, and check before any stage runs that each
+    rule names only its stage's attributes and, when a households stage is
+    configured, that allocation finds its inputs."""
     dataset = load_dataset(config)
     rules = load_stage_rules(config, dataset.schema)
+    for stage in filter(None, (config.persons, config.households)):
+        layout = dataset.stage_attributes(stage.stage)
+        for rule in rules[stage.stage]:
+            outside = [name for name, _ in rule.clauses if name not in layout]
+            if outside:
+                raise DataError(
+                    f"rules file {stage.rules_path}: rule {rule.name!r} references attribute "
+                    f"{outside[0]!r}, which is not in the {stage.stage} layout {list(layout)}"
+                )
+    if config.households is not None:
+        check_allocation_inputs(dataset)
+    return dataset, rules
+
+
+def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
+    """Load and check the inputs and the tables' consistency, and create the
+    output directory: the set-up every evolving command shares."""
+    dataset, rules = _load_inputs(config)
     report = validate_dataset(dataset, tolerance=config.validation_tolerance)
     for line, issue in zip(report.lines(), report.issues):
         if issue.flagged:
@@ -108,9 +129,8 @@ def _evolve_stage(
         progress=None if quiet else _Progress(),
     )
     wall = time.perf_counter() - started
-    names = [spec.name for spec in stage_config.objectives]
-    export_convergence(config.output_dir / f"convergence_{stage}.csv", history, names)
-    save_archive(config.output_dir / f"archive_{stage}.npz", archive, names)
+    export_convergence(config.output_dir / f"convergence_{stage}.csv", history)
+    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names)
     print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
     return _load_stage_archive(config, dataset, stage_config), wall
 
@@ -251,8 +271,7 @@ def _build_manifest(config: RunConfig, summaries: dict, outputs: list[str]) -> d
 
 def _cmd_validate_data(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config)
-    load_stage_rules(config, dataset.schema)
+    dataset, _ = _load_inputs(config)
     report = validate_dataset(dataset, tolerance=config.validation_tolerance)
     for line in report.lines():
         print(line)
@@ -347,8 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config)
-    rules = load_stage_rules(config, dataset.schema)
+    dataset, rules = _load_inputs(config)
 
     # Both bundles are loaded and checked before any file is rewritten.
     bundle = _load_stage_archive(config, dataset, config.persons)

@@ -204,7 +204,7 @@ def load_run_config(
     """
     config_path = Path(path).resolve()
     try:
-        with open(config_path) as handle:
+        with open(config_path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
     except OSError as exc:
         raise DataError(f"cannot read config file {config_path}: {exc}") from exc

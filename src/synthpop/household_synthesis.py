@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census_data import AttributeSchema
+from .census_data import HOUSEHOLDS, PERSONS, Attribute, AttributeSchema, RegionDataset
 from .errors import DataError
 from .population_model import CandidatePopulation
 
@@ -93,6 +93,45 @@ class AllocationResult:
         return int(np.count_nonzero(self.complete)) / len(self.complete)
 
 
+def _class_of_bin(age: Attribute) -> np.ndarray:
+    """Each age category's class, as an index into the letter-ordered
+    classes; a category outside the child, adult and elder groups is a
+    :class:`DataError`."""
+    groups = [age.group_of(code) for code in age.categories]
+    for code, group in zip(age.categories, groups):
+        if group not in AGE_CLASS_BY_GROUP:
+            raise DataError(
+                f"age bin {code!r} lacks a child/adult/elder grouping, so "
+                "persons cannot be classified for allocation"
+            )
+    return np.array([_CLASSES.index(AGE_CLASS_BY_GROUP[group]) for group in groups])
+
+
+def _need_of_code(composition: Attribute) -> np.ndarray:
+    """Persons of each class, in letter order, that each composition
+    category needs, one row per category; a category that does not parse
+    is a :class:`DataError`."""
+    return np.array([
+        [parse_composition(code).requirements.get(letter, 0) for letter in _CLASSES]
+        for code in composition.categories
+    ])
+
+
+def check_allocation_inputs(dataset: RegionDataset) -> None:
+    """Check, before any stage runs, what :func:`allocate` reads: the
+    persons layout holds ``age`` with every category grouped into a class,
+    and the households layout holds ``composition`` with every category
+    parsing. Each failure is a :class:`DataError` naming its input."""
+    for stage, name in ((PERSONS, AGE_ATTRIBUTE), (HOUSEHOLDS, COMPOSITION_ATTRIBUTE)):
+        if name not in dataset.stage_attributes(stage):
+            raise DataError(
+                f"allocation needs the {stage} attribute {name!r}, but the {stage} "
+                f"tables give {list(dataset.stage_attributes(stage))}"
+            )
+    _class_of_bin(dataset.schema[AGE_ATTRIBUTE])
+    _need_of_code(dataset.schema[COMPOSITION_ATTRIBUTE])
+
+
 def allocate(
     persons: CandidatePopulation,
     households: CandidatePopulation,
@@ -110,26 +149,10 @@ def allocate(
     if len(persons) == 0 or len(households) == 0:
         raise DataError("allocation needs non-empty person and household rosters")
 
-    age = schema[AGE_ATTRIBUTE]
-    age_codes = persons.column(AGE_ATTRIBUTE)
-    class_of_bin = []
-    for code in age.categories:
-        group = age.group_of(code)
-        if group is None or group not in AGE_CLASS_BY_GROUP:
-            raise DataError(
-                f"age bin {code!r} lacks a child/adult/elder grouping, so "
-                "persons cannot be classified for allocation"
-            )
-        class_of_bin.append(_CLASSES.index(AGE_CLASS_BY_GROUP[group]))
-    person_class = np.array(class_of_bin)[age_codes]
+    person_class = _class_of_bin(schema[AGE_ATTRIBUTE])[persons.column(AGE_ATTRIBUTE)]
     pools = [np.flatnonzero(person_class == k) for k in range(len(_CLASSES))]
-
     composition = households.attributes[households.column_index(COMPOSITION_ATTRIBUTE)]
-    need_of_code = np.array([
-        [parse_composition(code).requirements.get(letter, 0) for letter in _CLASSES]
-        for code in composition.categories
-    ])
-    needs = need_of_code[households.column(COMPOSITION_ATTRIBUTE)]
+    needs = _need_of_code(composition)[households.column(COMPOSITION_ATTRIBUTE)]
     ends = np.minimum(np.cumsum(needs, axis=0), [len(pool) for pool in pools])
     taken = np.diff(ends, axis=0, prepend=0)
 

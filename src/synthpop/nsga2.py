@@ -435,57 +435,31 @@ class ParetoArchive:
         self._objectives = pool[keep]
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Objective statistics snapshotted after one generation.
-
-    ``seconds`` is the wall-clock cost of producing this generation alone
-    (for generation 0, of sampling and evaluating the initial population).
-    """
-
-    generation: int
-    best: np.ndarray
-    mean: np.ndarray
-    best_normalized: np.ndarray
-    mean_normalized: np.ndarray
-    seconds: float
-
-
 @dataclass
 class GenerationHistory:
-    """Per-generation traces with a fixed normalisation baseline.
+    """Per-generation traces of one stage, one entry per generation.
 
-    A record's ``best`` is, per objective, the lowest value any roster
-    evaluated so far reached, so it never worsens; ``mean`` is the
-    surviving population's. Normalised values divide raw values by the
-    initial population's mean for each objective, so every trace starts
-    near 1 and the descent is comparable across objectives of different
-    scale.
+    ``best[g]`` is, per objective, the lowest value any roster evaluated up
+    to generation ``g`` reached, so it never worsens; ``mean[g]`` is the
+    surviving population's; ``seconds[g]`` is the wall-clock cost of that
+    generation alone (for generation 0, of sampling and scoring the initial
+    population). :meth:`normalize` divides by generation 0's mean, so every
+    trace starts near 1 and the descent is comparable across objectives of
+    different scale.
     """
 
     names: tuple[str, ...]
-    baseline: np.ndarray
-    records: list[GenerationRecord] = field(default_factory=list)
+    best: list[np.ndarray] = field(default_factory=list)
+    mean: list[np.ndarray] = field(default_factory=list)
+    seconds: list[float] = field(default_factory=list)
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
+        """``values`` over generation 0's mean, objective by objective; 0
+        where that mean is not positive."""
         values = np.asarray(values, dtype=np.float64)
         out = np.zeros_like(values)
-        np.divide(values, self.baseline, out=out, where=self.baseline > 0)
+        np.divide(values, self.mean[0], out=out, where=self.mean[0] > 0)
         return out
-
-    def record(
-        self, generation: int, best: np.ndarray, mean: np.ndarray, seconds: float
-    ) -> GenerationRecord:
-        entry = GenerationRecord(
-            generation=generation,
-            best=np.asarray(best, dtype=np.float64),
-            mean=np.asarray(mean, dtype=np.float64),
-            best_normalized=self.normalize(best),
-            mean_normalized=self.normalize(mean),
-            seconds=float(seconds),
-        )
-        self.records.append(entry)
-        return entry
 
 
 ProgressCallback = Callable[[str, int, np.ndarray, float], None]
@@ -511,6 +485,12 @@ def evolve(
     Pareto archive of at most ``config.population_size`` non-dominated
     rosters, weighted by the specs' weights (see :class:`ParetoArchive`),
     and the per-generation history. Deterministic for a given config seed.
+
+    Generation 0 draws the initial rosters and each later one adds its
+    offspring; then every generation runs one body: score the new rosters,
+    rank the pool, offer its first front to the archive and, once the pool
+    outgrows the population, select the survivors. Generation 0's pool is
+    the population itself, so it keeps its draw order.
     """
     if not specs:
         raise DataError("need at least one objective")
@@ -527,36 +507,25 @@ def evolve(
     evaluator = ObjectiveEvaluator(dataset, specs, target, plan.attributes)
     # Compiled once for the stage; this also fails fast on misconfigured rules.
     compiled = CompiledRules(rules, plan.attributes)
-    stage_id = _STAGE_IDS[stage]
-    seed = config.seed
+    stage_id, seed, size = _STAGE_IDS[stage], config.seed, config.population_size
 
-    started = time.perf_counter()
-    population = [
-        generate_candidate(plan, target, compiled, substream(seed, stage_id, 0, _OP_INIT, i))
-        for i in range(config.population_size)
-    ]
-    objectives = evaluator(population)
-    rank, crowding = rank_population(objectives)
-    archive = ParetoArchive(config.population_size, [spec.weight for spec in specs])
-    front = np.flatnonzero(rank == 1)
-    archive.update([population[i] for i in front], objectives[front])
-    best = objectives.min(axis=0)
-    history = GenerationHistory(
-        names=evaluator.names, baseline=objectives.mean(axis=0)
-    )
-    entry = history.record(0, best, objectives.mean(axis=0), time.perf_counter() - started)
-    if progress is not None:
-        progress(stage, 0, entry.best, entry.seconds)
-
-    for generation in range(1, config.generations + 1):
+    archive = ParetoArchive(size, [spec.weight for spec in specs])
+    history = GenerationHistory(evaluator.names)
+    objectives = np.empty((0, len(specs)), dtype=np.float64)
+    best = np.inf
+    for generation in range(config.generations + 1):
         started = time.perf_counter()
-        rngs = tuple(
-            substream(seed, stage_id, generation, op)
-            for op in (_OP_SELECT, _OP_CROSSOVER, _OP_MUTATE)
-        )
-        # No name holds the last generation's offspring, so the ones that
-        # did not survive are freed before these are bred.
-        population += breed(population, rank, crowding, config, plan, compiled, rngs)
+        if generation == 0:
+            streams = (substream(seed, stage_id, 0, _OP_INIT, i) for i in range(size))
+            population = [generate_candidate(plan, target, compiled, rng) for rng in streams]
+        else:
+            rngs = tuple(
+                substream(seed, stage_id, generation, op)
+                for op in (_OP_SELECT, _OP_CROSSOVER, _OP_MUTATE)
+            )
+            # No name holds the last generation's offspring, so the ones that
+            # did not survive are freed before these are bred.
+            population += breed(population, rank, crowding, config, plan, compiled, rngs)
         # Survivors keep the rank and crowding of the combined ranking,
         # which the next generation's tournaments compare.
         objectives = np.vstack([objectives, evaluator(population[len(objectives):])])
@@ -564,17 +533,18 @@ def evolve(
         front = np.flatnonzero(rank == 1)
         archive.update([population[i] for i in front], objectives[front])
         best = np.minimum(best, objectives.min(axis=0))
-        survivors = environmental_selection(rank, crowding, config.population_size)
-        population = [population[i] for i in survivors]
-        objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
+        if len(population) > size:
+            survivors = environmental_selection(rank, crowding, size)
+            population = [population[i] for i in survivors]
+            objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
         # Build the rosters kept past this generation, so no recipe outlives
         # it; the children neither kept nor archived are never built.
         for roster in (*population, *archive.candidates):
             roster.build()
-        entry = history.record(
-            generation, best, objectives.mean(axis=0), time.perf_counter() - started
-        )
+        history.best.append(best)
+        history.mean.append(objectives.mean(axis=0))
+        history.seconds.append(time.perf_counter() - started)
         if progress is not None:
-            progress(stage, generation, entry.best, entry.seconds)
+            progress(stage, generation, best, history.seconds[-1])
 
     return archive, history

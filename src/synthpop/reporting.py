@@ -22,7 +22,7 @@ from .census_data import AttributeSchema, ContingencyTable, marginalize
 from .errors import DataError
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
-from .nsga2 import ParetoArchive
+from .nsga2 import GenerationHistory, ParetoArchive
 from .population_model import CandidatePopulation, cell_count, code_dtype, count_offsets
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
@@ -97,7 +97,7 @@ def _labels(candidate: CandidatePopulation) -> list[np.ndarray]:
 
 def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["person_id", *candidate.attribute_names])
         writer.writerows(zip(range(len(candidate)), *_labels(candidate)))
@@ -105,7 +105,7 @@ def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
     """Read a persons CSV back into a candidate, attribute order from the header."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -136,7 +136,7 @@ def export_households(
     if not len(households):
         raise DataError("no households to export")
     members = [";".join(map(str, ids.tolist())) for ids in allocation.members]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["household_id", *households.attribute_names, "member_ids", "complete"])
         writer.writerows(zip(
@@ -149,26 +149,21 @@ def export_households(
 # Convergence and archive CSVs
 
 
-def export_convergence(path: str | Path, history, names: Sequence[str]) -> None:
-    """Write the per-generation descent trace in long form.
+def export_convergence(path: str | Path, history: GenerationHistory) -> None:
+    """Write a :class:`~synthpop.nsga2.GenerationHistory` in long form.
 
-    One row per (generation, objective) with the best value any evaluated
-    roster had reached and the population mean, both on the history's
-    fixed normalization so the file is plot-ready without re-scaling.
+    One row per (generation, objective), objectives named and ordered as
+    in the history, with the best value any evaluated roster had reached
+    and the population mean, both normalized by the history (over
+    generation 0's mean) so the file is plot-ready without re-scaling.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["generation", "objective", "best", "mean"])
-        for record in history.records:
-            for column, name in enumerate(names):
-                writer.writerow(
-                    [
-                        record.generation,
-                        name,
-                        _fmt(record.best_normalized[column]),
-                        _fmt(record.mean_normalized[column]),
-                    ]
-                )
+        for generation, (best, mean) in enumerate(zip(history.best, history.mean)):
+            best, mean = history.normalize(best), history.normalize(mean)
+            for column, name in enumerate(history.names):
+                writer.writerow([generation, name, _fmt(best[column]), _fmt(mean[column])])
 
 
 def export_pareto_pairs(
@@ -186,7 +181,7 @@ def export_pareto_pairs(
     if not 0 <= selected < len(objectives):
         raise DataError("selected index is outside the archive")
     matrix = normalize_objectives(objectives)
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["member_id", *names, "selected"])
         for index, row in enumerate(matrix):
@@ -202,27 +197,19 @@ def _palette_block(cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarra
     at each slot; and each member's index into its slot's cells.
     """
     slots, members = cells.shape
-    # One sort of the packed (slot, cell) keys groups every slot's equal
-    # cells. The group's first holder is its least flat position whatever
-    # order the sort leaves ties in, so the result is the same for any sort.
+    # Packed (slot, cell) keys: equal keys are a slot's equal cells, and a
+    # key's first index is its first holder's flat position.
     offsets = np.arange(slots, dtype=np.min_scalar_type(slots * count)) * count
     keys = (cells + offsets[:, None]).ravel()
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    heads = np.flatnonzero(starts)
-    holders = np.minimum.reduceat(order, heads)
+    _, holders, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # Palette rows are the first holders in slot-major order.
     by_holder = np.argsort(holders)
     slot = holders // members
     counts = np.bincount(slot, minlength=slots)
-    number = np.empty(len(heads), dtype=np.intp)
-    number[by_holder] = np.arange(len(heads))
+    number = np.empty(len(holders), dtype=np.intp)
+    number[by_holder] = np.arange(len(holders))
     number -= (np.cumsum(counts) - counts)[slot]
-    index = np.empty(len(order), dtype=np.min_scalar_type(members - 1))
-    index[order] = np.repeat(number, np.diff(heads, append=len(order)))
+    index = number.astype(np.min_scalar_type(members - 1))[inverse]
     return cells.ravel()[holders[by_holder]], counts, index.reshape(slots, members)
 
 
@@ -463,7 +450,7 @@ def rmse_rows(
 
 
 def export_rmse(path: str | Path, rows: Sequence[RmseRow]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["table", "attribute", "level", "rmse"])
         for row in rows:
@@ -476,7 +463,7 @@ def export_rmse(path: str | Path, rows: Sequence[RmseRow]) -> None:
 
 def write_manifest(path: str | Path, payload: Mapping) -> None:
     """Write a manifest as canonical JSON: sorted keys, two-space indent."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -487,7 +474,7 @@ def export_timings(path: str | Path, rows: Sequence[tuple[str, float]]) -> None:
     Timings live in their own file so that the manifest and data exports
     stay byte-identical between runs that only differ in speed.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = _writer(handle)
         writer.writerow(["stage", "wall_seconds"])
         for label, seconds in rows:

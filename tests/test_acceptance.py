@@ -298,7 +298,7 @@ class TestCriterion7:
             config.persons.evolution,
             rules[PERSONS],
         )
-        generation_seconds = history.records[1].seconds
+        generation_seconds = history.seconds[1]
 
         timings = {row[0]: float(row[1]) for row in read_rows(fixture_run / "timings.csv")[1:]}
         total = timings["total"]

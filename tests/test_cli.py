@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,156 @@ class TestStageCommands:
         assert len(names) == 10
         for name in names:
             assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def edit(path, old, new):
+    """Replace ``old`` by ``new`` in a config tree file, which must hold it."""
+    text = path.read_text(encoding="utf-8")
+    assert old in text, (path, old)
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+class TestInputChecks:
+    """Inputs a stage would reject only after earlier stages wrote their
+    files fail every command before anything is written."""
+
+    def write_rules(self, config_tree, stage, when):
+        name = f"{stage}_rules.yaml"
+        (config_tree.parent / name).write_text(
+            f"rules:\n  - name: stray\n    when: {when}\n", encoding="utf-8"
+        )
+        if stage == "households":
+            edit(config_tree, "  tables: [tables/size_comp.csv]\n",
+                 "  tables: [tables/size_comp.csv]\n  rules: households_rules.yaml\n")
+        else:
+            edit(config_tree, "rules: person_rules.yaml", f"rules: {name}")
+        return name
+
+    @pytest.mark.parametrize(
+        "stage, when, attribute, layout",
+        [
+            ("persons", "{age: [a0_17], composition: ['1A']}", "composition",
+             "['sex', 'age', 'marital']"),
+            ("households", "{hsize: [s1], marital: [single]}", "marital",
+             "['hsize', 'composition']"),
+        ],
+        ids=["persons", "households"],
+    )
+    def test_a_rule_outside_its_stage_layout_fails_before_any_write(
+        self, config_tree, tmp_path, capsys, stage, when, attribute, layout
+    ):
+        name = self.write_rules(config_tree, stage, when)
+        expected = (
+            f"error: rules file {config_tree.parent / name}: rule 'stray' references "
+            f"attribute {attribute!r}, which is not in the {stage} layout {layout}\n"
+        )
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err == expected
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def break_age_table(self, config_tree):
+        (config_tree.parent / "tables" / "sex.csv").write_text(
+            "sex,count\nm,53\nf,47\n", encoding="utf-8"
+        )
+        edit(config_tree, "  rules: person_rules.yaml\n", "")
+        edit(config_tree, "[tables/sex_age.csv, tables/age_marital.csv]", "[tables/sex.csv]")
+        edit(config_tree, """    - {name: sex_fit, table: sex_age, attribute: sex}
+    - {name: age_fit, table: sex_age, attribute: age}
+    - {name: marital_fit, table: age_marital, attribute: marital}
+""", "    - {name: sex_fit, table: sex, attribute: sex}\n")
+
+    def break_composition_table(self, config_tree):
+        (config_tree.parent / "tables" / "size.csv").write_text(
+            "hsize,count\ns1,4\ns2,6\n", encoding="utf-8"
+        )
+        edit(config_tree, "[tables/size_comp.csv]", "[tables/size.csv]")
+        edit(config_tree, """    - {name: size_fit, table: size_comp, attribute: hsize}
+    - {name: comp_fit, table: size_comp, attribute: composition}
+""", "    - {name: size_fit, table: size, attribute: hsize}\n")
+
+    def ungroup_an_age_bin(self, config_tree):
+        edit(config_tree.parent / "schema.yaml", "a65p: el}", "a65p: old}")
+
+    def add_an_unparsed_composition(self, config_tree):
+        edit(config_tree.parent / "schema.yaml", '"2A"]', '"2A", "2A pets"]')
+
+    @pytest.mark.parametrize(
+        "mistake, message",
+        [
+            (break_age_table, "error: allocation needs the persons attribute 'age', "
+                              "but the persons tables give ['sex']\n"),
+            (break_composition_table, "error: allocation needs the households attribute "
+                                      "'composition', but the households tables give "
+                                      "['hsize']\n"),
+            (ungroup_an_age_bin, "error: age bin 'a65p' lacks a child/adult/elder grouping, "
+                                 "so persons cannot be classified for allocation\n"),
+            (add_an_unparsed_composition, "error: malformed composition token 'pets' in "
+                                          "'2A pets'\n"),
+        ],
+        ids=["no-age", "no-composition", "ungrouped-age", "unparsed-composition"],
+    )
+    def test_missing_allocation_input_fails_before_any_write(
+        self, config_tree, tmp_path, capsys, mistake, message
+    ):
+        mistake(self, config_tree)
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err == message
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        # generate-households reads persons.csv first; it must add nothing.
+        out.mkdir()
+        (out / "persons.csv").write_text("person_id,sex\n0,m\n", encoding="utf-8")
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert [p.name for p in out.iterdir()] == ["persons.csv"]
+
+    def test_a_persons_only_config_needs_no_allocation_input(self, config_tree, tmp_path):
+        self.break_age_table(config_tree)
+        text = config_tree.read_text(encoding="utf-8")
+        config_tree.write_text(text[: text.index("households:")], encoding="utf-8")
+        assert run_cli("validate-data", "-c", config_tree) == 0
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 0
+
+
+class TestEncoding:
+    def test_outputs_do_not_depend_on_the_locale(self, config_tree, tmp_path):
+        # A label and a region that ASCII cannot encode.
+        for path in (config_tree.parent / "schema.yaml",
+                     config_tree.parent / "tables" / "age_marital.csv",
+                     config_tree.parent / "person_rules.yaml"):
+            edit(path, "married", "mari\u00e9")
+        edit(config_tree, "region: test-region", "region: test-r\u00e9gion")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        default = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        ascii_locale = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        outs = []
+        for env in (default, ascii_locale):
+            out = tmp_path / f"out{len(outs)}"
+            result = subprocess.run(
+                [sys.executable, "-m", "synthpop.cli", "run", "-c", str(config_tree),
+                 "--out-dir", str(out), "--quiet"],
+                env=env, capture_output=True, text=True, encoding="utf-8",
+                errors="replace", check=False,
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "timings.csv")
+        assert len(names) == 11
+        assert "mari\u00e9" in (outs[0] / "persons.csv").read_text(encoding="utf-8")
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 class TestReport:

@@ -370,7 +370,7 @@ class TestGenerateHouseholds:
         config = EvolutionConfig(population_size=10, generations=3, seed=7)
         archive, history = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         assert len(archive) >= 1
-        assert len(history.records) == 4
+        assert len(history.best) == 4
         for candidate in archive.candidates:
             assert len(candidate) == 10
             assert candidate.attribute_names == ("hsize", "composition")

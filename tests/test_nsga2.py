@@ -817,7 +817,7 @@ class TestEvolve:
     def test_zero_generations_archives_initial_front(self, dataset_small):
         config = EvolutionConfig(population_size=10, generations=0, seed=5)
         archive, history = evolve(dataset_small, PERSONS, self.specs(), config)
-        assert len(history.records) == 1
+        assert len(history.best) == 1
         assert len(archive) >= 1
         matrix = archive.objective_matrix()
         for row in matrix:
@@ -840,9 +840,9 @@ class TestEvolve:
         )
         for a, b in zip(first_archive.candidates, second_archive.candidates):
             assert np.array_equal(a.codes, b.codes)
-        for r1, r2 in zip(first_history.records, second_history.records):
-            assert np.array_equal(r1.best, r2.best)
-            assert np.array_equal(r1.best_normalized, r2.best_normalized)
+        for b1, b2 in zip(first_history.best, second_history.best, strict=True):
+            assert np.array_equal(b1, b2)
+            assert np.array_equal(first_history.normalize(b1), second_history.normalize(b2))
 
     def test_progress_called_once_per_generation(self, dataset_small):
         seen = []
@@ -856,6 +856,20 @@ class TestEvolve:
         )
         assert seen == [("persons", g) for g in range(5)]
 
+    @pytest.mark.parametrize("generations", [0, 1, 5])
+    def test_progress_reports_each_generation_of_the_history(self, dataset_small, generations):
+        seen = []
+        config = EvolutionConfig(population_size=6, generations=generations, seed=2)
+        _, history = evolve(
+            dataset_small, PERSONS, self.specs(), config,
+            progress=lambda stage, gen, best, secs: seen.append((gen, best, secs)),
+        )
+        assert [len(history.best), len(history.mean), len(history.seconds)] == [generations + 1] * 3
+        assert [gen for gen, _, _ in seen] == list(range(generations + 1))
+        for (_, best, secs), recorded, seconds in zip(seen, history.best, history.seconds):
+            assert best is recorded
+            assert secs == seconds
+
     def test_archive_best_is_monotone(self, dataset_small, rule_no_child_marriage):
         config = EvolutionConfig(
             population_size=20,
@@ -867,7 +881,7 @@ class TestEvolve:
         _, history = evolve(
             dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
-        trace = np.vstack([r.best_normalized for r in history.records])
+        trace = np.vstack([history.normalize(best) for best in history.best])
         assert np.all(np.diff(trace, axis=0) <= TOL)
 
     @pytest.mark.parametrize(
@@ -901,9 +915,9 @@ class TestEvolve:
         )
         _, history = evolve(dataset_small, PERSONS, specs, config)
         running = np.minimum.accumulate([rows.min(axis=0) for rows in evaluated])
-        assert len(history.records) == len(running) == 13
-        for record, best in zip(history.records, running):
-            assert np.array_equal(record.best, best)
+        assert len(history.best) == len(running) == 13
+        for recorded, best in zip(history.best, running):
+            assert np.array_equal(recorded, best)
 
     def test_rules_hold_across_the_run(self, dataset_small, rule_no_child_marriage):
         config = EvolutionConfig(

@@ -189,14 +189,16 @@ class TestHouseholdsCsv:
 
 class TestConvergenceCsv:
     def history(self):
-        history = GenerationHistory(names=("a", "b"), baseline=np.array([10.0, 5.0]))
-        history.record(0, np.array([10.0, 5.0]), np.array([10.0, 5.0]), 0.1)
-        history.record(1, np.array([5.0, 5.0]), np.array([8.0, 5.0]), 0.2)
-        return history
+        return GenerationHistory(
+            names=("a", "b"),
+            best=[np.array([10.0, 5.0]), np.array([5.0, 5.0])],
+            mean=[np.array([10.0, 5.0]), np.array([8.0, 5.0])],
+            seconds=[0.1, 0.2],
+        )
 
     def test_long_format_rows(self, tmp_path):
         path = tmp_path / "convergence.csv"
-        export_convergence(path, self.history(), ("a", "b"))
+        export_convergence(path, self.history())
         rows = read_rows(path)
         assert rows[0] == ["generation", "objective", "best", "mean"]
         assert rows[1] == ["0", "a", "1", "1"]
@@ -207,9 +209,9 @@ class TestConvergenceCsv:
     def test_one_row_per_generation_and_objective(self, tmp_path):
         path = tmp_path / "convergence.csv"
         history = self.history()
-        export_convergence(path, history, ("a", "b"))
+        export_convergence(path, history)
         rows = read_rows(path)
-        assert len(rows) == 1 + 2 * len(history.records)
+        assert len(rows) == 1 + 2 * len(history.best)
 
 
 class TestParetoPairsCsv:
