@@ -17,6 +17,10 @@ import yaml
 
 from .errors import DataError
 
+# PyYAML's safe loader, through libyaml where PyYAML was built with it: the
+# same objects as ``yaml.SafeLoader``, read several times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 PERSONS = "persons"
 HOUSEHOLDS = "households"
 
@@ -197,7 +201,7 @@ def load_schema(path: str | Path) -> AttributeSchema:
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
     except yaml.YAMLError as exc:

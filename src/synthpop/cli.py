@@ -24,6 +24,7 @@ failure, 3 filesystem problem.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
 from collections.abc import Sequence
@@ -430,6 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Printed lines name tables, attributes and categories, which the input
+    # files hold as UTF-8; they go out as UTF-8 whatever the locale.
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

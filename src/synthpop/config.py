@@ -21,6 +21,7 @@ import yaml
 from .census_data import (
     HOUSEHOLDS,
     PERSONS,
+    YAML_LOADER,
     AttributeSchema,
     ContingencyTable,
     RegionDataset,
@@ -205,7 +206,7 @@ def load_run_config(
     config_path = Path(path).resolve()
     try:
         with open(config_path, encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=YAML_LOADER)
     except OSError as exc:
         raise DataError(f"cannot read config file {config_path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -164,6 +164,7 @@ def allocate(
     # ids run class by class in letter order, each class in roster order, so
     # a stable sort by household keeps that order within every household.
     flat = ids[np.argsort(owners, kind="stable")]
-    members = tuple(np.split(flat, np.cumsum(taken.sum(axis=1))[:-1]))
+    stops = np.cumsum(taken.sum(axis=1)).tolist()
+    members = tuple(flat[start:stop] for start, stop in zip([0, *stops], stops))
     unallocated = np.sort(np.concatenate([pool[end:] for pool, end in zip(pools, used)]))
     return AllocationResult(members, (taken == needs).all(axis=1), unallocated)

@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from .census_data import (
+    YAML_LOADER,
     Attribute,
     AttributeSchema,
     ContingencyTable,
@@ -66,10 +67,13 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             when:
               age: [a0_4, a5_9, a10_14, a15_17]
               marital: [married]
+
+    A rule whose attributes have more than :data:`MAX_RULE_CELLS` joint
+    cells is a :class:`DataError`.
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise DataError(f"rules file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -102,13 +106,16 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             except DataError as exc:
                 raise DataError(f"rules file {path}: rule {entry['name']!r}: {exc}") from None
             clauses.append((str(attribute), frozenset(str(c) for c in categories)))
-        rules.append(
-            ValidationRule(
-                name=str(entry["name"]),
-                clauses=tuple(clauses),
-                message=str(entry.get("message", "")),
-            )
+        rule = ValidationRule(
+            name=str(entry["name"]),
+            clauses=tuple(clauses),
+            message=str(entry.get("message", "")),
         )
+        try:
+            _check_rule_cells(rule, [schema[name] for name, _ in clauses])
+        except DataError as exc:
+            raise DataError(f"rules file {path}: {exc}") from None
+        rules.append(rule)
     return tuple(rules)
 
 
@@ -134,44 +141,83 @@ def cell_count(attributes: Sequence[Attribute]) -> int:
     return count
 
 
+# The most joint cells a rule's attributes may have: its check table holds
+# one flag per cell.
+MAX_RULE_CELLS = 2**24
+
+
+def _check_rule_cells(rule: ValidationRule, attributes: Sequence[Attribute]) -> None:
+    """Raise a :class:`DataError` naming ``rule`` if its clause attributes,
+    resolved in ``attributes``, have more than :data:`MAX_RULE_CELLS` joint
+    cells."""
+    by_name = {a.name: a for a in attributes}
+    clause_attributes = [by_name[name] for name in dict.fromkeys(n for n, _ in rule.clauses)]
+    count = math.prod(a.size for a in clause_attributes)
+    if count > MAX_RULE_CELLS:
+        names = ", ".join(a.name for a in clause_attributes)
+        raise DataError(
+            f"rule {rule.name!r}: attributes {names} have {count:,} joint cells; "
+            f"a rule's attributes may have at most {MAX_RULE_CELLS:,} (2**24)"
+        )
+
+
 class CompiledRules:
     """Rules bound to a roster's column layout for vectorised checking.
 
-    Each clause becomes a boolean lookup table over its attribute's codes,
-    True at the forbidden ones, so a membership test is one fancy index.
+    The rules whose clauses name the same set of attributes share one
+    boolean table over those attributes' joint cells, True where any of
+    them is violated: each rule contributes the outer AND of its clauses'
+    forbidden-category masks. A check is one cell index and one gather per
+    table.
     """
 
     def __init__(self, rules: Sequence[ValidationRule], attributes: Sequence[Attribute]):
         columns = {a.name: i for i, a in enumerate(attributes)}
         self.rules = tuple(rules)
-        self._bound: list[tuple[tuple[int, np.ndarray], ...]] = []
+        self.attributes = tuple(attributes)
+        tables: dict[tuple[int, ...], np.ndarray] = {}
         for rule in self.rules:
-            bound = []
-            for attribute, categories in rule.clauses:
+            for attribute, _ in rule.clauses:
                 if attribute not in columns:
                     raise DataError(
                         f"rule {rule.name!r} references attribute {attribute!r}, "
                         "which is not configured for this roster"
                     )
+            _check_rule_cells(rule, attributes)
+            masks: dict[int, np.ndarray] = {}
             for attribute, categories in rule.clauses:
                 col = columns[attribute]
                 declared = attributes[col]
                 forbidden = np.zeros(declared.size, dtype=bool)
                 forbidden[[declared.index_of(c) for c in categories]] = True
-                bound.append((col, forbidden))
-            self._bound.append(tuple(bound))
+                masks[col] = masks.get(col, True) & forbidden
+            key = tuple(sorted(masks))
+            hit = masks[key[0]]
+            for col in key[1:]:
+                hit = np.logical_and.outer(hit, masks[col])
+            tables[key] = tables.get(key, False) | hit
+        self._tables = tuple(
+            (cols, tuple(attributes[c].size for c in cols), table.ravel())
+            for cols, table in tables.items()
+        )
 
     def violation_mask(self, codes: np.ndarray) -> np.ndarray:
         """Boolean mask over roster rows: True where any rule is violated."""
         bad = np.zeros(len(codes), dtype=bool)
-        for bound in self._bound:
-            hit = np.ones(len(codes), dtype=bool)
-            for col, forbidden in bound:
-                hit &= forbidden[codes[:, col]]
-                if not hit.any():
-                    break
-            bad |= hit
+        for cols, dims, table in self._tables:
+            bad |= table[_joint_cells(codes, cols, dims)]
         return bad
+
+
+def _joint_cells(codes: np.ndarray, columns: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """Each row's joint cell over ``columns``, whose category counts are
+    ``dims``: ``np.ravel_multi_index`` of the columns, in fewer passes over
+    them."""
+    cells = np.zeros(len(codes), dtype=np.intp)
+    for col, size in zip(columns, dims):
+        cells *= size
+        cells += codes[:, col]
+    return cells
 
 
 def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -179,6 +225,68 @@ def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     rounding in the last bin maps to the last category."""
     idx = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(idx, len(cdf) - 1)
+
+
+# A guide table has at least this many buckets per category, so that few
+# buckets hold a cumulative weight and most draws end at the lookup.
+_GUIDE_BUCKETS_PER_CATEGORY = 16
+
+
+def _guide_table(cdf_rows: np.ndarray) -> np.ndarray:
+    """The guide table of each cumulative row (Chen & Asau, 1974).
+
+    With ``B`` buckets, a power of two, entry ``k`` of a row is
+    ``_draw(row, k / B)`` for ``k = 0..B``, in the narrowest unsigned dtype.
+    """
+    width = cdf_rows.shape[1]
+    buckets = 1 << (_GUIDE_BUCKETS_PER_CATEGORY * width - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    guide = np.empty((len(cdf_rows), buckets + 1), dtype=np.min_scalar_type(width - 1))
+    for row, cdf in zip(guide, cdf_rows):
+        row[:] = _draw(cdf, edges)
+    return guide
+
+
+def _guided_draw(
+    cdf_rows: np.ndarray, guide: np.ndarray, rows: np.ndarray | None, uniforms: np.ndarray
+) -> np.ndarray:
+    """``_draw(cdf_rows[rows[i]], uniforms[i])`` for every draw ``i`` (row 0
+    when ``rows`` is None), read from the rows' guide tables.
+
+    ``u * B`` is exact, as ``B`` is a power of two, so a uniform ``u`` falls
+    in bucket ``k = floor(u * B)``, and ``_draw`` being monotone puts its
+    result between the bucket's guide entries ``k`` and ``k + 1``. Where
+    they are equal, that is the result; the few draws whose bucket holds a
+    cumulative weight bisect their own row between the two.
+    """
+    buckets = guide.shape[1] - 1
+    at = (uniforms * buckets).astype(np.intp)
+    if rows is not None:
+        at += rows * (buckets + 1)
+    flat_guide = guide.ravel()
+    low = flat_guide[at]
+    high = flat_guide[at + 1]
+    drawn = low.astype(np.intp)
+    index = np.flatnonzero(low != high)
+    if index.size:
+        # The result lies in [low, high]. Entry ``mid`` of the row, with
+        # low <= mid < high, is at most the uniform exactly when the result
+        # is above ``mid``.
+        low, high = drawn[index], high[index].astype(np.intp)
+        u = uniforms[index]
+        width = cdf_rows.shape[1]
+        start = np.zeros_like(index) if rows is None else rows[index] * width
+        flat_cdf = cdf_rows.ravel()
+        while index.size:
+            mid = (low + high) >> 1
+            below = flat_cdf[start + mid] <= u
+            low = np.where(below, mid + 1, low)
+            high = np.where(below, high, mid)
+            done = low == high
+            drawn[index[done]] = low[done]
+            left = ~done
+            index, low, high, u, start = index[left], low[left], high[left], u[left], start[left]
+    return drawn
 
 
 @dataclass(frozen=True)
@@ -189,8 +297,9 @@ class _JointGroup:
     given_columns: tuple[int, ...]
     given_dims: tuple[int, ...]
     new_columns: tuple[int, ...]
-    new_dims: tuple[int, ...]
     cdf_rows: np.ndarray  # (n_given_combos, n_new_combos) cumulative rows
+    guide: np.ndarray  # (n_given_combos, buckets + 1), see _guide_table
+    new_codes: tuple[np.ndarray, ...]  # per new column, its code at each new combo
 
 
 class SamplingPlan:
@@ -269,29 +378,21 @@ class SamplingPlan:
 
         Each group draws one uniform per row. A draw's row of ``cdf_rows`` is
         the joint cell of the group's given columns, or row 0 when it has
-        none; the draws are sorted by that row, so each row is searched once.
+        none; the draw is read from that row's guide table
+        (:func:`_guided_draw`), and its new combination's code in each new
+        column from that column's lookup table.
         """
         if count <= 0:
             raise DataError("sample count must be positive")
         codes = np.empty((count, len(self.attributes)), dtype=code_dtype(self.attributes))
         for group in self._joint_groups:
             uniforms = rng.random(count)
+            rows = None
             if group.given_columns:
-                rows = np.ravel_multi_index(
-                    tuple(codes[:, c] for c in group.given_columns), group.given_dims
-                )
-            else:
-                rows = np.zeros(count, dtype=np.intp)
-            order = np.argsort(rows)
-            sizes = np.bincount(rows, minlength=len(group.cdf_rows))
-            ends = np.cumsum(sizes)
-            flat = np.empty(count, dtype=np.intp)
-            for row in np.flatnonzero(sizes).tolist():
-                take = order[ends[row] - sizes[row] : ends[row]]
-                flat[take] = _draw(group.cdf_rows[row], uniforms[take])
-            parts = np.unravel_index(flat, group.new_dims)
-            for col, part in zip(group.new_columns, parts):
-                codes[:, col] = part
+                rows = _joint_cells(codes, group.given_columns, group.given_dims)
+            flat = _guided_draw(group.cdf_rows, group.guide, rows, uniforms)
+            for col, lookup in zip(group.new_columns, group.new_codes):
+                codes[:, col] = lookup.take(flat)
         return codes
 
 
@@ -330,8 +431,12 @@ def _build_joint_group(
         given_columns=tuple(columns[n] for n in given_names),
         given_dims=given_dims,
         new_columns=tuple(columns[n] for n in new_names),
-        new_dims=new_dims,
         cdf_rows=cdf_rows,
+        guide=_guide_table(cdf_rows),
+        new_codes=tuple(
+            part.astype(np.min_scalar_type(a.size - 1))
+            for a, part in zip(new, np.unravel_index(np.arange(n_new), new_dims))
+        ),
     )
 
 

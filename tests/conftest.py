@@ -37,11 +37,12 @@ def violated_by(rule: ValidationRule, assignments: dict[str, str]) -> bool:
 
 def row_ok(rules: CompiledRules, codes: np.ndarray, row: int) -> bool:
     """Whether one roster row breaks none of ``rules``, checked row by row
-    apart from the vectorised ``violation_mask``."""
-    for bound in rules._bound:
-        if all(forbidden[codes[row, col]] for col, forbidden in bound):
-            return False
-    return True
+    on the rules' clauses, apart from the vectorised ``violation_mask``."""
+    assignments = {
+        attribute.name: attribute.categories[int(code)]
+        for attribute, code in zip(rules.attributes, codes[row])
+    }
+    return not any(violated_by(rule, assignments) for rule in rules.rules)
 
 
 def labels(candidate, index: int) -> dict[str, str]:
@@ -88,7 +89,8 @@ def reference_sample_codes(
             flat = np.minimum(flat, row_cdfs.shape[1] - 1)
         else:
             flat = _draw(group.cdf_rows[0], rng.random(count))
-        parts = np.unravel_index(flat, group.new_dims)
+        new_dims = tuple(plan.attributes[c].size for c in group.new_columns)
+        parts = np.unravel_index(flat, new_dims)
         for col, part in zip(group.new_columns, parts):
             codes[:, col] = part
     return codes

@@ -289,6 +289,26 @@ class TestInputChecks:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    def test_an_oversized_rule_fails_before_any_write(self, config_tree, tmp_path, capsys):
+        # Two schema attributes of 4,097 categories: one row of 4,097 joint
+        # cells past 2**24.
+        categories = ", ".join(f"w{k}" for k in range(4097))
+        with open(config_tree.parent / "schema.yaml", "a", encoding="utf-8") as schema:
+            for name in ("wide0", "wide1"):
+                schema.write(f"  - name: {name}\n    categories: [{categories}]\n")
+        name = self.write_rules(config_tree, "persons", "{wide0: [w0], wide1: [w1]}")
+        expected = (
+            f"error: rules file {config_tree.parent / name}: rule 'stray': attributes "
+            "wide0, wide1 have 16,785,409 joint cells; a rule's attributes may have at "
+            "most 16,777,216 (2**24)\n"
+        )
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        assert capsys.readouterr().err == expected
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def break_age_table(self, config_tree):
         (config_tree.parent / "tables" / "sex.csv").write_text(
             "sex,count\nm,53\nf,47\n", encoding="utf-8"
@@ -361,32 +381,39 @@ class TestInputChecks:
 
 class TestEncoding:
     def test_outputs_do_not_depend_on_the_locale(self, config_tree, tmp_path):
-        # A label and a region that ASCII cannot encode.
+        # A label, an attribute and a region that ASCII cannot encode; the
+        # attribute's name is printed on its rmse line unless --quiet.
         for path in (config_tree.parent / "schema.yaml",
                      config_tree.parent / "tables" / "age_marital.csv",
                      config_tree.parent / "person_rules.yaml"):
             edit(path, "married", "mari\u00e9")
+            edit(path, "marital", "mar\u00eftal")
+        edit(config_tree, "attribute: marital}", "attribute: mar\u00eftal}")
         edit(config_tree, "region: test-region", "region: test-r\u00e9gion")
         src = str(Path(__file__).resolve().parent.parent / "src")
         paths = [src, os.environ.get("PYTHONPATH", "")]
         default = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         ascii_locale = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         outs = []
-        for env in (default, ascii_locale):
-            out = tmp_path / f"out{len(outs)}"
-            result = subprocess.run(
-                [sys.executable, "-m", "synthpop.cli", "run", "-c", str(config_tree),
-                 "--out-dir", str(out), "--quiet"],
-                env=env, capture_output=True, text=True, encoding="utf-8",
-                errors="replace", check=False,
-            )
-            assert result.returncode == 0, result.stderr
-            outs.append(out)
+        for quiet in (True, False):
+            for env in (default, ascii_locale):
+                out = tmp_path / f"out{len(outs)}"
+                result = subprocess.run(
+                    [sys.executable, "-m", "synthpop.cli", "run", "-c", str(config_tree),
+                     "--out-dir", str(out), *(["--quiet"] if quiet else [])],
+                    env=env, capture_output=True, text=True, encoding="utf-8",
+                    errors="replace", check=False,
+                )
+                assert result.returncode == 0, result.stderr
+                printed = "  rmse age_marital/mar\u00eftal (category)" in result.stdout
+                assert printed != quiet
+                outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir() if p.name != "timings.csv")
         assert len(names) == 11
         assert "mari\u00e9" in (outs[0] / "persons.csv").read_text(encoding="utf-8")
-        for name in names:
-            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+        for out in outs[1:]:
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 """Tests for run-configuration loading, overrides and dataset assembly."""
 
 import pytest
+import yaml
 
 from synthpop import (
     DataError,
@@ -8,7 +9,23 @@ from synthpop import (
     load_run_config,
     load_stage_rules,
 )
-from synthpop.census_data import HOUSEHOLDS, PERSONS
+from synthpop.census_data import HOUSEHOLDS, PERSONS, YAML_LOADER
+
+from conftest import FIXTURE_DIR
+
+SHIPPED_YAML = sorted(
+    [*FIXTURE_DIR.glob("*.yaml"), *(FIXTURE_DIR.parent / ".github").rglob("*.yml")]
+)
+
+
+class TestYamlLoader:
+    def test_libyaml_is_used_where_pyyaml_has_it(self):
+        assert YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda path: path.name)
+    def test_reads_what_the_pure_python_loader_reads(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 class TestLoadRunConfig:

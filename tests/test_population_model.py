@@ -1,5 +1,7 @@
 """Tests for validation rules, sampling plans, and candidate rosters."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,15 +27,21 @@ from synthpop import (
     load_rules,
     save_archive,
 )
+from synthpop.config import load_dataset, load_run_config, load_stage_rules
 from synthpop.population_model import (
     _SHIFTED_TALLY_ROWS,
+    MAX_RULE_CELLS,
     CompiledRules,
+    _draw,
+    _guide_table,
+    _guided_draw,
     code_dtype,
     count_offsets,
     tally,
 )
 
 from conftest import (
+    FIXTURE_DIR,
     breed_tied,
     labels,
     reference_sample_codes,
@@ -153,6 +161,21 @@ class TestLoadRules:
         assert detail in str(exc.value)
 
 
+    def test_an_oversized_rule_names_the_file_and_rule(self, tmp_path):
+        # 4,097**2 joint cells is one row of 4,097 past 2**24.
+        wide = [Attribute(f"w{i}", tuple(f"c{k}" for k in range(4097))) for i in range(2)]
+        path = tmp_path / "rules.yaml"
+        path.write_text(
+            "rules:\n- name: huge\n  when:\n    w0: [c0]\n    w1: [c1]\n", encoding="utf-8"
+        )
+        with pytest.raises(DataError) as exc:
+            load_rules(path, AttributeSchema(tuple(wide)))
+        assert str(exc.value) == (
+            f"rules file {path}: rule 'huge': attributes w0, w1 have 16,785,409 joint "
+            "cells; a rule's attributes may have at most 16,777,216 (2**24)"
+        )
+
+
 class TestCompiledRules:
     def test_mask_matches_per_person_check(self, schema_small, rule_no_child_marriage):
         rng = np.random.default_rng(11)
@@ -215,6 +238,142 @@ class TestCompiledRules:
         rule = ValidationRule(name="odd", clauses=(("income", frozenset({"low"})),))
         with pytest.raises(DataError):
             CompiledRules([rule], tuple(schema_small.attributes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mask_matches_the_per_rule_oracle_on_every_cell(self, data):
+        # Rules drawn from a few attribute sets, so several share one set,
+        # each listing its clauses in its own order; a set of one attribute
+        # makes single-clause rules.
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n)))
+            for i, n in enumerate(sizes)
+        )
+        column_sets = data.draw(st.lists(
+            st.lists(st.sampled_from(range(len(sizes))), min_size=1, max_size=3, unique=True),
+            min_size=1, max_size=3,
+        ))
+        rules = []
+        for r in range(data.draw(st.integers(1, 8))):
+            columns = data.draw(st.permutations(data.draw(st.sampled_from(column_sets))))
+            clauses = tuple(
+                (
+                    attributes[c].name,
+                    frozenset(data.draw(
+                        st.sets(st.sampled_from(attributes[c].categories), min_size=1)
+                    )),
+                )
+                for c in columns
+            )
+            rules.append(ValidationRule(name=f"r{r}", clauses=clauses))
+        compiled = CompiledRules(rules, attributes)
+        codes = np.array(list(itertools.product(*(range(n) for n in sizes))), dtype=np.uint8)
+        mask = compiled.violation_mask(codes)
+        candidate = CandidatePopulation(attributes, codes)
+        for index in range(len(codes)):
+            assignments = labels(candidate, index)
+            assert mask[index] == any(violated_by(rule, assignments) for rule in rules)
+        # One table per distinct attribute set.
+        distinct = {frozenset(name for name, _ in rule.clauses) for rule in rules}
+        assert len(compiled._tables) == len(distinct)
+
+    def test_clauses_on_one_attribute_all_apply(self, schema_small):
+        rule = ValidationRule(
+            name="twice",
+            clauses=(
+                ("age", frozenset({"a0_17", "a18_64"})),
+                ("age", frozenset({"a18_64", "a65p"})),
+            ),
+        )
+        attributes = tuple(schema_small.attributes)
+        codes = np.array([[0, age, 0] for age in range(3)], dtype=np.uint8)
+        assert CompiledRules([rule], attributes).violation_mask(codes).tolist() == [
+            False, True, False
+        ]
+
+    @pytest.mark.parametrize(
+        "stage, names, dims",
+        [("persons", ["age", "marital"], (11, 4)),
+         ("households", ["size", "composition"], (6, 16))],
+    )
+    def test_shipped_rules_compile_to_one_table_per_stage(self, stage, names, dims):
+        config = load_run_config(FIXTURE_DIR / "config.yaml")
+        dataset = load_dataset(config)
+        attributes = tuple(dataset.schema[n] for n in dataset.stage_attributes(stage))
+        compiled = CompiledRules(load_stage_rules(config, dataset.schema)[stage], attributes)
+        assert [([attributes[c].name for c in cols], table_dims)
+                for cols, table_dims, _ in compiled._tables] == [(names, dims)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(256, 4096), min_size=2, max_size=3),
+        extra=st.integers(0, 3),
+    )
+    def test_an_oversized_rule_raises_before_its_table_is_allocated(self, sizes, extra):
+        # The last attribute takes the joint cells past 2**24.
+        sizes = [*sizes, max(2, MAX_RULE_CELLS // math.prod(sizes) + 1 + extra)]
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n))) for i, n in enumerate(sizes)
+        )
+        small = ValidationRule(name="small", clauses=(("x0", frozenset({"c0"})),))
+        huge = ValidationRule(
+            name="huge", clauses=tuple((a.name, frozenset({"c1"})) for a in attributes)
+        )
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(DataError, match=r"^rule 'huge': attributes x0, x1"):
+                CompiledRules([small, huge], attributes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Its table would hold at least 2**24 one-byte flags.
+        assert peak - start < 2**20
+
+
+@st.composite
+def guided_draws(draw):
+    """Cumulative rows with runs of zero weight, rows with no weight at all
+    and last entries below 1, and uniforms at bucket edges, at cumulative
+    entries and next to them, and in between."""
+    width = draw(st.integers(1, 40))
+    weight = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 7.0, 1e3, 1e-9])
+    cdf_rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = np.array(draw(st.lists(weight, min_size=width, max_size=width)))
+        if weights.any():
+            scale = draw(st.sampled_from([1.0, 1.0 - 2**-53, 0.999, 0.5]))
+            weights = weights / weights.sum() * scale
+        cdf_rows.append(np.cumsum(weights))
+    cdf_rows = np.array(cdf_rows)
+    buckets = _guide_table(cdf_rows).shape[1] - 1
+    edges = np.array(draw(st.lists(st.integers(0, buckets - 1), max_size=20))) / buckets
+    entries = cdf_rows.ravel()
+    near = np.concatenate([entries, np.nextafter(entries, 0), np.nextafter(entries, 2)])
+    spread = np.array(draw(st.lists(st.floats(0, 1, exclude_max=True), max_size=20)))
+    uniforms = np.concatenate([edges, near, spread, [0.0, 1.0 - 2**-53]])
+    uniforms = uniforms[(uniforms >= 0) & (uniforms < 1)]
+    rows = np.array(draw(st.lists(
+        st.integers(0, len(cdf_rows) - 1), min_size=len(uniforms), max_size=len(uniforms)
+    )), dtype=np.intp)
+    return cdf_rows, rows, uniforms
+
+
+class TestGuidedDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(case=guided_draws())
+    def test_equals_the_clamped_search_of_each_row(self, case):
+        cdf_rows, rows, uniforms = case
+        guide = _guide_table(cdf_rows)
+        width = cdf_rows.shape[1]
+        buckets = guide.shape[1] - 1
+        assert buckets >= 16 * width and buckets & (buckets - 1) == 0
+        assert guide.dtype == np.min_scalar_type(width - 1)
+        want = np.array([_draw(cdf_rows[r], u) for r, u in zip(rows, uniforms)], dtype=np.intp)
+        assert np.array_equal(_guided_draw(cdf_rows, guide, rows, uniforms), want)
+        first = np.array([_draw(cdf_rows[0], u) for u in uniforms], dtype=np.intp)
+        assert np.array_equal(_guided_draw(cdf_rows[:1], guide[:1], None, uniforms), first)
 
 
 class TestSamplingPlanIndependent:
