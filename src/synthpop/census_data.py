@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 
 # PyYAML's safe loader, through libyaml where PyYAML was built with it: the
 # same objects as ``yaml.SafeLoader``, read several times faster.
@@ -204,6 +204,8 @@ def load_schema(path: str | Path) -> AttributeSchema:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8("schema", path, exc) from None
     except yaml.YAMLError as exc:
         raise DataError(f"schema file {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or "attributes" not in raw:
@@ -257,6 +259,8 @@ def load_contingency_table(
             rows = [row for row in csv.reader(fh) if row]
     except FileNotFoundError:
         raise DataError(f"table file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8("table", path, exc) from None
     if not rows:
         raise DataError(f"table file {path} is empty")
     header = [h.strip() for h in rows[0]]

@@ -28,7 +28,7 @@ from .census_data import (
     load_contingency_table,
     load_schema,
 )
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .fitness import METRICS, ObjectiveSpec
 from .nsga2 import EvolutionConfig
 from .population_model import ValidationRule, load_rules
@@ -209,6 +209,8 @@ def load_run_config(
             raw = yaml.load(handle, Loader=YAML_LOADER)
     except OSError as exc:
         raise DataError(f"cannot read config file {config_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8("config", config_path, exc) from None
     except yaml.YAMLError as exc:
         raise DataError(f"config file {config_path} is not valid YAML: {exc}") from exc
     raw = _as_mapping(raw, str(config_path))

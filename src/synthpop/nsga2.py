@@ -5,19 +5,20 @@ plus one objective matrix, row for row; ranking returns rank and crowding
 vectors over those rows, and tournament and environmental selection return
 row indices, as in Deb et al. (2002). :func:`breed` makes a generation's
 offspring in one pass: it makes every random draw first, per child and in
-the order that one operator call per child would, then applies crossover,
-swap and resample mutation to the whole generation with one rule check per
-operator. A changed child is a recipe over its parents rather than a copy,
-and carries the category counts derived from its parents', touching only
-the rows that changed, so the loop scores each generation's offspring
-with one evaluator call and no roster is recounted. Only the survivors
-and the archive members build their codes, at the end of each
-generation; the other children never do. Once per generation the Pareto
-archive merges the generation's first front and truncates to the
-population size, always keeping the lowest weighted sum of objectives any
-evaluated roster reached, which is the roster exported. Determinism
-is strict: every random draw goes through a named substream of the master
-seed, so a run's outputs are byte-identical for a given config and seed.
+the order that one operator call per child would, then crosses each pair
+and mutates the whole generation in one pass over the rows it touches,
+read from the parents, with one rule check per mutation. A changed child
+is a recipe over its parents rather than a copy, and carries the category
+counts derived from its parents', touching only the rows that changed, so
+the loop scores each generation's offspring with one evaluator call and no
+roster is recounted. Only the survivors and the archive members build
+their codes, at the end of each generation; the other children never do.
+Once per generation the Pareto archive merges the generation's first front
+and truncates to the population size, always keeping the lowest weighted
+sum of objectives any evaluated roster reached, which is the roster
+exported. Determinism is strict: every random draw goes through a named
+substream of the master seed, so a run's outputs are byte-identical for a
+given config and seed.
 """
 
 from __future__ import annotations
@@ -232,8 +233,8 @@ def breed(
     swap and one resample mutation:
 
     - The swap exchanges one attribute's values between two random roster
-      slots. It is skipped when the values are equal or when either slot
-      would then break one of ``rules``. It keeps the category counts.
+      slots. It is reverted when either slot would then break one of
+      ``rules``. It keeps the category counts.
     - The resample redraws ``config.resample_slots`` random (slot,
       attribute) cells from the plan's marginal weights. Attributes are
       hit in proportion to their category count, and a cell drawn twice
@@ -244,23 +245,27 @@ def breed(
     Each stream makes its draws per child, in the order and call shapes
     that one operator call per child would, so this equals applying the
     operators child by child. The draws need no roster data, so they come
-    first and the operators are applied to the whole generation at once:
-    one rule check per operator and one tally of the resampled rows. A
-    child that neither crossover nor mutation changed is its parent; the
-    others are unbuilt rosters over their parents (see
+    first. Both mutations then make one pass over the generation's touched
+    (child, slot) rows, each read straight from the parent it came from,
+    never through a recipe: one rule check for the swaps, one for the
+    redraws and one tally. A child that nothing changed is its parent; the
+    others are unbuilt rosters (see
     :class:`~synthpop.population_model.CandidatePopulation`): a parent
-    patched with the crossover slice and then with each applied mutation,
-    whose rows the mutations read through those patches.
+    patched with the crossover slice and then with one patch of the rows
+    the mutations touched.
     """
     select_rng, cross_rng, mutate_rng = rngs
     length, width = len(population[0]), len(plan.attributes)
     children = config.offspring
     winners = _tournaments(rank, crowding, children, select_rng)
     parents = [population[w] for w in winners]
+    # Each pair's cuts; a pair that did not cross keeps empty ones.
+    cuts = np.zeros((children // 2, 2), dtype=np.intp)
     offspring: list[CandidatePopulation] = []
-    for first, second in zip(parents[::2], parents[1::2]):
+    for pair, (first, second) in enumerate(zip(parents[::2], parents[1::2])):
         if cross_rng.random() < config.crossover_probability:
             cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
+            cuts[pair] = cut_a, cut_b
             offspring += _cross(first, second, cut_a, cut_b)
         else:
             offspring += (first, second)
@@ -284,74 +289,68 @@ def breed(
                 mutate_rng.random(slots),
             ))
 
-    # Both slots of each swap, read through the child's recipe; a swap of
-    # equal values is skipped.
-    read = [(swap, offspring[swap[0]].rows(swap[1:3])) for swap in swaps]
-    read = [(swap, pair) for swap, pair in read if pair[0, swap[3]] != pair[1, swap[3]]]
-    if read:
-        # Swapped, then checked in one call.
-        pairs = np.stack([pair for _, pair in read])
-        each, cols = np.arange(len(read)), np.array([swap[3] for swap, _ in read])
-        pairs[each, :, cols] = pairs[each, ::-1, cols]
-        broken = rules.violation_mask(pairs.reshape(-1, width)).reshape(-1, 2).any(axis=1)
-        for ((child, i, j, _), _), pair, skip in zip(read, pairs, broken.tolist()):
-            if not skip:
-                offspring[child] = offspring[child].patched(np.array([i, j]), pair)
-
-    if redrawn:
-        _resample(offspring, redrawn, draws, plan, rules)
-    return offspring
-
-
-def _resample(
-    offspring: list[CandidatePopulation],
-    redrawn: list[int],
-    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    plan: SamplingPlan,
-    rules: CompiledRules,
-) -> None:
-    """Apply the resample draws of the ``redrawn`` children, replacing each
-    child they change in ``offspring`` by its patched roster; see
-    :func:`breed`. The touched (child, slot) rows are read once each
-    through their child's recipe, then redrawn, checked and tallied for the
-    whole generation at once; each changed child gets one patch."""
-    length, width = len(offspring[0]), len(plan.attributes)
-    column_p, cdfs = plan.redraw_tables
-    column_cdf = column_p.cumsum()
-    column_cdf /= column_cdf[-1]
-    # One row of draws per redrawn child, flattened in draw order.
-    rows, column_u, value_u = (np.stack(part) for part in zip(*draws))
-    keys = (rows + length * np.arange(len(redrawn))[:, None]).ravel()
-    columns = np.searchsorted(column_cdf, column_u.ravel(), side="right")
-    value_u = value_u.ravel()
-    # The touched (child, slot) rows once each, child-major, and where each
-    # draw lands among them.
+    # The touched (child, slot) rows once each, child-major; ``at`` places
+    # both slots of each swap, then each draw, among them.
+    swap = np.array(swaps, dtype=np.intp).reshape(-1, 4)
+    keys = np.concatenate((
+        (swap[:, :1] * length + swap[:, 1:3]).ravel(),
+        *(child * length + rows for child, (rows, _, _) in zip(redrawn, draws)),
+    ))
     touched, at = np.unique(keys, return_inverse=True)
     owner, slot = np.divmod(touched, length)
-    bounds = np.searchsorted(owner, np.arange(len(redrawn) + 1)).tolist()
-    blocks = list(zip(redrawn, bounds[:-1], bounds[1:]))
-    old = np.concatenate([offspring[child].rows(slot[a:b]) for child, a, b in blocks])
+    # Each row as crossover left it: inside its pair's cuts the other
+    # winner's, else its own winner's, with one gather per parent.
+    inside = (cuts[owner // 2, 0] <= slot) & (slot < cuts[owner // 2, 1])
+    source = np.asarray(winners)[np.where(inside, owner ^ 1, owner)]
+    order = np.argsort(source, kind="stable")
+    members, starts = np.unique(source[order], return_index=True)
+    old = np.empty((len(touched), width), dtype=population[0].codes.dtype)
+    for member, part in zip(members.tolist(), np.split(order, starts[1:])):
+        old[part] = population[member].codes[slot[part]]
+
     new = old.copy()
-    # In draw order, so a cell drawn twice keeps its last draw.
-    for col, cdf in enumerate(cdfs):
-        hits = columns == col
-        new[at[hits], col] = _draw(cdf, value_u[hits])
-    broken = rules.violation_mask(new)
-    new[broken] = old[broken]
-    # Each changed cell counts its new code up and its old one down, in
-    # its child's block: one bincount for the whole generation.
-    cells = np.flatnonzero(new != old)
-    row, col = np.divmod(cells, width)
+    if swaps:
+        # Swapped, then reverted where either row breaks a rule: one check.
+        pairs, col = at[:2 * len(swaps)], swap[:, 3]
+        first, second = pairs[::2], pairs[1::2]
+        new[first, col], new[second, col] = old[second, col], old[first, col]
+        broken = rules.violation_mask(new[pairs]).reshape(-1, 2).any(axis=1).repeat(2)
+        new[pairs[broken]] = old[pairs[broken]]
+    swapped = new.copy()
+    if redrawn:
+        # Redrawn in draw order, so a cell drawn twice keeps its last draw;
+        # rows that then break a rule revert to their swapped values.
+        column_p, cdfs = plan.redraw_tables
+        column_cdf = column_p.cumsum() / column_p.cumsum()[-1]
+        drawn_at = at[2 * len(swaps):]
+        _, column_u, value_u = (np.concatenate(part) for part in zip(*draws))
+        columns = np.searchsorted(column_cdf, column_u, side="right")
+        for col, cdf in enumerate(cdfs):
+            hits = columns == col
+            new[drawn_at[hits], col] = _draw(cdf, value_u[hits])
+        broken = rules.violation_mask(new)
+        new[broken] = swapped[broken]
+
+    # Each changed cell counts its new code up and its old one down, in its
+    # child's block: one bincount for the whole generation.
+    moved = new != old
+    row, col = np.divmod(np.flatnonzero(moved), width)
     offsets = count_offsets(plan.attributes)
     size = int(offsets[-1])
     base = owner[row] * size + offsets[col]
-    up, down = base + new.ravel()[cells], base + old.ravel()[cells] + len(redrawn) * size
-    tallies = np.bincount(np.concatenate((up, down)), minlength=2 * len(redrawn) * size)
-    delta = np.subtract(*tallies.reshape(2, len(redrawn), size))
-    for k in np.unique(owner[row]).tolist():
-        child, a, b = blocks[k]
-        roster = offspring[child]
-        offspring[child] = roster.patched(slot[a:b], new[a:b], roster.category_counts + delta[k])
+    up, down = base + new[row, col], base + old[row, col] + children * size
+    tallies = np.bincount(np.concatenate((up, down)), minlength=2 * children * size)
+    delta = np.subtract(*tallies.reshape(2, children, size))
+    # A child changed where its swap stood or its rows moved, even if the
+    # redraws then undid the swap; each gets one patch of its touched rows.
+    changed = moved.any(axis=1) | (swapped != old).any(axis=1)
+    bounds = np.searchsorted(owner, np.arange(children + 1)).tolist()
+    for child in np.unique(owner[changed]).tolist():
+        roster, block = offspring[child], slice(bounds[child], bounds[child + 1])
+        offspring[child] = roster.patched(
+            slot[block], new[block], roster.category_counts + delta[child]
+        )
+    return offspring
 
 
 def environmental_selection(

@@ -27,7 +27,7 @@ from .census_data import (
     ContingencyTable,
     marginalize,
 )
-from .errors import DataError, EvolutionError
+from .errors import DataError, EvolutionError, not_utf8
 
 # Draws each roster slot gets before rejection sampling gives up.
 SAMPLING_RETRIES = 100
@@ -76,6 +76,8 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     except FileNotFoundError:
         raise DataError(f"rules file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8("rules", path, exc) from None
     except yaml.YAMLError as exc:
         raise DataError(f"rules file {path} is not valid YAML: {exc}") from None
     if raw is None:
@@ -472,10 +474,10 @@ def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 class _Recipe(NamedTuple):
-    """How an unbuilt roster's codes are made: ``base``'s codes with each
-    patch of (rows, values) written in order. A patch's rows are a slice,
-    as crossover writes a donor's rows ``cut_a:cut_b``, or an array of
-    distinct row indices, as the mutations write theirs."""
+    """How an unbuilt roster's codes are made, and only ever built, never
+    read: ``base``'s codes with each patch of (rows, values) written in
+    order. A patch's rows are a slice, as crossover writes a donor's rows
+    ``cut_a:cut_b``, or distinct row indices, as mutation writes its rows."""
 
     base: CandidatePopulation
     patches: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
@@ -486,8 +488,8 @@ class CandidatePopulation:
 
     ``codes`` is read-only, so rosters can share it. A roster that variation
     makes from another (:meth:`patched`) starts as a recipe over it and
-    builds its codes on first access, dropping the recipe; :meth:`rows`
-    reads single rows without building, so a child that is never kept is
+    builds its codes on first access, dropping the recipe; variation reads
+    the rows it changes from the parents, so a child that is never kept is
     never built. ``counts``, when given, must equal the
     :attr:`category_counts` of ``codes``: variation derives a child's counts
     from its parents', so the child is never recounted.
@@ -549,26 +551,6 @@ class CandidatePopulation:
             codes[rows] = values
         codes.setflags(write=False)
         self._codes, self._recipe = codes, None
-
-    def rows(self, index: Sequence[int] | np.ndarray) -> np.ndarray:
-        """A new array of the codes at rows ``index``; an unbuilt roster
-        reads them through its recipe and stays unbuilt."""
-        index = np.asarray(index, dtype=np.intp)
-        if self._recipe is None:
-            return self._codes[index]
-        base, patches = self._recipe
-        out = base.rows(index)
-        for rows, values in patches:
-            if isinstance(rows, slice):
-                hit = (rows.start <= index) & (index < rows.stop)
-                out[hit] = values[index[hit] - rows.start]
-            else:
-                # A patch's rows are distinct, so each index matches at most one.
-                order = np.argsort(rows)
-                at = np.minimum(np.searchsorted(rows, index, sorter=order), len(rows) - 1)
-                hit = rows[order[at]] == index
-                out[hit] = values[order[at[hit]]]
-        return out
 
     def __len__(self) -> int:
         return len(self._recipe.base) if self._codes is None else self._codes.shape[0]

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import zipfile
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .census_data import AttributeSchema, ContingencyTable, marginalize
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
 from .nsga2 import GenerationHistory, ParetoArchive
@@ -105,24 +106,27 @@ def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
     """Read a persons CSV back into a candidate, attribute order from the header."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"persons file {path} is empty") from None
-        if not header or header[0] != "person_id":
-            raise DataError(f"persons file {path} must start with a person_id column")
-        attributes = tuple(schema[name] for name in header[1:])
-        rows = []
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
             try:
-                codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
-            except DataError as exc:
-                raise DataError(f"{path} line {line_number}: {exc}") from None
-            rows.append(codes)
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"persons file {path} is empty") from None
+            if not header or header[0] != "person_id":
+                raise DataError(f"persons file {path} must start with a person_id column")
+            attributes = tuple(schema[name] for name in header[1:])
+            rows = []
+            for line_number, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
+                try:
+                    codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
+                except DataError as exc:
+                    raise DataError(f"{path} line {line_number}: {exc}") from None
+                rows.append(codes)
+    except UnicodeDecodeError as exc:
+        raise not_utf8("persons", path, exc) from None
     if not rows:
         raise DataError(f"persons file {path} has no rows")
     return CandidatePopulation(attributes, np.array(rows, dtype=code_dtype(attributes)))
@@ -307,6 +311,7 @@ _PALETTE_AXES = {
     "palette_counts": ("slot",),
     "member_rows": ("slot", "member"),
 }
+_BUNDLE_KEYS = (*_PALETTE_AXES, "objectives", "objective_names", "attribute_names")
 
 
 def load_archive(
@@ -315,24 +320,33 @@ def load_archive(
     """Load an ``.npz`` archive bundle written by :func:`save_archive`.
 
     Returns the members, their objective matrix, and the objective names,
-    in saved order; the members' ``attributes`` are the bundle's layout. Every array is checked here, so a bundle whose arrays
-    disagree in shape or dtype, whose byte planes are not the layout's,
-    that points outside its palettes or holds a cell at or above its
-    attributes' joint cell count, or whose objectives are not all finite
-    floats, is a :class:`DataError`; a member's roster is decoded from its
-    cells only when the member is indexed.
+    in saved order; the members' ``attributes`` are the bundle's layout.
+    Every array is checked here, so a file that is not a zip of the six
+    plain arrays, or a bundle whose arrays disagree in shape or dtype,
+    whose byte planes are not the layout's, that points outside its
+    palettes or holds a cell at or above its attributes' joint cell count,
+    or whose objectives are not all finite floats, is a :class:`DataError`;
+    a member's roster is decoded from its cells only when the member is
+    indexed.
     """
-    with np.load(path, allow_pickle=False) as bundle:
-        missing = [key for key in _PALETTE_AXES if key not in bundle.files]
-        if missing:
-            raise DataError(
-                f"{path} has no {missing[0]} array (written by an older version?); "
-                "re-run `synthpop run`"
-            )
-        arrays = {key: bundle[key] for key in _PALETTE_AXES}
-        objectives = bundle["objectives"]
-        objective_names = [str(n) for n in bundle["objective_names"]]
-        attributes = tuple(schema[str(n)] for n in bundle["attribute_names"])
+    try:
+        bundle = np.load(path, allow_pickle=False)
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not a readable archive bundle: it holds one array")
+        with bundle:
+            missing = [key for key in _BUNDLE_KEYS if key not in bundle.files]
+            if missing:
+                raise DataError(
+                    f"{path} has no {missing[0]} array (written by an older version?); "
+                    "re-run `synthpop run`"
+                )
+            arrays = {key: bundle[key] for key in _BUNDLE_KEYS}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # Not a zip of plain arrays: truncated, garbage, or holding objects.
+        raise DataError(f"{path} is not a readable archive bundle: {exc}") from None
+    objectives = arrays.pop("objectives")
+    objective_names = [str(n) for n in arrays.pop("objective_names")]
+    attributes = tuple(schema[str(n)] for n in arrays.pop("attribute_names"))
     for key, axes in _PALETTE_AXES.items():
         array = arrays[key]
         if array.ndim != len(axes):

@@ -379,6 +379,31 @@ class TestInputChecks:
         assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 0
 
 
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize(
+        "name",
+        ["config.yaml", "schema.yaml", "person_rules.yaml", "tables/sex_age.csv", "persons.csv"],
+    )
+    def test_a_latin_1_byte_is_named_and_nothing_is_written(
+        self, config_tree, tmp_path, capsys, name
+    ):
+        out = tmp_path / "out"
+        if name == "persons.csv":
+            run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
+            path, command = out / name, ("generate-households", "--out-dir", out, "--quiet")
+        else:
+            path, command = tmp_path / name, ("validate-data",)
+        # The first "a" becomes Latin-1's "\u00e1", one byte that UTF-8 cannot decode.
+        path.write_bytes(path.read_bytes().replace(b"a", "\u00e1".encode("latin-1"), 1))
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        capsys.readouterr()
+        assert run_cli(command[0], "-c", config_tree, *command[1:]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"{path.name} is not UTF-8 text: cannot decode byte 0xe1" in err[0]
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
 class TestEncoding:
     def test_outputs_do_not_depend_on_the_locale(self, config_tree, tmp_path):
         # A label, an attribute and a region that ASCII cannot encode; the
@@ -472,6 +497,33 @@ class TestReport:
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "palette_cells holds cell 6" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda data: data, "has no objectives array"),
+            (lambda data: bytes(range(256)) * 4, "is not a readable archive bundle"),
+            (lambda data: data[: len(data) // 2], "is not a readable archive bundle"),
+        ],
+        ids=["no-objectives", "garbage", "first-half"],
+    )
+    def test_report_names_an_unreadable_bundle(
+        self, config_tree, tmp_path, capsys, spoil, message
+    ):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_persons.npz"
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files if key != "objectives"}
+        np.savez_compressed(bundle, **arrays)
+        bundle.write_bytes(spoil(bundle.read_bytes()))
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"archive_persons.npz {message}" in err[0]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     def test_report_rejects_a_bundle_of_another_layout(self, config_tree, tmp_path, capsys):

@@ -106,6 +106,19 @@ class FixedPick:
         return self.coin
 
 
+class Scripted:
+    """Stand-in rng that returns the given draws in turn, whatever is asked."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size=None):
+        return self.draws.pop(0)
+
+    def integers(self, low, high, size=None):
+        return self.draws.pop(0)
+
+
 class TestDominates:
     """Dominance as the sort applies it: a dominated vector falls to a
     later front, and vectors that do not dominate each other share one."""
@@ -593,6 +606,59 @@ class TestBreed:
             assert np.array_equal(child.category_counts, reference.category_counts)
             both += swapped is not parent and reference is not swapped
         assert both
+
+    def test_a_broken_redraw_of_a_swapped_row_reverts_to_its_swapped_value(self):
+        # Child 0 swaps column x0 of rows 0 and 1, then redraws row 0's x0 to
+        # c0, which the rule forbids with x1 = c0; row 0 keeps its swapped
+        # value, not its crossed one. Child 1 draws no mutation.
+        attributes = labelled((3, 2))
+        plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
+        rules = CompiledRules([c0_pair_rule(attributes)], attributes)
+        parent = CandidatePopulation(attributes, np.array([[1, 0], [2, 1]], dtype=np.uint8))
+        config = EvolutionConfig(
+            population_size=2, crossover_probability=0.0, mutation_probability=0.5,
+            resample_probability=0.5, resample_slots=1,
+        )
+        select_rng, cross_rng, _ = streams(3)
+        # Swap draw, swap rows and column; resample draw, row, column
+        # uniform (x0's chance is 3/5) and value uniform (c0 below 1/3).
+        mutate_rng = Scripted(
+            0.0, np.array([0, 1]), 0, 0.0, np.array([0]), np.array([0.1]), np.array([0.1]),
+            0.9, 0.9,
+        )
+        children = breed(
+            [parent], np.ones(1), np.zeros(1), config, plan, rules,
+            (select_rng, cross_rng, mutate_rng),
+        )
+        assert children[0].codes.tolist() == [[2, 0], [1, 1]]
+        assert np.array_equal(children[0].category_counts, parent.category_counts)
+        assert children[1] is parent
+        assert mutate_rng.draws == []
+
+    def test_a_generation_makes_one_rule_check_per_mutation(self):
+        calls = []
+
+        class Counted(CompiledRules):
+            def violation_mask(self, codes):
+                calls.append(len(codes))
+                return super().violation_mask(codes)
+
+        sizes = (3, 4, 2)
+        attributes = labelled(sizes)
+        rng = np.random.default_rng(8)
+        plan = weighted_plan([(a, rng.dirichlet(np.ones(a.size))) for a in attributes])
+        rules = Counted([c0_pair_rule(attributes)], attributes)
+        population = [
+            CandidatePopulation(attributes, valid_codes(sizes, 30, rng).astype(np.uint8))
+            for _ in range(4)
+        ]
+        config = EvolutionConfig(
+            population_size=4, offspring_size=16, mutation_probability=1.0,
+            resample_probability=1.0, resample_slots=5,
+        )
+        breed(population, np.ones(4), np.zeros(4), config, plan, rules, streams(8))
+        # Both rows of each of the 16 swaps, then every touched row.
+        assert len(calls) == 2 and calls[0] == 32 and calls[1] >= 16
 
 
 class TestEnvironmentalSelection:

@@ -556,8 +556,6 @@ class TestCandidatePopulation:
             values = np.column_stack([rng.integers(0, a.size, len(rows)) for a in attributes])
             roster = roster.patched(rows, values)
             expected[rows] = values
-            index = data.draw(st.lists(st.integers(0, length - 1), max_size=2 * length))
-            assert np.array_equal(roster.rows(index), expected[index].reshape(-1, 3))
         assert roster._recipe is not None and len(roster) == length
         assert np.array_equal(roster.codes, expected)
         assert roster._recipe is None and not roster.codes.flags.writeable
@@ -590,13 +588,10 @@ class TestCandidatePopulation:
             values = rng.integers(0, 4, (len(rows), 2)).astype(np.uint8)
             roster = roster.patched(rows, values)
             expected[rows] = values
-        read = [roster.rows([i]) for i in range(length)]
         assert roster._recipe is not None
         roster.build()
         assert roster._recipe is None
         assert np.array_equal(roster.codes, expected)
-        for i, row in enumerate(read):
-            assert np.array_equal(row, roster.codes[[i]])
 
 
 class TestCategoryCounts:

@@ -555,6 +555,12 @@ def _nan_objective(arrays):
     arrays["objectives"][0, 1] = np.nan
 
 
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 class TestMalformedArchiveBundle:
     @pytest.mark.parametrize(
         "tamper, message",
@@ -597,6 +603,40 @@ class TestMalformedArchiveBundle:
         ))
         with pytest.raises(DataError, match="palette_cells has 1 byte planes, but the 600 joint"):
             load_archive(path, schema)
+
+    @pytest.mark.parametrize("key", ["objectives", "objective_names", "attribute_names"])
+    def test_every_array_is_required(self, schema_small, tmp_path, key):
+        path = tmp_path / "archive.npz"
+        _tampered_bundle(schema_small, path, lambda arrays: arrays.pop(key))
+        with pytest.raises(DataError, match=rf"archive.npz has no {key} array"):
+            load_archive(path, schema_small)
+
+    def test_an_object_array_is_refused_by_name(self, schema_small, tmp_path):
+        path = tmp_path / "archive.npz"
+        _tampered_bundle(schema_small, path, lambda arrays: arrays.update(
+            objective_names=arrays["objective_names"].astype(object)
+        ))
+        with pytest.raises(DataError, match="archive.npz is not a readable archive bundle: "
+                           "Object arrays cannot be loaded"):
+            load_archive(path, schema_small)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda data: bytes(range(256)) * 4, "pickled"),
+            (lambda data: data[: len(data) // 2], "not a zip file"),
+            (lambda data: b"", ""),
+            (lambda data: _npy_bytes(np.zeros(3)), "it holds one array"),
+        ],
+        ids=["garbage", "first-half", "empty", "one-array"],
+    )
+    def test_an_unreadable_file_is_named(self, schema_small, tmp_path, spoil, message):
+        path = tmp_path / "archive.npz"
+        _tampered_bundle(schema_small, path, lambda arrays: None)
+        path.write_bytes(spoil(path.read_bytes()))
+        with pytest.raises(DataError, match=f"archive.npz is not a readable archive bundle: .*"
+                           f"{message}"):
+            load_archive(path, schema_small)
 
 
 class TestRmseRows:
