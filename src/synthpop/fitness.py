@@ -22,7 +22,7 @@ import numpy as np
 
 from .census_data import Attribute, RegionDataset, marginalize
 from .errors import DataError
-from .population_model import CandidatePopulation, count_offsets
+from .population_model import CandidatePopulation, _joint_cells, count_offsets
 
 L1 = "l1"
 TRAPEZOID = "trapezoid"
@@ -205,8 +205,6 @@ class ObjectiveEvaluator:
             else:
                 cols, dims = plan[3], plan[4]
                 for row, candidate in enumerate(candidates):
-                    codes = candidate.codes
-                    flat = np.ravel_multi_index(tuple(codes[:, c] for c in cols), dims)
-                    observed = np.bincount(flat, minlength=int(np.prod(dims)))
-                    values[row, i] = metric(target, observed)
+                    cells = _joint_cells(candidate.codes, cols, dims)
+                    values[row, i] = metric(target, np.bincount(cells, minlength=len(target)))
         return values

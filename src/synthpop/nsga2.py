@@ -4,15 +4,15 @@ The engine minimises every objective. A population is a list of rosters
 plus one objective matrix, row for row; ranking returns rank and crowding
 vectors over those rows, and tournament and environmental selection return
 row indices, as in Deb et al. (2002). :func:`breed` makes a generation's
-offspring in one pass: it makes every random draw first, per child and in
-the order that one operator call per child would, then crosses each pair
-and mutates the whole generation in one pass over the rows it touches,
-read from the parents, with one rule check per mutation. A changed child
-is a recipe over its parents rather than a copy, and carries the category
-counts derived from its parents', touching only the rows that changed, so
-the loop scores each generation's offspring with one evaluator call and no
-roster is recounted. Only the survivors and the archive members build
-their codes, at the end of each generation; the other children never do.
+offspring in three steps: crossover draws each pair's cuts and tallies the
+pair's count change, one mutation pass over the rows it touches, read from
+the parents, adds its count changes with one rule check per mutation, and
+then each changed child is made once, as a recipe over its winner rather
+than a copy. A child's category counts are its winner's plus its row of
+the generation's count changes, so the loop scores each generation's
+offspring with one evaluator call and no roster is recounted. Only the
+survivors and the archive members build their codes, at the end of each
+generation; the other children never do.
 Once per generation the Pareto archive merges the generation's first front
 and truncates to the population size, always keeping the lowest weighted
 sum of objectives any evaluated roster reached, which is the roster
@@ -193,28 +193,6 @@ def _tournaments(
     return winners
 
 
-def _cross(
-    first: CandidatePopulation, second: CandidatePopulation, cut_a: int, cut_b: int
-) -> tuple[CandidatePopulation, CandidatePopulation]:
-    """The two unbuilt children that exchange the parents' rows
-    ``cut_a:cut_b``: each is its parent patched with a view of the other's
-    slice. Each child's counts are its parent's, shifted by the tallies of
-    the exchanged slice, or of its complement when that is shorter."""
-    cut = slice(cut_a, cut_b)
-    # What the first child gains over first, and the second loses against second.
-    offsets = count_offsets(first.attributes)
-    if 2 * (cut_b - cut_a) <= len(first):
-        gain = tally(second.codes[cut], offsets) - tally(first.codes[cut], offsets)
-    else:
-        kept_a = tally(first.codes[:cut_a], offsets) + tally(first.codes[cut_b:], offsets)
-        kept_b = tally(second.codes[:cut_a], offsets) + tally(second.codes[cut_b:], offsets)
-        gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
-    return (
-        first.patched(cut, second.codes[cut], first.category_counts + gain),
-        second.patched(cut, first.codes[cut], second.category_counts - gain),
-    )
-
-
 def breed(
     population: Sequence[CandidatePopulation],
     rank: np.ndarray,
@@ -244,31 +222,44 @@ def breed(
 
     Each stream makes its draws per child, in the order and call shapes
     that one operator call per child would, so this equals applying the
-    operators child by child. The draws need no roster data, so they come
-    first. Both mutations then make one pass over the generation's touched
-    (child, slot) rows, each read straight from the parent it came from,
-    never through a recipe: one rule check for the swaps, one for the
-    redraws and one tally. A child that nothing changed is its parent; the
-    others are unbuilt rosters (see
-    :class:`~synthpop.population_model.CandidatePopulation`): a parent
-    patched with the crossover slice and then with one patch of the rows
-    the mutations touched.
+    operators child by child. Crossover records each pair's cuts and adds
+    its count change, tallied over the exchanged slice or its complement
+    if shorter, to one (children, counts) matrix. The mutation draws need
+    no roster data, so they all come next; one pass over the generation's
+    touched (child, slot) rows, each read from the parent it came from,
+    then makes one rule check per mutation and adds one bincount to the
+    matrix. Last, each child is made once. One that nothing changed is its
+    winner; the others are unbuilt rosters (see
+    :class:`~synthpop.population_model.CandidatePopulation`): the winner
+    patched with a view of the other winner's slice and then with the
+    mutated rows, carrying the winner's counts plus the child's changes.
     """
     select_rng, cross_rng, mutate_rng = rngs
     length, width = len(population[0]), len(plan.attributes)
     children = config.offspring
+    offsets = count_offsets(plan.attributes)
+    size = int(offsets[-1])
     winners = _tournaments(rank, crowding, children, select_rng)
-    parents = [population[w] for w in winners]
-    # Each pair's cuts; a pair that did not cross keeps empty ones.
+    # Each pair's cuts, empty when it did not cross, and each child's count
+    # change over its winner: crossover's first, then mutation's.
     cuts = np.zeros((children // 2, 2), dtype=np.intp)
-    offspring: list[CandidatePopulation] = []
-    for pair, (first, second) in enumerate(zip(parents[::2], parents[1::2])):
+    crossed = np.zeros(children // 2, dtype=bool)
+    delta = np.zeros((children, size), dtype=np.int64)
+    for pair in range(children // 2):
         if cross_rng.random() < config.crossover_probability:
             cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
-            cuts[pair] = cut_a, cut_b
-            offspring += _cross(first, second, cut_a, cut_b)
-        else:
-            offspring += (first, second)
+            cuts[pair], crossed[pair] = (cut_a, cut_b), True
+            first, second = population[winners[2 * pair]], population[winners[2 * pair + 1]]
+            a, b = first.codes, second.codes
+            # What the first child gains over its winner, and the second
+            # loses: from the exchanged slice, or its complement if shorter.
+            if 2 * (cut_b - cut_a) <= length:
+                gain = tally(b[cut_a:cut_b], offsets) - tally(a[cut_a:cut_b], offsets)
+            else:
+                kept_a = tally(a[:cut_a], offsets) + tally(a[cut_b:], offsets)
+                kept_b = tally(b[:cut_a], offsets) + tally(b[cut_b:], offsets)
+                gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
+            delta[2 * pair], delta[2 * pair + 1] = gain, -gain
 
     swaps: list[tuple[int, int, int, int]] = []
     redrawn: list[int] = []
@@ -335,20 +326,28 @@ def breed(
     # child's block: one bincount for the whole generation.
     moved = new != old
     row, col = np.divmod(np.flatnonzero(moved), width)
-    offsets = count_offsets(plan.attributes)
-    size = int(offsets[-1])
     base = owner[row] * size + offsets[col]
     up, down = base + new[row, col], base + old[row, col] + children * size
     tallies = np.bincount(np.concatenate((up, down)), minlength=2 * children * size)
-    delta = np.subtract(*tallies.reshape(2, children, size))
+    delta += np.subtract(*tallies.reshape(2, children, size))
     # A child changed where its swap stood or its rows moved, even if the
     # redraws then undid the swap; each gets one patch of its touched rows.
     changed = moved.any(axis=1) | (swapped != old).any(axis=1)
+    mutated = set(np.unique(owner[changed]).tolist())
     bounds = np.searchsorted(owner, np.arange(children + 1)).tolist()
-    for child in np.unique(owner[changed]).tolist():
-        roster, block = offspring[child], slice(bounds[child], bounds[child + 1])
-        offspring[child] = roster.patched(
-            slot[block], new[block], roster.category_counts + delta[child]
+    # Each child made once, from its winner and its patches in order.
+    offspring: list[CandidatePopulation] = []
+    for child, winner in enumerate(winners):
+        parent, pair = population[winner], child // 2
+        patches: list[tuple[slice | np.ndarray, np.ndarray]] = []
+        if crossed[pair]:
+            cut = slice(*cuts[pair].tolist())
+            patches.append((cut, population[winners[child ^ 1]].codes[cut]))
+        if child in mutated:
+            block = slice(bounds[child], bounds[child + 1])
+            patches.append((slot[block], new[block]))
+        offspring.append(
+            parent.patched(patches, parent.category_counts + delta[child]) if patches else parent
         )
     return offspring
 

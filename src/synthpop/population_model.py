@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -213,8 +213,9 @@ class CompiledRules:
 
 def _joint_cells(codes: np.ndarray, columns: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Each row's joint cell over ``columns``, whose category counts are
-    ``dims``: ``np.ravel_multi_index`` of the columns, in fewer passes over
-    them."""
+    ``dims``, numbered as ``np.ravel_multi_index`` numbers them, and 0 when
+    there are no columns; the one cell encoder. The codes must lie inside
+    their attributes."""
     cells = np.zeros(len(codes), dtype=np.intp)
     for col, size in zip(columns, dims):
         cells *= size
@@ -250,10 +251,10 @@ def _guide_table(cdf_rows: np.ndarray) -> np.ndarray:
 
 
 def _guided_draw(
-    cdf_rows: np.ndarray, guide: np.ndarray, rows: np.ndarray | None, uniforms: np.ndarray
+    cdf_rows: np.ndarray, guide: np.ndarray, rows: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
-    """``_draw(cdf_rows[rows[i]], uniforms[i])`` for every draw ``i`` (row 0
-    when ``rows`` is None), read from the rows' guide tables.
+    """``_draw(cdf_rows[rows[i]], uniforms[i])`` for every draw ``i``, read
+    from the rows' guide tables.
 
     ``u * B`` is exact, as ``B`` is a power of two, so a uniform ``u`` falls
     in bucket ``k = floor(u * B)``, and ``_draw`` being monotone puts its
@@ -262,9 +263,7 @@ def _guided_draw(
     cumulative weight bisect their own row between the two.
     """
     buckets = guide.shape[1] - 1
-    at = (uniforms * buckets).astype(np.intp)
-    if rows is not None:
-        at += rows * (buckets + 1)
+    at = (uniforms * buckets).astype(np.intp) + rows * (buckets + 1)
     flat_guide = guide.ravel()
     low = flat_guide[at]
     high = flat_guide[at + 1]
@@ -276,8 +275,7 @@ def _guided_draw(
         # is above ``mid``.
         low, high = drawn[index], high[index].astype(np.intp)
         u = uniforms[index]
-        width = cdf_rows.shape[1]
-        start = np.zeros_like(index) if rows is None else rows[index] * width
+        start = rows[index] * cdf_rows.shape[1]
         flat_cdf = cdf_rows.ravel()
         while index.size:
             mid = (low + high) >> 1
@@ -379,7 +377,7 @@ class SamplingPlan:
         """Draw a (count, n_attributes) matrix of category indices.
 
         Each group draws one uniform per row. A draw's row of ``cdf_rows`` is
-        the joint cell of the group's given columns, or row 0 when it has
+        the joint cell of the group's given columns, which is 0 when it has
         none; the draw is read from that row's guide table
         (:func:`_guided_draw`), and its new combination's code in each new
         column from that column's lookup table.
@@ -389,9 +387,7 @@ class SamplingPlan:
         codes = np.empty((count, len(self.attributes)), dtype=code_dtype(self.attributes))
         for group in self._joint_groups:
             uniforms = rng.random(count)
-            rows = None
-            if group.given_columns:
-                rows = _joint_cells(codes, group.given_columns, group.given_dims)
+            rows = _joint_cells(codes, group.given_columns, group.given_dims)
             flat = _guided_draw(group.cdf_rows, group.guide, rows, uniforms)
             for col, lookup in zip(group.new_columns, group.new_codes):
                 codes[:, col] = lookup.take(flat)
@@ -444,15 +440,8 @@ def _build_joint_group(
 
 def count_offsets(attributes: Sequence[Attribute]) -> np.ndarray:
     """Where each attribute's block starts in a roster's category counts,
-    in column order, followed by the counts' total length; read-only."""
-    return _offsets(tuple(a.size for a in attributes))
-
-
-@lru_cache(maxsize=None)
-def _offsets(sizes: tuple[int, ...]) -> np.ndarray:
-    offsets = np.cumsum([0, *sizes])
-    offsets.setflags(write=False)
-    return offsets
+    in column order, followed by the counts' total length."""
+    return np.cumsum([0, *(a.size for a in attributes)])
 
 
 # Below this many rows one ``bincount`` over codes shifted into their
@@ -518,19 +507,18 @@ class CandidatePopulation:
         self._counts = counts
 
     def patched(
-        self, rows: slice | np.ndarray, values: np.ndarray, counts: np.ndarray | None = None
+        self, patches: Sequence[tuple[slice | np.ndarray, np.ndarray]], counts: np.ndarray
     ) -> CandidatePopulation:
-        """This roster, unbuilt, with ``values`` written to ``rows``: a slice,
-        or distinct row indices. ``counts`` are the result's, by default
-        this roster's. The values are held, not copied, until the result
-        is built."""
-        base, patches = self._recipe or (self, ())
+        """This roster, unbuilt, with each (rows, values) pair of ``patches``
+        written in order; a patch's rows are a slice or distinct row
+        indices. ``counts`` are the result's category counts. The values
+        are held, not copied, until the result is built."""
         roster = CandidatePopulation.__new__(CandidatePopulation)
         roster.attributes = self.attributes
         roster._codes = None
-        roster._recipe = _Recipe(base, (*patches, (rows, values)))
-        roster._counts = self.category_counts if counts is None else counts
-        roster._counts.setflags(write=False)
+        roster._recipe = _Recipe(self, tuple(patches))
+        counts.setflags(write=False)
+        roster._counts = counts
         return roster
 
     @property

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import zipfile
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -24,7 +23,13 @@ from .errors import DataError, not_utf8
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
 from .nsga2 import GenerationHistory, ParetoArchive
-from .population_model import CandidatePopulation, cell_count, code_dtype, count_offsets
+from .population_model import (
+    CandidatePopulation,
+    _joint_cells,
+    cell_count,
+    code_dtype,
+    count_offsets,
+)
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
 # round-trip the objective magnitudes we emit without trailing noise.
@@ -105,9 +110,15 @@ def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
 
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
-    """Read a persons CSV back into a candidate, attribute order from the header."""
+    """Read a persons CSV back into a candidate, attribute order from the header.
+
+    Households list their members by roster row, so each data row's
+    ``person_id`` must be its 0-based position, as :func:`export_persons`
+    writes it; any other id is a :class:`DataError` naming the line.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte order mark that spreadsheet exports write.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -120,6 +131,11 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
             for line_number, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
+                if row[0] != str(len(rows)):
+                    raise DataError(
+                        f"{path} line {line_number}: person_id {row[0]!r} is not "
+                        f"{len(rows)}, the row's 0-based position"
+                    )
                 try:
                     codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
                 except DataError as exc:
@@ -227,8 +243,8 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
 
     Each roster row is stored as its joint cell index over the layout's
     attributes, in mixed radix: the index of its code tuple in an array of
-    the attributes' sizes (``np.ravel_multi_index``). Crossover is
-    positional, so members often share the row at a slot. The bundle
+    the attributes' sizes (``population_model._joint_cells``). Crossover
+    is positional, so members often share the row at a slot. The bundle
     stores each slot's distinct cells once, slot-major and within a slot in
     the order of the first member that holds them, split into byte planes:
     ``palette_cells[byte, row]`` (uint8) holds bits ``8 * byte`` to
@@ -248,20 +264,15 @@ def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str])
     members = len(candidates)
     # A block's (slot, cell) keys must fit 64 bits.
     step = max(1, min(_BLOCK_ENTRIES // members, (2**64 - 1) // count))
-    # Wide enough for every size and cell, so the place values fit.
-    cell_type = np.min_scalar_type(count)
-    sizes = [a.size for a in attributes]
-    place = np.array([math.prod(sizes[column + 1 :]) for column in range(len(sizes))],
-                     dtype=cell_type)
-    block = np.empty((min(step, slots), members), dtype=cell_type)
+    columns, sizes = range(len(attributes)), [a.size for a in attributes]
+    block = np.empty((min(step, slots), members), dtype=np.min_scalar_type(count))
     member_rows = np.empty((slots, members), dtype=np.min_scalar_type(members - 1))
     palettes, counts = [], []
     for start in range(0, slots, step):
         part = block[: min(step, slots - start)]
-        for column, candidate in enumerate(candidates):
-            # In the cell dtype whatever the codes' integer dtype: every cell fits.
-            np.matmul(candidate.codes[start : start + len(part)], place,
-                      out=part[:, column], dtype=cell_type, casting="unsafe")
+        for member, candidate in enumerate(candidates):
+            rows = candidate.codes[start : start + len(part)]
+            part[:, member] = _joint_cells(rows, columns, sizes)
         palette, slot_counts, index = _palette_block(part, count)
         palettes.append(palette)
         counts.append(slot_counts)

@@ -224,6 +224,23 @@ class TestStageCommands:
         assert (out / "households.csv").exists()
         assert (out / "pareto_households.csv").exists()
 
+    def test_generate_households_rejects_reordered_person_ids(
+        self, config_tree, tmp_path, capsys
+    ):
+        out = tmp_path / "result"
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
+        path = out / "persons.csv"
+        header, first, second, *rest = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text("".join([header, second, first, *rest]), encoding="utf-8")
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "persons.csv line 2: person_id '1'" in err[0]
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+
     def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
         staged, full = tmp_path / "staged", tmp_path / "full"
         run_cli("generate-persons", "-c", config_tree, "--out-dir", staged, "--quiet")

@@ -577,6 +577,36 @@ class TestBreed:
         for a, b in zip(ours, theirs):
             assert a.random() == b.random()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        probabilities=st.tuples(PROBABILITY, PROBABILITY, PROBABILITY),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_child_is_a_member_or_one_recipe_over_one(self, probabilities, seed):
+        sizes = (3, 4, 2)
+        attributes = labelled(sizes)
+        rng = np.random.default_rng(seed)
+        plan = weighted_plan([(a, rng.dirichlet(np.ones(a.size))) for a in attributes])
+        rules = CompiledRules([c0_pair_rule(attributes)], attributes)
+        population = [
+            CandidatePopulation(attributes, valid_codes(sizes, 20, rng).astype(np.uint8))
+            for _ in range(4)
+        ]
+        cross, swap, resample = probabilities
+        config = EvolutionConfig(
+            population_size=4, offspring_size=12, crossover_probability=cross,
+            mutation_probability=swap, resample_probability=resample, resample_slots=3,
+        )
+        children = breed(population, np.ones(4), np.zeros(4), config, plan, rules, streams(seed))
+        for child in children:
+            if any(child is p for p in population):
+                continue
+            base, patches = child._recipe
+            assert any(base is p for p in population) and base._recipe is None
+            # The crossover slice, the mutation patch, or the slice then the patch.
+            kinds = [isinstance(rows, slice) for rows, _ in patches]
+            assert kinds in ([True], [False], [True, False])
+
     def test_uncrossed_child_swapped_then_resampled(self):
         # Without crossover a swapped child is a roster over its parent and
         # the swap alone; a resample of 40 cells over 12 rows then reads

@@ -35,6 +35,7 @@ from synthpop.population_model import (
     _draw,
     _guide_table,
     _guided_draw,
+    _joint_cells,
     code_dtype,
     count_offsets,
     tally,
@@ -373,7 +374,30 @@ class TestGuidedDraw:
         want = np.array([_draw(cdf_rows[r], u) for r, u in zip(rows, uniforms)], dtype=np.intp)
         assert np.array_equal(_guided_draw(cdf_rows, guide, rows, uniforms), want)
         first = np.array([_draw(cdf_rows[0], u) for u in uniforms], dtype=np.intp)
-        assert np.array_equal(_guided_draw(cdf_rows[:1], guide[:1], None, uniforms), first)
+        zeros = np.zeros(len(uniforms), dtype=np.intp)
+        assert np.array_equal(_guided_draw(cdf_rows[:1], guide[:1], zeros, uniforms), first)
+
+
+class TestJointCells:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_equals_ravel_multi_index(self, data, rows, seed):
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16]))
+        widest = np.iinfo(dtype).max + 1
+        sizes = data.draw(st.lists(st.integers(1, min(widest, 3000)), min_size=1, max_size=5))
+        codes = np.random.default_rng(seed).integers(0, sizes, (rows, len(sizes))).astype(dtype)
+        # Any subset of the columns in any order, the empty one included.
+        columns = data.draw(st.lists(
+            st.sampled_from(range(len(sizes))), unique=True, max_size=len(sizes)
+        ))
+        dims = [sizes[c] for c in columns]
+        cells = _joint_cells(codes, columns, dims)
+        assert cells.dtype == np.intp
+        if columns:
+            want = np.ravel_multi_index(tuple(codes[:, c] for c in columns), dims)
+        else:
+            want = np.zeros(rows, dtype=np.intp)
+        assert np.array_equal(cells, want)
 
 
 class TestSamplingPlanIndependent:
@@ -546,7 +570,7 @@ class TestCandidatePopulation:
         cuts = st.lists(st.integers(0, length), min_size=2, max_size=2)
         cut_a, cut_b = sorted(data.draw(cuts))
         cut = slice(cut_a, cut_b)
-        roster = first.patched(cut, second.codes[cut], first.category_counts)
+        patches = [(cut, second.codes[cut])]
         expected = parents[0].copy()
         expected[cut_a:cut_b] = parents[1][cut_a:cut_b]
         for _ in range(data.draw(st.integers(0, 3))):
@@ -554,8 +578,9 @@ class TestCandidatePopulation:
                 st.integers(0, length - 1), min_size=1, max_size=length, unique=True
             )))
             values = np.column_stack([rng.integers(0, a.size, len(rows)) for a in attributes])
-            roster = roster.patched(rows, values)
+            patches.append((rows, values))
             expected[rows] = values
+        roster = first.patched(patches, first.category_counts)
         assert roster._recipe is not None and len(roster) == length
         assert np.array_equal(roster.codes, expected)
         assert roster._recipe is None and not roster.codes.flags.writeable
@@ -576,9 +601,7 @@ class TestCandidatePopulation:
         )
         cut_a, cut_b = sorted(data.draw(st.lists(st.integers(0, length), min_size=2, max_size=2)))
         cut = slice(cut_a, cut_b)
-        roster = base.patched(cut, donor.codes[cut])
-        # The slice patch holds a view of the donor's codes, not a copy.
-        assert roster._recipe.patches[0][1].base is donor.codes
+        patches = [(cut, donor.codes[cut])]
         expected = base.codes.copy()
         expected[cut] = donor.codes[cut]
         # Index patches whose rows straddle the slice's edges and its inside.
@@ -586,8 +609,11 @@ class TestCandidatePopulation:
         for _ in range(data.draw(st.integers(1, 4))):
             rows = np.array(data.draw(st.lists(near, min_size=1, max_size=length, unique=True)))
             values = rng.integers(0, 4, (len(rows), 2)).astype(np.uint8)
-            roster = roster.patched(rows, values)
+            patches.append((rows, values))
             expected[rows] = values
+        roster = base.patched(patches, base.category_counts)
+        # The slice patch holds a view of the donor's codes, not a copy.
+        assert roster._recipe.patches[0][1].base is donor.codes
         assert roster._recipe is not None
         roster.build()
         assert roster._recipe is None

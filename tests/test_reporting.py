@@ -160,6 +160,34 @@ class TestPersonsCsv:
         with pytest.raises(DataError, match="empty"):
             load_persons(path, schema_small)
 
+    @pytest.mark.parametrize(
+        "ids, line, bad",
+        [
+            (["1", "0", "2"], 2, "'1' is not 0"),
+            (["0", "0", "2"], 3, "'0' is not 1"),
+            (["0", "1", "2.0"], 4, "'2.0' is not 2"),
+            (["0", "x", "2"], 3, "'x' is not 1"),
+        ],
+        ids=["reordered", "duplicate", "float", "not-a-number"],
+    )
+    def test_each_person_id_must_be_its_row_position(
+        self, schema_small, tmp_path, ids, line, bad
+    ):
+        path = tmp_path / "persons.csv"
+        rows = "".join(f"{i},m,a0_17,single\n" for i in ids)
+        path.write_text("person_id,sex,age,marital\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match=f"persons.csv line {line}: person_id {bad}"):
+            load_persons(path, schema_small)
+
+    def test_a_byte_order_mark_is_dropped(self, schema_small, tmp_path):
+        candidate = dummy_roster(schema_small, np.random.default_rng(3), size=5)
+        path = tmp_path / "persons.csv"
+        export_persons(path, candidate)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_persons(path, schema_small)
+        assert loaded.attribute_names == candidate.attribute_names
+        assert np.array_equal(loaded.codes, candidate.codes)
+
 
 class TestHouseholdsCsv:
     def households(self):
