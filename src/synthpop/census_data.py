@@ -2,15 +2,19 @@
 
 Tables are loaded from CSV extracts with one row per cell and a trailing
 ``count`` column, against a schema file that fixes attribute order and
-category order. Everything here is immutable after loading.
+category order. Everything here is immutable after loading. Every input
+text file of the package is read by :func:`read_yaml` or :func:`read_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import yaml
@@ -23,6 +27,39 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 PERSONS = "persons"
 HOUSEHOLDS = "households"
+
+
+@contextmanager
+def _open_text(kind: str, path: str | Path) -> Iterator[TextIO]:
+    """Open a ``kind`` input file as UTF-8 text, dropping the byte order mark
+    that spreadsheet exports write; a read or decode fault is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(kind, path, exc) from None
+
+
+def read_yaml(kind: str, path: str | Path) -> object:
+    """The document of a ``kind`` YAML file at ``path``, None when it is
+    empty. A file that cannot be read, is not UTF-8 or is not valid YAML is
+    a :class:`DataError` naming ``kind`` and ``path``."""
+    with _open_text(kind, path) as handle:
+        try:
+            return yaml.load(handle, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise DataError(f"{kind} file {path} is not valid YAML: {exc}") from None
+
+
+def read_csv(kind: str, path: str | Path) -> Iterator[list[str]]:
+    """Yield the rows of a ``kind`` CSV file at ``path`` as they are read, a
+    blank line as an empty row. A file that cannot be read or is not UTF-8
+    is a :class:`DataError` naming ``kind`` and ``path``, raised by the
+    ``next`` that meets the fault."""
+    with _open_text(kind, path) as handle:
+        yield from csv.reader(handle)
 
 
 @dataclass(frozen=True)
@@ -199,15 +236,7 @@ def load_schema(path: str | Path) -> AttributeSchema:
             categories: [a0_4, a5_9, ...]
             groups: {a0_4: ch, a5_9: ch, ...}
     """
-    path = Path(path)
-    try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
-    except FileNotFoundError:
-        raise DataError(f"schema file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8("schema", path, exc) from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"schema file {path} is not valid YAML: {exc}") from None
+    raw = read_yaml("schema", path)
     if not isinstance(raw, dict) or "attributes" not in raw:
         raise DataError(f"schema file {path} must define an 'attributes' list")
     entries = raw["attributes"]
@@ -239,28 +268,15 @@ def load_schema(path: str | Path) -> AttributeSchema:
     return AttributeSchema(tuple(attributes))
 
 
-def load_contingency_table(
-    path: str | Path,
-    schema: AttributeSchema,
-    name: str | None = None,
-) -> ContingencyTable:
-    """Load one contingency table from a CSV cell extract.
+def load_contingency_table(path: str | Path, schema: AttributeSchema) -> ContingencyTable:
+    """Load one contingency table, named by its file stem, from a CSV cell
+    extract.
 
     The header names distinct axis attributes followed by a literal
     ``count`` column. Cells absent from the file default to zero; repeated
-    cells accumulate. Row order does not matter. A leading UTF-8 byte order
-    mark is ignored.
+    cells accumulate. Row order does not matter. Blank lines are skipped.
     """
-    path = Path(path)
-    table_name = name if name is not None else path.stem
-    try:
-        # utf-8-sig drops the byte order mark that spreadsheet exports write.
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except FileNotFoundError:
-        raise DataError(f"table file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8("table", path, exc) from None
+    rows = [row for row in read_csv("table", path) if row]
     if not rows:
         raise DataError(f"table file {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -297,7 +313,7 @@ def load_contingency_table(
         counts[idx] += value
     if not np.any(counts > 0):
         raise DataError(f"table file {path} has no positive cell")
-    return ContingencyTable(name=table_name, axes=axes, counts=counts)
+    return ContingencyTable(name=Path(path).stem, axes=axes, counts=counts)
 
 
 def marginalize(table: ContingencyTable, attribute: str) -> np.ndarray:
@@ -345,17 +361,14 @@ class ValidationReport:
         return out
 
 
-def _relative_discrepancy(a: float, b: float) -> float:
-    return abs(a - b) / max(a, b) if max(a, b) > 0 else 0.0
-
-
 def validate_dataset(dataset: RegionDataset, tolerance: float = 0.01) -> ValidationReport:
-    """Check table totals against each other and against the target counts.
+    """Check tables against each other and against the target counts.
 
-    For every attribute shared by two or more tables, each table pair's
-    totals are compared; each table's total is also compared against the
-    stage target. Discrepancies are relative to the larger quantity and
-    flagged when they exceed the tolerance.
+    For every attribute shared by two or more tables of a stage, each table
+    pair's marginals over it are compared: their discrepancy is the summed
+    absolute difference of the two marginals over the larger table total.
+    Each table's total is also compared against the stage target, relative
+    to the larger of the two. A discrepancy above the tolerance is flagged.
     """
     if tolerance < 0:
         raise DataError("validation tolerance must be non-negative")
@@ -373,7 +386,8 @@ def validate_dataset(dataset: RegionDataset, tolerance: float = 0.01) -> Validat
             for i in range(len(sharing)):
                 for j in range(i + 1, len(sharing)):
                     first, second = sharing[i], sharing[j]
-                    disc = _relative_discrepancy(first.total, second.total)
+                    gap = marginalize(first, attribute) - marginalize(second, attribute)
+                    disc = float(np.abs(gap).sum()) / max(first.total, second.total)
                     issues.append(
                         ValidationIssue(
                             kind="marginal-totals",
@@ -383,13 +397,12 @@ def validate_dataset(dataset: RegionDataset, tolerance: float = 0.01) -> Validat
                             flagged=disc > tolerance,
                             message=(
                                 f"{stage}/{attribute}: tables {first.name!r} and "
-                                f"{second.name!r} total {first.total:g} vs "
-                                f"{second.total:g} ({disc:.2%} apart)"
+                                f"{second.name!r} marginals {disc:.2%} apart"
                             ),
                         )
                     )
         for table in tables:
-            disc = _relative_discrepancy(table.total, float(target))
+            disc = abs(table.total - target) / max(table.total, target)
             issues.append(
                 ValidationIssue(
                     kind="target-count",

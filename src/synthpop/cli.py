@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``validate-data``: load the rules, check that each names only its
-  stage's attributes and that allocation finds its inputs, check table
-  consistency against the configured tolerance and print one line per
+  stage's attributes and that allocation finds its inputs, compare each
+  shared attribute's marginals across tables and each table's total with
+  its target against the configured tolerance, and print one line per
   check.
 * ``generate-persons``: evolve the person stage and export its outputs.
 * ``generate-households``: evolve the household stage, allocate persons
@@ -17,8 +18,9 @@ Every command exports a stage the same way: evolving saves the stage's
 archive bundle, and exporting reads that bundle back, so ``run`` and
 ``report`` write their CSVs from the same bytes.
 
-Exit codes: 0 success, 1 configuration or data problem, 2 evolution
-failure, 3 filesystem problem.
+Exit codes: 0 success, 1 configuration or data problem (an unreadable
+input file included), 2 evolution failure, 3 filesystem problem writing
+outputs.
 """
 
 from __future__ import annotations

@@ -16,19 +16,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import yaml
-
 from .census_data import (
     HOUSEHOLDS,
     PERSONS,
-    YAML_LOADER,
     AttributeSchema,
     ContingencyTable,
     RegionDataset,
     load_contingency_table,
     load_schema,
+    read_yaml,
 )
-from .errors import DataError, not_utf8
+from .errors import DataError
 from .fitness import METRICS, ObjectiveSpec
 from .nsga2 import EvolutionConfig
 from .population_model import ValidationRule, load_rules
@@ -204,16 +202,7 @@ def load_run_config(
     before stage configs are built, so both stages always share it.
     """
     config_path = Path(path).resolve()
-    try:
-        with open(config_path, encoding="utf-8") as handle:
-            raw = yaml.load(handle, Loader=YAML_LOADER)
-    except OSError as exc:
-        raise DataError(f"cannot read config file {config_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise not_utf8("config", config_path, exc) from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"config file {config_path} is not valid YAML: {exc}") from exc
-    raw = _as_mapping(raw, str(config_path))
+    raw = _as_mapping(read_yaml("config", config_path), str(config_path))
     known = {
         "region",
         "schema",

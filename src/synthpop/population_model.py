@@ -18,16 +18,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .census_data import (
-    YAML_LOADER,
     Attribute,
     AttributeSchema,
     ContingencyTable,
     marginalize,
+    read_yaml,
 )
-from .errors import DataError, EvolutionError, not_utf8
+from .errors import DataError, EvolutionError
 
 # Draws each roster slot gets before rejection sampling gives up.
 SAMPLING_RETRIES = 100
@@ -71,15 +70,7 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
     A rule whose attributes have more than :data:`MAX_RULE_CELLS` joint
     cells is a :class:`DataError`.
     """
-    path = Path(path)
-    try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
-    except FileNotFoundError:
-        raise DataError(f"rules file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise not_utf8("rules", path, exc) from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"rules file {path} is not valid YAML: {exc}") from None
+    raw = read_yaml("rules", path)
     if raw is None:
         return ()
     if not isinstance(raw, dict) or not isinstance(raw.get("rules"), list):

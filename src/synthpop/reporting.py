@@ -12,14 +12,14 @@ import csv
 import hashlib
 import json
 import zipfile
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .census_data import AttributeSchema, ContingencyTable, marginalize
-from .errors import DataError, not_utf8
+from .census_data import AttributeSchema, ContingencyTable, marginalize, read_csv
+from .errors import DataError
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
 from .nsga2 import GenerationHistory, ParetoArchive
@@ -45,8 +45,15 @@ def _fmt(value: float) -> str:
     return _FLOAT_FORMAT.format(float(value))
 
 
-def _writer(handle) -> csv.writer:
-    return csv.writer(handle, lineterminator="\n")
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file at ``path``: ``header``, then each of ``rows`` as it
+    is drawn. The file is UTF-8 with ``\\n`` line endings, and each value is
+    written as ``str`` renders it, so floats arrive already formatted by
+    :func:`_fmt`."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def file_checksum(path: str | Path) -> str:
@@ -103,10 +110,8 @@ def _labels(candidate: CandidatePopulation) -> list[np.ndarray]:
 
 def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["person_id", *candidate.attribute_names])
-        writer.writerows(zip(range(len(candidate)), *_labels(candidate)))
+    rows = zip(range(len(candidate)), *_labels(candidate))
+    _write_csv(path, ["person_id", *candidate.attribute_names], rows)
 
 
 def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
@@ -116,33 +121,27 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
     ``person_id`` must be its 0-based position, as :func:`export_persons`
     writes it; any other id is a :class:`DataError` naming the line.
     """
-    try:
-        # utf-8-sig drops the byte order mark that spreadsheet exports write.
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"persons file {path} is empty") from None
-            if not header or header[0] != "person_id":
-                raise DataError(f"persons file {path} must start with a person_id column")
-            attributes = tuple(schema[name] for name in header[1:])
-            rows = []
-            for line_number, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
-                if row[0] != str(len(rows)):
-                    raise DataError(
-                        f"{path} line {line_number}: person_id {row[0]!r} is not "
-                        f"{len(rows)}, the row's 0-based position"
-                    )
-                try:
-                    codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
-                except DataError as exc:
-                    raise DataError(f"{path} line {line_number}: {exc}") from None
-                rows.append(codes)
-    except UnicodeDecodeError as exc:
-        raise not_utf8("persons", path, exc) from None
+    reader = read_csv("persons", path)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"persons file {path} is empty")
+    if not header or header[0] != "person_id":
+        raise DataError(f"persons file {path} must start with a person_id column")
+    attributes = tuple(schema[name] for name in header[1:])
+    rows = []
+    for line_number, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
+        if row[0] != str(len(rows)):
+            raise DataError(
+                f"{path} line {line_number}: person_id {row[0]!r} is not "
+                f"{len(rows)}, the row's 0-based position"
+            )
+        try:
+            codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
+        except DataError as exc:
+            raise DataError(f"{path} line {line_number}: {exc}") from None
+        rows.append(codes)
     if not rows:
         raise DataError(f"persons file {path} has no rows")
     return CandidatePopulation(attributes, np.array(rows, dtype=code_dtype(attributes)))
@@ -156,13 +155,9 @@ def export_households(
     if not len(households):
         raise DataError("no households to export")
     members = [";".join(map(str, ids.tolist())) for ids in allocation.members]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["household_id", *households.attribute_names, "member_ids", "complete"])
-        writer.writerows(zip(
-            range(len(households)), *_labels(households), members,
-            allocation.complete.astype(np.uint8).tolist(), strict=True,
-        ))
+    rows = zip(range(len(households)), *_labels(households), members,
+               allocation.complete.astype(np.uint8).tolist(), strict=True)
+    _write_csv(path, ["household_id", *households.attribute_names, "member_ids", "complete"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +172,11 @@ def export_convergence(path: str | Path, history: GenerationHistory) -> None:
     and the population mean, both normalized by the history (over
     generation 0's mean) so the file is plot-ready without re-scaling.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["generation", "objective", "best", "mean"])
-        for generation, (best, mean) in enumerate(zip(history.best, history.mean)):
-            best, mean = history.normalize(best), history.normalize(mean)
-            for column, name in enumerate(history.names):
-                writer.writerow([generation, name, _fmt(best[column]), _fmt(mean[column])])
+    _write_csv(path, ["generation", "objective", "best", "mean"], (
+        (generation, name, _fmt(b), _fmt(m))
+        for generation, (best, mean) in enumerate(zip(history.best, history.mean))
+        for name, b, m in zip(history.names, history.normalize(best), history.normalize(mean))
+    ))
 
 
 def export_pareto_pairs(
@@ -200,12 +193,10 @@ def export_pareto_pairs(
     """
     if not 0 <= selected < len(objectives):
         raise DataError("selected index is outside the archive")
-    matrix = normalize_objectives(objectives)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["member_id", *names, "selected"])
-        for index, row in enumerate(matrix):
-            writer.writerow([index, *(_fmt(v) for v in row), int(index == selected)])
+    _write_csv(path, ["member_id", *names, "selected"], (
+        (index, *map(_fmt, row), int(index == selected))
+        for index, row in enumerate(normalize_objectives(objectives))
+    ))
 
 
 def _palette_block(cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,11 +466,8 @@ def rmse_rows(
 
 
 def export_rmse(path: str | Path, rows: Sequence[RmseRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["table", "attribute", "level", "rmse"])
-        for row in rows:
-            writer.writerow([row.table, row.attribute, row.level, _fmt(row.value)])
+    values = ((row.table, row.attribute, row.level, _fmt(row.value)) for row in rows)
+    _write_csv(path, ["table", "attribute", "level", "rmse"], values)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +487,4 @@ def export_timings(path: str | Path, rows: Sequence[tuple[str, float]]) -> None:
     Timings live in their own file so that the manifest and data exports
     stay byte-identical between runs that only differ in speed.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle)
-        writer.writerow(["stage", "wall_seconds"])
-        for label, seconds in rows:
-            writer.writerow([label, _fmt(seconds)])
+    _write_csv(path, ["stage", "wall_seconds"], ((label, _fmt(s)) for label, s in rows))

@@ -1,16 +1,24 @@
 """Tests for schema, table loading, marginals, and dataset validation."""
 
+import builtins
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from synthpop import (
     Attribute,
     AttributeSchema,
+    CandidatePopulation,
     ContingencyTable,
     DataError,
     RegionDataset,
     SamplingPlan,
     load_contingency_table,
+    load_persons,
+    load_rules,
+    load_run_config,
     load_schema,
     marginalize,
     validate_dataset,
@@ -246,6 +254,22 @@ class TestValidateDataset:
         assert len(target_issues) == 1
         assert target_issues[0].flagged
 
+    def test_equal_totals_with_different_marginals_are_flagged(self, schema_small):
+        # Five persons move from m to f: both totals stay 100.
+        t1 = ContingencyTable("a", (schema_small["sex"],), np.array([50.0, 50.0]))
+        t2 = ContingencyTable(
+            "b",
+            (schema_small["sex"], schema_small["age"]),
+            np.array([[15.0, 20.0, 10.0], [20.0, 25.0, 10.0]]),
+        )
+        dataset = RegionDataset("r", schema_small, (t1, t2), target_persons=100)
+        report = validate_dataset(dataset, tolerance=0.01)
+        (pair,) = [i for i in report.issues if i.kind == "marginal-totals"]
+        assert pair.attribute == "sex" and pair.tables == ("a", "b")
+        assert pair.flagged
+        assert pair.discrepancy == pytest.approx(0.10, abs=1e-9)
+        assert pair.message == "persons/sex: tables 'a' and 'b' marginals 10.00% apart"
+
     def test_within_tolerance_not_flagged(self, schema_small):
         t1 = ContingencyTable("a", (schema_small["sex"],), np.array([50.0, 50.0]))
         t2 = ContingencyTable("b", (schema_small["sex"],), np.array([50.0, 49.5]))
@@ -274,3 +298,98 @@ class TestRegionDataset:
         assert len(dataset_small.stage_tables("persons")) == 2
         with pytest.raises(DataError):
             dataset_small.table("missing")
+
+
+# Every loader of an input text file, by the kind its errors name.
+_LOADERS = {
+    "schema": ("schema.yaml", lambda path, schema: load_schema(path)),
+    "rules": ("person_rules.yaml", load_rules),
+    "config": ("config.yaml", lambda path, schema: load_run_config(path)),
+    "table": ("tables/sex_age.csv", load_contingency_table),
+    "persons": ("persons.csv", load_persons),
+}
+_YAML_KINDS = ("schema", "rules", "config")
+
+
+def _comparable(loaded):
+    """A loader's result in a form ``==`` compares whole."""
+    if isinstance(loaded, ContingencyTable):
+        return loaded.name, loaded.axis_names, loaded.counts.tolist()
+    if isinstance(loaded, CandidatePopulation):
+        return loaded.attribute_names, loaded.codes.tolist()
+    return loaded
+
+
+class TestReaders:
+    """Each input kind is read through ``read_yaml`` or ``read_csv``, so
+    every kind fails the same way and names itself and its path."""
+
+    @pytest.fixture
+    def inputs(self, config_tree):
+        root = config_tree.parent.resolve()
+        (root / "persons.csv").write_text(
+            "person_id,sex,age,marital\n0,m,a18_64,married\n1,f,a0_17,single\n",
+            encoding="utf-8",
+        )
+        return root, load_schema(root / "schema.yaml")
+
+    def load(self, inputs, kind, path=None):
+        root, schema = inputs
+        name, loader = _LOADERS[kind]
+        return _comparable(loader(path or root / name, schema))
+
+    @pytest.mark.parametrize("kind", _LOADERS)
+    def test_a_missing_file_is_named(self, inputs, kind):
+        path = inputs[0] / "absent" / Path(_LOADERS[kind][0]).name
+        with pytest.raises(DataError) as exc:
+            self.load(inputs, kind, path)
+        assert str(exc.value) == f"cannot read {kind} file {path}: No such file or directory"
+
+    @pytest.mark.parametrize("kind", _LOADERS)
+    def test_a_directory_is_named(self, inputs, kind):
+        path = inputs[0] / "folder"
+        path.mkdir()
+        with pytest.raises(DataError) as exc:
+            self.load(inputs, kind, path)
+        assert str(exc.value) == f"cannot read {kind} file {path}: Is a directory"
+
+    @pytest.mark.parametrize("kind", _LOADERS)
+    def test_a_file_open_refuses_is_named(self, inputs, kind, monkeypatch):
+        path = inputs[0] / _LOADERS[kind][0]
+        real_open = builtins.open
+
+        def refusing_open(file, *args, **kwargs):
+            if Path(file) == path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
+        with pytest.raises(DataError) as exc:
+            self.load(inputs, kind)
+        assert str(exc.value) == f"cannot read {kind} file {path}: Permission denied"
+
+    @pytest.mark.parametrize("kind", _LOADERS)
+    def test_a_byte_that_is_not_utf_8_is_named(self, inputs, kind):
+        path = inputs[0] / _LOADERS[kind][0]
+        # The first "a" becomes Latin-1's "\u00e1", one byte UTF-8 cannot decode.
+        path.write_bytes(path.read_bytes().replace(b"a", "\u00e1".encode("latin-1"), 1))
+        with pytest.raises(DataError) as exc:
+            self.load(inputs, kind)
+        assert str(exc.value) == (
+            f"{kind} file {path} is not UTF-8 text: cannot decode byte 0xe1"
+        )
+
+    @pytest.mark.parametrize("kind", _YAML_KINDS)
+    def test_invalid_yaml_is_named(self, inputs, kind):
+        path = inputs[0] / _LOADERS[kind][0]
+        path.write_text("key: [unclosed\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            self.load(inputs, kind)
+        assert str(exc.value).startswith(f"{kind} file {path} is not valid YAML: ")
+
+    @pytest.mark.parametrize("kind", _LOADERS)
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, inputs, kind):
+        path = inputs[0] / _LOADERS[kind][0]
+        plain = self.load(inputs, kind)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.load(inputs, kind) == plain

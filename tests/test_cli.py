@@ -72,6 +72,25 @@ class TestValidateData:
         assert run_cli("validate-data", "-c", config_tree) == 1
         assert "check(s) failed" in capsys.readouterr().out
 
+    def test_a_marginal_that_disagrees_at_equal_totals_fails(
+        self, config_tree, tmp_path, capsys
+    ):
+        # Ten persons move from a18_64 to a65p: age_marital's total stays 100,
+        # its age marginal moves 20% of it away from sex_age's.
+        table = config_tree.parent / "tables" / "age_marital.csv"
+        edit(table, "a18_64,single,22", "a18_64,single,12")
+        edit(table, "a65p,single,8", "a65p,single,18")
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FLAG")] == [
+            "FLAG persons/age: tables 'sex_age' and 'age_marital' marginals 20.00% apart"
+        ]
+        assert out[-1] == "1 check(s) failed"
+        result = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", result, "--quiet") == 1
+        assert "consistency tolerance" in capsys.readouterr().err
+        assert not result.exists()
+
     def test_non_finite_table_count_fails(self, config_tree, capsys):
         table = config_tree.parent / "tables" / "sex_age.csv"
         table.write_text(table.read_text().replace("m,a0_17,15", "m,a0_17,nan"))
@@ -240,6 +259,17 @@ class TestStageCommands:
         assert len(err) == 1
         assert err[0].startswith("error:") and "persons.csv line 2: person_id '1'" in err[0]
         assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_generate_households_names_an_unreadable_persons_csv(
+        self, config_tree, tmp_path, capsys
+    ):
+        out = tmp_path / "result"
+        (out / "persons.csv").mkdir(parents=True)
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read persons file {out / 'persons.csv'}: Is a directory"]
+        assert [p.name for p in out.rglob("*")] == ["persons.csv"]
 
     def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
         staged, full = tmp_path / "staged", tmp_path / "full"
