@@ -55,11 +55,17 @@ def read_yaml(kind: str, path: str | Path) -> object:
 
 def read_csv(kind: str, path: str | Path) -> Iterator[list[str]]:
     """Yield the rows of a ``kind`` CSV file at ``path`` as they are read, a
-    blank line as an empty row. A file that cannot be read or is not UTF-8
-    is a :class:`DataError` naming ``kind`` and ``path``, raised by the
-    ``next`` that meets the fault."""
+    blank line as an empty row. A file that cannot be read, is not UTF-8 or
+    is not valid CSV is a :class:`DataError` naming ``kind`` and ``path``,
+    raised by the ``next`` that meets the fault."""
     with _open_text(kind, path) as handle:
-        yield from csv.reader(handle)
+        reader = csv.reader(handle)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DataError(
+                f"{kind} file {path} line {reader.line_num} is not valid CSV: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ Subcommands:
 * ``report``: re-export populations from the archives a previous run
   saved, without re-running evolution.
 
-Every command exports a stage the same way: evolving saves the stage's
-archive bundle, and exporting reads that bundle back, so ``run`` and
-``report`` write their CSVs from the same bytes.
+Every command exports a stage the same way: evolving selects the member
+to export with the stage's objective weights and saves its roster, with
+every member's objectives, in the stage's archive bundle; exporting reads
+that bundle back, so ``run`` and ``report`` write their CSVs from the same
+bytes. ``report`` therefore needs weights that still select the saved
+member.
 
 Exit codes: 0 success, 1 configuration or data problem (an unreadable
 input file included), 2 evolution failure, 3 filesystem problem writing
@@ -29,7 +32,6 @@ import argparse
 import io
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import asdict
 
 import numpy as np
@@ -118,9 +120,10 @@ def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[Validati
 def _evolve_stage(
     config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
     *, quiet: bool,
-) -> tuple[tuple[np.ndarray, Sequence[CandidatePopulation]], float]:
-    """Evolve one stage, write its convergence trace and archive bundle,
-    and read the bundle back for the stage's export.
+) -> tuple[tuple[np.ndarray, int, CandidatePopulation], float]:
+    """Evolve one stage, write its convergence trace, select the member to
+    export and save the archive bundle, and read the bundle back for the
+    stage's export.
 
     Returns the bundle as :func:`_load_stage_archive` gives it and the
     evolution's wall-clock seconds.
@@ -133,29 +136,27 @@ def _evolve_stage(
     )
     wall = time.perf_counter() - started
     export_convergence(config.output_dir / f"convergence_{stage}.csv", history)
-    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names)
+    weights = [spec.weight for spec in stage_config.objectives]
+    selected = select_best(archive.objective_matrix(), weights)
+    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names, selected)
     print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
     return _load_stage_archive(config, dataset, stage_config), wall
 
 
 def _export_stage(
     config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
-    bundle: tuple[np.ndarray, Sequence[CandidatePopulation]],
+    bundle: tuple[np.ndarray, int, CandidatePopulation],
 ) -> tuple[CandidatePopulation, dict]:
-    """Select the exported member from the bundle's objective matrix,
-    re-score it and check it against the rules, and write the stage's
-    Pareto and RMSE files. Only the selected member is read from the
-    bundle's members.
+    """Re-score the bundle's saved member and check it against the rules,
+    and write the stage's Pareto and RMSE files.
 
     Returns the member and its manifest summary. Nothing is written when
     the member's fresh scores differ from the bundle's row or when it
     breaks a rule.
     """
     stage = stage_config.stage
-    objectives, members = bundle
+    objectives, chosen, candidate = bundle
     names = [spec.name for spec in stage_config.objectives]
-    chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
-    candidate = members[chosen]
     evaluator = ObjectiveEvaluator(
         dataset, stage_config.objectives, len(candidate), candidate.attributes
     )
@@ -287,30 +288,36 @@ def _cmd_validate_data(args: argparse.Namespace) -> int:
 
 def _load_stage_archive(
     config: RunConfig, dataset: RegionDataset, stage_config: StageConfig
-) -> tuple[np.ndarray, Sequence[CandidatePopulation]]:
+) -> tuple[np.ndarray, int, CandidatePopulation]:
     """Load the stage's saved bundle, which must track the stage's
     configured objectives, in order, over the stage's attribute layout
-    (:meth:`~synthpop.census_data.RegionDataset.stage_attributes`);
-    returns its objective matrix and its members, which decode only when
-    indexed."""
+    (:meth:`~synthpop.census_data.RegionDataset.stage_attributes`), and
+    whose saved member the configured weights must select; returns its
+    objective matrix, the saved member's index and its roster."""
     stage = stage_config.stage
     path = config.output_dir / f"archive_{stage}.npz"
     if not path.exists():
         raise DataError(f"{path} not found; run the pipeline first")
-    members, objectives, names = load_archive(path, dataset.schema)
+    objectives, selected, roster, names = load_archive(path, dataset.schema)
     expected = [spec.name for spec in stage_config.objectives]
     if names != expected:
         raise DataError(
             f"saved archive {path.name} tracks objectives {names}, config expects {expected}"
         )
-    layout = [a.name for a in members.attributes]
+    layout = list(roster.attribute_names)
     stage_layout = list(dataset.stage_attributes(stage))
     if layout != stage_layout:
         raise DataError(
             f"saved archive {path.name} lays out attributes {layout}, "
             f"but the {stage} tables give {stage_layout}"
         )
-    return objectives, members
+    chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
+    if chosen != selected:
+        raise DataError(
+            f"saved archive {path.name} holds the roster of member {selected}, but the "
+            f"configured weights select member {chosen}; re-run `synthpop run`"
+        )
+    return objectives, selected, roster
 
 
 def _cmd_generate_persons(args: argparse.Namespace) -> int:

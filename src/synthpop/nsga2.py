@@ -38,7 +38,6 @@ from .population_model import (
     SamplingPlan,
     ValidationRule,
     _draw,
-    cell_count,
     count_offsets,
     generate_candidate,
     tally,
@@ -477,9 +476,7 @@ def evolve(
 
     Every objective must reference one of ``dataset.stage_tables(stage)``;
     one that references another stage's table, or any table when the
-    stage has none, is a :class:`DataError` naming the table; so is a
-    stage whose attributes have 2**63 joint cells or more (see
-    :func:`~synthpop.population_model.cell_count`). Returns the
+    stage has none, is a :class:`DataError` naming the table. Returns the
     Pareto archive of at most ``config.population_size`` non-dominated
     rosters, weighted by the specs' weights (see :class:`ParetoArchive`),
     and the per-generation history. Deterministic for a given config seed.
@@ -499,8 +496,6 @@ def evolve(
                             f"which is not a {stage} table")
     target = dataset.stage_target(stage)
     attributes = dataset.stage_attributes(stage)
-    # Archive bundles store each roster row as its joint cell index.
-    cell_count([dataset.schema[name] for name in attributes])
     plan = SamplingPlan.from_tables(dataset.schema, attributes, dataset.stage_tables(stage))
     evaluator = ObjectiveEvaluator(dataset, specs, target, plan.attributes)
     # Compiled once for the stage; this also fails fast on misconfigured rules.

@@ -119,21 +119,6 @@ def code_dtype(attributes: Sequence[Attribute]) -> np.dtype:
     return np.min_scalar_type(max((a.size for a in attributes), default=1) - 1)
 
 
-def cell_count(attributes: Sequence[Attribute]) -> int:
-    """The number of joint cells of an attribute layout: the product of its
-    attributes' category counts. A row's cell index over the layout is a
-    numpy index (int64), so a layout of 2**63 cells or more is a
-    :class:`DataError`."""
-    count = math.prod(a.size for a in attributes)
-    if count >= 2**63:
-        names = ", ".join(a.name for a in attributes)
-        raise DataError(
-            f"attributes {names} have {count:,} joint cells; "
-            "a row's joint cell index must stay below 2**63"
-        )
-    return count
-
-
 # The most joint cells a rule's attributes may have: its check table holds
 # one flag per cell.
 MAX_RULE_CELLS = 2**24

@@ -4,6 +4,10 @@ Everything here writes deterministic bytes: CSV rows use ``\\n`` line
 endings and a fixed float format, JSON manifests sort their keys. Two runs
 that produce equal populations therefore produce equal files, which is what
 lets a re-run be compared with a plain byte diff.
+
+A stage's archive bundle keeps the roster of the one member it exports and
+every member's objectives: enough to rewrite the stage's population,
+Pareto and RMSE files without evolving again.
 """
 
 from __future__ import annotations
@@ -23,22 +27,13 @@ from .errors import DataError
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
 from .nsga2 import GenerationHistory, ParetoArchive
-from .population_model import (
-    CandidatePopulation,
-    _joint_cells,
-    cell_count,
-    code_dtype,
-    count_offsets,
-)
+from .population_model import CandidatePopulation, code_dtype, count_offsets
 
 # Stable float rendering for CSV output. 10 significant digits is enough to
 # round-trip the objective magnitudes we emit without trailing noise.
 _FLOAT_FORMAT = "{:.10g}"
 
 _CHECKSUM_CHUNK = 1 << 20
-
-# Slot-member pairs that save_archive encodes at a time.
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _fmt(value: float) -> str:
@@ -199,168 +194,68 @@ def export_pareto_pairs(
     ))
 
 
-def _palette_block(cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode ``cells[slot, member]``, joint cell indices below ``count``,
-    as per-slot palettes.
+def save_archive(
+    path: str | Path, archive: ParetoArchive, names: Sequence[str], selected: int
+) -> None:
+    """Persist an archive's exported member as an ``.npz`` bundle.
 
-    Returns the distinct cells of every slot, slot-major and within a slot
-    in the order of the first member that holds them; the number of cells
-    at each slot; and each member's index into its slot's cells.
-    """
-    slots, members = cells.shape
-    # Packed (slot, cell) keys: equal keys are a slot's equal cells, and a
-    # key's first index is its first holder's flat position.
-    offsets = np.arange(slots, dtype=np.min_scalar_type(slots * count)) * count
-    keys = (cells + offsets[:, None]).ravel()
-    _, holders, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # Palette rows are the first holders in slot-major order.
-    by_holder = np.argsort(holders)
-    slot = holders // members
-    counts = np.bincount(slot, minlength=slots)
-    number = np.empty(len(holders), dtype=np.intp)
-    number[by_holder] = np.arange(len(holders))
-    number -= (np.cumsum(counts) - counts)[slot]
-    index = number.astype(np.min_scalar_type(members - 1))[inverse]
-    return cells.ravel()[holders[by_holder]], counts, index.reshape(slots, members)
-
-
-def _planes(count: int) -> int:
-    """Bytes of a joint cell index below ``count``: at least one."""
-    return max(1, -(-(count - 1).bit_length() // 8))
-
-
-def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str]) -> None:
-    """Persist an archive's rosters and objectives as an ``.npz`` bundle.
-
-    Each roster row is stored as its joint cell index over the layout's
-    attributes, in mixed radix: the index of its code tuple in an array of
-    the attributes' sizes (``population_model._joint_cells``). Crossover
-    is positional, so members often share the row at a slot. The bundle
-    stores each slot's distinct cells once, slot-major and within a slot in
-    the order of the first member that holds them, split into byte planes:
-    ``palette_cells[byte, row]`` (uint8) holds bits ``8 * byte`` to
-    ``8 * byte + 7``, with as many planes as the largest cell needs. It
-    also stores their number per slot, ``palette_counts[slot]``, and each
-    member's index into its slot's cells, ``member_rows[slot, member]``,
-    both in the narrowest unsigned dtype. Slots are encoded in blocks of
-    about ``_BLOCK_ENTRIES`` slot-member pairs, so the temporary arrays
-    stay small whatever the archive's size.
+    The bundle holds the roster of member ``selected``,
+    ``roster[slot, attribute]``, in the layout's code dtype
+    (:func:`~synthpop.population_model.code_dtype`); ``selected`` itself as
+    a 0-d integer; every member's ``objectives``; and the
+    ``objective_names`` and ``attribute_names`` that label them. The other
+    members' rosters are not kept.
     """
     if not len(archive):
         raise DataError("archive is empty, nothing to save")
-    candidates = archive.candidates
-    attributes = candidates[0].attributes
-    count = cell_count(attributes)
-    slots = len(candidates[0])
-    members = len(candidates)
-    # A block's (slot, cell) keys must fit 64 bits.
-    step = max(1, min(_BLOCK_ENTRIES // members, (2**64 - 1) // count))
-    columns, sizes = range(len(attributes)), [a.size for a in attributes]
-    block = np.empty((min(step, slots), members), dtype=np.min_scalar_type(count))
-    member_rows = np.empty((slots, members), dtype=np.min_scalar_type(members - 1))
-    palettes, counts = [], []
-    for start in range(0, slots, step):
-        part = block[: min(step, slots - start)]
-        for member, candidate in enumerate(candidates):
-            rows = candidate.codes[start : start + len(part)]
-            part[:, member] = _joint_cells(rows, columns, sizes)
-        palette, slot_counts, index = _palette_block(part, count)
-        palettes.append(palette)
-        counts.append(slot_counts)
-        member_rows[start : start + len(part)] = index
-    cells = np.concatenate(palettes)
-    counts = np.concatenate(counts)
-    widest = int(counts.max())
+    roster = archive.candidates[selected]
     np.savez_compressed(
         path,
-        palette_cells=np.stack(
-            [(cells >> 8 * plane).astype(np.uint8) for plane in range(_planes(count))]
-        ),
-        palette_counts=counts.astype(np.min_scalar_type(widest)),
-        member_rows=member_rows.astype(np.min_scalar_type(widest - 1), copy=False),
+        roster=roster.codes.astype(code_dtype(roster.attributes), copy=False),
+        selected=np.array(selected),
         objectives=archive.objective_matrix(),
         objective_names=np.array(list(names)),
-        attribute_names=np.array([a.name for a in attributes]),
+        attribute_names=np.array(roster.attribute_names),
     )
 
 
-class _PaletteMembers(Sequence):
-    """An archive's members, each decoded from the palettes when indexed:
-    member ``m`` is the rows of ``cells[offsets + member_rows[:, m]]``
-    over the bundle's ``attributes``."""
-
-    def __init__(self, attributes, cells, counts, member_rows) -> None:
-        self.attributes = attributes
-        self._cells = cells
-        counts = counts.astype(np.intp)
-        self._offsets = np.cumsum(counts) - counts
-        self._member_rows = member_rows
-
-    def __len__(self) -> int:
-        return self._member_rows.shape[1]
-
-    def __getitem__(self, index: int) -> CandidatePopulation:
-        # In intp: uint64 mixed with a signed offset would promote to float.
-        rows = self._offsets + self._member_rows[:, index].astype(np.intp)
-        columns = np.unravel_index(self._cells[rows], [a.size for a in self.attributes])
-        codes = np.stack(columns, axis=1).astype(code_dtype(self.attributes))
-        return CandidatePopulation(self.attributes, codes)
-
-
-# Axes of each palette array, in order.
-_PALETTE_AXES = {
-    "palette_cells": ("byte", "row"),
-    "palette_counts": ("slot",),
-    "member_rows": ("slot", "member"),
-}
-_BUNDLE_KEYS = (*_PALETTE_AXES, "objectives", "objective_names", "attribute_names")
+_BUNDLE_KEYS = ("roster", "selected", "objectives", "objective_names", "attribute_names")
 
 
 def load_archive(
     path: str | Path, schema: AttributeSchema
-) -> tuple[Sequence[CandidatePopulation], np.ndarray, list[str]]:
+) -> tuple[np.ndarray, int, CandidatePopulation, list[str]]:
     """Load an ``.npz`` archive bundle written by :func:`save_archive`.
 
-    Returns the members, their objective matrix, and the objective names,
-    in saved order; the members' ``attributes`` are the bundle's layout.
-    Every array is checked here, so a file that is not a zip of the six
-    plain arrays, or a bundle whose arrays disagree in shape or dtype,
-    whose byte planes are not the layout's, that points outside its
-    palettes or holds a cell at or above its attributes' joint cell count,
-    or whose objectives are not all finite floats, is a :class:`DataError`;
-    a member's roster is decoded from its cells only when the member is
-    indexed.
+    Returns every member's objective matrix, the saved member's index, its
+    roster over the bundle's attribute layout, and the objective names.
+    Every array is checked here: a file that is not a zip of the five plain
+    arrays, objectives that are not a finite float matrix with one column
+    per name, a ``selected`` that is not an integer index into them, or a
+    roster that is not an unsigned matrix with one column per attribute and
+    every code below its attribute's category count is a
+    :class:`DataError`.
     """
     try:
-        bundle = np.load(path, allow_pickle=False)
-        if not isinstance(bundle, np.lib.npyio.NpzFile):
-            raise DataError(f"{path} is not a readable archive bundle: it holds one array")
-        with bundle:
-            missing = [key for key in _BUNDLE_KEYS if key not in bundle.files]
-            if missing:
-                raise DataError(
-                    f"{path} has no {missing[0]} array (written by an older version?); "
-                    "re-run `synthpop run`"
+        with open(path, "rb") as handle:
+            bundle = np.load(handle, allow_pickle=False)
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                raise DataError(f"{path} is not a readable archive bundle: it holds one array")
+            with bundle:
+                missing = [key for key in _BUNDLE_KEYS if key not in bundle.files]
+                if missing:
+                    raise DataError(
+                        f"{path} has no {missing[0]} array (written by an older version?); "
+                        "re-run `synthpop run`"
+                    )
+                codes, selected, objectives, objective_names, attribute_names = (
+                    bundle[key] for key in _BUNDLE_KEYS
                 )
-            arrays = {key: bundle[key] for key in _BUNDLE_KEYS}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         # Not a zip of plain arrays: truncated, garbage, or holding objects.
         raise DataError(f"{path} is not a readable archive bundle: {exc}") from None
-    objectives = arrays.pop("objectives")
-    objective_names = [str(n) for n in arrays.pop("objective_names")]
-    attributes = tuple(schema[str(n)] for n in arrays.pop("attribute_names"))
-    for key, axes in _PALETTE_AXES.items():
-        array = arrays[key]
-        if array.ndim != len(axes):
-            noun = "axis" if len(axes) == 1 else "axes"
-            raise DataError(
-                f"{path}: {key} must have {len(axes)} {noun} ({', '.join(axes)}), "
-                f"got {array.ndim}"
-            )
-        if array.dtype.kind != "u" or array.size == 0:
-            raise DataError(f"{path}: {key} must be a non-empty unsigned integer array")
-    planes, counts, member_rows = arrays.values()
-    slots, members = member_rows.shape
+    objective_names = [str(n) for n in objective_names]
+    attributes = tuple(schema[str(n)] for n in attribute_names)
     if objectives.ndim != 2 or objectives.shape[1] != len(objective_names):
         raise DataError(
             f"{path}: objectives has shape {objectives.shape}, "
@@ -368,42 +263,29 @@ def load_archive(
         )
     if objectives.dtype.kind != "f" or not np.isfinite(objectives).all():
         raise DataError(f"{path}: objectives must be finite floats")
-    if members != objectives.shape[0]:
+    if (selected.ndim != 0 or selected.dtype.kind not in "iu"
+            or not 0 <= selected < len(objectives)):
         raise DataError(
-            f"{path}: member_rows holds {members} members, objectives {objectives.shape[0]}"
+            f"{path}: selected must be one integer index into the {len(objectives)} "
+            f"archive members, got {selected!r}"
         )
-    if planes.dtype != np.uint8:
-        raise DataError(f"{path}: palette_cells must hold bytes (uint8), got {planes.dtype}")
-    count = cell_count(attributes)
-    if len(planes) != _planes(count):
+    if codes.ndim != 2 or codes.shape[1] != len(attributes):
         raise DataError(
-            f"{path}: palette_cells has {len(planes)} byte planes, but the "
-            f"{count:,} joint cells of attribute_names take {_planes(count)}"
+            f"{path}: roster must have 2 axes (slot, attribute) and {len(attributes)} "
+            f"columns, one per name of attribute_names; got shape {codes.shape}"
         )
-    if len(counts) != slots:
-        raise DataError(f"{path}: palette_counts has {len(counts)} slots, member_rows {slots}")
-    if counts.min() < 1 or counts.sum() != planes.shape[1]:
+    if codes.dtype.kind != "u" or codes.size == 0:
         raise DataError(
-            f"{path}: palette_counts must be at least 1 at every slot and sum to "
-            f"the {planes.shape[1]} rows of palette_cells, got {counts.sum()}"
+            f"{path}: roster must be a non-empty unsigned integer array, got {codes.dtype}"
         )
-    outside = (member_rows >= counts[:, None]).any(axis=1)
-    if outside.any():
-        slot = int(outside.argmax())
-        raise DataError(
-            f"{path}: member_rows at slot {slot} points past its {counts[slot]} palette rows"
-        )
-    cell_type = np.min_scalar_type(count - 1)
-    cells = planes[0].astype(cell_type)
-    for plane in range(1, len(planes)):
-        cells |= planes[plane].astype(cell_type) << 8 * plane
-    if (highest := cells.max()) >= count:
-        raise DataError(
-            f"{path}: palette_cells holds cell {highest}, at or above the "
-            f"{count:,} joint cells of attribute_names"
-        )
-    members = _PaletteMembers(attributes, cells, counts, member_rows)
-    return members, objectives.astype(np.float64), objective_names
+    for attribute, code in zip(attributes, codes.max(axis=0).tolist()):
+        if code >= attribute.size:
+            raise DataError(
+                f"{path}: roster holds code {code} for {attribute.name!r}, at or above "
+                f"its {attribute.size} categories"
+            )
+    roster = CandidatePopulation(attributes, codes.astype(code_dtype(attributes)))
+    return objectives.astype(np.float64), int(selected), roster, objective_names
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,19 @@ class TestValidateData:
         assert captured.err.startswith("error: table file")
         assert "age_marital.csv: header names axis 'marital' twice" in captured.err
 
+    def test_a_field_past_the_csv_field_limit_fails(self, config_tree, capsys):
+        # The csv module refuses a field of more than 131,072 characters.
+        table = config_tree.parent / "tables" / "sex_age.csv"
+        field = '"' + "x" * 200_000 + '"'
+        table.write_text(table.read_text().replace("m,a65p,8", f"m,{field},8"))
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err.splitlines() == [
+            f"error: table file {table} line 4 is not valid CSV: "
+            "field larger than field limit (131072)"
+        ]
+
     def test_objective_attribute_outside_its_table_fails(self, config_tree, capsys):
         config_tree.write_text(
             config_tree.read_text().replace(
@@ -529,21 +542,20 @@ class TestReport:
     def test_report_rejects_a_tampered_archive(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
         run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        # The households bundle is read after the persons one, and members
-        # decode lazily: its check must still come before persons.csv is
-        # rewritten.
+        # The households bundle is read after the persons one: its check
+        # must still come before persons.csv is rewritten.
         bundle = out / "archive_households.npz"
         with np.load(bundle) as saved:
             arrays = {key: saved[key] for key in saved.files}
-        # hsize and composition have 2 * 3 = 6 joint cells; 6 is the first
-        # cell past them.
-        arrays["palette_cells"][0, 0] = 6
+        # composition has 3 categories; 3 is the first code past them.
+        arrays["roster"][0, 1] = 3
         np.savez_compressed(bundle, **arrays)
         saved = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "palette_cells holds cell 6" in err
+        assert err.startswith("error:")
+        assert "roster holds code 3 for 'composition', at or above its 3 categories" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     @pytest.mark.parametrize(
@@ -579,11 +591,12 @@ class TestReport:
         bundle = out / "archive_households.npz"
         with np.load(bundle) as saved:
             arrays = {key: saved[key] for key in saved.files}
-        # Reversed, hsize and composition still have 2 * 3 = 6 joint cells,
-        # so every cell of the bundle still decodes.
+        # Reversed with its roster's columns, the bundle still holds every
+        # code inside its attribute.
         layout = [str(name) for name in arrays["attribute_names"]]
         assert layout == ["hsize", "composition"]
         arrays["attribute_names"] = arrays["attribute_names"][::-1]
+        arrays["roster"] = arrays["roster"][:, ::-1]
         np.savez_compressed(bundle, **arrays)
         (out / "persons.csv").unlink()
         saved = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -600,15 +613,22 @@ class TestReport:
         bundle = out / "archive_persons.npz"
         with np.load(bundle) as saved:
             arrays = {key: saved[key] for key in saved.files}
-        # Bundles held palette[row, attribute] codes before joint cells.
-        planes = arrays.pop("palette_cells")
-        arrays["palette"] = np.zeros((planes.shape[1], 3), dtype=np.uint8)
+        # Bundles held every member's rows as palettes of codes before they
+        # held only the exported roster.
+        slots = len(arrays.pop("roster"))
+        del arrays["selected"]
+        arrays["palette"] = np.zeros((slots, 3), dtype=np.uint8)
+        arrays["member_rows"] = np.zeros((slots, len(arrays["objectives"])), dtype=np.uint8)
         np.savez_compressed(bundle, **arrays)
         saved = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
-        err = capsys.readouterr().err
-        assert "no palette_cells array (written by an older version?)" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert err[0].endswith(
+            "archive_persons.npz has no roster array (written by an older version?); "
+            "re-run `synthpop run`"
+        )
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     def test_report_rejects_text_objectives(self, config_tree, tmp_path, capsys):
@@ -646,6 +666,40 @@ class TestReport:
         name = stage["objectives"][0]["name"]
         assert err.startswith(f"evolution error: persons archive member {chosen} scores")
         assert f"on {name!r}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    @pytest.mark.parametrize("stage", ["persons", "households"])
+    def test_weights_that_select_another_member_fail_before_any_write(
+        self, config_tree, tmp_path, capsys, stage
+    ):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        with np.load(out / f"archive_{stage}.npz") as bundle:
+            objectives, selected = bundle["objectives"], int(bundle["selected"])
+        # The members are mutually non-dominated, so each other member beats
+        # the saved one on some objective, and that objective's weight alone
+        # selects another member.
+        assert len(objectives) > 1
+        column = next(k for k in range(objectives.shape[1])
+                      if int(np.argmin(objectives[:, k])) != selected)
+        chosen = int(np.argmin(objectives[:, column]))
+        specs = json.loads((out / "manifest.json").read_text())["stages"][stage]["objectives"]
+        text = config_tree.read_text()
+        for k, spec in enumerate(specs):
+            line = (f"    - {{name: {spec['name']}, table: {spec['table']}, "
+                    f"attribute: {spec['attribute']}}}\n")
+            assert line in text
+            text = text.replace(line, line.replace("}", f", weight: {int(k == column)}}}"))
+        copy = config_tree.with_name("weights.yaml")
+        copy.write_text(text)
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", copy, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: saved archive archive_{stage}.npz holds the roster of member {selected}, "
+            f"but the configured weights select member {chosen}; re-run `synthpop run`"
+        ]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     @pytest.mark.parametrize(

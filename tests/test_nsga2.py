@@ -32,6 +32,8 @@ from synthpop import (
     evolve,
     fast_nondominated_sort,
     generate_candidate,
+    load_archive,
+    save_archive,
     select_best,
 )
 from synthpop import nsga2
@@ -1110,8 +1112,10 @@ class TestEvolve:
             evolve(dataset_small, PERSONS, [], EvolutionConfig(population_size=10, generations=1))
 
     @pytest.mark.parametrize("sizes", [(2**13,) * 5, (2**13,) * 4 + (2**11,)])
-    def test_layout_of_2_63_joint_cells_rejected_before_any_generation(self, sizes):
-        # 2**65 and 2**63 joint cells: a row's cell index would leave int64.
+    def test_layout_of_2_63_joint_cells_evolves_saves_and_loads(self, tmp_path, sizes):
+        # 2**65 and 2**63 joint cells: no roster row is ever stored as its
+        # joint cell index, so the layout's cell count is never bounded.
+        assert math.prod(sizes) >= 2**63
         attributes = tuple(
             Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
             for i, size in enumerate(sizes)
@@ -1119,15 +1123,24 @@ class TestEvolve:
         tables = tuple(
             ContingencyTable(f"t{i}", (a,), np.ones(a.size)) for i, a in enumerate(attributes)
         )
-        dataset = RegionDataset("r", AttributeSchema(attributes), tables, target_persons=10)
+        schema = AttributeSchema(attributes)
+        dataset = RegionDataset("r", schema, tables, target_persons=10)
         specs = [ObjectiveSpec(name="fit", table="t0", attribute="a0")]
         generations = []
-        with pytest.raises(DataError, match=f"have {math.prod(sizes):,} joint cells"):
-            evolve(
-                dataset, PERSONS, specs, EvolutionConfig(population_size=4, generations=1),
-                progress=lambda *args: generations.append(args),
-            )
-        assert generations == []
+        archive, history = evolve(
+            dataset, PERSONS, specs, EvolutionConfig(population_size=4, generations=1),
+            progress=lambda *args: generations.append(args),
+        )
+        assert len(generations) == 2
+        selected = select_best(archive.objective_matrix(), [1.0])
+        path = tmp_path / "archive.npz"
+        save_archive(path, archive, history.names, selected)
+        objectives, loaded_selected, roster, names = load_archive(path, schema)
+        assert names == ["fit"] and loaded_selected == selected
+        assert np.array_equal(objectives, archive.objective_matrix())
+        assert roster.attribute_names == tuple(a.name for a in attributes)
+        assert roster.codes.dtype == np.uint16
+        assert np.array_equal(roster.codes, archive.candidates[selected].codes)
 
     def test_mixed_stage_specs_rejected(self, schema_small, dataset_small):
         homes = ContingencyTable(

@@ -673,9 +673,9 @@ class TestCodeDtype:
         loaded = load_persons(tmp_path / "persons.csv", schema)
         archive = ParetoArchive(2, [1.0, 1.0])
         archive.update([first, second], np.array([[0.0, 1.0], [1.0, 0.0]]))
-        save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
-        members, _, _ = load_archive(tmp_path / "archive.npz", schema)
-        for roster in (first, second, *children, loaded, *members):
+        save_archive(tmp_path / "archive.npz", archive, ("a", "b"), 1)
+        _, _, saved, _ = load_archive(tmp_path / "archive.npz", schema)
+        for roster in (first, second, *children, loaded, saved):
             assert roster.codes.dtype == dtype
 
 

@@ -3,13 +3,11 @@
 import csv
 import io
 import json
-import math
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synthpop import (
@@ -35,11 +33,8 @@ from synthpop import (
     select_best,
     write_manifest,
 )
-from synthpop import reporting
 from synthpop.household_synthesis import AllocationResult
 from synthpop.population_model import code_dtype
-
-from conftest import reference_palette_block
 
 TOL = 1e-9
 
@@ -271,196 +266,89 @@ def _bundle_arrays(source):
         return {key: bundle[key] for key in bundle.files}
 
 
-def _palette_rows(arrays, attributes):
-    """The palette's rows of category codes, decoded from its byte planes."""
-    cells = sum(
-        plane.astype(np.uint64) << np.uint64(8 * byte)
-        for byte, plane in enumerate(arrays["palette_cells"])
-    )
-    return np.stack(np.unravel_index(cells, [a.size for a in attributes]), axis=1)
-
-
-def _slot_palettes(arrays, attributes):
-    """Each slot's palette rows, split from the slot-major palette."""
-    ends = np.cumsum(arrays["palette_counts"].astype(np.intp))
-    return np.split(_palette_rows(arrays, attributes), ends[:-1])
-
-
-def _saved(archive, block):
-    """The arrays of ``archive``'s bundle, encoded ``block`` slot-member
-    pairs at a time."""
-    buffer = io.BytesIO()
-    # Small blocks make the encoder cross block boundaries.
-    with patch.object(reporting, "_BLOCK_ENTRIES", block):
-        save_archive(buffer, archive, ("x", "y", "z"))
-    buffer.seek(0)
-    return buffer, _bundle_arrays(buffer)
-
-
-# Archives of any layout and size whose members share rows at a slot.
-ARCHIVE_SHAPES = dict(
-    members=st.integers(1, 40),
-    slots=st.integers(1, 30),
-    sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
-    wide=st.one_of(st.none(), st.integers(257, 700)),
-    crowd=st.one_of(st.none(), st.integers(257, 300)),
-    pool=st.integers(1, 50),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
-def _repeating_archive(members, slots, sizes, wide, crowd, pool, seed):
-    """An archive of rosters that draw each slot's row from a small pool,
-    so rows repeat across members as they do after positional crossover.
-
-    ``wide`` adds an attribute of more than 256 categories; ``crowd`` gives
-    each of that many members its own row at slot 0, so member_rows needs
-    more than one byte. Returns the archive and its rosters.
-    """
-    if wide is not None:
-        sizes = [*sizes, wide]
-    if crowd is not None:
-        members, sizes = crowd, [*sizes, crowd]
-    attributes = tuple(
-        Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
-        for i, size in enumerate(sizes)
-    )
-    rng = np.random.default_rng(seed)
-    pools = np.stack(
-        [rng.integers(0, size, size=(slots, pool)) for size in sizes], axis=-1
-    )
-    rosters = []
-    for member in range(members):
-        codes = pools[np.arange(slots), rng.integers(0, pool, size=slots)]
-        # Every attribute's highest category appears, so the dtype bound is hit.
-        codes[0] = [size - 1 for size in sizes]
-        if crowd is not None:
-            codes[0, -1] = member
-        rosters.append(CandidatePopulation(attributes, codes.astype(np.int16)))
-    # Strictly decreasing second objective: no vector dominates another.
-    objectives = np.column_stack(
-        [np.arange(members), -np.arange(members), rng.random(members)]
-    ).astype(float)
-    archive = ParetoArchive(members, np.ones(3))
-    archive.update(rosters, objectives)
-    assert archive.candidates == tuple(rosters)
-    return archive, rosters
-
-
 class TestArchiveBundle:
     def test_round_trip(self, schema_small, tmp_path):
         archive = archive_of(schema_small, [[1.0, 4.0], [2.0, 2.0], [4.0, 1.0]])
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, ("a", "b"))
-        members, objectives, names = load_archive(path, schema_small)
+        save_archive(path, archive, ("a", "b"), 1)
+        objectives, selected, roster, names = load_archive(path, schema_small)
         assert names == ["a", "b"]
         assert np.array_equal(objectives, archive.objective_matrix())
-        assert len(members) == 3
-        for loaded, kept in zip(members, archive.candidates):
-            assert loaded.attribute_names == kept.attribute_names
-            assert np.array_equal(loaded.codes, kept.codes)
+        assert selected == 1
+        kept = archive.candidates[1]
+        assert roster.attribute_names == kept.attribute_names
+        assert np.array_equal(roster.codes, kept.codes)
 
-    @settings(max_examples=40, deadline=None)
-    @given(**ARCHIVE_SHAPES, block=st.integers(1, 64))
-    def test_round_trip_any_shape(self, block, **shape):
-        archive, rosters = _repeating_archive(**shape)
-        attributes = rosters[0].attributes
-        members, slots = len(rosters), len(rosters[0])
-        buffer, arrays = _saved(archive, block)
-        planes = arrays["palette_cells"]
-        cells = math.prod(a.size for a in attributes)
-        assert planes.dtype == np.uint8
-        # One plane per byte of the largest cell index.
-        assert 256 ** (len(planes) - 1) < cells <= 256 ** len(planes) or len(planes) == 1
-        counts = arrays["palette_counts"]
-        assert counts.dtype.kind == "u" and len(counts) == slots
-        member_rows = arrays["member_rows"]
-        assert member_rows.shape == (slots, members)
-        assert member_rows.dtype == np.min_scalar_type(int(counts.max()) - 1)
-        if shape["crowd"] is not None:
-            assert member_rows.dtype == np.uint16
-        for slot, palette in enumerate(_slot_palettes(arrays, attributes)):
-            assert len(np.unique(palette, axis=0)) == len(palette)
-            # Rows come in the order of the first member that holds them.
-            first_seen = dict.fromkeys(tuple(r.codes[slot]) for r in rosters)
-            assert [tuple(row) for row in palette] == list(first_seen)
-        assert not member_rows[:, 0].any()
-        buffer.seek(0)
-        loaded, loaded_objectives, names = load_archive(buffer, AttributeSchema(attributes))
-        assert names == ["x", "y", "z"]
-        assert np.array_equal(loaded_objectives, archive.objective_matrix())
-        assert len(loaded) == members
-        for roster, kept in zip(loaded, rosters):
-            assert roster.attribute_names == kept.attribute_names
-            assert np.array_equal(roster.codes, kept.codes)
-            assert roster.codes.dtype == code_dtype(attributes)
-
-    @settings(max_examples=40, deadline=None)
-    @given(**ARCHIVE_SHAPES, block=st.integers(1, 64))
-    def test_encoder_matches_the_lexsort_reference(self, block, **shape):
-        archive, rosters = _repeating_archive(**shape)
-        attributes = rosters[0].attributes
-        _, arrays = _saved(archive, block)
-        stacked = np.stack([r.codes for r in rosters], axis=1).astype(code_dtype(attributes))
-        rows, counts, index = reference_palette_block(stacked)
-        assert np.array_equal(_palette_rows(arrays, attributes), rows)
-        widest = int(counts.max())
-        assert arrays["palette_counts"].dtype == np.min_scalar_type(widest)
-        assert np.array_equal(arrays["palette_counts"], counts)
-        assert arrays["member_rows"].dtype == np.min_scalar_type(widest - 1)
-        assert np.array_equal(arrays["member_rows"], index)
-
-    def test_round_trip_near_the_cell_bound(self):
-        # 2**62 joint cells: keys of two slots already need 64 bits, so the
-        # encoder takes at most three slots at a time.
-        sizes = (2**16, 2**16, 2**16, 2**14)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        members=st.integers(1, 12),
+        slots=st.integers(1, 30),
+        sizes=st.lists(st.integers(1, 256), min_size=1, max_size=4),
+        wide=st.one_of(st.none(), st.integers(257, 700)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_round_trip_any_shape(self, tmp_path, members, slots, sizes, wide, seed, data):
+        # ``wide`` adds an attribute of more than 256 categories: uint16 codes.
+        if wide is not None:
+            sizes = [*sizes, wide]
         attributes = tuple(
             Attribute(f"a{i}", tuple(f"c{j}" for j in range(size)))
             for i, size in enumerate(sizes)
         )
-        rng = np.random.default_rng(5)
-        rosters = [
-            CandidatePopulation(
-                attributes, np.column_stack([rng.integers(0, s, size=7) for s in sizes])
-            )
-            for _ in range(3)
-        ]
-        # The last member repeats the first at every slot.
-        rosters.append(rosters[0])
-        archive = ParetoArchive(4, np.ones(3))
-        member = np.arange(4.0)
-        archive.update(rosters, np.column_stack([member, -member, np.zeros(4)]))
+        rng = np.random.default_rng(seed)
+        rosters = []
+        for _ in range(members):
+            codes = np.column_stack([rng.integers(0, size, size=slots) for size in sizes])
+            # Every attribute's highest category appears, so the dtype bound is hit.
+            codes[0] = [size - 1 for size in sizes]
+            rosters.append(CandidatePopulation(attributes, codes))
+        # Strictly decreasing second objective: no vector dominates another.
+        objectives = np.column_stack(
+            [np.arange(members), -np.arange(members), rng.random(members)]
+        ).astype(float)
+        archive = ParetoArchive(members, np.ones(3))
+        archive.update(rosters, objectives)
         assert archive.candidates == tuple(rosters)
-        buffer, arrays = _saved(archive, 1 << 18)
-        assert arrays["palette_cells"].shape[0] == 8
-        assert np.array_equal(arrays["member_rows"][:, 3], arrays["member_rows"][:, 0])
-        buffer.seek(0)
-        loaded, _, _ = load_archive(buffer, AttributeSchema(attributes))
-        for roster, kept in zip(loaded, rosters):
-            assert np.array_equal(roster.codes, kept.codes)
+        selected = data.draw(st.integers(0, members - 1), label="selected")
+        path = tmp_path / "archive.npz"
+        save_archive(path, archive, ("x", "y", "z"), selected)
+        arrays = _bundle_arrays(path)
+        assert set(arrays) == {
+            "roster", "selected", "objectives", "objective_names", "attribute_names"
+        }
+        assert arrays["roster"].dtype == code_dtype(attributes)
+        assert arrays["selected"].shape == ()
+        loaded, loaded_selected, roster, names = load_archive(path, AttributeSchema(attributes))
+        assert names == ["x", "y", "z"]
+        assert loaded_selected == selected
+        assert np.array_equal(loaded, archive.objective_matrix())
+        assert roster.attribute_names == tuple(a.name for a in attributes)
+        assert np.array_equal(roster.codes, rosters[selected].codes)
+        assert roster.codes.dtype == (np.uint8 if wide is None else np.uint16)
 
     def test_wider_unsigned_arrays_decode(self, schema_small, tmp_path):
         archive = archive_of(schema_small, [[1.0, 2.0], [2.0, 1.0]])
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, ("a", "b"))
+        save_archive(path, archive, ("a", "b"), 1)
         arrays = _bundle_arrays(path)
-        # palette_cells stays in bytes; the index arrays may be any width.
-        for key in ("palette_counts", "member_rows"):
-            arrays[key] = arrays[key].astype(np.uint64)
+        # The roster may be any unsigned width, selected any integer width.
+        arrays["roster"] = arrays["roster"].astype(np.uint64)
+        arrays["selected"] = arrays["selected"].astype(np.uint8)
         np.savez_compressed(path, **arrays)
-        members, _, _ = load_archive(path, schema_small)
-        for loaded, kept in zip(members, archive.candidates):
-            assert np.array_equal(loaded.codes, kept.codes)
-            assert loaded.codes.dtype == code_dtype(schema_small.attributes)
+        _, selected, roster, _ = load_archive(path, schema_small)
+        assert selected == 1
+        assert np.array_equal(roster.codes, archive.candidates[1].codes)
+        assert roster.codes.dtype == code_dtype(schema_small.attributes)
 
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
-            save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",))
+            save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",), 0)
 
     def test_saving_keeps_its_temporaries_to_a_few_times_the_codes(self, tmp_path):
         # An 11-member households archive at persons-70k's size: 30,233
-        # slots of three attributes, random rows, so few members share a
-        # slot's cell and the palettes are nearly as long as the codes.
+        # slots of three attributes.
         attributes = tuple(
             Attribute(f"x{i}", tuple(f"c{j}" for j in range(size)))
             for i, size in enumerate((6, 4, 16))
@@ -477,22 +365,24 @@ class TestArchiveBundle:
         archive = ParetoArchive(11, np.ones(2))
         archive.update(rosters, np.array([[i, 10 - i] for i in range(11)], dtype=float))
         assert len(archive) == 11
-        codes = sum(roster.codes.nbytes for roster in rosters)
+        codes = rosters[0].codes.nbytes
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
+            save_archive(tmp_path / "archive.npz", archive, ("a", "b"), 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Slots are encoded a block at a time, so the encoder's temporaries
-        # stay a small multiple of the codes.
+        # Only the exported roster is saved, so the temporaries (zlib's state
+        # included) stay a small multiple of one member's codes, below the
+        # archive's.
         assert peak - start < 10 * codes
 
 
 def _tampered_bundle(schema, path, tamper):
-    """Save a valid two-member bundle, apply ``tamper`` to its arrays, save again."""
-    save_archive(path, archive_of(schema, [[1, 2], [2, 1]]), ("a", "b"))
+    """Save a valid two-member bundle that exports member 1, apply ``tamper``
+    to its arrays, save again."""
+    save_archive(path, archive_of(schema, [[1, 2], [2, 1]]), ("a", "b"), 1)
     arrays = _bundle_arrays(path)
     tamper(arrays)
     np.savez_compressed(path, **arrays)
@@ -500,28 +390,29 @@ def _tampered_bundle(schema, path, tamper):
 
 def _legacy_layout(arrays):
     # The slot_codes layout that bundles held before palettes.
-    for key in ("palette_cells", "palette_counts", "member_rows"):
-        del arrays[key]
+    del arrays["roster"], arrays["selected"]
     arrays["slot_codes"] = np.zeros((6, 2, 3), dtype=np.uint8)
 
 
 def _palette_layout(arrays):
-    # The palette[row, attribute] codes that bundles held before cells.
-    planes = arrays.pop("palette_cells")
-    arrays["palette"] = np.zeros((planes.shape[1], 3), dtype=np.uint8)
+    # The palettes of joint cells that bundles held before only the
+    # exported roster was kept.
+    del arrays["roster"], arrays["selected"]
+    arrays["palette_cells"] = np.zeros((1, 6), dtype=np.uint8)
+    arrays["palette_counts"] = np.ones(6, dtype=np.uint8)
+    arrays["member_rows"] = np.zeros((6, 2), dtype=np.uint8)
 
 
 def _flat_codes(arrays):
-    arrays["palette_cells"] = arrays["palette_cells"].ravel()
-
-
-def _extra_member(arrays):
-    arrays["objectives"] = np.vstack([arrays["objectives"], [[3.0, 3.0]]])
+    arrays["roster"] = arrays["roster"].ravel()
 
 
 def _missing_attribute(arrays):
-    # sex, age: 6 joint cells, which the saved female rows' cells exceed.
     arrays["attribute_names"] = arrays["attribute_names"][:2]
+
+
+def _empty_roster(arrays):
+    arrays["roster"] = arrays["roster"][:0]
 
 
 def _extra_objective(arrays):
@@ -529,50 +420,30 @@ def _extra_objective(arrays):
 
 
 def _code_out_of_range(arrays):
-    # sex, age, marital: 2 * 3 * 2 = 12 joint cells, so 12 is the first out.
-    arrays["palette_cells"][0, 0] = 12
+    # age has 3 categories, so 3 is the first code past them.
+    arrays["roster"][0, 1] = 3
 
 
 def _negative_code(arrays):
-    signed = arrays["palette_cells"].astype(np.int16)
+    signed = arrays["roster"].astype(np.int16)
     signed[0, 0] = -1
-    arrays["palette_cells"] = signed
+    arrays["roster"] = signed
 
 
-def _wide_planes(arrays):
-    arrays["palette_cells"] = arrays["palette_cells"].astype(np.uint16)
+def _selected_past_the_archive(arrays):
+    arrays["selected"] = np.array(2)
 
 
-def _extra_plane(arrays):
-    planes = arrays["palette_cells"]
-    arrays["palette_cells"] = np.vstack([planes, np.zeros_like(planes)])
+def _negative_selected(arrays):
+    arrays["selected"] = np.array(-1)
 
 
-def _signed_member_rows(arrays):
-    arrays["member_rows"] = arrays["member_rows"].astype(np.int16)
+def _float_selected(arrays):
+    arrays["selected"] = np.array(1.0)
 
 
-def _member_row_at_count(arrays):
-    # The slot's own count is the first index past its palette rows.
-    arrays["member_rows"][0, 1] = arrays["palette_counts"][0]
-
-
-def _counts_over_palette(arrays):
-    arrays["palette_counts"][-1] += 1
-
-
-def _palette_row_short(arrays):
-    arrays["palette_cells"] = arrays["palette_cells"][:, :-1]
-
-
-def _empty_slot(arrays):
-    counts = arrays["palette_counts"]
-    counts[1] += counts[0]
-    counts[0] = 0
-
-
-def _missing_slot(arrays):
-    arrays["palette_counts"] = arrays["palette_counts"][:-1]
+def _selected_list(arrays):
+    arrays["selected"] = np.array([1])
 
 
 def _text_objectives(arrays):
@@ -594,21 +465,19 @@ class TestMalformedArchiveBundle:
         "tamper, message",
         [
             (_legacy_layout, "re-run `synthpop run`"),
-            (_palette_layout, r"no palette_cells array \(written by an older version\?\)"),
-            (_flat_codes, r"2 axes \(byte, row\), got 1"),
-            (_extra_member, "holds 2 members, objectives 3"),
-            (_missing_attribute, r"palette_cells holds cell \d+, at or above the 6 joint cells"),
+            (_palette_layout, r"no roster array \(written by an older version\?\); "
+                              "re-run `synthpop run`"),
+            (_flat_codes, r"2 axes \(slot, attribute\) and 3 columns, .* got shape \(18,\)"),
+            (_missing_attribute, r"2 axes \(slot, attribute\) and 2 columns, .* "
+                                 r"got shape \(6, 3\)"),
+            (_empty_roster, "roster must be a non-empty unsigned integer array"),
             (_extra_objective, r"expected \(members, 3\)"),
-            (_code_out_of_range, "palette_cells holds cell 12, at or above the 12 joint cells"),
-            (_negative_code, "unsigned integer"),
-            (_wide_planes, r"palette_cells must hold bytes \(uint8\), got uint16"),
-            (_extra_plane, "palette_cells has 2 byte planes, but the 12 joint cells"),
-            (_signed_member_rows, "member_rows must be a non-empty unsigned integer"),
-            (_member_row_at_count, "member_rows at slot 0 points past its"),
-            (_counts_over_palette, r"sum to the \d+ rows of palette_cells"),
-            (_palette_row_short, r"sum to the \d+ rows of palette_cells"),
-            (_empty_slot, "at least 1 at every slot"),
-            (_missing_slot, "palette_counts has 5 slots, member_rows 6"),
+            (_code_out_of_range, "roster holds code 3 for 'age', at or above its 3 categories"),
+            (_negative_code, "unsigned integer array, got int16"),
+            (_selected_past_the_archive, "selected must be one integer index into the 2 "),
+            (_negative_selected, "selected must be one integer index"),
+            (_float_selected, "selected must be one integer index"),
+            (_selected_list, "selected must be one integer index"),
             (_text_objectives, "objectives must be finite floats"),
             (_nan_objective, "objectives must be finite floats"),
         ],
@@ -619,20 +488,9 @@ class TestMalformedArchiveBundle:
         with pytest.raises(DataError, match=message):
             load_archive(path, schema_small)
 
-    def test_missing_byte_plane_rejected(self, tmp_path):
-        # 2 * 300 = 600 joint cells take two byte planes.
-        schema = AttributeSchema((
-            Attribute("sex", ("m", "f")),
-            Attribute("wide", tuple(f"c{j}" for j in range(300))),
-        ))
-        path = tmp_path / "archive.npz"
-        _tampered_bundle(schema, path, lambda arrays: arrays.update(
-            palette_cells=arrays["palette_cells"][:1]
-        ))
-        with pytest.raises(DataError, match="palette_cells has 1 byte planes, but the 600 joint"):
-            load_archive(path, schema)
-
-    @pytest.mark.parametrize("key", ["objectives", "objective_names", "attribute_names"])
+    @pytest.mark.parametrize(
+        "key", ["roster", "selected", "objectives", "objective_names", "attribute_names"]
+    )
     def test_every_array_is_required(self, schema_small, tmp_path, key):
         path = tmp_path / "archive.npz"
         _tampered_bundle(schema_small, path, lambda arrays: arrays.pop(key))
