@@ -14,12 +14,13 @@ Subcommands:
 * ``report``: re-export populations from the archives a previous run
   saved, without re-running evolution.
 
-Every command exports a stage the same way: evolving selects the member
-to export with the stage's objective weights and saves its roster, with
-every member's objectives, in the stage's archive bundle; exporting reads
-that bundle back, so ``run`` and ``report`` write their CSVs from the same
-bytes. ``report`` therefore needs weights that still select the saved
-member.
+Every command exports a stage the same way. Evolving leaves an archive
+that holds the rosters at its lowest weighted sum under the stage's
+objective weights; the earliest of them is saved, with every member's
+objectives, in the stage's archive bundle. Exporting reads that bundle
+back and checks that the configured weights select the saved member, so
+``run`` and ``report`` write their CSVs from the same bytes, and
+``report`` needs weights that still select it.
 
 Exit codes: 0 success, 1 configuration or data problem (an unreadable
 input file included), 2 evolution failure, 3 filesystem problem writing
@@ -121,8 +122,8 @@ def _evolve_stage(
     config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
     *, quiet: bool,
 ) -> tuple[tuple[np.ndarray, int, CandidatePopulation], float]:
-    """Evolve one stage, write its convergence trace, select the member to
-    export and save the archive bundle, and read the bundle back for the
+    """Evolve one stage, write its convergence trace, save the archive
+    bundle of the member it selected, and read the bundle back for the
     stage's export.
 
     Returns the bundle as :func:`_load_stage_archive` gives it and the
@@ -136,9 +137,7 @@ def _evolve_stage(
     )
     wall = time.perf_counter() - started
     export_convergence(config.output_dir / f"convergence_{stage}.csv", history)
-    weights = [spec.weight for spec in stage_config.objectives]
-    selected = select_best(archive.objective_matrix(), weights)
-    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names, selected)
+    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names)
     print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
     return _load_stage_archive(config, dataset, stage_config), wall
 

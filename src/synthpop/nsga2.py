@@ -11,21 +11,23 @@ then each changed child is made once, as a recipe over its winner rather
 than a copy. A child's category counts are its winner's plus its row of
 the generation's count changes, so the loop scores each generation's
 offspring with one evaluator call and no roster is recounted. Only the
-survivors and the archive members build their codes, at the end of each
-generation; the other children never do.
+survivors and the rosters the archive holds build their codes, at the end
+of each generation; the other children never do.
 Once per generation the Pareto archive merges the generation's first front
 and truncates to the population size, always keeping the lowest weighted
-sum of objectives any evaluated roster reached, which is the roster
-exported. Determinism is strict: every random draw goes through a named
-substream of the master seed, so a run's outputs are byte-identical for a
-given config and seed.
+sum of objectives any evaluated roster reached. It keeps every member's
+objective vector but holds only the rosters at that lowest sum, one of
+which is exported. Determinism is strict: every random draw goes through a
+named substream of the master seed, so a run's outputs are byte-identical
+for a given config and seed.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -373,12 +375,17 @@ def environmental_selection(
 
 
 class ParetoArchive:
-    """Non-dominated rosters kept across a run, updated once per generation.
+    """Non-dominated objective vectors kept across a run, updated once per
+    generation, with the rosters of the members at the lowest weighted sum.
 
     Members keep the order in which they joined, and row k of the objective
     matrix is member k's vector. The archive does not feed back into the
-    search. It always keeps the roster with the lowest weighted sum of raw
-    objectives, which ``reporting.select_best`` exports.
+    search. It always keeps a member at the lowest weighted sum of raw
+    objectives of every row it was offered, and it holds the roster of each
+    member at that sum, and of no other: a member's sum never changes and
+    the lowest never rises, so a member above it is never exported.
+    :attr:`selected`, the earliest of them, is the member that
+    ``reporting.select_best`` picks, and :attr:`best` is its roster.
     """
 
     def __init__(self, capacity: int, weights: Sequence[float]):
@@ -386,19 +393,36 @@ class ParetoArchive:
             raise DataError("archive capacity must be positive")
         self.capacity = capacity
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._candidates: list[CandidatePopulation] = []
+        if np.any(self.weights < 0):
+            # A dominating row must never have the higher weighted sum.
+            raise DataError("archive weights must be non-negative")
         self._objectives = np.empty((0, len(self.weights)), dtype=np.float64)
+        self._held: dict[int, CandidatePopulation] = {}
 
     def __len__(self) -> int:
-        return len(self._candidates)
+        return len(self._objectives)
 
     @property
-    def candidates(self) -> tuple[CandidatePopulation, ...]:
-        return tuple(self._candidates)
+    def held(self) -> Mapping[int, CandidatePopulation]:
+        """The rosters of the members at the lowest weighted sum, by member
+        index in member order; a read-only view."""
+        return MappingProxyType(self._held)
+
+    @property
+    def selected(self) -> int:
+        """The earliest member at the lowest weighted sum."""
+        if not self._held:
+            raise DataError("archive is empty")
+        return next(iter(self._held))
+
+    @property
+    def best(self) -> CandidatePopulation:
+        """The roster of member :attr:`selected`."""
+        return self._held[self.selected]
 
     def objective_matrix(self) -> np.ndarray:
         """Members' objective vectors, one row each; a read-only view."""
-        if not self._candidates:
+        if not len(self._objectives):
             raise DataError("archive is empty")
         view = self._objectives.view()
         view.setflags(write=False)
@@ -413,22 +437,32 @@ class ParetoArchive:
         the row with the lowest weighted sum (the earliest on a tie) is
         kept, and the others are truncated by descending crowding distance
         as :func:`environmental_selection` truncates its last front. The
-        kept rows stay in pool order.
+        kept rows stay in pool order. Then only the rosters of the kept
+        rows at the lowest weighted sum are held.
         """
+        members = len(self._objectives)
         pool = np.vstack([self._objectives, np.asarray(objectives, dtype=np.float64)])
-        rosters = [*self._candidates, *candidates]
-        if len(rosters) != len(pool):
+        if members + len(candidates) != len(pool):
             raise ValueError("need one objective vector per offered roster")
         _, first = np.unique(pool, axis=0, return_index=True)
         keep = np.sort(first)
         keep = keep[fast_nondominated_sort(pool[keep])[0]]
+        sums = weighted_sums(pool[keep], self.weights)
         if len(keep) > self.capacity:
-            rows = pool[keep]
             rank = np.full(len(keep), 2)
-            rank[np.argmin(weighted_sums(rows, self.weights))] = 1
-            chosen = environmental_selection(rank, crowding_distance(rows), self.capacity)
-            keep = keep[np.sort(chosen)]
-        self._candidates = [rosters[i] for i in keep.tolist()]
+            rank[np.argmin(sums)] = 1
+            chosen = np.sort(
+                environmental_selection(rank, crowding_distance(pool[keep]), self.capacity)
+            )
+            keep, sums = keep[chosen], sums[chosen]
+        # A row that removes a member dominates it, so its sum is no higher,
+        # and truncation keeps the lowest: the lowest sum never rises. A
+        # member at the new lowest was therefore at the old one, and held.
+        lowest = np.flatnonzero(sums == sums.min()).tolist()
+        self._held = {
+            k: self._held[i] if i < members else candidates[i - members]
+            for k, i in zip(lowest, keep[lowest].tolist())
+        }
         self._objectives = pool[keep]
 
 
@@ -478,8 +512,9 @@ def evolve(
     one that references another stage's table, or any table when the
     stage has none, is a :class:`DataError` naming the table. Returns the
     Pareto archive of at most ``config.population_size`` non-dominated
-    rosters, weighted by the specs' weights (see :class:`ParetoArchive`),
-    and the per-generation history. Deterministic for a given config seed.
+    objective vectors, weighted by the specs' weights, with the rosters at
+    its lowest weighted sum (see :class:`ParetoArchive`), and the
+    per-generation history. Deterministic for a given config seed.
 
     Generation 0 draws the initial rosters and each later one adds its
     offspring; then every generation runs one body: score the new rosters,
@@ -531,8 +566,9 @@ def evolve(
             population = [population[i] for i in survivors]
             objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
         # Build the rosters kept past this generation, so no recipe outlives
-        # it; the children neither kept nor archived are never built.
-        for roster in (*population, *archive.candidates):
+        # it; the children neither kept nor held by the archive are never
+        # built.
+        for roster in (*population, *archive.held.values()):
             roster.build()
         history.best.append(best)
         history.mean.append(objectives.mean(axis=0))

@@ -74,7 +74,8 @@ def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
     and ``weights`` holds one weight per objective column (the stage's
     ``ObjectiveSpec.weight`` values). The member with the lowest weighted
     sum of raw objective values wins, the earliest on a tie. Of all the
-    rosters an archive was offered, it always keeps the one this picks.
+    rosters an archive was offered, it always keeps the one this picks, as
+    its :attr:`~synthpop.nsga2.ParetoArchive.selected` member.
     """
     if not len(objectives):
         raise DataError("archive is empty, nothing to select")
@@ -122,7 +123,10 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
         raise DataError(f"persons file {path} is empty")
     if not header or header[0] != "person_id":
         raise DataError(f"persons file {path} must start with a person_id column")
-    attributes = tuple(schema[name] for name in header[1:])
+    try:
+        attributes = tuple(schema[name] for name in header[1:])
+    except DataError as exc:
+        raise DataError(f"{path} line 1: {exc}") from None
     rows = []
     for line_number, row in enumerate(reader, start=2):
         if len(row) != len(header):
@@ -194,25 +198,24 @@ def export_pareto_pairs(
     ))
 
 
-def save_archive(
-    path: str | Path, archive: ParetoArchive, names: Sequence[str], selected: int
-) -> None:
+def save_archive(path: str | Path, archive: ParetoArchive, names: Sequence[str]) -> None:
     """Persist an archive's exported member as an ``.npz`` bundle.
 
-    The bundle holds the roster of member ``selected``,
-    ``roster[slot, attribute]``, in the layout's code dtype
+    The bundle holds the roster of member :attr:`~ParetoArchive.selected`,
+    the earliest at the archive's lowest weighted sum, as
+    ``roster[slot, attribute]`` in the layout's code dtype
     (:func:`~synthpop.population_model.code_dtype`); ``selected`` itself as
     a 0-d integer; every member's ``objectives``; and the
-    ``objective_names`` and ``attribute_names`` that label them. The other
-    members' rosters are not kept.
+    ``objective_names`` and ``attribute_names`` that label them. The archive
+    holds no other member's roster to keep.
     """
     if not len(archive):
         raise DataError("archive is empty, nothing to save")
-    roster = archive.candidates[selected]
+    roster = archive.best
     np.savez_compressed(
         path,
         roster=roster.codes.astype(code_dtype(roster.attributes), copy=False),
-        selected=np.array(selected),
+        selected=np.array(archive.selected),
         objectives=archive.objective_matrix(),
         objective_names=np.array(list(names)),
         attribute_names=np.array(roster.attribute_names),
@@ -229,12 +232,13 @@ def load_archive(
 
     Returns every member's objective matrix, the saved member's index, its
     roster over the bundle's attribute layout, and the objective names.
-    Every array is checked here: a file that is not a zip of the five plain
-    arrays, objectives that are not a finite float matrix with one column
-    per name, a ``selected`` that is not an integer index into them, or a
-    roster that is not an unsigned matrix with one column per attribute and
-    every code below its attribute's category count is a
-    :class:`DataError`.
+    Every array is checked here: a file that cannot be opened or is not a
+    zip of the five plain arrays, names that are not a list or an attribute
+    name the schema lacks, objectives that are not a finite float matrix
+    with one column per name, a ``selected`` that is not an integer index
+    into them, or a roster that is not an unsigned matrix with one column
+    per attribute and every code below its attribute's category count is a
+    :class:`DataError` naming the bundle.
     """
     try:
         with open(path, "rb") as handle:
@@ -251,11 +255,20 @@ def load_archive(
                 codes, selected, objectives, objective_names, attribute_names = (
                     bundle[key] for key in _BUNDLE_KEYS
                 )
+    except OSError as exc:
+        raise DataError(f"cannot read archive bundle {path}: {exc.strerror or exc}") from None
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         # Not a zip of plain arrays: truncated, garbage, or holding objects.
         raise DataError(f"{path} is not a readable archive bundle: {exc}") from None
+    for key, labels in (("objective_names", objective_names),
+                        ("attribute_names", attribute_names)):
+        if labels.ndim != 1:
+            raise DataError(f"{path}: {key} must be a list of names, got shape {labels.shape}")
     objective_names = [str(n) for n in objective_names]
-    attributes = tuple(schema[str(n)] for n in attribute_names)
+    try:
+        attributes = tuple(schema[str(n)] for n in attribute_names)
+    except DataError as exc:
+        raise DataError(f"{path}: attribute_names: {exc}") from None
     if objectives.ndim != 2 or objectives.shape[1] != len(objective_names):
         raise DataError(
             f"{path}: objectives has shape {objectives.shape}, "

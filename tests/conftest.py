@@ -1,7 +1,8 @@
 """Shared fixtures, a small three-attribute world with consistent tables,
-the test-side helpers that read rosters, tables and rules by label, the
-per-child variation operators that ``nsga2.breed`` must reproduce, and
-the conditioned draw that ``SamplingPlan.sample_codes`` must reproduce."""
+a record of every roster offered to the archive, the test-side helpers
+that read rosters, tables and rules by label, the per-child variation
+operators that ``nsga2.breed`` must reproduce, and the conditioned draw
+that ``SamplingPlan.sample_codes`` must reproduce."""
 
 from collections.abc import Sequence
 from pathlib import Path
@@ -20,6 +21,7 @@ from synthpop import (
     ValidationRule,
     breed,
 )
+from synthpop import nsga2
 from synthpop.population_model import CompiledRules, _draw, code_dtype, count_offsets, tally
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -308,6 +310,21 @@ def breed_tied(population, config, plan, rules, rngs):
     tournament picks one of its two contestants by a coin."""
     n = len(population)
     return breed(population, np.ones(n), np.zeros(n), config, plan, rules, rngs)
+
+
+@pytest.fixture
+def offered_rosters(monkeypatch) -> list[CandidatePopulation]:
+    """Every roster that ``evolve`` offers its archive, in offer order; the
+    archive itself holds only those at its lowest weighted sum."""
+    offered: list[CandidatePopulation] = []
+
+    class Recorded(nsga2.ParetoArchive):
+        def update(self, candidates, objectives):
+            offered.extend(candidates)
+            super().update(candidates, objectives)
+
+    monkeypatch.setattr(nsga2, "ParetoArchive", Recorded)
+    return offered
 
 
 @pytest.fixture

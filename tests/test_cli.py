@@ -501,6 +501,25 @@ class TestEncoding:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
+def _bundle_made_a_directory(bundle):
+    bundle.unlink()
+    bundle.mkdir()
+
+
+def _respoiled_bundle(tamper):
+    """A spoiler that rewrites a bundle's arrays after ``tamper``."""
+    def spoil(bundle):
+        with np.load(bundle) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        tamper(arrays)
+        np.savez_compressed(bundle, **arrays)
+    return spoil
+
+
+def _unknown_first_attribute(arrays):
+    arrays["attribute_names"][0] = f"{arrays['attribute_names'][0]}z"
+
+
 class TestReport:
     def test_reexports_saved_populations(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
@@ -584,6 +603,35 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert f"archive_persons.npz {message}" in err[0]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    @pytest.mark.parametrize("stage", ["persons", "households"])
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (_bundle_made_a_directory, "cannot read archive bundle .*archive_{stage}.npz: "),
+            (_respoiled_bundle(_unknown_first_attribute),
+             "archive_{stage}.npz: attribute_names: schema has no attribute named '.*z'"),
+            (_respoiled_bundle(lambda a: a.update(objective_names=a["objective_names"][0])),
+             r"archive_{stage}.npz: objective_names must be a list of names, got shape \(\)"),
+            (_respoiled_bundle(lambda a: a.update(attribute_names=a["attribute_names"][0])),
+             r"archive_{stage}.npz: attribute_names must be a list of names, got shape \(\)"),
+        ],
+        ids=["directory", "unknown-attribute", "scalar-objective-names",
+             "scalar-attribute-names"],
+    )
+    def test_report_names_a_bundle_it_cannot_use(
+        self, config_tree, tmp_path, capsys, stage, spoil, message
+    ):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        spoil(out / f"archive_{stage}.npz")
+        saved = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert re.search(message.format(stage=stage), err[0]), err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == saved
 
     def test_report_rejects_a_bundle_of_another_layout(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"

@@ -366,12 +366,14 @@ class TestGenerateHouseholds:
                 EvolutionConfig(population_size=10, generations=1),
             )
 
-    def test_evolves_household_rosters(self, household_dataset):
+    def test_evolves_household_rosters(self, household_dataset, offered_rosters):
         config = EvolutionConfig(population_size=10, generations=3, seed=7)
         archive, history = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         assert len(archive) >= 1
         assert len(history.best) == 4
-        for candidate in archive.candidates:
+        # Every roster offered to the archive, the held ones among them.
+        assert len(offered_rosters) >= len(archive)
+        for candidate in offered_rosters:
             assert len(candidate) == 10
             assert candidate.attribute_names == ("hsize", "composition")
         assert np.all(archive.objective_matrix() >= 0)
@@ -382,10 +384,11 @@ class TestGenerateHouseholds:
         second, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         assert np.array_equal(first.objective_matrix(), second.objective_matrix())
 
-    def test_joint_sampling_draws_observed_cells_only(self, household_dataset):
+    def test_joint_sampling_draws_observed_cells_only(self, household_dataset, offered_rosters):
         config = EvolutionConfig(population_size=10, generations=0, seed=3)
         archive, _ = evolve(household_dataset, HOUSEHOLDS, household_specs(), config)
         observed_pairs = {(0, 0), (1, 1), (1, 2)}
-        for candidate in archive.candidates:
+        assert len(offered_rosters) >= len(archive)
+        for candidate in offered_rosters:
             pairs = {tuple(row) for row in candidate.codes.tolist()}
             assert pairs <= observed_pairs

@@ -38,10 +38,12 @@ from synthpop import (
 )
 from synthpop import nsga2
 from synthpop.census_data import PERSONS
+from synthpop.config import load_dataset, load_run_config, load_stage_rules
 from synthpop.nsga2 import rank_population, substream
 from synthpop.population_model import CompiledRules
 
 from conftest import (
+    FIXTURE_DIR,
     binary_tournament,
     breed_tied,
     reference_breed,
@@ -744,20 +746,21 @@ class TestParetoArchive:
     def test_dominated_insert_is_rejected(self):
         archive, offered = archive_after(10, [[[1, 1]], [[2, 2], [1, 3]]])
         assert archive.objective_matrix().tolist() == [[1.0, 1.0]]
-        assert archive.candidates == (offered[0][0],)
+        assert dict(archive.held) == {0: offered[0][0]}
 
     def test_duplicate_objectives_rejected(self):
         archive, offered = archive_after(10, [[[1, 2]], [[1, 2], [1, 2]]])
-        assert archive.candidates == (offered[0][0],)
+        assert dict(archive.held) == {0: offered[0][0]}
         # Within one batch, the first of the identical rows is kept.
         archive, offered = archive_after(10, [[[2, 1], [2, 1]]])
-        assert archive.candidates == (offered[0][0],)
+        assert dict(archive.held) == {0: offered[0][0]}
 
     def test_dominator_evicts_only_what_it_dominates(self):
         # (1, 2) dominates (2, 2) but is incomparable with (3, 1).
         archive, offered = archive_after(10, [[[2, 2], [3, 1]], [[1, 2]]])
         assert archive.objective_matrix().tolist() == [[3.0, 1.0], [1.0, 2.0]]
-        assert archive.candidates == (offered[1][0], offered[2][0])
+        # Both vectors stay, but only the lower sum's roster is held.
+        assert dict(archive.held) == {1: offered[2][0]}
 
     def test_dominator_sweeps_the_whole_archive(self):
         archive, _ = archive_after(10, [[[2, 2], [3, 1]], [[1, 1]]])
@@ -779,6 +782,42 @@ class TestParetoArchive:
         assert archive.objective_matrix().tolist() == [[0, 8]]
         archive, _ = archive_after(1, [front], weights=[1.0, 1.0])
         assert archive.objective_matrix().tolist() == [[3, 3]]
+
+    def test_every_roster_tied_at_the_lowest_sum_is_held(self):
+        # (1, 2, 5) and (2, 1, 4) tie at 3. (1, 2, 4) then dominates (1, 2, 5)
+        # at the same sum, so the earliest member at the lowest sum becomes
+        # the old member (2, 1, 4): its roster must have been held all along.
+        archive, offered = archive_after(
+            10, [[[1, 2, 5], [2, 1, 4]], [[1, 2, 4]]], weights=[1.0, 1.0, 0.0]
+        )
+        assert archive.objective_matrix().tolist() == [[2, 1, 4], [1, 2, 4]]
+        assert dict(archive.held) == {0: offered[1][0], 1: offered[2][0]}
+        assert archive.selected == 0
+        assert archive.best is offered[1][0]
+
+    def test_rosters_above_the_lowest_sum_are_freed(self):
+        attributes = (Attribute("x", ("a", "b")),)
+        archive = ParetoArchive(10, [1.0, 1.0])
+        rosters = [
+            CandidatePopulation(attributes, np.array([[k % 2]], dtype=np.uint8)) for k in range(4)
+        ]
+        refs = [weakref.ref(roster) for roster in rosters]
+        archive.update(rosters[:3], np.array([[1.0, 3.0], [2.0, 1.0], [3.0, 0.5]]))
+        assert len(archive) == 3
+        del rosters[:3]
+        # Sums 4, 3 and 3.5: only the roster at 3 outlives the update.
+        assert [ref() is None for ref in refs[:3]] == [True, False, True]
+        # A lower sum frees the roster that was held.
+        archive.update(rosters, np.array([[0.5, 2.0]]))
+        del rosters
+        assert archive.objective_matrix().tolist() == [[2.0, 1.0], [3.0, 0.5], [0.5, 2.0]]
+        assert [ref() is None for ref in refs] == [True, True, True, False]
+        assert archive.best is refs[3]()
+        assert archive.selected == 2
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(DataError, match="non-negative"):
+            ParetoArchive(3, [1.0, -1.0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -812,13 +851,21 @@ class TestParetoArchive:
             archive.update(rosters, vectors)
             offered += zip(rosters, vectors)
             vector_of = {id(roster): vector for roster, vector in offered}
-            candidates = archive.candidates
             matrix = archive.objective_matrix()
             assert not matrix.flags.writeable
-            assert 1 <= len(candidates) == len(matrix) <= capacity
-            # Through evictions and truncation, row k stays member k's vector.
-            for roster, row in zip(candidates, matrix):
-                assert np.array_equal(row, vector_of[id(roster)])
+            assert 1 <= len(archive) == len(matrix) <= capacity
+            # The held rosters are exactly the members at the lowest sum,
+            # however many weights are zero, and through evictions and
+            # truncation row k stays held member k's vector.
+            sums = matrix @ np.asarray(weights, dtype=float)
+            lowest = np.flatnonzero(sums == sums.min()).tolist()
+            assert list(archive.held) == lowest
+            for k, roster in archive.held.items():
+                assert np.array_equal(matrix[k], vector_of[id(roster)])
+            # ``selected`` is the earliest of them and ``best`` its roster.
+            assert archive.selected == lowest[0]
+            assert archive.best is archive.held[lowest[0]]
+            assert np.array_equal(vector_of[id(archive.best)], matrix[archive.selected])
             for i, a in enumerate(matrix):
                 for j, b in enumerate(matrix):
                     if i != j:
@@ -923,20 +970,27 @@ class TestEvolve:
                 dominates(other, row) for other in matrix if other is not row
             )
 
-    def test_same_seed_reproduces_everything(self, dataset_small, rule_no_child_marriage):
+    def test_same_seed_reproduces_everything(
+        self, dataset_small, rule_no_child_marriage, offered_rosters
+    ):
         config = EvolutionConfig(
             population_size=10, generations=6, seed=9, resample_probability=0.5
         )
         first_archive, first_history = evolve(
             dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
+        first_offered = offered_rosters[:]
+        offered_rosters.clear()
         second_archive, second_history = evolve(
             dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         assert np.array_equal(
             first_archive.objective_matrix(), second_archive.objective_matrix()
         )
-        for a, b in zip(first_archive.candidates, second_archive.candidates):
+        assert list(first_archive.held) == list(second_archive.held)
+        # Every roster offered to the archive, in order, not only the held.
+        assert len(first_offered) >= len(first_archive)
+        for a, b in zip(first_offered, offered_rosters, strict=True):
             assert np.array_equal(a.codes, b.codes)
         for b1, b2 in zip(first_history.best, second_history.best, strict=True):
             assert np.array_equal(b1, b2)
@@ -997,6 +1051,7 @@ class TestEvolve:
         assert len(archive) <= config.population_size
         matrix = archive.objective_matrix()
         chosen = select_best(matrix, weights)
+        assert chosen == archive.selected
         assert np.dot(matrix[chosen], weights) == np.vstack(evaluated).dot(weights).min()
 
     def test_history_best_is_the_running_minimum(self, dataset_small, evaluated):
@@ -1017,7 +1072,9 @@ class TestEvolve:
         for recorded, best in zip(history.best, running):
             assert np.array_equal(recorded, best)
 
-    def test_rules_hold_across_the_run(self, dataset_small, rule_no_child_marriage):
+    def test_rules_hold_across_the_run(
+        self, dataset_small, rule_no_child_marriage, offered_rosters
+    ):
         config = EvolutionConfig(
             population_size=10,
             generations=8,
@@ -1028,10 +1085,12 @@ class TestEvolve:
         archive, _ = evolve(
             dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
-        compiled = CompiledRules(
-            [rule_no_child_marriage], archive.candidates[0].attributes
-        )
-        for candidate in archive.candidates:
+        compiled = CompiledRules([rule_no_child_marriage], archive.best.attributes)
+        # Every roster the archive was offered, so every member it ever had.
+        offered = {id(roster) for roster in offered_rosters}
+        assert len(offered) >= len(archive)
+        assert all(id(roster) in offered for roster in archive.held.values())
+        for candidate in offered_rosters:
             assert not compiled.violation_mask(candidate.codes).any()
 
     def test_peak_memory_holds_no_offspring_copies(self, dataset_small):
@@ -1064,8 +1123,32 @@ class TestEvolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert archive.candidates[0].codes.nbytes == roster_bytes
+        assert archive.best.codes.nbytes == roster_bytes
         assert peak < (3 * config.population_size + 4) * roster_bytes
+
+    def test_the_fixture_persons_stage_holds_about_one_roster(self):
+        # The fixture's persons settings, cut to five generations: the
+        # 100-member archive is full by then.
+        config = load_run_config(FIXTURE_DIR / "config.yaml", generations=5)
+        dataset = load_dataset(config)
+        stage = config.persons
+        archive, _ = evolve(
+            dataset, PERSONS, stage.objectives, stage.evolution,
+            load_stage_rules(config, dataset.schema)[PERSONS],
+        )
+        # Every roster the archive references, through its containers.
+        found, stack = {}, [vars(archive)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, CandidatePopulation):
+                found[id(item)] = item
+            elif isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+        assert len(archive) == stage.evolution.population_size
+        assert 1 <= len(found) <= 2
+        assert id(archive.best) in found
 
     def test_no_recipe_outlives_its_generation(
         self, dataset_small, rule_no_child_marriage, monkeypatch
@@ -1079,13 +1162,13 @@ class TestEvolve:
 
         def recording(population, *args):
             # The population a generation breeds from has left the previous
-            # one: all built, as is every archive member.
-            for roster in (*population, *archives[0].candidates):
+            # one: all built, as is every roster the archive holds.
+            for roster in (*population, *archives[0].held.values()):
                 assert roster._recipe is None
             # A roster bred two generations ago lives on only if it is still
             # in the population or the archive.
             if len(bred) >= 2:
-                kept = {id(r) for r in (*population, *archives[0].candidates)}
+                kept = {id(r) for r in (*population, *archives[0].held.values())}
                 for ref in bred[-2]:
                     assert ref() is None or id(ref()) in kept
             children = breed(population, *args)
@@ -1102,10 +1185,10 @@ class TestEvolve:
             dataset_small, PERSONS, self.specs(), config, [rule_no_child_marriage]
         )
         assert len(bred) == 6
-        kept = {id(r) for r in archive.candidates}
+        kept = {id(r) for r in archive.held.values()}
         for refs in bred:
             assert all(ref() is None or id(ref()) in kept for ref in refs)
-        assert all(roster._recipe is None for roster in archive.candidates)
+        assert all(roster._recipe is None for roster in archive.held.values())
 
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):
@@ -1133,14 +1216,15 @@ class TestEvolve:
         )
         assert len(generations) == 2
         selected = select_best(archive.objective_matrix(), [1.0])
+        assert selected == archive.selected
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, history.names, selected)
+        save_archive(path, archive, history.names)
         objectives, loaded_selected, roster, names = load_archive(path, schema)
         assert names == ["fit"] and loaded_selected == selected
         assert np.array_equal(objectives, archive.objective_matrix())
         assert roster.attribute_names == tuple(a.name for a in attributes)
         assert roster.codes.dtype == np.uint16
-        assert np.array_equal(roster.codes, archive.candidates[selected].codes)
+        assert np.array_equal(roster.codes, archive.best.codes)
 
     def test_mixed_stage_specs_rejected(self, schema_small, dataset_small):
         homes = ContingencyTable(

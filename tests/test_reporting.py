@@ -49,7 +49,7 @@ def dummy_roster(schema, rng, size=6):
 
 def archive_of(schema, vectors):
     """An archive of dummy rosters holding ``vectors``, which must be
-    mutually non-dominated."""
+    mutually non-dominated, under unit weights."""
     rng = np.random.default_rng(0)
     archive = ParetoArchive(len(vectors), np.ones(len(vectors[0])))
     archive.update([dummy_roster(schema, rng) for _ in vectors], np.array(vectors, dtype=float))
@@ -141,6 +141,14 @@ class TestPersonsCsv:
         path = tmp_path / "persons.csv"
         path.write_text("id,sex\n0,m\n")
         with pytest.raises(DataError, match="person_id"):
+            load_persons(path, schema_small)
+
+    def test_unknown_attribute_names_the_header_line(self, schema_small, tmp_path):
+        path = tmp_path / "persons.csv"
+        path.write_text("person_id,sex,agez,marital\n0,m,a0_17,single\n", encoding="utf-8")
+        with pytest.raises(
+            DataError, match="persons.csv line 1: schema has no attribute named 'agez'"
+        ):
             load_persons(path, schema_small)
 
     def test_unknown_label_names_the_line(self, schema_small, tmp_path):
@@ -270,12 +278,14 @@ class TestArchiveBundle:
     def test_round_trip(self, schema_small, tmp_path):
         archive = archive_of(schema_small, [[1.0, 4.0], [2.0, 2.0], [4.0, 1.0]])
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, ("a", "b"), 1)
+        # Sums 5, 4 and 5: member 1 is saved.
+        assert archive.selected == 1
+        save_archive(path, archive, ("a", "b"))
         objectives, selected, roster, names = load_archive(path, schema_small)
         assert names == ["a", "b"]
         assert np.array_equal(objectives, archive.objective_matrix())
         assert selected == 1
-        kept = archive.candidates[1]
+        kept = archive.best
         assert roster.attribute_names == kept.attribute_names
         assert np.array_equal(roster.codes, kept.codes)
 
@@ -305,15 +315,18 @@ class TestArchiveBundle:
             codes[0] = [size - 1 for size in sizes]
             rosters.append(CandidatePopulation(attributes, codes))
         # Strictly decreasing second objective: no vector dominates another.
+        # The third puts the lowest sum at the member to be saved alone.
+        selected = data.draw(st.integers(0, members - 1), label="selected")
+        third = np.where(np.arange(members) == selected, 0.0, 1.0 + rng.random(members))
         objectives = np.column_stack(
-            [np.arange(members), -np.arange(members), rng.random(members)]
+            [np.arange(members), -np.arange(members), third]
         ).astype(float)
         archive = ParetoArchive(members, np.ones(3))
         archive.update(rosters, objectives)
-        assert archive.candidates == tuple(rosters)
-        selected = data.draw(st.integers(0, members - 1), label="selected")
+        assert len(archive) == members
+        assert dict(archive.held) == {selected: rosters[selected]}
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, ("x", "y", "z"), selected)
+        save_archive(path, archive, ("x", "y", "z"))
         arrays = _bundle_arrays(path)
         assert set(arrays) == {
             "roster", "selected", "objectives", "objective_names", "attribute_names"
@@ -329,9 +342,9 @@ class TestArchiveBundle:
         assert roster.codes.dtype == (np.uint8 if wide is None else np.uint16)
 
     def test_wider_unsigned_arrays_decode(self, schema_small, tmp_path):
-        archive = archive_of(schema_small, [[1.0, 2.0], [2.0, 1.0]])
+        archive = archive_of(schema_small, [[1.0, 3.0], [2.0, 1.0]])
         path = tmp_path / "archive.npz"
-        save_archive(path, archive, ("a", "b"), 1)
+        save_archive(path, archive, ("a", "b"))
         arrays = _bundle_arrays(path)
         # The roster may be any unsigned width, selected any integer width.
         arrays["roster"] = arrays["roster"].astype(np.uint64)
@@ -339,12 +352,12 @@ class TestArchiveBundle:
         np.savez_compressed(path, **arrays)
         _, selected, roster, _ = load_archive(path, schema_small)
         assert selected == 1
-        assert np.array_equal(roster.codes, archive.candidates[1].codes)
+        assert np.array_equal(roster.codes, archive.best.codes)
         assert roster.codes.dtype == code_dtype(schema_small.attributes)
 
     def test_empty_archive_rejected(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
-            save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",), 0)
+            save_archive(tmp_path / "archive.npz", ParetoArchive(3, [1.0]), ("a",))
 
     def test_saving_keeps_its_temporaries_to_a_few_times_the_codes(self, tmp_path):
         # An 11-member households archive at persons-70k's size: 30,233
@@ -363,26 +376,29 @@ class TestArchiveBundle:
             for _ in range(11)
         ]
         archive = ParetoArchive(11, np.ones(2))
-        archive.update(rosters, np.array([[i, 10 - i] for i in range(11)], dtype=float))
+        # Sums 10 + (i - 4)**2 / 100: member 4 is saved.
+        archive.update(
+            rosters, np.array([[i, 10 - i + (i - 4) ** 2 / 100] for i in range(11)], dtype=float)
+        )
         assert len(archive) == 11
+        assert archive.selected == 4
         codes = rosters[0].codes.nbytes
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            save_archive(tmp_path / "archive.npz", archive, ("a", "b"), 4)
+            save_archive(tmp_path / "archive.npz", archive, ("a", "b"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # Only the exported roster is saved, so the temporaries (zlib's state
-        # included) stay a small multiple of one member's codes, below the
-        # archive's.
+        # included) stay a small multiple of one member's codes.
         assert peak - start < 10 * codes
 
 
 def _tampered_bundle(schema, path, tamper):
-    """Save a valid two-member bundle that exports member 1, apply ``tamper``
-    to its arrays, save again."""
-    save_archive(path, archive_of(schema, [[1, 2], [2, 1]]), ("a", "b"), 1)
+    """Save a valid two-member bundle that exports member 1, the lower sum,
+    apply ``tamper`` to its arrays, save again."""
+    save_archive(path, archive_of(schema, [[1, 3], [2, 1]]), ("a", "b"))
     arrays = _bundle_arrays(path)
     tamper(arrays)
     np.savez_compressed(path, **arrays)
@@ -454,6 +470,18 @@ def _nan_objective(arrays):
     arrays["objectives"][0, 1] = np.nan
 
 
+def _unknown_attribute(arrays):
+    arrays["attribute_names"] = np.array(["sex", "agez", "marital"])
+
+
+def _scalar_objective_names(arrays):
+    arrays["objective_names"] = arrays["objective_names"][0]
+
+
+def _scalar_attribute_names(arrays):
+    arrays["attribute_names"] = arrays["attribute_names"][0]
+
+
 def _npy_bytes(array):
     buffer = io.BytesIO()
     np.save(buffer, array)
@@ -480,6 +508,12 @@ class TestMalformedArchiveBundle:
             (_selected_list, "selected must be one integer index"),
             (_text_objectives, "objectives must be finite floats"),
             (_nan_objective, "objectives must be finite floats"),
+            (_unknown_attribute,
+             "archive.npz: attribute_names: schema has no attribute named 'agez'"),
+            (_scalar_objective_names,
+             r"archive.npz: objective_names must be a list of names, got shape \(\)"),
+            (_scalar_attribute_names,
+             r"archive.npz: attribute_names must be a list of names, got shape \(\)"),
         ],
     )
     def test_rejected_with_a_named_error(self, schema_small, tmp_path, tamper, message):
@@ -522,6 +556,13 @@ class TestMalformedArchiveBundle:
         path.write_bytes(spoil(path.read_bytes()))
         with pytest.raises(DataError, match=f"archive.npz is not a readable archive bundle: .*"
                            f"{message}"):
+            load_archive(path, schema_small)
+
+
+    def test_a_directory_is_named(self, schema_small, tmp_path):
+        path = tmp_path / "archive.npz"
+        path.mkdir()
+        with pytest.raises(DataError, match="cannot read archive bundle .*archive.npz: "):
             load_archive(path, schema_small)
 
 
