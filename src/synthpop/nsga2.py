@@ -42,7 +42,6 @@ from .population_model import (
     _draw,
     count_offsets,
     generate_candidate,
-    tally,
 )
 
 _STAGE_IDS = {PERSONS: 0, HOUSEHOLDS: 1}
@@ -224,8 +223,10 @@ def breed(
     Each stream makes its draws per child, in the order and call shapes
     that one operator call per child would, so this equals applying the
     operators child by child. Crossover records each pair's cuts and adds
-    its count change, tallied over the exchanged slice or its complement
-    if shorter, to one (children, counts) matrix. The mutation draws need
+    its count change to one (children, counts) matrix: the exchanged
+    slice's counts in each winner, read from the winner's prefix counts
+    (see :meth:`~synthpop.population_model.CandidatePopulation.slice_counts`)
+    and tallied only over the slice's partial blocks. The mutation draws need
     no roster data, so they all come next; one pass over the generation's
     touched (child, slot) rows, each read from the parent it came from,
     then makes one rule check per mutation and adds one bincount to the
@@ -251,15 +252,11 @@ def breed(
             cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
             cuts[pair], crossed[pair] = (cut_a, cut_b), True
             first, second = population[winners[2 * pair]], population[winners[2 * pair + 1]]
-            a, b = first.codes, second.codes
             # What the first child gains over its winner, and the second
-            # loses: from the exchanged slice, or its complement if shorter.
-            if 2 * (cut_b - cut_a) <= length:
-                gain = tally(b[cut_a:cut_b], offsets) - tally(a[cut_a:cut_b], offsets)
-            else:
-                kept_a = tally(a[:cut_a], offsets) + tally(a[cut_b:], offsets)
-                kept_b = tally(b[:cut_a], offsets) + tally(b[cut_b:], offsets)
-                gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
+            # loses: the exchanged slice's counts, from each winner's prefix
+            # counts and the few rows at the slice's ends.
+            gain = (second.slice_counts(cut_a, cut_b, offsets)
+                    - first.slice_counts(cut_a, cut_b, offsets))
             delta[2 * pair], delta[2 * pair + 1] = gain, -gain
 
     swaps: list[tuple[int, int, int, int]] = []

@@ -420,22 +420,18 @@ def count_offsets(attributes: Sequence[Attribute]) -> np.ndarray:
     return np.cumsum([0, *(a.size for a in attributes)])
 
 
-# Below this many rows one ``bincount`` over codes shifted into their
-# column's block is faster than one ``bincount`` per column; above it the
-# shifted copy costs more than the extra calls.
-_SHIFTED_TALLY_ROWS = 2048
-
-
 def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Category counts of a block of roster rows, laid out as
-    :attr:`CandidatePopulation.category_counts`; ``offsets`` comes from
+    """Category counts of a few roster rows, laid out as
+    :attr:`CandidatePopulation.category_counts`, by one ``bincount`` over
+    the codes shifted into their column's block; ``offsets`` comes from
     :func:`count_offsets`. The codes must lie inside their attributes."""
-    if len(codes) < _SHIFTED_TALLY_ROWS:
-        return np.bincount((codes + offsets[:-1]).ravel(), minlength=offsets[-1])
-    return np.concatenate([
-        np.bincount(codes[:, col], minlength=offsets[col + 1] - offsets[col])
-        for col in range(codes.shape[1])
-    ])
+    return np.bincount((codes + offsets[:-1]).ravel(), minlength=offsets[-1])
+
+
+# Rows per block of a roster's prefix counts (see
+# :meth:`CandidatePopulation.slice_counts`). Larger blocks shrink the table
+# and lengthen the partial blocks that each slice still tallies.
+_PREFIX_ROWS = 512
 
 
 class _Recipe(NamedTuple):
@@ -481,6 +477,7 @@ class CandidatePopulation:
         if counts is not None:
             counts.setflags(write=False)
         self._counts = counts
+        self._prefix: np.ndarray | None = None
 
     def patched(
         self, patches: Sequence[tuple[slice | np.ndarray, np.ndarray]], counts: np.ndarray
@@ -495,6 +492,7 @@ class CandidatePopulation:
         roster._recipe = _Recipe(self, tuple(patches))
         counts.setflags(write=False)
         roster._counts = counts
+        roster._prefix = None
         return roster
 
     @property
@@ -541,6 +539,36 @@ class CandidatePopulation:
             counts.setflags(write=False)
             self._counts = counts
         return self._counts
+
+    def slice_counts(self, start: int, stop: int, offsets: np.ndarray) -> np.ndarray:
+        """The category counts of rows ``start:stop``, laid out as
+        :attr:`category_counts`; ``offsets`` comes from :func:`count_offsets`.
+
+        A slice that holds no whole block of ``_PREFIX_ROWS`` rows is
+        tallied. Otherwise its counts are the difference of two rows of the
+        roster's prefix counts, its category counts before every
+        ``_PREFIX_ROWS``-th row, plus one tally of the fewer than
+        ``_PREFIX_ROWS`` rows at either end. The prefix counts are a
+        read-only int64 table, made with one ``bincount`` per column the
+        first time a slice holds a whole block, and kept with the roster.
+        """
+        first, last = -(-start // _PREFIX_ROWS), stop // _PREFIX_ROWS
+        codes = self.codes
+        if first >= last:
+            return tally(codes[start:stop], offsets)
+        if self._prefix is None:
+            blocks = len(codes) // _PREFIX_ROWS
+            block = np.arange(blocks * _PREFIX_ROWS, dtype=np.int32) // _PREFIX_ROWS
+            prefix = np.zeros((blocks + 1, offsets[-1]), dtype=np.int64)
+            for col, attribute in enumerate(self.attributes):
+                cells = block * attribute.size + codes[: len(block), col]
+                counts = np.bincount(cells, minlength=blocks * attribute.size)
+                prefix[1:, offsets[col]:offsets[col + 1]] = counts.reshape(blocks, -1)
+            prefix.cumsum(axis=0, out=prefix)
+            prefix.setflags(write=False)
+            self._prefix = prefix
+        ends = (codes[start:first * _PREFIX_ROWS], codes[last * _PREFIX_ROWS:stop])
+        return self._prefix[last] - self._prefix[first] + tally(np.concatenate(ends), offsets)
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

@@ -115,7 +115,9 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
 
     Households list their members by roster row, so each data row's
     ``person_id`` must be its 0-based position, as :func:`export_persons`
-    writes it; any other id is a :class:`DataError` naming the line.
+    writes it; any other id is a :class:`DataError` naming the line. A
+    header that names an attribute twice is a :class:`DataError` naming
+    line 1, since the two columns could disagree.
     """
     reader = read_csv("persons", path)
     header = next(reader, None)
@@ -123,8 +125,12 @@ def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulati
         raise DataError(f"persons file {path} is empty")
     if not header or header[0] != "person_id":
         raise DataError(f"persons file {path} must start with a person_id column")
+    names = header[1:]
+    for column, name in enumerate(names):
+        if name in names[:column]:
+            raise DataError(f"{path} line 1: attribute {name!r} appears more than once")
     try:
-        attributes = tuple(schema[name] for name in header[1:])
+        attributes = tuple(schema[name] for name in names)
     except DataError as exc:
         raise DataError(f"{path} line 1: {exc}") from None
     rows = []

@@ -126,9 +126,8 @@ def two_point_crossover(
     """Exchange the roster slice between two random cut points.
 
     Cuts satisfy 0 <= c1 <= c2 <= length; equal cuts yield copies of the
-    parents, and cuts (0, length) yield the parents swapped. Each child's
-    category counts are its parent's, shifted by the tallies of the
-    exchanged slice, or of its complement when that is shorter.
+    parents, and cuts (0, length) yield the parents swapped. The children
+    carry no counts, so theirs are counted afresh from their codes.
     """
     if len(first) != len(second):
         raise ValueError("parents must have equal roster length")
@@ -139,18 +138,9 @@ def two_point_crossover(
     child_b = second.codes.copy()
     child_a[cut_a:cut_b] = second.codes[cut_a:cut_b]
     child_b[cut_a:cut_b] = first.codes[cut_a:cut_b]
-    # What child_a gains over first, and child_b loses against second.
-    offsets = count_offsets(first.attributes)
-    if 2 * (cut_b - cut_a) <= len(first):
-        gain = (tally(second.codes[cut_a:cut_b], offsets)
-                - tally(first.codes[cut_a:cut_b], offsets))
-    else:
-        kept_a = tally(np.concatenate((first.codes[:cut_a], first.codes[cut_b:])), offsets)
-        kept_b = tally(np.concatenate((second.codes[:cut_a], second.codes[cut_b:])), offsets)
-        gain = (second.category_counts - kept_b) - (first.category_counts - kept_a)
     return (
-        CandidatePopulation(first.attributes, child_a, first.category_counts + gain),
-        CandidatePopulation(second.attributes, child_b, second.category_counts - gain),
+        CandidatePopulation(first.attributes, child_a),
+        CandidatePopulation(second.attributes, child_b),
     )
 
 

@@ -273,6 +273,28 @@ class TestStageCommands:
         assert err[0].startswith("error:") and "persons.csv line 2: person_id '1'" in err[0]
         assert {p: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_generate_households_rejects_a_repeated_attribute(
+        self, config_tree, tmp_path, capsys
+    ):
+        out = tmp_path / "result"
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
+        path = out / "persons.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # A second copy of the first attribute's column, appended.
+        path.write_text(
+            "".join(f"{line},{line.split(',')[1]}\n" for line in lines), encoding="utf-8"
+        )
+        name = lines[0].split(",")[1]
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {path} line 1: attribute {name!r} appears more than once"
+        ]
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+
     def test_generate_households_names_an_unreadable_persons_csv(
         self, config_tree, tmp_path, capsys
     ):

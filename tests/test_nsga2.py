@@ -500,8 +500,11 @@ class TestCarriedCounts:
     @settings(max_examples=60, deadline=None)
     @given(
         sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4),
-        # Long rosters make slices long enough for the per-column tally.
-        roster=st.one_of(st.integers(1, 40), st.integers(6000, 9000)),
+        # Short rosters, rosters across the first prefix-count block edges,
+        # and long rosters whose slices span many whole blocks.
+        roster=st.one_of(
+            st.integers(1, 40), st.integers(500, 1600), st.integers(6000, 9000)
+        ),
         seed=st.integers(0, 2**32 - 1),
         generations=st.lists(
             st.tuples(PROBABILITY, PROBABILITY, PROBABILITY, st.integers(1, 12)),

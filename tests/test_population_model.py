@@ -29,7 +29,7 @@ from synthpop import (
 )
 from synthpop.config import load_dataset, load_run_config, load_stage_rules
 from synthpop.population_model import (
-    _SHIFTED_TALLY_ROWS,
+    _PREFIX_ROWS,
     MAX_RULE_CELLS,
     CompiledRules,
     _draw,
@@ -637,16 +637,101 @@ class TestCategoryCounts:
             CandidatePopulation(attributes, codes).category_counts
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 500])
-    def test_tally_agrees_on_both_sides_of_its_threshold(self, schema_small, offset):
+    def test_tally_counts_every_column(self, schema_small, offset):
         attributes = tuple(schema_small.attributes)
         rng = np.random.default_rng(8)
-        rows = _SHIFTED_TALLY_ROWS + offset
+        rows = 2048 + offset
         codes = np.column_stack([rng.integers(0, a.size, size=rows) for a in attributes])
         candidate = CandidatePopulation(attributes, codes.astype(np.uint8))
         offsets = count_offsets(attributes)
         assert offsets.tolist() == [0, 2, 5, 7]
         assert np.array_equal(tally(candidate.codes, offsets), candidate.category_counts)
         assert np.array_equal(tally(candidate.codes[:0], offsets), np.zeros(7))
+
+
+class TestSliceCounts:
+    """A slice's counts, from a roster's prefix counts and its end rows,
+    equal a fresh per-column count of the slice."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        # Short rosters, rosters across the first block edges, and whole blocks.
+        length=st.one_of(
+            st.integers(1, 40),
+            st.integers(500, 1600),
+            st.integers(1, 4).map(lambda blocks: blocks * _PREFIX_ROWS),
+        ),
+        unbuilt=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_a_count_of_the_slice(self, data, sizes, length, unbuilt, seed):
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n))) for i, n in enumerate(sizes)
+        )
+        offsets = count_offsets(attributes)
+        rng = np.random.default_rng(seed)
+
+        def draw_codes():
+            return np.column_stack(
+                [rng.integers(0, n, size=length) for n in sizes]
+            ).astype(np.uint8)
+
+        roster = CandidatePopulation(attributes, draw_codes())
+        if unbuilt:
+            # A roster over one whose prefix counts are made already: it
+            # must count its own codes, not its base's.
+            base = roster
+            base.slice_counts(0, length, offsets)
+            donor = draw_codes()
+            cut_a, cut_b = sorted(data.draw(
+                st.lists(st.integers(0, length), min_size=2, max_size=2)
+            ))
+            roster = base.patched([(slice(cut_a, cut_b), donor[cut_a:cut_b])], base.category_counts)
+            assert roster._prefix is None
+        codes = roster.codes
+        table = None
+        bound = st.integers(0, length)
+        for _ in range(data.draw(st.integers(1, 6))):
+            start, stop = sorted(data.draw(st.lists(bound, min_size=2, max_size=2)))
+            counts = roster.slice_counts(start, stop, offsets)
+            expected = np.concatenate([
+                np.bincount(codes[start:stop, col], minlength=n)
+                for col, n in enumerate(sizes)
+            ])
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected)
+            # Made once, on the first slice that holds a whole block.
+            if table is not None:
+                assert roster._prefix is table
+            table = roster._prefix
+        if table is not None:
+            assert table.shape == (length // _PREFIX_ROWS + 1, offsets[-1])
+            assert table.dtype == np.int64
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+    def test_the_whole_roster_makes_the_table(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        rng = np.random.default_rng(9)
+        length = 3 * _PREFIX_ROWS + 7
+        codes = np.column_stack([rng.integers(0, a.size, size=length) for a in attributes])
+        roster = CandidatePopulation(attributes, codes.astype(np.uint8))
+        offsets = count_offsets(attributes)
+        assert roster._prefix is None
+        # No whole block: tallied, no table made.
+        assert np.array_equal(
+            roster.slice_counts(5, _PREFIX_ROWS + 5, offsets),
+            tally(roster.codes[5:_PREFIX_ROWS + 5], offsets),
+        )
+        assert roster._prefix is None
+        assert np.array_equal(roster.slice_counts(0, length, offsets), roster.category_counts)
+        assert roster._prefix[0].tolist() == [0] * 7
+        assert np.array_equal(
+            roster._prefix[-1],
+            tally(roster.codes[: 3 * _PREFIX_ROWS], offsets),
+        )
 
 
 class TestCodeDtype:

@@ -151,6 +151,16 @@ class TestPersonsCsv:
         ):
             load_persons(path, schema_small)
 
+    def test_a_repeated_attribute_names_the_header_line(self, schema_small, tmp_path):
+        path = tmp_path / "persons.csv"
+        path.write_text(
+            "person_id,sex,age,marital,sex\n0,m,a0_17,single,f\n", encoding="utf-8"
+        )
+        with pytest.raises(
+            DataError, match="persons.csv line 1: attribute 'sex' appears more than once"
+        ):
+            load_persons(path, schema_small)
+
     def test_unknown_label_names_the_line(self, schema_small, tmp_path):
         path = tmp_path / "persons.csv"
         path.write_text("person_id,sex,age,marital\n0,m,zz,single\n")
