@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 import yaml
 
-from .errors import DataError, not_utf8
+from .errors import DataError
 
 # PyYAML's safe loader, through libyaml where PyYAML was built with it: the
 # same objects as ``yaml.SafeLoader``, read several times faster.
@@ -39,7 +39,10 @@ def _open_text(kind: str, path: str | Path) -> Iterator[TextIO]:
     except OSError as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise not_utf8(kind, path, exc) from None
+        raise DataError(
+            f"{kind} file {path} is not UTF-8 text: "
+            f"cannot decode byte 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def read_yaml(kind: str, path: str | Path) -> object:

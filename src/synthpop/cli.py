@@ -187,10 +187,7 @@ def _export_stage(
             }
             for i, name in enumerate(names)
         },
-        "rmse": [
-            {"table": r.table, "attribute": r.attribute, "level": r.level, "value": r.value}
-            for r in rows
-        ],
+        "rmse": [asdict(row) for row in rows],
     }
     return candidate, summary
 

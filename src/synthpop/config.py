@@ -6,13 +6,18 @@ file resolves against the file's own directory, so a config can move with
 its fixtures. CLI overrides (seed, generations, population size, output
 directory) are applied here so that the rest of the pipeline only
 ever sees a finished, immutable configuration.
+
+Every value is read one way, by :func:`_scalar`, as the one YAML kind its
+key holds (a string key takes no number, list or null); objectives and
+evolution settings are built by :func:`_parse_fields` from their
+dataclasses' field annotations and defaults.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -27,7 +32,7 @@ from .census_data import (
     read_yaml,
 )
 from .errors import DataError
-from .fitness import METRICS, ObjectiveSpec
+from .fitness import ObjectiveSpec
 from .nsga2 import EvolutionConfig
 from .population_model import ValidationRule, load_rules
 
@@ -65,9 +70,13 @@ def _require(mapping: Mapping, key: str, context: str):
     return mapping[key]
 
 
-def _as_mapping(value, context: str) -> Mapping:
+def _as_mapping(value, known, context: str, what: str = "keys") -> Mapping:
+    """``value``, which must be a mapping whose keys are all in ``known``."""
     if not isinstance(value, Mapping):
         raise DataError(f"{context}: expected a mapping")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise DataError(f"{context}: unknown {what} {sorted(unknown)}")
     return value
 
 
@@ -78,13 +87,17 @@ _KINDS = {
     bool: ("a boolean", (bool,)),
     int: ("an integer", (int,)),
     float: ("a number", (int, float)),
+    str: ("a string", (str,)),
 }
 
 
-def _scalar(mapping: Mapping, key: str, default, kind: type, context: str):
-    """``mapping[key]`` (or ``default``), which must be of ``kind``; a
-    number comes back as a finite float."""
-    value = mapping.get(key, default)
+def _scalar(mapping: Mapping, key, kind: type, context: str, default=MISSING):
+    """``mapping[key]`` (or ``default``), which must be of ``kind``; a number
+    comes back as a finite float. A key with no default is required, and
+    null in a key whose default is None means that default."""
+    value = _require(mapping, key, context) if default is MISSING else mapping.get(key, default)
+    if value is None and default is None:
+        return None
     label, accepted = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise DataError(f"{context}: {key} must be {label}, got {value!r}")
@@ -95,56 +108,34 @@ def _scalar(mapping: Mapping, key: str, default, kind: type, context: str):
     return value
 
 
-def _parse_objective(entry, context: str) -> ObjectiveSpec:
-    entry = _as_mapping(entry, context)
-    unknown = set(entry) - {"name", "table", "attribute", "metric", "weight"}
-    if unknown:
-        raise DataError(f"{context}: unknown keys {sorted(unknown)}")
-    metric = entry.get("metric", "trapezoid")
-    if metric not in METRICS:
-        raise DataError(
-            f"{context}: metric must be one of {sorted(METRICS)}, got '{metric}'"
-        )
-    return ObjectiveSpec(
-        name=str(_require(entry, "name", context)),
-        table=str(_require(entry, "table", context)),
-        attribute=entry.get("attribute"),
-        metric=metric,
-        weight=_scalar(entry, "weight", 1.0, float, context),
-    )
-
-
-def _parse_evolution(entry, seed: int, overrides: Mapping, context: str) -> EvolutionConfig:
-    """Build a stage's evolution settings. The settable keys are
-    ``EvolutionConfig``'s fields, except ``seed``, which is the run's; each
-    one present must hold its field's kind (``int | None`` holds an int).
-    ``overrides`` replace the file's values before the settings are checked."""
-    entry = _as_mapping(entry, context) if entry is not None else {}
-    hints = get_type_hints(EvolutionConfig)
-    kinds = {
-        f.name: (get_args(hints[f.name]) or (hints[f.name],))[0]
-        for f in fields(EvolutionConfig)
-        if f.name != "seed"
-    }
-    unknown = set(entry) - set(kinds)
-    if unknown:
-        raise DataError(f"{context}: unknown evolution keys {sorted(unknown)}")
-    values = {key: _scalar(entry, key, None, kinds[key], context) for key in entry}
+def _parse_fields(
+    cls, entry, context: str, what: str = "keys", fixed: Mapping = {}, overrides: Mapping = {}
+):
+    """Build the config dataclass ``cls`` from the mapping ``entry``, whose
+    keys are ``cls``'s fields but those ``fixed`` sets. Each key is read by
+    :func:`_scalar` as its field's annotated kind (``X`` for ``X | None``),
+    with its field's default. ``overrides`` replace the file's values before
+    ``cls`` checks them; its DataError is re-raised with ``context``."""
+    hints = get_type_hints(cls)
+    settable = [f for f in fields(cls) if f.name not in fixed]
+    entry = _as_mapping(entry, [f.name for f in settable], context, what)
+    values = dict(fixed)
+    for field in settable:
+        kind = (get_args(hints[field.name]) or (hints[field.name],))[0]
+        values[field.name] = _scalar(entry, field.name, kind, context, field.default)
     values.update(overrides)
     try:
-        return EvolutionConfig(seed=seed, **values)
+        return cls(**values)
     except DataError as exc:
         raise DataError(f"{context}: {exc}") from None
 
 
 def _parse_stage(stage: str, entry, base: Path, seed: int, overrides: Mapping) -> StageConfig:
     context = f"stage '{stage}'"
-    entry = _as_mapping(entry, context)
-    unknown = set(entry) - {"target_count", "tables", "rules", "objectives", "evolution"}
-    if unknown:
-        raise DataError(f"{context}: unknown keys {sorted(unknown)}")
-    _require(entry, "target_count", context)
-    target = _scalar(entry, "target_count", None, int, context)
+    entry = _as_mapping(
+        entry, ("target_count", "tables", "rules", "objectives", "evolution"), context
+    )
+    target = _scalar(entry, "target_count", int, context)
     if target <= 0:
         raise DataError(f"{context}: target_count must be a positive integer")
     tables = _require(entry, "tables", context)
@@ -154,12 +145,14 @@ def _parse_stage(stage: str, entry, base: Path, seed: int, overrides: Mapping) -
     if not isinstance(objectives, list) or not objectives:
         raise DataError(f"{context}: objectives must be a non-empty list")
     objectives = tuple(
-        _parse_objective(o, f"{context} objective {i}") for i, o in enumerate(objectives)
+        _parse_fields(ObjectiveSpec, o, f"{context} objective {i}")
+        for i, o in enumerate(objectives)
     )
     if not any(o.weight > 0 for o in objectives):
         raise DataError(f"{context}: at least one objective must carry positive weight")
-    rules = entry.get("rules")
-    table_paths = tuple((base / str(p)).resolve() for p in tables)
+    entries = {f"tables[{i}]": path for i, path in enumerate(tables)}
+    table_paths = tuple((base / _scalar(entries, key, str, context)).resolve() for key in entries)
+    rules = _scalar(entry, "rules", str, context, None)
     # Tables are named by file stem (see load_dataset).
     stems = sorted({p.stem for p in table_paths})
     seen: set[str] = set()
@@ -172,17 +165,25 @@ def _parse_stage(stage: str, entry, base: Path, seed: int, overrides: Mapping) -
                 f"{context} objective {objective.name!r}: table {objective.table!r} "
                 f"is not one of this stage's tables {stems}"
             )
-    rules_path = (base / str(rules)).resolve() if rules else None
+    rules_path = (base / rules).resolve() if rules else None
     for file_path in (*table_paths, *([rules_path] if rules_path else [])):
         if not file_path.is_file():
             raise DataError(f"{context}: file not found: {file_path}")
+    evolution = entry.get("evolution")
     return StageConfig(
         stage=stage,
         target_count=target,
         table_paths=table_paths,
         rules_path=rules_path,
         objectives=objectives,
-        evolution=_parse_evolution(entry.get("evolution"), seed, overrides, context),
+        evolution=_parse_fields(
+            EvolutionConfig,
+            {} if evolution is None else evolution,
+            context,
+            "evolution keys",
+            fixed={"seed": seed},
+            overrides=overrides,
+        ),
     )
 
 
@@ -202,23 +203,16 @@ def load_run_config(
     before stage configs are built, so both stages always share it.
     """
     config_path = Path(path).resolve()
-    raw = _as_mapping(read_yaml("config", config_path), str(config_path))
-    known = {
-        "region",
-        "schema",
-        "output_dir",
-        "seed",
-        "validation_tolerance",
-        "strict_validation",
-        PERSONS,
-        HOUSEHOLDS,
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise DataError(f"{config_path}: unknown keys {sorted(unknown)}")
+    context = str(config_path)
+    raw = _as_mapping(
+        read_yaml("config", config_path),
+        ("region", "schema", "output_dir", "seed", "validation_tolerance",
+         "strict_validation", PERSONS, HOUSEHOLDS),
+        context,
+    )
     base = config_path.parent
 
-    file_seed = _scalar(raw, "seed", 0, int, str(config_path))
+    file_seed = _scalar(raw, "seed", int, context, 0)
     effective_seed = seed if seed is not None else file_seed
 
     overrides = {
@@ -226,29 +220,29 @@ def load_run_config(
         for key, value in (("generations", generations), ("population_size", population_size))
         if value is not None
     }
-    persons = _parse_stage(
-        PERSONS, _require(raw, PERSONS, str(config_path)), base, effective_seed, overrides
-    )
+    persons = _parse_stage(PERSONS, _require(raw, PERSONS, context), base, effective_seed, overrides)
     households = None
     if HOUSEHOLDS in raw:
         households = _parse_stage(HOUSEHOLDS, raw[HOUSEHOLDS], base, effective_seed, overrides)
 
-    tolerance = _scalar(raw, "validation_tolerance", 0.01, float, str(config_path))
+    tolerance = _scalar(raw, "validation_tolerance", float, context, 0.01)
     if tolerance < 0:
-        raise DataError("validation_tolerance must be non-negative")
+        raise DataError(f"{context}: validation_tolerance must be non-negative")
 
-    out = Path(output_dir) if output_dir is not None else base / str(raw.get("output_dir", "out"))
-    schema_path = (base / str(_require(raw, "schema", str(config_path)))).resolve()
+    region = _scalar(raw, "region", str, context)
+    out_name = _scalar(raw, "output_dir", str, context, "out")
+    out = Path(output_dir) if output_dir is not None else base / out_name
+    schema_path = (base / _scalar(raw, "schema", str, context)).resolve()
     if not schema_path.is_file():
-        raise DataError(f"{config_path}: schema file not found: {schema_path}")
+        raise DataError(f"{context}: schema file not found: {schema_path}")
     return RunConfig(
         config_path=config_path,
-        region=str(_require(raw, "region", str(config_path))),
+        region=region,
         schema_path=schema_path,
         output_dir=out.resolve(),
         seed=effective_seed,
         validation_tolerance=tolerance,
-        strict_validation=_scalar(raw, "strict_validation", True, bool, str(config_path)),
+        strict_validation=_scalar(raw, "strict_validation", bool, context, True),
         persons=persons,
         households=households,
     )

@@ -137,6 +137,32 @@ class TestValidateData:
         assert captured.err.startswith("error: stage 'households' objective 'size_fit'")
         assert "'sex' is not an axis of table 'size_comp'" in captured.err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("{name: sex_fit,", "{name: null,", "stage 'persons' objective 0: name"),
+            ("region: test-region", "region: 0042", "config.yaml: region"),
+            ("output_dir: out", "output_dir: [a]", "config.yaml: output_dir"),
+            ("attribute: sex}", "attribute: [sex]}", "stage 'persons' objective 0: attribute"),
+            (
+                "tables: [tables/sex_age.csv, tables/age_marital.csv]",
+                "tables: [tables/sex_age.csv, 2011]",
+                "stage 'persons': tables[1]",
+            ),
+        ],
+        ids=["name-null", "region-octal", "output_dir-list", "attribute-list", "tables-number"],
+    )
+    def test_a_non_string_in_a_string_key_fails_cleanly(self, config_tree, capsys, old, new, key):
+        config_tree.write_text(config_tree.read_text().replace(old, new, 1))
+        before = sorted(config_tree.parent.rglob("*"))
+        for argv in (["validate-data"], ["run", "--quiet"]):
+            assert run_cli(argv[0], "-c", config_tree, *argv[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and f"{key} must be a string, got " in line
+        assert sorted(config_tree.parent.rglob("*")) == before
+
     def test_unknown_rule_category_fails(self, config_tree, capsys):
         rules = config_tree.parent / "person_rules.yaml"
         rules.write_text(rules.read_text().replace("age: [a0_17]", "age: [no_such_band]"))

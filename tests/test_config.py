@@ -1,10 +1,15 @@
 """Tests for run-configuration loading, overrides and dataset assembly."""
 
+import re
+from dataclasses import fields
+
 import pytest
 import yaml
 
 from synthpop import (
     DataError,
+    EvolutionConfig,
+    ObjectiveSpec,
     load_dataset,
     load_run_config,
     load_stage_rules,
@@ -160,7 +165,8 @@ class TestLoadRunConfig:
             "{name: sex_fit, table: sex_age, attribute: sex, metric: chi2}",
         )
         config_tree.write_text(text)
-        with pytest.raises(DataError, match="metric"):
+        message = "stage 'persons' objective 0: objective 'sex_fit' has unknown metric 'chi2'"
+        with pytest.raises(DataError, match=message):
             load_run_config(config_tree)
 
     @pytest.mark.parametrize(
@@ -214,7 +220,9 @@ class TestLoadRunConfig:
                 "attribute: sex}", "attribute: sex, weight: -1}"
             )
         )
-        with pytest.raises(DataError, match="sex_fit.*negative weight"):
+        with pytest.raises(
+            DataError, match="stage 'persons' objective 0: objective 'sex_fit' has negative weight"
+        ):
             load_run_config(config_tree)
 
     def test_non_numeric_weight_rejected(self, config_tree):
@@ -320,6 +328,152 @@ class TestLoadRunConfig:
         )
         with pytest.raises(DataError, match="tolerance"):
             load_run_config(config_tree)
+
+    def test_negative_tolerance_names_the_config_file(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace(
+                "validation_tolerance: 0.01", "validation_tolerance: -0.1"
+            )
+        )
+        message = f"{config_tree.resolve()}: validation_tolerance must be non-negative"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_run_config(config_tree)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "{name: sex_fit,",
+                "{name: null,",
+                "stage 'persons' objective 0: name must be a string, got None",
+            ),
+            (
+                "{name: sex_fit,",
+                "{name: '',",
+                "stage 'persons' objective 0: objective needs a name",
+            ),
+            (
+                "{name: sex_fit, table: sex_age,",
+                "{name: sex_fit, table: 2011,",
+                "stage 'persons' objective 0: table must be a string, got 2011",
+            ),
+            (
+                "attribute: sex}",
+                "attribute: [sex]}",
+                "stage 'persons' objective 0: attribute must be a string, got ['sex']",
+            ),
+            (
+                "attribute: sex}",
+                "attribute: sex, metric: 1}",
+                "stage 'persons' objective 0: metric must be a string, got 1",
+            ),
+            (
+                "tables: [tables/sex_age.csv, tables/age_marital.csv]",
+                "tables: [tables/sex_age.csv, 2011]",
+                "stage 'persons': tables[1] must be a string, got 2011",
+            ),
+            (
+                "rules: person_rules.yaml",
+                "rules: 5",
+                "stage 'persons': rules must be a string, got 5",
+            ),
+            # YAML 1.1 reads an unquoted 0042 as the octal number 34.
+            ("region: test-region", "region: 0042", "config.yaml: region must be a string, got 34"),
+            ("region: test-region", "region: [a]", "config.yaml: region must be a string, got ['a']"),
+            ("region: test-region", "region: null", "config.yaml: region must be a string, got None"),
+            (
+                "output_dir: out",
+                "output_dir: [a]",
+                "config.yaml: output_dir must be a string, got ['a']",
+            ),
+            ("schema: schema.yaml", "schema: 5", "config.yaml: schema must be a string, got 5"),
+        ],
+        ids=[
+            "name-null",
+            "name-empty",
+            "table-number",
+            "attribute-list",
+            "metric-number",
+            "tables-number",
+            "rules-number",
+            "region-octal",
+            "region-list",
+            "region-null",
+            "output_dir-list",
+            "schema-number",
+        ],
+    )
+    def test_bad_string_value_is_named_with_its_context(self, config_tree, old, new, message):
+        config_tree.write_text(config_tree.read_text().replace(old, new, 1))
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_run_config(config_tree)
+
+    def test_quoted_number_is_a_string(self, config_tree):
+        config_tree.write_text(
+            config_tree.read_text().replace("region: test-region", "region: '0042'")
+        )
+        assert load_run_config(config_tree).region == "0042"
+
+    def test_null_attribute_fits_the_full_table(self, config_tree):
+        omitted = config_tree.read_text().replace(", attribute: sex}", "}", 1)
+        config_tree.write_text(omitted)
+        expected = load_run_config(config_tree)
+        config_tree.write_text(
+            omitted.replace("table: sex_age}", "table: sex_age, attribute: null}", 1)
+        )
+        config = load_run_config(config_tree)
+        assert config.persons.objectives[0] == ObjectiveSpec("sex_fit", "sex_age")
+        assert config == expected
+
+    @pytest.mark.parametrize(
+        "old, null, omitted",
+        [
+            ("offspring_size: 20}", "offspring_size: null}", "}"),
+            ("  rules: person_rules.yaml\n", "  rules: null\n", ""),
+            (
+                "  evolution: {population_size: 10, generations: 3, offspring_size: 20}\n",
+                "  evolution: null\n",
+                "",
+            ),
+        ],
+        ids=["offspring_size", "rules", "evolution"],
+    )
+    def test_null_in_a_key_whose_default_is_none_means_it_is_left_out(
+        self, config_tree, old, null, omitted
+    ):
+        text = config_tree.read_text()
+        assert text.count(old) == 1
+        config_tree.write_text(text.replace(old, null))
+        loaded = load_run_config(config_tree)
+        config_tree.write_text(text.replace(old, omitted))
+        assert loaded == load_run_config(config_tree)
+
+    def test_every_settable_field_is_read(self, config_tree):
+        objective = {
+            "name": "sex_fit", "table": "sex_age", "attribute": "age", "metric": "l1",
+            "weight": 2.5,
+        }
+        evolution = {
+            "population_size": 12, "generations": 4, "crossover_probability": 0.5,
+            "mutation_probability": 0.3, "offspring_size": 8, "resample_probability": 0.25,
+            "resample_slots": 3,
+        }
+        assert set(objective) == {f.name for f in fields(ObjectiveSpec)}
+        assert set(evolution) == {f.name for f in fields(EvolutionConfig)} - {"seed"}
+        for cls, values in ((ObjectiveSpec, objective), (EvolutionConfig, evolution)):
+            assert all(values[f.name] != f.default for f in fields(cls) if f.name in values)
+
+        def flow(values):
+            return "{" + ", ".join(f"{key}: {value}" for key, value in values.items()) + "}"
+
+        config_tree.write_text(
+            config_tree.read_text()
+            .replace("{name: sex_fit, table: sex_age, attribute: sex}", flow(objective))
+            .replace("{population_size: 10, generations: 3, offspring_size: 20}", flow(evolution))
+        )
+        stage = load_run_config(config_tree).persons
+        assert stage.objectives[0] == ObjectiveSpec(**objective)
+        assert stage.evolution == EvolutionConfig(seed=7, **evolution)
 
 
 class TestLoadDataset:
