@@ -84,6 +84,8 @@ class Attribute:
     groups: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise DataError(f"attribute name must be a string, got {self.name!r}")
         if not self.name:
             raise DataError("attribute name must be non-empty")
         if not self.categories:
@@ -154,8 +156,9 @@ class ContingencyTable:
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 3:
             raise DataError(f"table {self.name!r} must have between one and three axes")
-        if len(set(self.axis_names)) < len(self.axes):
-            raise DataError(f"table {self.name!r} names an axis twice: {self.axis_names}")
+        for i, axis in enumerate(self.axis_names):
+            if axis in self.axis_names[:i]:
+                raise DataError(f"table {self.name!r} names axis {axis!r} twice")
         counts = np.asarray(self.counts, dtype=np.float64)
         expected = tuple(a.size for a in self.axes)
         if counts.shape != expected:
@@ -252,29 +255,26 @@ def load_schema(path: str | Path) -> AttributeSchema:
     if not isinstance(entries, list) or not entries:
         raise DataError(f"schema file {path} defines no attributes")
     attributes = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry or "categories" not in entry:
-            raise DataError(
-                f"schema file {path}: each attribute needs 'name' and 'categories'"
+    try:
+        for entry in entries:
+            if not isinstance(entry, dict) or "name" not in entry or "categories" not in entry:
+                raise DataError("each attribute needs 'name' and 'categories'")
+            categories = entry["categories"]
+            if not isinstance(categories, list):
+                raise DataError(f"categories of {entry['name']!r} must be a list")
+            groups = entry.get("groups")
+            if groups is not None and not isinstance(groups, dict):
+                raise DataError(f"groups of {entry['name']!r} must be a mapping")
+            attributes.append(
+                Attribute(
+                    name=entry["name"],
+                    categories=tuple(str(c) for c in categories),
+                    groups={str(k): str(v) for k, v in groups.items()} if groups else None,
+                )
             )
-        categories = entry["categories"]
-        if not isinstance(categories, list):
-            raise DataError(
-                f"schema file {path}: categories of {entry['name']!r} must be a list"
-            )
-        groups = entry.get("groups")
-        if groups is not None and not isinstance(groups, dict):
-            raise DataError(
-                f"schema file {path}: groups of {entry['name']!r} must be a mapping"
-            )
-        attributes.append(
-            Attribute(
-                name=str(entry["name"]),
-                categories=tuple(str(c) for c in categories),
-                groups={str(k): str(v) for k, v in groups.items()} if groups else None,
-            )
-        )
-    return AttributeSchema(tuple(attributes))
+        return AttributeSchema(tuple(attributes))
+    except DataError as exc:
+        raise DataError(f"schema file {path}: {exc}") from None
 
 
 def load_contingency_table(path: str | Path, schema: AttributeSchema) -> ContingencyTable:
@@ -283,46 +283,47 @@ def load_contingency_table(path: str | Path, schema: AttributeSchema) -> Conting
 
     The header names distinct axis attributes followed by a literal
     ``count`` column. Cells absent from the file default to zero; repeated
-    cells accumulate. Row order does not matter. Blank lines are skipped.
+    cells accumulate. Row order does not matter. Blank lines are skipped,
+    but a fault's line number counts them, as the file numbers its lines.
     """
-    rows = [row for row in read_csv("table", path) if row]
+    rows = [(n, row) for n, row in enumerate(read_csv("table", path), start=1) if row]
     if not rows:
         raise DataError(f"table file {path} is empty")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2 or header[-1] != "count":
-        raise DataError(
-            f"table file {path}: header must name one to three axes then 'count'"
-        )
-    axis_names = header[:-1]
-    if len(axis_names) > 3:
-        raise DataError(f"table file {path}: more than three axes")
-    for i, axis in enumerate(axis_names):
-        if axis in axis_names[:i]:
-            raise DataError(f"table file {path}: header names axis {axis!r} twice")
-    axes = tuple(schema[a] for a in axis_names)
-    counts = np.zeros(tuple(a.size for a in axes), dtype=np.float64)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"table file {path}, line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
-        idx = tuple(a.index_of(code.strip()) for a, code in zip(axes, row))
-        text = row[-1].strip()
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataError(
-                f"table file {path}, line {lineno}: count {text!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise DataError(f"table file {path}, line {lineno}: non-finite count {text}")
-        if value < 0:
-            raise DataError(f"table file {path}, line {lineno}: negative count {text}")
-        counts[idx] += value
-    if not np.any(counts > 0):
-        raise DataError(f"table file {path} has no positive cell")
-    return ContingencyTable(name=Path(path).stem, axes=axes, counts=counts)
+    lineno, header = rows[0]
+    try:
+        header = [h.strip() for h in header]
+        if len(header) < 2 or header[-1] != "count":
+            raise DataError("header must name one to three axes then 'count'")
+        axis_names = header[:-1]
+        # Checked before np.zeros, whose size is the product of the axes' sizes.
+        if len(axis_names) > 3:
+            raise DataError("more than three axes")
+        # Checked before the rows, whose field count would fail first.
+        for i, axis in enumerate(axis_names):
+            if axis in axis_names[:i]:
+                raise DataError(f"header names axis {axis!r} twice")
+        axes = tuple(schema[a] for a in axis_names)
+        counts = np.zeros(tuple(a.size for a in axes), dtype=np.float64)
+        for lineno, row in rows[1:]:
+            if len(row) != len(header):
+                raise DataError(f"expected {len(header)} fields, got {len(row)}")
+            idx = tuple(a.index_of(code.strip()) for a, code in zip(axes, row))
+            text = row[-1].strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise DataError(f"count {text!r} is not a number") from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite count {text}")
+            if value < 0:
+                raise DataError(f"negative count {text}")
+            counts[idx] += value
+    except DataError as exc:
+        raise DataError(f"table file {path}, line {lineno}: {exc}") from None
+    try:
+        return ContingencyTable(name=Path(path).stem, axes=axes, counts=counts)
+    except DataError as exc:
+        raise DataError(f"table file {path}: {exc}") from None
 
 
 def marginalize(table: ContingencyTable, attribute: str) -> np.ndarray:
@@ -353,7 +354,6 @@ class ValidationIssue:
 class ValidationReport:
     """Outcome of dataset validation; reporting only, never mutates data."""
 
-    tolerance: float
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -365,8 +365,6 @@ class ValidationReport:
         for issue in self.issues:
             marker = "FLAG" if issue.flagged else "ok  "
             out.append(f"{marker} {issue.message}")
-        if not out:
-            out.append("ok   nothing to compare")
         return out
 
 
@@ -425,4 +423,4 @@ def validate_dataset(dataset: RegionDataset, tolerance: float = 0.01) -> Validat
                     ),
                 )
             )
-    return ValidationReport(tolerance=tolerance, issues=tuple(issues))
+    return ValidationReport(tuple(issues))

@@ -1,7 +1,8 @@
 """Nesting persons into households.
 
-A greedy allocator fills each household's composition (parsed from codes
-such as ``2A 1C``) from the person roster. Persons are pooled by age
+A greedy allocator fills each household's composition from the person
+roster; :func:`parse_composition` reads a composition code such as ``2A 1C``
+as the members it requires of each class. Persons are pooled by age
 class (adult A, child C, elder E), each pool in roster order.
 Households are served in roster order, each taking the first
 free persons of every class it needs: household ``h`` takes a class's pool
@@ -15,7 +16,6 @@ each class in roster order.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,21 +36,10 @@ COMPOSITION_ATTRIBUTE = "composition"
 _TOKEN = re.compile(r"^(\d+)([A-Za-z])$")
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Parsed household composition: members required per age class."""
-
-    requirements: Mapping[str, int]
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size != sum(self.requirements.values()):
-            raise DataError("composition size must equal the summed requirements")
-
-
-def parse_composition(code: str) -> CompositionSpec:
+def parse_composition(code: str) -> dict[str, int]:
     """Parse a composition code such as ``2A 3C`` (two adults, three
-    children) into per-class requirements.
+    children) into the members it requires per class letter, here
+    ``{"A": 2, "C": 3}``; the household's size is their sum.
 
     Tokens are ``<count><class letter>`` separated by whitespace; repeated
     letters accumulate. Valid letters are A (adult), C (child), E (elder).
@@ -67,10 +56,9 @@ def parse_composition(code: str) -> CompositionSpec:
         if letter not in AGE_CLASS_BY_GROUP.values():
             raise DataError(f"unknown age class {letter!r} in composition {code!r}")
         requirements[letter] = requirements.get(letter, 0) + count
-    total = sum(requirements.values())
-    if total <= 0:
+    if sum(requirements.values()) <= 0:
         raise DataError(f"composition {code!r} requires nobody")
-    return CompositionSpec(requirements=requirements, size=total)
+    return requirements
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ def _need_of_code(composition: Attribute) -> np.ndarray:
     category needs, one row per category; a category that does not parse
     is a :class:`DataError`."""
     return np.array([
-        [parse_composition(code).requirements.get(letter, 0) for letter in _CLASSES]
+        [parse_composition(code).get(letter, 0) for letter in _CLASSES]
         for code in composition.categories
     ])
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,6 +45,10 @@ class ValidationRule:
     message: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise DataError(f"rule name must be a string, got {self.name!r}")
+        if not isinstance(self.message, str):
+            raise DataError(f"rule {self.name!r} message must be a string, got {self.message!r}")
         if not self.clauses:
             raise DataError(f"rule {self.name!r} has no clauses")
         for attribute, categories in self.clauses:
@@ -76,39 +79,29 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
     if not isinstance(raw, dict) or not isinstance(raw.get("rules"), list):
         raise DataError(f"rules file {path} must define a 'rules' list")
     rules = []
-    for entry in raw["rules"]:
-        if not isinstance(entry, dict) or "name" not in entry or "when" not in entry:
-            raise DataError(f"rules file {path}: each rule needs 'name' and 'when'")
-        when = entry["when"]
-        if not isinstance(when, dict) or not when:
-            raise DataError(
-                f"rules file {path}: rule {entry['name']!r} 'when' must be a "
-                "non-empty mapping of attribute to category list"
-            )
-        clauses = []
-        for attribute, categories in when.items():
-            if not isinstance(categories, list) or not categories:
-                raise DataError(
-                    f"rules file {path}: rule {entry['name']!r} needs a non-empty "
-                    f"category list for {attribute!r}"
-                )
-            try:
-                declared = schema[str(attribute)]
-                for code in categories:
-                    declared.index_of(str(code))
-            except DataError as exc:
-                raise DataError(f"rules file {path}: rule {entry['name']!r}: {exc}") from None
-            clauses.append((str(attribute), frozenset(str(c) for c in categories)))
-        rule = ValidationRule(
-            name=str(entry["name"]),
-            clauses=tuple(clauses),
-            message=str(entry.get("message", "")),
-        )
-        try:
-            _check_rule_cells(rule, [schema[name] for name, _ in clauses])
-        except DataError as exc:
-            raise DataError(f"rules file {path}: {exc}") from None
-        rules.append(rule)
+    try:
+        for entry in raw["rules"]:
+            if not isinstance(entry, dict) or "name" not in entry or "when" not in entry:
+                raise DataError("each rule needs 'name' and 'when'")
+            name, when = entry["name"], entry["when"]
+            if not isinstance(when, dict):
+                raise DataError(f"rule {name!r} 'when' must map attributes to category lists")
+            clauses = []
+            for attribute, categories in when.items():
+                if not isinstance(categories, list):
+                    raise DataError(f"rule {name!r} needs a category list for {attribute!r}")
+                try:
+                    declared = schema[str(attribute)]
+                    for code in categories:
+                        declared.index_of(str(code))
+                except DataError as exc:
+                    raise DataError(f"rule {name!r}: {exc}") from None
+                clauses.append((str(attribute), frozenset(str(c) for c in categories)))
+            rule = ValidationRule(name, tuple(clauses), entry.get("message", ""))
+            _check_rule_cells(rule, [schema[a] for a, _ in rule.clauses])
+            rules.append(rule)
+    except DataError as exc:
+        raise DataError(f"rules file {path}: {exc}") from None
     return tuple(rules)
 
 
@@ -284,28 +277,21 @@ class SamplingPlan:
     A plan walks the stage tables in order and draws each table's
     not-yet-assigned axes from the table's cells, conditioned on any axes
     already assigned by earlier tables; this preserves the cross-attribute
-    structure the tables record. Each attribute's marginal, from the first
-    table listing it, is kept for resample mutation (:attr:`redraw_tables`).
+    structure the tables record. Resample mutation draws from
+    :attr:`redraw_tables`, in column order: each column's chance of being
+    hit (proportional to its category count) and its cumulative marginal
+    weights, from the first table listing its attribute.
     """
 
     def __init__(
         self,
         attributes: tuple[Attribute, ...],
-        marginal_cdfs: dict[str, np.ndarray],
+        redraw_tables: tuple[np.ndarray, tuple[np.ndarray, ...]],
         joint_groups: tuple[_JointGroup, ...],
     ):
         self.attributes = attributes
-        self._marginal_cdfs = marginal_cdfs
+        self.redraw_tables = redraw_tables
         self._joint_groups = joint_groups
-
-    @cached_property
-    def redraw_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """What resample mutation draws from, in column order: the chance
-        of hitting each column (proportional to its category count) and
-        each column's cumulative marginal weights."""
-        sizes = np.array([a.size for a in self.attributes], dtype=np.float64)
-        cdfs = tuple(self._marginal_cdfs[a.name] for a in self.attributes)
-        return sizes / sizes.sum(), cdfs
 
     @classmethod
     def from_tables(
@@ -331,10 +317,11 @@ class SamplingPlan:
                     return table
             raise DataError(f"no stage table lists attribute {attribute!r}")
 
-        marginal_cdfs = {}
+        cdfs = []
         for a in resolved:
             counts = marginalize(source_table(a.name), a.name)
-            marginal_cdfs[a.name] = np.cumsum(counts / counts.sum())
+            cdfs.append(np.cumsum(counts / counts.sum()))
+        sizes = np.array([a.size for a in resolved], dtype=np.float64)
 
         columns = {a.name: i for i, a in enumerate(resolved)}
         assigned: set[str] = set()
@@ -347,7 +334,7 @@ class SamplingPlan:
             given = [a for a in in_stage if a.name in assigned]
             groups.append(_build_joint_group(table, given, new, columns))
             assigned.update(a.name for a in new)
-        return cls(resolved, marginal_cdfs, tuple(groups))
+        return cls(resolved, (sizes / sizes.sum(), tuple(cdfs)), tuple(groups))
 
     def sample_codes(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw a (count, n_attributes) matrix of category indices.
@@ -451,17 +438,12 @@ class CandidatePopulation:
     makes from another (:meth:`patched`) starts as a recipe over it and
     builds its codes on first access, dropping the recipe; variation reads
     the rows it changes from the parents, so a child that is never kept is
-    never built. ``counts``, when given, must equal the
-    :attr:`category_counts` of ``codes``: variation derives a child's counts
-    from its parents', so the child is never recounted.
+    never built. A roster built from codes counts them on first access
+    (:attr:`category_counts`); one made by :meth:`patched` holds the counts
+    that variation derived from its parents', so it is never recounted.
     """
 
-    def __init__(
-        self,
-        attributes: tuple[Attribute, ...],
-        codes: np.ndarray,
-        counts: np.ndarray | None = None,
-    ):
+    def __init__(self, attributes: tuple[Attribute, ...], codes: np.ndarray):
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != len(attributes):
             raise DataError(
@@ -474,9 +456,7 @@ class CandidatePopulation:
         self.attributes = attributes
         self._codes: np.ndarray | None = codes
         self._recipe: _Recipe | None = None
-        if counts is not None:
-            counts.setflags(write=False)
-        self._counts = counts
+        self._counts: np.ndarray | None = None
         self._prefix: np.ndarray | None = None
 
     def patched(
@@ -523,7 +503,7 @@ class CandidatePopulation:
         attribute's category count), concatenated in column order.
 
         An int64 read-only vector, counted on first access unless the
-        roster was built with its counts.
+        roster was made by :meth:`patched`.
         """
         if self._counts is None:
             blocks = []

@@ -22,7 +22,7 @@ from synthpop import (
     breed,
 )
 from synthpop import nsga2
-from synthpop.population_model import CompiledRules, _draw, code_dtype, count_offsets, tally
+from synthpop.population_model import CompiledRules, _draw, code_dtype
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -153,11 +153,11 @@ def swap_mutation(
     """With the given probability, swap one attribute value between two
     random roster slots.
 
-    Swapping conserves every attribute's frequency vector, so the child
-    shares the candidate's category counts. The candidate itself is
-    returned when the two values are equal, so the swap would change
-    nothing, and when the swap would violate one of ``rules`` (compiled
-    for the candidate's layout) and is reverted.
+    The child is built from its codes alone, so its category counts are a
+    recount, independent of how ``breed`` derives them. The candidate
+    itself is returned when the two values are equal, so the swap would
+    change nothing, and when the swap would violate one of ``rules``
+    (compiled for the candidate's layout) and is reverted.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
@@ -171,7 +171,7 @@ def swap_mutation(
     codes[i, col], codes[j, col] = codes[j, col], codes[i, col]
     if rules is not None and not (row_ok(rules, codes, i) and row_ok(rules, codes, j)):
         return candidate
-    return CandidatePopulation(candidate.attributes, codes, candidate.category_counts)
+    return CandidatePopulation(candidate.attributes, codes)
 
 
 def resample_mutation(
@@ -191,9 +191,8 @@ def resample_mutation(
     category count, since wide value spaces need more redraw traffic to
     drift. Roster slots whose redraws leave them violating one of
     ``rules`` revert to their previous values; the others stand. The
-    child's category counts are the candidate's, less the tally of the
-    touched slots' old values plus that of their final ones. The
-    candidate must share the plan's attribute layout.
+    child is built from its codes alone, so its category counts are a
+    recount. The candidate must share the plan's attribute layout.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
@@ -226,9 +225,7 @@ def resample_mutation(
     new = codes[touched]
     if np.array_equal(new, old):
         return candidate
-    offsets = count_offsets(candidate.attributes)
-    counts = candidate.category_counts - tally(old, offsets) + tally(new, offsets)
-    return CandidatePopulation(candidate.attributes, codes, counts)
+    return CandidatePopulation(candidate.attributes, codes)
 
 
 def reference_breed(

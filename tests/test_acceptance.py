@@ -146,8 +146,8 @@ class TestCriterion2:
         ):
             failures.append("crowding three-point front")
 
-        spec = parse_composition("2A 3C")
-        if dict(spec.requirements) != {"A": 2, "C": 3} or spec.size != 5:
+        requirements = parse_composition("2A 3C")
+        if requirements != {"A": 2, "C": 3} or sum(requirements.values()) != 5:
             failures.append("parse_composition 2A 3C")
 
         ok = not failures

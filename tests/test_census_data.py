@@ -90,6 +90,29 @@ class TestLoadSchema:
         with pytest.raises(DataError):
             load_schema(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize(
+        "entries, detail",
+        [
+            ("- name: sex\n  categories: [m, f, m]\n", "attribute 'sex' has duplicate categories"),
+            (
+                "- name: age\n  categories: [young, old]\n  groups: {elder: el}\n",
+                "attribute 'age' groups undeclared categories: ['elder']",
+            ),
+            (
+                "- name: sex\n  categories: [m, f]\n- name: sex\n  categories: [x]\n",
+                "schema contains duplicate attribute names",
+            ),
+            ("- name: null\n  categories: [m, f]\n", "attribute name must be a string, got None"),
+        ],
+        ids=["duplicate-category", "undeclared-group", "duplicate-attribute", "name-null"],
+    )
+    def test_an_attribute_fault_names_the_file(self, tmp_path, entries, detail):
+        path = tmp_path / "schema.yaml"
+        path.write_text("attributes:\n" + entries)
+        with pytest.raises(DataError) as exc:
+            load_schema(path)
+        assert str(exc.value) == f"schema file {path}: {detail}"
+
 
 class TestLoadContingencyTable:
     def test_totals_sum_over_rows(self, tmp_path, schema_small):
@@ -141,12 +164,38 @@ class TestLoadContingencyTable:
         with pytest.raises(DataError, match="absent"):
             load_contingency_table(tmp_path / "absent.csv", schema_small)
 
+    @pytest.mark.parametrize(
+        "bad_row, detail",
+        [
+            ("f,a0_17,many", "count 'many' is not a number"),
+            ("q,a0_17,4", "unknown category 'q' for attribute 'sex'"),
+        ],
+        ids=["count", "category"],
+    )
+    def test_a_row_fault_names_the_file_line_past_a_blank_line(
+        self, tmp_path, schema_small, bad_row, detail
+    ):
+        path = tmp_path / "sex_age.csv"
+        path.write_text(f"sex,age,count\nm,a0_17,2\n\nm,a18_64,3\n{bad_row}\n")
+        with pytest.raises(DataError) as exc:
+            load_contingency_table(path, schema_small)
+        assert str(exc.value) == f"table file {path}, line 5: {detail}"
+
+    def test_an_unknown_header_attribute_names_the_file_and_line(self, tmp_path, schema_small):
+        path = tmp_path / "sex_age.csv"
+        write_table_csv(path, ["gender", "age", "count"], [["m", "a0_17", 2]])
+        with pytest.raises(DataError) as exc:
+            load_contingency_table(path, schema_small)
+        assert str(exc.value) == (
+            f"table file {path}, line 1: schema has no attribute named 'gender'"
+        )
+
     def test_header_naming_an_axis_twice_raises(self, tmp_path, schema_small):
         path = tmp_path / "age_marital.csv"
         write_table_csv(
             path, ["age", "marital", "marital", "count"], [["a0_17", "single", "single", 3]]
         )
-        with pytest.raises(DataError, match=r"\.csv: header names axis 'marital' twice"):
+        with pytest.raises(DataError, match=r"\.csv, line 1: header names axis 'marital' twice"):
             load_contingency_table(path, schema_small)
 
     def test_byte_order_mark_is_ignored(self, tmp_path, schema_small):
@@ -176,7 +225,7 @@ class TestContingencyTable:
 
     def test_an_axis_named_twice_rejected(self, schema_small):
         sex = schema_small["sex"]
-        with pytest.raises(DataError, match="names an axis twice"):
+        with pytest.raises(DataError, match="table 'sex_sex' names axis 'sex' twice"):
             ContingencyTable("sex_sex", (sex, sex), np.ones((2, 2)))
 
     def test_counts_are_read_only(self, schema_small):

@@ -109,7 +109,53 @@ class TestValidateData:
         captured = capsys.readouterr()
         assert "all consistency checks passed" not in captured.out
         assert captured.err.startswith("error: table file")
-        assert "age_marital.csv: header names axis 'marital' twice" in captured.err
+        assert "age_marital.csv, line 1: header names axis 'marital' twice" in captured.err
+
+    @pytest.mark.parametrize(
+        "kind, name, edits, detail",
+        [
+            (
+                "table",
+                "tables/sex_age.csv",
+                [("m,a0_17,15\n", "m,a0_17,15\n\n"), ("m,a65p,8", "q,a65p,8")],
+                ", line 5: unknown category 'q' for attribute 'sex'",
+            ),
+            (
+                "table",
+                "tables/sex_age.csv",
+                [("sex,age,count", "gender,age,count")],
+                ", line 1: schema has no attribute named 'gender'",
+            ),
+            (
+                "schema",
+                "schema.yaml",
+                [("categories: [m, f]", "categories: [m, f, m]")],
+                ": attribute 'sex' has duplicate categories",
+            ),
+            (
+                "rules",
+                "person_rules.yaml",
+                [("name: no-child-marriage", "name: null")],
+                ": rule name must be a string, got None",
+            ),
+        ],
+        ids=["table-row", "table-header", "schema-category", "rule-name"],
+    )
+    def test_a_fault_inside_an_input_file_names_the_file(
+        self, config_tree, tmp_path, capsys, kind, name, edits, detail
+    ):
+        path = config_tree.parent / name
+        for old, new in edits:
+            edit(path, old, new)
+        expected = f"error: {kind} file {path}{detail}\n"
+        assert run_cli("validate-data", "-c", config_tree) == 1
+        captured = capsys.readouterr()
+        assert "all consistency checks passed" not in captured.out
+        assert captured.err == expected
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
     def test_a_field_past_the_csv_field_limit_fails(self, config_tree, capsys):
         # The csv module refuses a field of more than 131,072 characters.

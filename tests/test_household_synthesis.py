@@ -21,7 +21,7 @@ from synthpop import (
     parse_composition,
 )
 from synthpop.census_data import HOUSEHOLDS
-from synthpop.household_synthesis import AGE_CLASS_BY_GROUP, CompositionSpec
+from synthpop.household_synthesis import AGE_CLASS_BY_GROUP
 
 _CLASS_CODE = {"C": 0, "A": 1, "E": 2}
 
@@ -50,14 +50,14 @@ def reference_allocate(persons, households, schema):
     composition = households.attributes[households.column_index("composition")]
     members, complete = [], []
     for code in households.column("composition"):
-        spec = parse_composition(composition.categories[int(code)])
+        requirements = parse_composition(composition.categories[int(code)])
         taken = []
-        for letter in sorted(spec.requirements):
+        for letter in sorted(requirements):
             pool = pools[letter]
-            grab = min(spec.requirements[letter], len(pool))
+            grab = min(requirements[letter], len(pool))
             taken.extend(pool.popleft() for _ in range(grab))
         members.append(taken)
-        complete.append(len(taken) == spec.size)
+        complete.append(len(taken) == sum(requirements.values()))
     unallocated = sorted(i for pool in pools.values() for i in pool)
     return members, complete, unallocated
 
@@ -95,19 +95,13 @@ def household_specs():
 
 class TestParseComposition:
     def test_two_class_code(self):
-        spec = parse_composition("2A 3C")
-        assert spec.requirements == {"A": 2, "C": 3}
-        assert spec.size == 5
+        assert parse_composition("2A 3C") == {"A": 2, "C": 3}
 
     def test_single_elder(self):
-        spec = parse_composition("1E")
-        assert spec.requirements == {"E": 1}
-        assert spec.size == 1
+        assert parse_composition("1E") == {"E": 1}
 
     def test_repeated_letters_accumulate(self):
-        spec = parse_composition("1A 2A")
-        assert spec.requirements == {"A": 3}
-        assert spec.size == 3
+        assert parse_composition("1A 2A") == {"A": 3}
 
     def test_unknown_letter_rejected(self):
         with pytest.raises(DataError, match="unknown age class"):
@@ -124,10 +118,6 @@ class TestParseComposition:
     def test_zero_count_rejected(self):
         with pytest.raises(DataError, match="requires nobody"):
             parse_composition("0A")
-
-    def test_spec_size_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            CompositionSpec(requirements={"A": 2}, size=3)
 
 
 class TestClassifyPerson:
@@ -284,18 +274,18 @@ class TestAllocate:
         for code, members, complete in zip(
             households.codes[:, 0], result.members, result.complete
         ):
-            spec = parse_composition(categories[code])
+            requirements = parse_composition(categories[code])
             got = {}
             for member in members:
                 letter = {0: "C", 1: "A", 2: "E"}[int(persons.codes[member, 0])]
                 got[letter] = got.get(letter, 0) + 1
             if complete:
-                assert got == dict(spec.requirements)
+                assert got == requirements
             else:
                 assert all(
-                    got.get(k, 0) <= v for k, v in spec.requirements.items()
+                    got.get(k, 0) <= v for k, v in requirements.items()
                 )
-                assert sum(got.values()) < spec.size
+                assert sum(got.values()) < sum(requirements.values())
 
     def test_exact_supply_leaves_nobody_out(self, schema_small):
         categories = ("1A 1C", "2A", "1E")

@@ -161,6 +161,26 @@ class TestLoadRules:
         assert str(exc.value).startswith(f"rules file {path}: rule 'bad-rule': ")
         assert detail in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "rule, detail",
+        [
+            ("name: null\n  when: {age: [a0_17]}", "rule name must be a string, got None"),
+            ("name: 5\n  when: {age: [a0_17]}", "rule name must be a string, got 5"),
+            (
+                "name: ok\n  message: null\n  when: {age: [a0_17]}",
+                "rule 'ok' message must be a string, got None",
+            ),
+            ("name: empty\n  when: {}", "rule 'empty' has no clauses"),
+            ("name: thin\n  when: {age: []}", "rule 'thin' has an empty category set for 'age'"),
+        ],
+        ids=["name-null", "name-number", "message-null", "no-clauses", "no-categories"],
+    )
+    def test_a_rule_fault_names_the_file_once(self, tmp_path, schema_small, rule, detail):
+        path = tmp_path / "rules.yaml"
+        path.write_text(f"rules:\n- {rule}\n")
+        with pytest.raises(DataError) as exc:
+            load_rules(path, schema_small)
+        assert str(exc.value) == f"rules file {path}: {detail}"
 
     def test_an_oversized_rule_names_the_file_and_rule(self, tmp_path):
         # 4,097**2 joint cells is one row of 4,097 past 2**24.
