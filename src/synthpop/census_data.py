@@ -127,8 +127,9 @@ class AttributeSchema:
 
     def __post_init__(self) -> None:
         names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise DataError("schema contains duplicate attribute names")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"schema names attribute {name!r} twice")
         object.__setattr__(self, "_by_name", {a.name: a for a in self.attributes})
 
     @property

@@ -10,17 +10,25 @@ Subcommands:
 * ``generate-persons``: evolve the person stage and export its outputs.
 * ``generate-households``: evolve the household stage, allocate persons
   from an existing persons export, and export household outputs.
-* ``run``: full pipeline (both stages, allocation, manifest).
+* ``run``: full pipeline (both stages, allocation, manifest). The
+  households search reads nothing the persons stage makes, so a forked
+  child process evolves it on a second core while ``run`` evolves and
+  exports persons; the child sends its archive back through a pipe and
+  writes nothing, and ``run`` then writes and exports it as
+  ``generate-households`` would.
 * ``report``: re-export populations from the archives a previous run
   saved, without re-running evolution.
 
-Every command exports a stage the same way. Evolving leaves an archive
-that holds the rosters at its lowest weighted sum under the stage's
-objective weights; the earliest of them is saved, with every member's
-objectives, in the stage's archive bundle. Exporting reads that bundle
-back and checks that the configured weights select the saved member, so
-``run`` and ``report`` write their CSVs from the same bytes, and
-``report`` needs weights that still select it.
+Every command evolves a stage in two halves: :func:`_evolve_stage` runs
+the search and writes nothing, and :func:`_write_stage` prints the
+progress lines it held back, writes the convergence trace and the archive
+bundle, and reads the bundle back. Evolving leaves an archive that holds
+the rosters at its lowest weighted sum under the stage's objective
+weights; the earliest of them is saved, with every member's objectives,
+in the stage's archive bundle. Every command exports a stage the same
+way: it reads that bundle back and checks that the configured weights
+select the saved member, so ``run`` and ``report`` write their CSVs from
+the same bytes, and ``report`` needs weights that still select it.
 
 Exit codes: 0 success, 1 configuration or data problem (an unreadable
 input file included), 2 evolution failure, 3 filesystem problem writing
@@ -31,9 +39,13 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +55,7 @@ from .config import RunConfig, StageConfig, load_dataset, load_run_config, load_
 from .errors import DataError, EvolutionError
 from .fitness import ObjectiveEvaluator, normalize_objectives
 from .household_synthesis import allocate, check_allocation_inputs
-from .nsga2 import evolve
+from .nsga2 import GenerationHistory, ParetoArchive, evolve
 from .population_model import CandidatePopulation, CompiledRules, ValidationRule
 from .reporting import (
     export_convergence,
@@ -65,18 +77,22 @@ _FORMAT = "{:.10g}"
 
 
 class _Progress:
-    """Prints one line per generation with a running elapsed clock."""
+    """Makes one line per generation with a running elapsed clock, and
+    prints it at once when ``live``, else keeps it in :attr:`lines`."""
 
-    def __init__(self) -> None:
+    def __init__(self, live: bool) -> None:
         self.elapsed = 0.0
+        self.live = live
+        self.lines: list[str] = []
 
     def __call__(self, stage: str, generation: int, best: np.ndarray, seconds: float) -> None:
         self.elapsed += seconds
         values = " ".join(_FORMAT.format(v) for v in best)
-        print(
-            f"[{stage}] gen {generation} best {values} elapsed {self.elapsed:.1f}s",
-            flush=True,
-        )
+        line = f"[{stage}] gen {generation} best {values} elapsed {self.elapsed:.1f}s"
+        if self.live:
+            print(line, flush=True)
+        else:
+            self.lines.append(line)
 
 
 def _load_inputs(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
@@ -118,28 +134,109 @@ def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[Validati
     return dataset, rules
 
 
-def _evolve_stage(
-    config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, rules: dict,
-    *, quiet: bool,
-) -> tuple[tuple[np.ndarray, int, CandidatePopulation], float]:
-    """Evolve one stage, write its convergence trace, save the archive
-    bundle of the member it selected, and read the bundle back for the
-    stage's export.
+class _Evolved(NamedTuple):
+    """One stage's search, as the evolve half leaves it for the write half."""
 
-    Returns the bundle as :func:`_load_stage_archive` gives it and the
-    evolution's wall-clock seconds.
-    """
-    stage = stage_config.stage
+    archive: ParetoArchive
+    history: GenerationHistory
+    wall: float
+    lines: tuple[str, ...]  # progress lines not printed yet
+
+
+def _evolve_stage(
+    stage_config: StageConfig, dataset: RegionDataset, rules: dict, *, quiet: bool,
+    live: bool = True,
+) -> _Evolved:
+    """The evolve half of a stage: run its search and time it, writing no
+    file. Progress lines are printed as they come when ``live``, else kept
+    for :func:`_write_stage` to print."""
+    progress = None if quiet else _Progress(live)
     started = time.perf_counter()
     archive, history = evolve(
-        dataset, stage, stage_config.objectives, stage_config.evolution, rules[stage],
-        progress=None if quiet else _Progress(),
+        dataset, stage_config.stage, stage_config.objectives, stage_config.evolution,
+        rules[stage_config.stage], progress=progress,
     )
     wall = time.perf_counter() - started
-    export_convergence(config.output_dir / f"convergence_{stage}.csv", history)
-    save_archive(config.output_dir / f"archive_{stage}.npz", archive, history.names)
-    print(f"{stage}: archive size {len(archive)}, {wall:.1f}s")
-    return _load_stage_archive(config, dataset, stage_config), wall
+    return _Evolved(archive, history, wall, tuple(progress.lines) if progress else ())
+
+
+def _write_stage(
+    config: RunConfig, stage_config: StageConfig, dataset: RegionDataset, evolved: _Evolved
+) -> tuple[tuple[np.ndarray, int, CandidatePopulation], float]:
+    """The write half of a stage: print its kept progress lines, write its
+    convergence trace, save the archive bundle of the member it selected,
+    and read the bundle back for the stage's export.
+
+    Returns the bundle as :func:`_load_stage_archive` gives it and the
+    evolution's wall-clock seconds. Callers pass the evolve half's result
+    straight in, so the archive is freed before the export.
+    """
+    stage = stage_config.stage
+    for line in evolved.lines:
+        print(line)
+    export_convergence(config.output_dir / f"convergence_{stage}.csv", evolved.history)
+    save_archive(config.output_dir / f"archive_{stage}.npz", evolved.archive,
+                 evolved.history.names)
+    print(f"{stage}: archive size {len(evolved.archive)}, {evolved.wall:.1f}s")
+    return _load_stage_archive(config, dataset, stage_config), evolved.wall
+
+
+class _ForkedStage:
+    """A stage's evolve half, run in a forked child process.
+
+    The child sends back its :class:`_Evolved`, or the exception it raised,
+    pickled through a pipe, and leaves with ``os._exit``, having written no
+    file and printed nothing. :meth:`join` takes the result and reaps the
+    child; :meth:`stop` kills and reaps a child that :meth:`join` has not.
+    """
+
+    def __init__(
+        self, stage_config: StageConfig, dataset: RegionDataset, rules: dict, *, quiet: bool
+    ):
+        self.stage = stage_config.stage
+        read_end, write_end = os.pipe()
+        self.pid: int | None = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                try:
+                    outcome = _evolve_stage(stage_config, dataset, rules, quiet=quiet, live=False)
+                except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+                    outcome = exc
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self._pipe = open(read_end, "rb")
+
+    def join(self) -> _Evolved:
+        """Wait for the child's result and reap the child; re-raise the
+        exception it raised."""
+        with self._pipe:
+            data = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise EvolutionError(
+                f"the {self.stage} stage's child process ended with exit status {code} "
+                "without sending its result"
+            )
+        outcome = pickle.loads(data)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def stop(self) -> None:
+        """Kill and reap the child unless :meth:`join` has reaped it."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            self._pipe.close()
 
 
 def _export_stage(
@@ -319,7 +416,10 @@ def _load_stage_archive(
 def _cmd_generate_persons(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset, rules = _prepare(config)
-    bundle, _ = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
+    bundle, _ = _write_stage(
+        config, config.persons, dataset,
+        _evolve_stage(config.persons, dataset, rules, quiet=args.quiet),
+    )
     _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
     return 0
 
@@ -337,7 +437,10 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
         )
     dataset, rules = _prepare(config)
     persons = load_persons(persons_path, dataset.schema)
-    bundle, _ = _evolve_stage(config, config.households, dataset, rules, quiet=args.quiet)
+    bundle, _ = _write_stage(
+        config, config.households, dataset,
+        _evolve_stage(config.households, dataset, rules, quiet=args.quiet),
+    )
     _export_households(config, dataset, rules, bundle, persons, quiet=args.quiet)
     return 0
 
@@ -347,17 +450,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset, rules = _prepare(config)
     total_started = time.perf_counter()
     summaries: dict = {}
-    bundle, wall = _evolve_stage(config, config.persons, dataset, rules, quiet=args.quiet)
-    timings = [("persons_evolve", wall)]
-    persons, summaries[PERSONS] = _export_persons(config, dataset, rules, bundle,
-                                                  quiet=args.quiet)
+    # The households search reads nothing the persons stage makes, so a
+    # forked child runs it on another core while this process evolves and
+    # exports persons.
+    child = None
     if config.households is not None:
-        bundle, wall = _evolve_stage(config, config.households, dataset, rules,
-                                     quiet=args.quiet)
-        summaries[HOUSEHOLDS], allocation_wall = _export_households(
-            config, dataset, rules, bundle, persons, quiet=args.quiet
+        child = _ForkedStage(config.households, dataset, rules, quiet=args.quiet)
+    try:
+        bundle, wall = _write_stage(
+            config, config.persons, dataset,
+            _evolve_stage(config.persons, dataset, rules, quiet=args.quiet),
         )
-        timings += [("households_evolve", wall), ("allocation", allocation_wall)]
+        timings = [("persons_evolve", wall)]
+        persons, summaries[PERSONS] = _export_persons(config, dataset, rules, bundle,
+                                                      quiet=args.quiet)
+        if child is not None:
+            bundle, wall = _write_stage(config, config.households, dataset, child.join())
+            summaries[HOUSEHOLDS], allocation_wall = _export_households(
+                config, dataset, rules, bundle, persons, quiet=args.quiet
+            )
+            timings += [("households_evolve", wall), ("allocation", allocation_wall)]
+    finally:
+        if child is not None:
+            child.stop()
 
     outputs = ["manifest.json"]
     for stage in summaries:

@@ -100,7 +100,7 @@ class TestLoadSchema:
             ),
             (
                 "- name: sex\n  categories: [m, f]\n- name: sex\n  categories: [x]\n",
-                "schema contains duplicate attribute names",
+                "schema names attribute 'sex' twice",
             ),
             ("- name: null\n  categories: [m, f]\n", "attribute name must be a string, got None"),
         ],

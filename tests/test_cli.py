@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthpop import file_checksum
+from synthpop import cli, file_checksum
 from synthpop.cli import main
 
 
@@ -22,6 +22,17 @@ def run_cli(*argv):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def mask_seconds(text):
+    """``text`` with the wall-clock seconds that end its lines masked."""
+    return re.sub(r"[0-9.]+s$", "<s>", text, flags=re.MULTILINE)
 
 
 def make_inconsistent(config_tree):
@@ -305,6 +316,111 @@ class TestRun:
         assert (out / "persons.csv").exists()
 
 
+class TestHouseholdsChild:
+    """``run`` evolves the households stage in a forked child while it
+    evolves and exports persons; what it prints and writes, and how it
+    fails, are those of the stage run in-process."""
+
+    def impossible_rules(self, config_tree, stage):
+        """Rules that no draw of ``stage``'s first attribute satisfies."""
+        when = "{sex: [m, f]}" if stage == "persons" else "{hsize: [s1, s2]}"
+        (config_tree.parent / f"{stage}_rules.yaml").write_text(
+            f"rules:\n  - name: nobody-allowed\n    when: {when}\n", encoding="utf-8"
+        )
+        if stage == "households":
+            edit(config_tree, "  tables: [tables/size_comp.csv]\n",
+                 "  tables: [tables/size_comp.csv]\n  rules: households_rules.yaml\n")
+        else:
+            edit(config_tree, "rules: person_rules.yaml", "rules: persons_rules.yaml")
+
+    def test_households_progress_comes_after_the_persons_export(
+        self, config_tree, tmp_path, capsys
+    ):
+        out, staged = tmp_path / "result", tmp_path / "staged"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out) == 0
+        lines = mask_seconds(capsys.readouterr().out).splitlines()
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", staged, "--quiet")
+        capsys.readouterr()
+        run_cli("generate-households", "-c", config_tree, "--out-dir", staged)
+        expected = [
+            line for line in mask_seconds(capsys.readouterr().out).splitlines()
+            if line.startswith("[households] gen ")
+        ]
+        assert [line.split()[2] for line in expected] == ["0", "1", "2"]
+        exported = next(i for i, line in enumerate(lines) if line.startswith("persons: member "))
+        archived = next(
+            i for i, line in enumerate(lines) if line.startswith("households: archive size ")
+        )
+        assert lines[exported:archived][-len(expected):] == expected
+        assert not any(line.startswith("[households]") for line in lines[:exported])
+        assert_no_child()
+
+    def test_a_households_failure_exits_2_after_the_persons_export(
+        self, config_tree, tmp_path, capsys
+    ):
+        self.impossible_rules(config_tree, "households")
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert_no_child()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "archive_persons.npz", "convergence_persons.csv", "pareto_persons.csv",
+            "persons.csv", "rmse_persons.csv",
+        ]
+        # The same stage evolved in-process fails with the same message.
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 2
+        assert err == capsys.readouterr().err
+        assert err.startswith("evolution error: rejection sampling exhausted")
+
+    def test_a_persons_failure_reaps_the_child(self, config_tree, tmp_path, capsys):
+        self.impossible_rules(config_tree, "persons")
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 2
+        assert capsys.readouterr().err.startswith("evolution error: rejection sampling exhausted")
+        assert_no_child()
+        assert list(out.iterdir()) == []
+
+    def test_an_uncaught_persons_failure_reaps_the_child_first(
+        self, config_tree, tmp_path, monkeypatch
+    ):
+        class Unexpected(Exception):
+            pass
+
+        def fail(*args, **kwargs):
+            raise Unexpected
+
+        monkeypatch.setattr(cli, "_export_persons", fail)
+        out = tmp_path / "result"
+        with pytest.raises(Unexpected):
+            run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert_no_child()
+        assert not any(p.name.endswith(("households.csv", "households.npz"))
+                       for p in out.iterdir())
+
+    def test_a_child_that_dies_without_a_result_is_named(
+        self, config_tree, tmp_path, capsys, monkeypatch
+    ):
+        parent, evolve = os.getpid(), cli.evolve
+
+        def dying(dataset, stage, *args, **kwargs):
+            if stage == "households":
+                assert os.getpid() != parent, "the households stage ran in the parent"
+                os._exit(7)
+            return evolve(dataset, stage, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", dying)
+        out = tmp_path / "result"
+        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "evolution error: the households stage's child process ended with exit status 7 "
+            "without sending its result\n"
+        )
+        assert_no_child()
+        assert (out / "persons.csv").exists()
+        assert not (out / "households.csv").exists()
+
+
 class TestStageCommands:
     def test_generate_persons_alone(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
@@ -377,6 +493,16 @@ class TestStageCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot read persons file {out / 'persons.csv'}: Is a directory"]
         assert [p.name for p in out.rglob("*")] == ["persons.csv"]
+
+    def test_generate_households_reads_a_bom_persons_csv(self, config_tree, tmp_path):
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", plain, "--quiet")
+        bom.mkdir()
+        (bom / "persons.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "persons.csv").read_bytes())
+        for out in (plain, bom):
+            code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+            assert code == 0
+        assert (bom / "households.csv").read_bytes() == (plain / "households.csv").read_bytes()
 
     def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
         staged, full = tmp_path / "staged", tmp_path / "full"
