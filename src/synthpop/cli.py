@@ -9,7 +9,8 @@ Subcommands:
   check.
 * ``generate-persons``: evolve the person stage and export its outputs.
 * ``generate-households``: evolve the household stage, allocate persons
-  from an existing persons export, and export household outputs.
+  from an existing persons export, whose columns must be the persons
+  layout, and export household outputs.
 * ``run``: full pipeline (both stages, allocation, manifest). The
   households search reads nothing the persons stage makes, so a forked
   child process evolves it on a second core while ``run`` evolves and
@@ -437,6 +438,11 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
         )
     dataset, rules = _prepare(config)
     persons = load_persons(persons_path, dataset.schema)
+    names, layout = list(persons.attribute_names), list(dataset.stage_attributes(PERSONS))
+    if sorted(names) != sorted(layout):
+        raise DataError(
+            f"{persons_path} line 1: attributes {names} are not the persons layout {layout}"
+        )
     bundle, _ = _write_stage(
         config, config.households, dataset,
         _evolve_stage(config.households, dataset, rules, quiet=args.quiet),

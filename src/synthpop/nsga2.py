@@ -12,7 +12,9 @@ than a copy. A child's category counts are its winner's plus its row of
 the generation's count changes, so the loop scores each generation's
 offspring with one evaluator call and no roster is recounted. Only the
 survivors and the rosters the archive holds build their codes, at the end
-of each generation; the other children never do.
+of each generation; the other children do not, unless a full-cell
+objective (one with no ``attribute``) is configured: the evaluator counts
+its joint cells from every offspring's codes, so every child is built.
 Once per generation the Pareto archive merges the generation's first front
 and truncates to the population size, always keeping the lowest weighted
 sum of objectives any evaluated roster reached. It keeps every member's

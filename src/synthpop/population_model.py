@@ -86,7 +86,7 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             name, when = entry["name"], entry["when"]
             if not isinstance(when, dict):
                 raise DataError(f"rule {name!r} 'when' must map attributes to category lists")
-            clauses = []
+            clauses, declared_attributes = [], []
             for attribute, categories in when.items():
                 if not isinstance(categories, list):
                     raise DataError(f"rule {name!r} needs a category list for {attribute!r}")
@@ -97,8 +97,9 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
                 except DataError as exc:
                     raise DataError(f"rule {name!r}: {exc}") from None
                 clauses.append((str(attribute), frozenset(str(c) for c in categories)))
+                declared_attributes.append(declared)
             rule = ValidationRule(name, tuple(clauses), entry.get("message", ""))
-            _check_rule_cells(rule, [schema[a] for a, _ in rule.clauses])
+            _check_rule_cells(rule, declared_attributes)
             rules.append(rule)
     except DataError as exc:
         raise DataError(f"rules file {path}: {exc}") from None

@@ -483,6 +483,30 @@ class TestStageCommands:
         ]
         assert {p: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("dropped", ["age", "marital"])
+    def test_generate_households_rejects_a_persons_csv_of_another_layout(
+        self, config_tree, tmp_path, capsys, dropped
+    ):
+        out = tmp_path / "result"
+        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
+        path = out / "persons.csv"
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        column = rows[0].index(dropped)
+        path.write_text(
+            "".join(",".join(row[:column] + row[column + 1:]) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        kept = [name for name in ("sex", "age", "marital") if name != dropped]
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} line 1: attributes {kept} are not the persons layout "
+            "['sex', 'age', 'marital']"
+        ]
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+
     def test_generate_households_names_an_unreadable_persons_csv(
         self, config_tree, tmp_path, capsys
     ):
@@ -684,7 +708,37 @@ class TestNonUtf8Inputs:
         assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
 
+def cli_process(argv, env=None, flags=()):
+    """Run ``python [flags] -m synthpop.cli argv`` with ``src`` on the
+    import path, and return its finished process, output decoded as UTF-8."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "synthpop.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, encoding="utf-8", errors="replace",
+        check=False,
+    )
+
+
 class TestEncoding:
+    def test_every_subcommand_names_the_encoding_of_each_text_file(
+        self, config_tree, tmp_path
+    ):
+        # Under these flags a text file opened without an explicit encoding
+        # is an error, since its bytes would follow the locale.
+        flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        staged, full = tmp_path / "staged", tmp_path / "full"
+        for argv in (
+            ["validate-data"],
+            ["generate-persons", "--out-dir", staged],
+            ["generate-households", "--out-dir", staged],
+            ["run", "--out-dir", full],
+            ["report", "--out-dir", full],
+        ):
+            result = cli_process([argv[0], "-c", config_tree, *argv[1:]], flags=flags)
+            assert result.returncode == 0, (argv[0], result.stderr)
+
     def test_outputs_do_not_depend_on_the_locale(self, config_tree, tmp_path):
         # A label, an attribute and a region that ASCII cannot encode; the
         # attribute's name is printed on its rmse line unless --quiet.
@@ -695,19 +749,14 @@ class TestEncoding:
             edit(path, "marital", "mar\u00eftal")
         edit(config_tree, "attribute: marital}", "attribute: mar\u00eftal}")
         edit(config_tree, "region: test-region", "region: test-r\u00e9gion")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        default = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        ascii_locale = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        ascii_locale = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         outs = []
         for quiet in (True, False):
-            for env in (default, ascii_locale):
+            for env in (None, ascii_locale):
                 out = tmp_path / f"out{len(outs)}"
-                result = subprocess.run(
-                    [sys.executable, "-m", "synthpop.cli", "run", "-c", str(config_tree),
-                     "--out-dir", str(out), *(["--quiet"] if quiet else [])],
-                    env=env, capture_output=True, text=True, encoding="utf-8",
-                    errors="replace", check=False,
+                result = cli_process(
+                    ["run", "-c", config_tree, "--out-dir", out, *(["--quiet"] if quiet else [])],
+                    env=env,
                 )
                 assert result.returncode == 0, result.stderr
                 printed = "  rmse age_marital/mar\u00eftal (category)" in result.stdout
