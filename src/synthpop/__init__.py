@@ -47,7 +47,6 @@ from .reporting import (
     export_timings,
     file_checksum,
     load_archive,
-    load_persons,
     rmse_rows,
     save_archive,
     select_best,
@@ -98,7 +97,6 @@ __all__ = [
     "load_archive",
     "load_contingency_table",
     "load_dataset",
-    "load_persons",
     "load_run_config",
     "load_rules",
     "load_schema",

@@ -260,6 +260,11 @@ def load_schema(path: str | Path) -> AttributeSchema:
         for entry in entries:
             if not isinstance(entry, dict) or "name" not in entry or "categories" not in entry:
                 raise DataError("each attribute needs 'name' and 'categories'")
+            unknown = set(entry) - {"name", "categories", "groups"}
+            if unknown:
+                raise DataError(
+                    f"attribute {entry['name']!r} has unknown keys {sorted(map(str, unknown))}"
+                )
             categories = entry["categories"]
             if not isinstance(categories, list):
                 raise DataError(f"categories of {entry['name']!r} must be a list")

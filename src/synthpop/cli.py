@@ -8,9 +8,10 @@ Subcommands:
   its target against the configured tolerance, and print one line per
   check.
 * ``generate-persons``: evolve the person stage and export its outputs.
-* ``generate-households``: evolve the household stage, allocate persons
-  from an existing persons export, whose columns must be the persons
-  layout, and export household outputs.
+* ``generate-households``: evolve the household stage, allocate into it
+  the persons roster that ``generate-persons`` (or ``run``) saved in
+  ``archive_persons.npz``, read back and checked as ``report`` reads it,
+  and export household outputs. ``persons.csv`` is not read.
 * ``run``: full pipeline (both stages, allocation, manifest). The
   households search reads nothing the persons stage makes, so a forked
   child process evolves it on a second core while ``run`` evolves and
@@ -67,7 +68,6 @@ from .reporting import (
     export_timings,
     file_checksum,
     load_archive,
-    load_persons,
     rmse_rows,
     save_archive,
     select_best,
@@ -269,7 +269,8 @@ def _export_stage(
         violations = int(compiled.violation_mask(candidate.codes).sum())
         if violations:
             raise EvolutionError(
-                f"{stage} export would contain {violations} validation-rule violations"
+                f"{stage} export would contain {violations} validation-rule violations: "
+                f"{compiled.describe_violations(candidate.codes)}"
             )
     rows = rmse_rows(candidate, dataset.stage_tables(stage))
     export_pareto_pairs(config.output_dir / f"pareto_{stage}.csv", objectives, names, chosen)
@@ -385,9 +386,10 @@ def _load_stage_archive(
 ) -> tuple[np.ndarray, int, CandidatePopulation]:
     """Load the stage's saved bundle, which must track the stage's
     configured objectives, in order, over the stage's attribute layout
-    (:meth:`~synthpop.census_data.RegionDataset.stage_attributes`), and
-    whose saved member the configured weights must select; returns its
-    objective matrix, the saved member's index and its roster."""
+    (:meth:`~synthpop.census_data.RegionDataset.stage_attributes`), hold a
+    roster of the stage's ``target_count`` rows, and whose saved member the
+    configured weights must select; returns its objective matrix, the saved
+    member's index and its roster."""
     stage = stage_config.stage
     path = config.output_dir / f"archive_{stage}.npz"
     if not path.exists():
@@ -404,6 +406,11 @@ def _load_stage_archive(
         raise DataError(
             f"saved archive {path.name} lays out attributes {layout}, "
             f"but the {stage} tables give {stage_layout}"
+        )
+    if len(roster) != stage_config.target_count:
+        raise DataError(
+            f"saved archive {path.name} holds a roster of {len(roster)} rows, but the "
+            f"{stage} target_count is {stage_config.target_count}; re-run `synthpop run`"
         )
     chosen = select_best(objectives, [spec.weight for spec in stage_config.objectives])
     if chosen != selected:
@@ -429,20 +436,12 @@ def _cmd_generate_households(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if config.households is None:
         raise DataError("config has no households section")
-    # Checked before _prepare creates the output directory; loading the
-    # persons needs the schema, so it waits until after.
-    persons_path = config.output_dir / "persons.csv"
-    if not persons_path.exists():
-        raise DataError(
-            f"{persons_path} not found; run generate-persons (or run) first"
-        )
+    # Checked before _prepare creates the output directory.
+    persons_bundle = config.output_dir / f"archive_{PERSONS}.npz"
+    if not persons_bundle.exists():
+        raise DataError(f"{persons_bundle} not found; run generate-persons (or run) first")
     dataset, rules = _prepare(config)
-    persons = load_persons(persons_path, dataset.schema)
-    names, layout = list(persons.attribute_names), list(dataset.stage_attributes(PERSONS))
-    if sorted(names) != sorted(layout):
-        raise DataError(
-            f"{persons_path} line 1: attributes {names} are not the persons layout {layout}"
-        )
+    _, _, persons = _load_stage_archive(config, dataset, config.persons)
     bundle, _ = _write_stage(
         config, config.households, dataset,
         _evolve_stage(config.households, dataset, rules, quiet=args.quiet),

@@ -84,6 +84,9 @@ def load_rules(path: str | Path, schema: AttributeSchema) -> tuple[ValidationRul
             if not isinstance(entry, dict) or "name" not in entry or "when" not in entry:
                 raise DataError("each rule needs 'name' and 'when'")
             name, when = entry["name"], entry["when"]
+            unknown = set(entry) - {"name", "message", "when"}
+            if unknown:
+                raise DataError(f"rule {name!r} has unknown keys {sorted(map(str, unknown))}")
             if not isinstance(when, dict):
                 raise DataError(f"rule {name!r} 'when' must map attributes to category lists")
             clauses, declared_attributes = [], []
@@ -179,6 +182,18 @@ class CompiledRules:
         for cols, dims, table in self._tables:
             bad |= table[_joint_cells(codes, cols, dims)]
         return bad
+
+    def describe_violations(self, codes: np.ndarray) -> str:
+        """Name each rule that rows of ``codes`` break, with how many rows
+        break it and its message when it has one, for an error message.
+        Each rule is compiled alone, so this is for error paths only."""
+        named = []
+        for rule in self.rules:
+            rows = int(CompiledRules([rule], self.attributes).violation_mask(codes).sum())
+            if rows:
+                message = f" ({rule.message})" if rule.message else ""
+                named.append(f"rule {rule.name!r} on {rows} rows{message}")
+        return "; ".join(named)
 
 
 def _joint_cells(codes: np.ndarray, columns: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -575,8 +590,9 @@ def generate_candidate(
 
     ``rules`` must be compiled for the plan's attributes. Every roster slot
     gets up to ``SAMPLING_RETRIES`` draws (the initial draw included);
-    slots still violating a rule after that raise, which points at
-    contradictory rules and weights.
+    slots still violating a rule after that raise an :class:`EvolutionError`
+    naming each rule they break, which points at contradictory rules and
+    weights.
     """
     if size <= 0:
         raise DataError("roster size must be positive")
@@ -587,8 +603,9 @@ def generate_candidate(
         if attempts >= SAMPLING_RETRIES:
             raise EvolutionError(
                 f"rejection sampling exhausted {SAMPLING_RETRIES} retries with "
-                f"{int(bad.sum())} roster slots still violating rules; the rule "
-                "set and sampling weights may be contradictory"
+                f"{int(bad.sum())} roster slots still violating rules: "
+                f"{rules.describe_violations(codes[bad])}; the rule set and sampling "
+                "weights may be contradictory"
             )
         fresh = plan.sample_codes(size, rng)
         codes[bad] = fresh[bad]

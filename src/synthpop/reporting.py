@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .census_data import AttributeSchema, ContingencyTable, marginalize, read_csv
+from .census_data import AttributeSchema, ContingencyTable, marginalize
 from .errors import DataError
 from .fitness import normalize_objectives, rmse, weighted_sums
 from .household_synthesis import AllocationResult
@@ -108,48 +108,6 @@ def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
     rows = zip(range(len(candidate)), *_labels(candidate))
     _write_csv(path, ["person_id", *candidate.attribute_names], rows)
-
-
-def load_persons(path: str | Path, schema: AttributeSchema) -> CandidatePopulation:
-    """Read a persons CSV back into a candidate, attribute order from the header.
-
-    Households list their members by roster row, so each data row's
-    ``person_id`` must be its 0-based position, as :func:`export_persons`
-    writes it; any other id is a :class:`DataError` naming the line. A
-    header that names an attribute twice is a :class:`DataError` naming
-    line 1, since the two columns could disagree.
-    """
-    reader = read_csv("persons", path)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"persons file {path} is empty")
-    if not header or header[0] != "person_id":
-        raise DataError(f"persons file {path} must start with a person_id column")
-    names = header[1:]
-    for column, name in enumerate(names):
-        if name in names[:column]:
-            raise DataError(f"{path} line 1: attribute {name!r} appears more than once")
-    try:
-        attributes = tuple(schema[name] for name in names)
-    except DataError as exc:
-        raise DataError(f"{path} line 1: {exc}") from None
-    rows = []
-    for line_number, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path} line {line_number}: expected {len(header)} fields")
-        if row[0] != str(len(rows)):
-            raise DataError(
-                f"{path} line {line_number}: person_id {row[0]!r} is not "
-                f"{len(rows)}, the row's 0-based position"
-            )
-        try:
-            codes = [a.index_of(label) for a, label in zip(attributes, row[1:])]
-        except DataError as exc:
-            raise DataError(f"{path} line {line_number}: {exc}") from None
-        rows.append(codes)
-    if not rows:
-        raise DataError(f"persons file {path} has no rows")
-    return CandidatePopulation(attributes, np.array(rows, dtype=code_dtype(attributes)))
 
 
 def export_households(

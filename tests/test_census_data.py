@@ -10,13 +10,11 @@ import pytest
 from synthpop import (
     Attribute,
     AttributeSchema,
-    CandidatePopulation,
     ContingencyTable,
     DataError,
     RegionDataset,
     SamplingPlan,
     load_contingency_table,
-    load_persons,
     load_rules,
     load_run_config,
     load_schema,
@@ -355,7 +353,6 @@ _LOADERS = {
     "rules": ("person_rules.yaml", load_rules),
     "config": ("config.yaml", lambda path, schema: load_run_config(path)),
     "table": ("tables/sex_age.csv", load_contingency_table),
-    "persons": ("persons.csv", load_persons),
 }
 _YAML_KINDS = ("schema", "rules", "config")
 
@@ -364,8 +361,6 @@ def _comparable(loaded):
     """A loader's result in a form ``==`` compares whole."""
     if isinstance(loaded, ContingencyTable):
         return loaded.name, loaded.axis_names, loaded.counts.tolist()
-    if isinstance(loaded, CandidatePopulation):
-        return loaded.attribute_names, loaded.codes.tolist()
     return loaded
 
 
@@ -376,10 +371,6 @@ class TestReaders:
     @pytest.fixture
     def inputs(self, config_tree):
         root = config_tree.parent.resolve()
-        (root / "persons.csv").write_text(
-            "person_id,sex,age,marital\n0,m,a18_64,married\n1,f,a0_17,single\n",
-            encoding="utf-8",
-        )
         return root, load_schema(root / "schema.yaml")
 
     def load(self, inputs, kind, path=None):

@@ -41,6 +41,15 @@ def make_inconsistent(config_tree):
     table.write_text(table.read_text().replace("m,a0_17,15", "m,a0_17,20"))
 
 
+def _bundle_made_a_directory(bundle):
+    bundle.unlink()
+    bundle.mkdir()
+
+
+def _bundle_cut_in_half(bundle):
+    bundle.write_bytes(bundle.read_bytes()[: bundle.stat().st_size // 2])
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -144,13 +153,26 @@ class TestValidateData:
                 ": attribute 'sex' has duplicate categories",
             ),
             (
+                "schema",
+                "schema.yaml",
+                [("    groups: {a0_17", "    group: {a0_17")],
+                ": attribute 'age' has unknown keys ['group']",
+            ),
+            (
                 "rules",
                 "person_rules.yaml",
                 [("name: no-child-marriage", "name: null")],
                 ": rule name must be a string, got None",
             ),
+            (
+                "rules",
+                "person_rules.yaml",
+                [("message: children", "mesage: children")],
+                ": rule 'no-child-marriage' has unknown keys ['mesage']",
+            ),
         ],
-        ids=["table-row", "table-header", "schema-category", "rule-name"],
+        ids=["table-row", "table-header", "schema-category", "schema-key", "rule-name",
+             "rule-key"],
     )
     def test_a_fault_inside_an_input_file_names_the_file(
         self, config_tree, tmp_path, capsys, kind, name, edits, detail
@@ -325,7 +347,9 @@ class TestHouseholdsChild:
         """Rules that no draw of ``stage``'s first attribute satisfies."""
         when = "{sex: [m, f]}" if stage == "persons" else "{hsize: [s1, s2]}"
         (config_tree.parent / f"{stage}_rules.yaml").write_text(
-            f"rules:\n  - name: nobody-allowed\n    when: {when}\n", encoding="utf-8"
+            f"rules:\n  - name: nobody-allowed\n    message: {stage} may not be drawn\n"
+            f"    when: {when}\n",
+            encoding="utf-8",
         )
         if stage == "households":
             edit(config_tree, "  tables: [tables/size_comp.csv]\n",
@@ -372,12 +396,15 @@ class TestHouseholdsChild:
         assert code == 2
         assert err == capsys.readouterr().err
         assert err.startswith("evolution error: rejection sampling exhausted")
+        assert "rule 'nobody-allowed' on 10 rows (households may not be drawn)" in err
 
     def test_a_persons_failure_reaps_the_child(self, config_tree, tmp_path, capsys):
         self.impossible_rules(config_tree, "persons")
         out = tmp_path / "result"
         assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 2
-        assert capsys.readouterr().err.startswith("evolution error: rejection sampling exhausted")
+        err = capsys.readouterr().err
+        assert err.startswith("evolution error: rejection sampling exhausted")
+        assert "rule 'nobody-allowed' on 100 rows (persons may not be drawn)" in err
         assert_no_child()
         assert list(out.iterdir()) == []
 
@@ -433,7 +460,10 @@ class TestStageCommands:
         out = tmp_path / "result"
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
         assert code == 1
-        assert "generate-persons" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {out / 'archive_persons.npz'} not found; run generate-persons (or run) "
+            "first\n"
+        )
         assert not out.exists()
 
     def test_generate_households_after_persons(self, config_tree, tmp_path):
@@ -444,89 +474,66 @@ class TestStageCommands:
         assert (out / "households.csv").exists()
         assert (out / "pareto_households.csv").exists()
 
-    def test_generate_households_rejects_reordered_person_ids(
-        self, config_tree, tmp_path, capsys
-    ):
+    def test_generate_households_needs_the_persons_bundle(self, config_tree, tmp_path, capsys):
         out = tmp_path / "result"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-        path = out / "persons.csv"
-        header, first, second, *rest = path.read_text(encoding="utf-8").splitlines(True)
-        path.write_text("".join([header, second, first, *rest]), encoding="utf-8")
-        before = {p: p.read_bytes() for p in out.iterdir()}
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        bundle = out / "archive_persons.npz"
+        bundle.unlink()
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error:") and "persons.csv line 2: person_id '1'" in err[0]
-        assert {p: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_generate_households_rejects_a_repeated_attribute(
-        self, config_tree, tmp_path, capsys
-    ):
-        out = tmp_path / "result"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-        path = out / "persons.csv"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        # A second copy of the first attribute's column, appended.
-        path.write_text(
-            "".join(f"{line},{line.split(',')[1]}\n" for line in lines), encoding="utf-8"
+        assert capsys.readouterr().err == (
+            f"error: {bundle} not found; run generate-persons (or run) first\n"
         )
-        name = lines[0].split(",")[1]
-        before = {p: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [
-            f"error: {path} line 1: attribute {name!r} appears more than once"
-        ]
-        assert {p: p.read_bytes() for p in out.iterdir()} == before
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
-    @pytest.mark.parametrize("dropped", ["age", "marital"])
-    def test_generate_households_rejects_a_persons_csv_of_another_layout(
-        self, config_tree, tmp_path, capsys, dropped
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (_bundle_made_a_directory, "cannot read archive bundle .*archive_persons.npz: "),
+            (_bundle_cut_in_half, "archive_persons.npz is not a readable archive bundle"),
+        ],
+        ids=["directory", "first-half"],
+    )
+    def test_generate_households_names_a_persons_bundle_it_cannot_use(
+        self, config_tree, tmp_path, capsys, spoil, message
     ):
         out = tmp_path / "result"
         run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-        path = out / "persons.csv"
-        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
-        column = rows[0].index(dropped)
-        path.write_text(
-            "".join(",".join(row[:column] + row[column + 1:]) + "\n" for row in rows),
-            encoding="utf-8",
-        )
-        kept = [name for name in ("sex", "age", "marital") if name != dropped]
-        before = {p: p.read_bytes() for p in out.iterdir()}
+        spoil(out / "archive_persons.npz")
+        saved = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         capsys.readouterr()
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path} line 1: attributes {kept} are not the persons layout "
-            "['sex', 'age', 'marital']"
-        ]
-        assert {p: p.read_bytes() for p in out.iterdir()} == before
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert re.search(message, err[0]), err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == saved
 
-    def test_generate_households_names_an_unreadable_persons_csv(
-        self, config_tree, tmp_path, capsys
+    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    def test_generate_households_nests_the_bundle_not_persons_csv(
+        self, config_tree, tmp_path, change
     ):
         out = tmp_path / "result"
-        (out / "persons.csv").mkdir(parents=True)
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        households = (out / "households.csv").read_bytes()
+        (out / "households.csv").unlink()
+        path = out / "persons.csv"
+        if change == "deleted":
+            path.unlink()
+        else:
+            # Two persons' labels change: an adult becomes a child, and a
+            # man a woman.
+            header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+            adult = next(i for i, row in enumerate(rows) if ",a18_64," in row)
+            man = next(i for i, row in enumerate(rows) if ",m," in row and i != adult)
+            rows[adult] = rows[adult].replace(",a18_64,", ",a0_17,")
+            rows[man] = rows[man].replace(",m,", ",f,")
+            path.write_text("".join([header, *rows]), encoding="utf-8")
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: cannot read persons file {out / 'persons.csv'}: Is a directory"]
-        assert [p.name for p in out.rglob("*")] == ["persons.csv"]
-
-    def test_generate_households_reads_a_bom_persons_csv(self, config_tree, tmp_path):
-        plain, bom = tmp_path / "plain", tmp_path / "bom"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", plain, "--quiet")
-        bom.mkdir()
-        (bom / "persons.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "persons.csv").read_bytes())
-        for out in (plain, bom):
-            code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-            assert code == 0
-        assert (bom / "households.csv").read_bytes() == (plain / "households.csv").read_bytes()
+        assert code == 0
+        assert (out / "households.csv").read_bytes() == households
 
     def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
         staged, full = tmp_path / "staged", tmp_path / "full"
@@ -666,13 +673,13 @@ class TestInputChecks:
         assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
-        # generate-households reads persons.csv first; it must add nothing.
+        # generate-households needs a persons bundle first; it must add nothing.
         out.mkdir()
-        (out / "persons.csv").write_text("person_id,sex\n0,m\n", encoding="utf-8")
+        (out / "archive_persons.npz").write_bytes(b"placeholder")
         code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
         assert code == 1
         assert capsys.readouterr().err == message
-        assert [p.name for p in out.iterdir()] == ["persons.csv"]
+        assert [p.name for p in out.iterdir()] == ["archive_persons.npz"]
 
     def test_a_persons_only_config_needs_no_allocation_input(self, config_tree, tmp_path):
         self.break_age_table(config_tree)
@@ -686,22 +693,17 @@ class TestInputChecks:
 class TestNonUtf8Inputs:
     @pytest.mark.parametrize(
         "name",
-        ["config.yaml", "schema.yaml", "person_rules.yaml", "tables/sex_age.csv", "persons.csv"],
+        ["config.yaml", "schema.yaml", "person_rules.yaml", "tables/sex_age.csv"],
     )
     def test_a_latin_1_byte_is_named_and_nothing_is_written(
         self, config_tree, tmp_path, capsys, name
     ):
-        out = tmp_path / "out"
-        if name == "persons.csv":
-            run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-            path, command = out / name, ("generate-households", "--out-dir", out, "--quiet")
-        else:
-            path, command = tmp_path / name, ("validate-data",)
+        path = tmp_path / name
         # The first "a" becomes Latin-1's "\u00e1", one byte that UTF-8 cannot decode.
         path.write_bytes(path.read_bytes().replace(b"a", "\u00e1".encode("latin-1"), 1))
         before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         capsys.readouterr()
-        assert run_cli(command[0], "-c", config_tree, *command[1:]) == 1
+        assert run_cli("validate-data", "-c", config_tree) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert f"{path.name} is not UTF-8 text: cannot decode byte 0xe1" in err[0]
@@ -768,11 +770,6 @@ class TestEncoding:
         for out in outs[1:]:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
-
-
-def _bundle_made_a_directory(bundle):
-    bundle.unlink()
-    bundle.mkdir()
 
 
 def _respoiled_bundle(tamper):
@@ -1017,6 +1014,50 @@ class TestReport:
             f"error: saved archive archive_{stage}.npz holds the roster of member {selected}, "
             f"but the configured weights select member {chosen}; re-run `synthpop run`"
         ]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    @pytest.mark.parametrize(
+        "stage, old, new, rows",
+        [
+            ("persons", "target_count: 100\n", "target_count: 101\n", 100),
+            ("households", "target_count: 10\n", "target_count: 9\n", 10),
+        ],
+        ids=["persons", "households"],
+    )
+    def test_a_roster_of_another_target_count_fails_before_any_write(
+        self, config_tree, tmp_path, capsys, stage, old, new, rows
+    ):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        edit(config_tree, old, new)
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 1
+        target = new.split()[-1]
+        assert capsys.readouterr().err == (
+            f"error: saved archive archive_{stage}.npz holds a roster of {rows} rows, but the "
+            f"{stage} target_count is {target}; re-run `synthpop run`\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
+
+    def test_an_export_that_breaks_a_rule_names_it(self, config_tree, tmp_path, capsys):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        men = sum(row[1] == "m" for row in read_rows(out / "persons.csv")[1:])
+        assert men
+        (config_tree.parent / "person_rules.yaml").write_text(
+            "rules:\n"
+            "  - name: no-men\n    message: men were dropped\n    when: {sex: [m]}\n"
+            "  - name: no-child-marriage\n    when: {age: [a0_17], marital: [married]}\n",
+            encoding="utf-8",
+        )
+        saved = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "-c", config_tree, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"evolution error: persons export would contain {men} validation-rule violations: "
+            f"rule 'no-men' on {men} rows (men were dropped)\n"
+        )
         assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
 
     @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from synthpop import (
     export_timings,
     file_checksum,
     load_archive,
-    load_persons,
     rmse_rows,
     save_archive,
     select_best,
@@ -112,14 +111,6 @@ class TestSelectBest:
 
 
 class TestPersonsCsv:
-    def test_round_trip(self, schema_small, tmp_path):
-        candidate = dummy_roster(schema_small, np.random.default_rng(1), size=12)
-        path = tmp_path / "persons.csv"
-        export_persons(path, candidate)
-        loaded = load_persons(path, schema_small)
-        assert loaded.attribute_names == candidate.attribute_names
-        assert np.array_equal(loaded.codes, candidate.codes)
-
     def test_labels_not_codes_on_disk(self, schema_small, tmp_path):
         attributes = tuple(schema_small.attributes)
         codes = np.array([[1, 2, 0]], dtype=np.int16)
@@ -136,70 +127,6 @@ class TestPersonsCsv:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
-
-    def test_bad_header_rejected(self, schema_small, tmp_path):
-        path = tmp_path / "persons.csv"
-        path.write_text("id,sex\n0,m\n")
-        with pytest.raises(DataError, match="person_id"):
-            load_persons(path, schema_small)
-
-    def test_unknown_attribute_names_the_header_line(self, schema_small, tmp_path):
-        path = tmp_path / "persons.csv"
-        path.write_text("person_id,sex,agez,marital\n0,m,a0_17,single\n", encoding="utf-8")
-        with pytest.raises(
-            DataError, match="persons.csv line 1: schema has no attribute named 'agez'"
-        ):
-            load_persons(path, schema_small)
-
-    def test_a_repeated_attribute_names_the_header_line(self, schema_small, tmp_path):
-        path = tmp_path / "persons.csv"
-        path.write_text(
-            "person_id,sex,age,marital,sex\n0,m,a0_17,single,f\n", encoding="utf-8"
-        )
-        with pytest.raises(
-            DataError, match="persons.csv line 1: attribute 'sex' appears more than once"
-        ):
-            load_persons(path, schema_small)
-
-    def test_unknown_label_names_the_line(self, schema_small, tmp_path):
-        path = tmp_path / "persons.csv"
-        path.write_text("person_id,sex,age,marital\n0,m,zz,single\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_persons(path, schema_small)
-
-    def test_empty_file_rejected(self, schema_small, tmp_path):
-        path = tmp_path / "persons.csv"
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_persons(path, schema_small)
-
-    @pytest.mark.parametrize(
-        "ids, line, bad",
-        [
-            (["1", "0", "2"], 2, "'1' is not 0"),
-            (["0", "0", "2"], 3, "'0' is not 1"),
-            (["0", "1", "2.0"], 4, "'2.0' is not 2"),
-            (["0", "x", "2"], 3, "'x' is not 1"),
-        ],
-        ids=["reordered", "duplicate", "float", "not-a-number"],
-    )
-    def test_each_person_id_must_be_its_row_position(
-        self, schema_small, tmp_path, ids, line, bad
-    ):
-        path = tmp_path / "persons.csv"
-        rows = "".join(f"{i},m,a0_17,single\n" for i in ids)
-        path.write_text("person_id,sex,age,marital\n" + rows, encoding="utf-8")
-        with pytest.raises(DataError, match=f"persons.csv line {line}: person_id {bad}"):
-            load_persons(path, schema_small)
-
-    def test_a_byte_order_mark_is_dropped(self, schema_small, tmp_path):
-        candidate = dummy_roster(schema_small, np.random.default_rng(3), size=5)
-        path = tmp_path / "persons.csv"
-        export_persons(path, candidate)
-        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        loaded = load_persons(path, schema_small)
-        assert loaded.attribute_names == candidate.attribute_names
-        assert np.array_equal(loaded.codes, candidate.codes)
 
 
 class TestHouseholdsCsv:
