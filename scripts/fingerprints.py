@@ -2,12 +2,10 @@
 
 Usage: python scripts/fingerprints.py [--write]
 
-Four short runs are made in a temporary directory:
+Three short ``run`` invocations are made in a temporary directory:
 
-* ``fixture-run``: ``run`` on fixtures/config.yaml with ``--generations 2
+* ``fixture-run``: on fixtures/config.yaml with ``--generations 2
   --population-size 10``;
-* ``fixture-generate``: ``generate-persons`` then ``generate-households``
-  with the same flags;
 * ``msoa-7k-run`` and ``persons-70k-run``: ``run`` on the benchmark
   workloads' inputs (built by ``perfbench/workloads.make_inputs`` at its
   default seed) with ``--generations 2`` and ``--generations 1``.
@@ -41,13 +39,11 @@ FIXTURE_CONFIG = ROOT / "fixtures" / "config.yaml"
 HASHED = ("persons.csv", "households.csv", "manifest.json", "pareto_*", "rmse_*",
           "convergence_*", "archive_*.npz")
 
-_SHORT = ("--generations", "2", "--population-size", "10")
-# Run name -> (inputs, subcommands in order, flags for each).
+# Run name -> (inputs, flags for ``run``).
 RUNS = {
-    "fixture-run": ("fixture", ("run",), _SHORT),
-    "fixture-generate": ("fixture", ("generate-persons", "generate-households"), _SHORT),
-    "msoa-7k-run": ("msoa-7k", ("run",), ("--generations", "2")),
-    "persons-70k-run": ("persons-70k", ("run",), ("--generations", "1")),
+    "fixture-run": ("fixture", ("--generations", "2", "--population-size", "10")),
+    "msoa-7k-run": ("msoa-7k", ("--generations", "2")),
+    "persons-70k-run": ("persons-70k", ("--generations", "1")),
 }
 
 
@@ -84,10 +80,9 @@ def fingerprints(work: Path) -> dict[str, dict[str, str]]:
             workloads.WORKLOADS[name], workloads.DEFAULT_SEED, work / f"{name}-inputs"
         )
     result = {}
-    for run, (inputs, commands, flags) in RUNS.items():
+    for run, (inputs, flags) in RUNS.items():
         out = work / run
-        for command in commands:
-            _synthpop(command, "-c", str(configs[inputs]), "--out-dir", str(out), *flags)
+        _synthpop("run", "-c", str(configs[inputs]), "--out-dir", str(out), *flags)
         result[run] = {
             path.name: _sha256(path)
             for pattern in HASHED

@@ -7,30 +7,27 @@ Subcommands:
   shared attribute's marginals across tables and each table's total with
   its target against the configured tolerance, and print one line per
   check.
-* ``generate-persons``: evolve the person stage and export its outputs.
-* ``generate-households``: evolve the household stage, allocate into it
-  the persons roster that ``generate-persons`` (or ``run``) saved in
-  ``archive_persons.npz``, read back and checked as ``report`` reads it,
-  and export household outputs. ``persons.csv`` is not read.
-* ``run``: full pipeline (both stages, allocation, manifest). The
-  households search reads nothing the persons stage makes, so a forked
-  child process evolves it on a second core while ``run`` evolves and
-  exports persons; the child sends its archive back through a pipe and
-  writes nothing, and ``run`` then writes and exports it as
-  ``generate-households`` would.
+* ``run``: the full pipeline, the only command that evolves. It evolves
+  and exports both stages, allocates the persons into the households and
+  writes the manifest; a config without a ``households`` section evolves
+  and exports persons alone. The households search reads nothing the
+  persons stage makes, so a forked child process evolves it on a second
+  core while ``run`` evolves and exports persons; the child sends its
+  archive back through a pipe and writes nothing, and ``run`` then writes
+  and exports it.
 * ``report``: re-export populations from the archives a previous run
   saved, without re-running evolution.
 
-Every command evolves a stage in two halves: :func:`_evolve_stage` runs
-the search and writes nothing, and :func:`_write_stage` prints the
-progress lines it held back, writes the convergence trace and the archive
-bundle, and reads the bundle back. Evolving leaves an archive that holds
-the rosters at its lowest weighted sum under the stage's objective
-weights; the earliest of them is saved, with every member's objectives,
-in the stage's archive bundle. Every command exports a stage the same
-way: it reads that bundle back and checks that the configured weights
-select the saved member, so ``run`` and ``report`` write their CSVs from
-the same bytes, and ``report`` needs weights that still select it.
+``run`` evolves each stage in two halves: :func:`_evolve_stage` runs the
+search and writes nothing, and :func:`_write_stage` prints the progress
+lines it held back, writes the convergence trace and the archive bundle,
+and reads the bundle back. Evolving leaves an archive that holds the
+rosters at its lowest weighted sum under the stage's objective weights;
+the earliest of them is saved, with every member's objectives, in the
+stage's archive bundle. ``run`` and ``report`` export a stage the same
+way: each reads that bundle back and checks that the configured weights
+select the saved member, so both write their CSVs from the same bytes,
+and ``report`` needs weights that still select it.
 
 Exit codes: 0 success, 1 configuration or data problem (an unreadable
 input file included), 2 evolution failure, 3 filesystem problem writing
@@ -118,7 +115,7 @@ def _load_inputs(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[Vali
 
 def _prepare(config: RunConfig) -> tuple[RegionDataset, dict[str, tuple[ValidationRule, ...]]]:
     """Load and check the inputs and the tables' consistency, and create the
-    output directory: the set-up every evolving command shares."""
+    output directory: the set-up ``run`` does before it evolves."""
     dataset, rules = _load_inputs(config)
     report = validate_dataset(dataset, tolerance=config.validation_tolerance)
     for line, issue in zip(report.lines(), report.issues):
@@ -149,8 +146,9 @@ def _evolve_stage(
     live: bool = True,
 ) -> _Evolved:
     """The evolve half of a stage: run its search and time it, writing no
-    file. Progress lines are printed as they come when ``live``, else kept
-    for :func:`_write_stage` to print."""
+    file. ``run`` calls it in-process for persons and through
+    :class:`_ForkedStage` for households. Progress lines are printed as they
+    come when ``live``, else kept for :func:`_write_stage` to print."""
     progress = None if quiet else _Progress(live)
     started = time.perf_counter()
     archive, history = evolve(
@@ -169,7 +167,7 @@ def _write_stage(
     and read the bundle back for the stage's export.
 
     Returns the bundle as :func:`_load_stage_archive` gives it and the
-    evolution's wall-clock seconds. Callers pass the evolve half's result
+    evolution's wall-clock seconds. ``run`` passes the evolve half's result
     straight in, so the archive is freed before the export.
     """
     stage = stage_config.stage
@@ -421,35 +419,6 @@ def _load_stage_archive(
     return objectives, selected, roster
 
 
-def _cmd_generate_persons(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    dataset, rules = _prepare(config)
-    bundle, _ = _write_stage(
-        config, config.persons, dataset,
-        _evolve_stage(config.persons, dataset, rules, quiet=args.quiet),
-    )
-    _export_persons(config, dataset, rules, bundle, quiet=args.quiet)
-    return 0
-
-
-def _cmd_generate_households(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if config.households is None:
-        raise DataError("config has no households section")
-    # Checked before _prepare creates the output directory.
-    persons_bundle = config.output_dir / f"archive_{PERSONS}.npz"
-    if not persons_bundle.exists():
-        raise DataError(f"{persons_bundle} not found; run generate-persons (or run) first")
-    dataset, rules = _prepare(config)
-    _, _, persons = _load_stage_archive(config, dataset, config.persons)
-    bundle, _ = _write_stage(
-        config, config.households, dataset,
-        _evolve_stage(config.households, dataset, rules, quiet=args.quiet),
-    )
-    _export_households(config, dataset, rules, bundle, persons, quiet=args.quiet)
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     dataset, rules = _prepare(config)
@@ -538,10 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler, text, flags in (
         ("validate-data", _cmd_validate_data, "check input table consistency", ()),
-        ("generate-persons", _cmd_generate_persons, "evolve and export the person stage",
-         tuple(_FLAGS)),
-        ("generate-households", _cmd_generate_households,
-         "evolve households and allocate persons into them", tuple(_FLAGS)),
         ("run", _cmd_run, "full pipeline: persons, households, allocation, manifest",
          tuple(_FLAGS)),
         ("report", _cmd_report, "re-export populations from saved archives",

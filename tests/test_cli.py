@@ -13,6 +13,7 @@ import pytest
 
 from synthpop import cli, file_checksum
 from synthpop.cli import main
+from synthpop.errors import EvolutionError
 
 
 def run_cli(*argv):
@@ -46,10 +47,6 @@ def _bundle_made_a_directory(bundle):
     bundle.mkdir()
 
 
-def _bundle_cut_in_half(bundle):
-    bundle.write_bytes(bundle.read_bytes()[: bundle.stat().st_size // 2])
-
-
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -80,6 +77,16 @@ class TestParser:
             run_cli(command, "-c", config_tree, flag, 1)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate-persons", "generate-households"])
+    def test_the_stage_commands_are_gone(self, config_tree, tmp_path, capsys, command):
+        out = tmp_path / "result"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "-c", config_tree, "--out-dir", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and command in err
+        assert not out.exists()
 
 
 class TestValidateData:
@@ -357,15 +364,19 @@ class TestHouseholdsChild:
         else:
             edit(config_tree, "rules: person_rules.yaml", "rules: persons_rules.yaml")
 
+    def evolve_households_in_process(self, config_tree):
+        """Evolve the households stage in this process, as ``run`` would."""
+        config = cli.load_run_config(config_tree)
+        dataset, rules = cli._load_inputs(config)
+        cli._evolve_stage(config.households, dataset, rules, quiet=False)
+
     def test_households_progress_comes_after_the_persons_export(
         self, config_tree, tmp_path, capsys
     ):
-        out, staged = tmp_path / "result", tmp_path / "staged"
+        out = tmp_path / "result"
         assert run_cli("run", "-c", config_tree, "--out-dir", out) == 0
         lines = mask_seconds(capsys.readouterr().out).splitlines()
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", staged, "--quiet")
-        capsys.readouterr()
-        run_cli("generate-households", "-c", config_tree, "--out-dir", staged)
+        self.evolve_households_in_process(config_tree)
         expected = [
             line for line in mask_seconds(capsys.readouterr().out).splitlines()
             if line.startswith("[households] gen ")
@@ -392,9 +403,9 @@ class TestHouseholdsChild:
             "persons.csv", "rmse_persons.csv",
         ]
         # The same stage evolved in-process fails with the same message.
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 2
-        assert err == capsys.readouterr().err
+        with pytest.raises(EvolutionError) as exc:
+            self.evolve_households_in_process(config_tree)
+        assert err == f"evolution error: {exc.value}\n"
         assert err.startswith("evolution error: rejection sampling exhausted")
         assert "rule 'nobody-allowed' on 10 rows (households may not be drawn)" in err
 
@@ -446,108 +457,6 @@ class TestHouseholdsChild:
         assert_no_child()
         assert (out / "persons.csv").exists()
         assert not (out / "households.csv").exists()
-
-
-class TestStageCommands:
-    def test_generate_persons_alone(self, config_tree, tmp_path, capsys):
-        out = tmp_path / "result"
-        assert run_cli("generate-persons", "-c", config_tree, "--out-dir", out) == 0
-        assert (out / "persons.csv").exists()
-        assert not (out / "households.csv").exists()
-        assert "[persons] gen 0" in capsys.readouterr().out
-
-    def test_generate_households_needs_persons(self, config_tree, tmp_path, capsys):
-        out = tmp_path / "result"
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {out / 'archive_persons.npz'} not found; run generate-persons (or run) "
-            "first\n"
-        )
-        assert not out.exists()
-
-    def test_generate_households_after_persons(self, config_tree, tmp_path):
-        out = tmp_path / "result"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 0
-        assert (out / "households.csv").exists()
-        assert (out / "pareto_households.csv").exists()
-
-    def test_generate_households_needs_the_persons_bundle(self, config_tree, tmp_path, capsys):
-        out = tmp_path / "result"
-        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        bundle = out / "archive_persons.npz"
-        bundle.unlink()
-        saved = {p.name: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {bundle} not found; run generate-persons (or run) first\n"
-        )
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == saved
-
-    @pytest.mark.parametrize(
-        "spoil, message",
-        [
-            (_bundle_made_a_directory, "cannot read archive bundle .*archive_persons.npz: "),
-            (_bundle_cut_in_half, "archive_persons.npz is not a readable archive bundle"),
-        ],
-        ids=["directory", "first-half"],
-    )
-    def test_generate_households_names_a_persons_bundle_it_cannot_use(
-        self, config_tree, tmp_path, capsys, spoil, message
-    ):
-        out = tmp_path / "result"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", out, "--quiet")
-        spoil(out / "archive_persons.npz")
-        saved = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
-        capsys.readouterr()
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), err
-        assert re.search(message, err[0]), err
-        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == saved
-
-    @pytest.mark.parametrize("change", ["edited", "deleted"])
-    def test_generate_households_nests_the_bundle_not_persons_csv(
-        self, config_tree, tmp_path, change
-    ):
-        out = tmp_path / "result"
-        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
-        households = (out / "households.csv").read_bytes()
-        (out / "households.csv").unlink()
-        path = out / "persons.csv"
-        if change == "deleted":
-            path.unlink()
-        else:
-            # Two persons' labels change: an adult becomes a child, and a
-            # man a woman.
-            header, *rows = path.read_text(encoding="utf-8").splitlines(True)
-            adult = next(i for i, row in enumerate(rows) if ",a18_64," in row)
-            man = next(i for i, row in enumerate(rows) if ",m," in row and i != adult)
-            rows[adult] = rows[adult].replace(",a18_64,", ",a0_17,")
-            rows[man] = rows[man].replace(",m,", ",f,")
-            path.write_text("".join([header, *rows]), encoding="utf-8")
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 0
-        assert (out / "households.csv").read_bytes() == households
-
-    def test_stage_commands_write_what_run_writes(self, config_tree, tmp_path):
-        staged, full = tmp_path / "staged", tmp_path / "full"
-        run_cli("generate-persons", "-c", config_tree, "--out-dir", staged, "--quiet")
-        run_cli("generate-households", "-c", config_tree, "--out-dir", staged, "--quiet")
-        run_cli("run", "-c", config_tree, "--out-dir", full, "--quiet")
-        names = ["persons.csv", "households.csv"] + [
-            f"{kind}_{stage}.{'npz' if kind == 'archive' else 'csv'}"
-            for stage in ("persons", "households")
-            for kind in ("convergence", "pareto", "archive", "rmse")
-        ]
-        assert len(names) == 10
-        for name in names:
-            assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def edit(path, old, new):
@@ -673,21 +582,26 @@ class TestInputChecks:
         assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
-        # generate-households needs a persons bundle first; it must add nothing.
-        out.mkdir()
-        (out / "archive_persons.npz").write_bytes(b"placeholder")
-        code = run_cli("generate-households", "-c", config_tree, "--out-dir", out, "--quiet")
-        assert code == 1
-        assert capsys.readouterr().err == message
-        assert [p.name for p in out.iterdir()] == ["archive_persons.npz"]
 
-    def test_a_persons_only_config_needs_no_allocation_input(self, config_tree, tmp_path):
+    def test_a_persons_only_config_needs_no_allocation_input(
+        self, config_tree, tmp_path, capsys
+    ):
+        # This is how the persons stage is evolved alone.
         self.break_age_table(config_tree)
         text = config_tree.read_text(encoding="utf-8")
         config_tree.write_text(text[: text.index("households:")], encoding="utf-8")
         assert run_cli("validate-data", "-c", config_tree) == 0
+        capsys.readouterr()
         out = tmp_path / "result"
-        assert run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet") == 0
+        assert run_cli("run", "-c", config_tree, "--out-dir", out) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert_no_child()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "archive_persons.npz", "convergence_persons.csv", "manifest.json",
+            "pareto_persons.csv", "persons.csv", "rmse_persons.csv", "timings.csv",
+        ]
+        assert any(line.startswith("[persons] gen 0 ") for line in printed)
+        assert not any(line.startswith(("[households]", "households")) for line in printed)
 
 
 class TestNonUtf8Inputs:
@@ -730,11 +644,9 @@ class TestEncoding:
         # Under these flags a text file opened without an explicit encoding
         # is an error, since its bytes would follow the locale.
         flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
-        staged, full = tmp_path / "staged", tmp_path / "full"
+        full = tmp_path / "full"
         for argv in (
             ["validate-data"],
-            ["generate-persons", "--out-dir", staged],
-            ["generate-households", "--out-dir", staged],
             ["run", "--out-dir", full],
             ["report", "--out-dir", full],
         ):

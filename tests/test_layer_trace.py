@@ -17,16 +17,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = str(ROOT / "fixtures" / "config.yaml")
-# Traced names deleted from the package on purpose. The household stage
-# runs through ``cli.evolve`` like the persons stage, but the tracer names
-# the old household search until its next change moves that span to
+# Traced names deleted from the package on purpose. ``run`` is the only
+# command that evolves: the ``generate-persons`` and ``generate-households``
+# commands are gone, and the household stage runs through ``cli.evolve``
+# like the persons stage, but the tracer names the old household search
+# ``cli.generate_households`` until its next change moves that span to
 # ``cli.evolve`` per stage. ``nsga2.breed`` makes each generation in one
 # pass, so the tracer's four per-child operators are gone too, until its
 # next change spans ``breed`` instead; ``breed`` checks rules with
 # ``violation_mask``, so ``CompiledRules.row_ok`` is gone as well. The
 # archive takes one ``update`` per generation, so its per-offer ``insert``
 # and its ``best_values`` are gone until the tracer counts archive work from
-# ``update``. ``generate-households`` nests the persons roster that the
+# ``update``. Households are nested from the persons roster that the
 # persons bundle holds, which ``cli.load_archive`` reads, so the persons CSV
 # reader ``cli.load_persons`` is gone. Any other missing name fails these
 # tests.
