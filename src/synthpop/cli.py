@@ -435,15 +435,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config, config.persons, dataset,
             _evolve_stage(config.persons, dataset, rules, quiet=args.quiet),
         )
-        timings = [("persons_evolve", wall)]
+        started = time.perf_counter()
         persons, summaries[PERSONS] = _export_persons(config, dataset, rules, bundle,
                                                       quiet=args.quiet)
+        timings = [("persons_evolve", wall), ("persons_export", time.perf_counter() - started)]
         if child is not None:
             bundle, wall = _write_stage(config, config.households, dataset, child.join())
+            started = time.perf_counter()
             summaries[HOUSEHOLDS], allocation_wall = _export_households(
                 config, dataset, rules, bundle, persons, quiet=args.quiet
             )
-            timings += [("households_evolve", wall), ("allocation", allocation_wall)]
+            export_wall = time.perf_counter() - started - allocation_wall
+            timings += [("households_evolve", wall), ("households_export", export_wall),
+                        ("allocation", allocation_wall)]
     finally:
         if child is not None:
             child.stop()

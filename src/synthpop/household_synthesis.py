@@ -65,14 +65,17 @@ def parse_composition(code: str) -> dict[str, int]:
 class AllocationResult:
     """Outcome of nesting a person roster into a household roster.
 
-    ``members[h]`` holds household ``h``'s person ids, ``complete[h]``
-    whether it got every member its composition asks for, and
-    ``unallocated`` the person ids no household took, sorted. Allocated
-    members and the unallocated remainder partition the person roster
-    exactly; no person appears twice.
+    ``member_ids`` holds every allocated person id, household by household,
+    and ``bounds`` its ``len(complete) + 1`` offsets: household ``h``'s
+    members are ``member_ids[bounds[h]:bounds[h + 1]]``. ``complete[h]``
+    says whether household ``h`` got every member its composition asks
+    for, and ``unallocated`` holds the person ids no household took,
+    sorted. Allocated members and the unallocated remainder partition the
+    person roster exactly; no person appears twice.
     """
 
-    members: tuple[np.ndarray, ...]
+    member_ids: np.ndarray
+    bounds: np.ndarray
     complete: np.ndarray
     unallocated: np.ndarray
 
@@ -132,7 +135,8 @@ def allocate(
     k]`` the persons of class ``k`` household ``h`` needs, the class's pool
     is cut at ``min(cumsum(needs), supply)``. A household short of any
     class is incomplete; no class borrows from another. Deterministic
-    throughout.
+    throughout. The members come back as one flat id array with
+    per-household bounds (see :class:`AllocationResult`).
     """
     if len(persons) == 0 or len(households) == 0:
         raise DataError("allocation needs non-empty person and household rosters")
@@ -151,8 +155,7 @@ def allocate(
     )
     # ids run class by class in letter order, each class in roster order, so
     # a stable sort by household keeps that order within every household.
-    flat = ids[np.argsort(owners, kind="stable")]
-    stops = np.cumsum(taken.sum(axis=1)).tolist()
-    members = tuple(flat[start:stop] for start, stop in zip([0, *stops], stops))
+    member_ids = ids[np.argsort(owners, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(taken.sum(axis=1))])
     unallocated = np.sort(np.concatenate([pool[end:] for pool, end in zip(pools, used)]))
-    return AllocationResult(members, (taken == needs).all(axis=1), unallocated)
+    return AllocationResult(member_ids, bounds, (taken == needs).all(axis=1), unallocated)

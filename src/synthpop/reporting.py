@@ -5,6 +5,11 @@ endings and a fixed float format, JSON manifests sort their keys. Two runs
 that produce equal populations therefore produce equal files, which is what
 lets a re-run be compared with a plain byte diff.
 
+The population files are written a chunk of rows at a time from labels
+that ``csv`` quoted once per category, so writing one holds a chunk of
+rendered rows, never the whole file, and gives the bytes ``csv.writer``
+would.
+
 A stage's archive bundle keeps the roster of the one member it exports and
 every member's objectives: enough to rewrite the stage's population,
 Pareto and RMSE files without evolving again.
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import zipfile
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,16 +41,22 @@ _FLOAT_FORMAT = "{:.10g}"
 
 _CHECKSUM_CHUNK = 1 << 20
 
+# Rows of a population file rendered and written at once.
+_CHUNK_ROWS = 1 << 14
+
 
 def _fmt(value: float) -> str:
     return _FLOAT_FORMAT.format(float(value))
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
-    """Write a CSV file at ``path``: ``header``, then each of ``rows`` as it
-    is drawn. The file is UTF-8 with ``\\n`` line endings, and each value is
-    written as ``str`` renders it, so floats arrive already formatted by
-    :func:`_fmt`."""
+    """Write a small CSV file at ``path``: ``header``, then each of ``rows``
+    as it is drawn, one cell at a time through ``csv.writer``. The file is
+    UTF-8 with ``\\n`` line endings, and each value is written as ``str``
+    renders it, so floats arrive already formatted by :func:`_fmt`. The
+    population files, which can be long, go through
+    :func:`_write_population`.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -96,18 +108,55 @@ def select_best(objectives: np.ndarray, weights: Sequence[float]) -> int:
 # Population CSVs
 
 
-def _labels(candidate: CandidatePopulation) -> list[np.ndarray]:
-    """Each attribute's category labels for every roster row, column by column."""
-    return [
-        np.array(a.categories, dtype=object)[candidate.codes[:, column]]
-        for column, a in enumerate(candidate.attributes)
-    ]
+def _quoted(labels: Sequence[str]) -> np.ndarray:
+    """Each label as ``csv.writer`` writes it as one field of a longer row,
+    as an object array.
+
+    Each label is written as the first of a two-field row: a row of one
+    empty field would come out as ``""``, where an empty field in a longer
+    row comes out empty, as it does in every population file row.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quoted = []
+    for label in labels:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((label, ""))
+        quoted.append(buffer.getvalue()[:-2])  # drop the "," and "\n" that follow it
+    return np.array(quoted, dtype=object)
+
+
+def _write_population(
+    path: str | Path,
+    header: Sequence[str],
+    candidate: CandidatePopulation,
+    extra: Callable[[int, int], list[list[str]]] = lambda start, stop: [],
+) -> None:
+    """Write ``header``, then one row per roster row: its index, its
+    category labels and the fields ``extra(start, stop)`` gives for rows
+    ``start`` to ``stop``, one list per column, which must need no quoting.
+
+    The bytes are those :func:`_write_csv` would write, but the rows are
+    rendered and written :data:`_CHUNK_ROWS` at a time, each joined from
+    columns of labels quoted once.
+    """
+    tables = [_quoted(a.categories) for a in candidate.attributes]
+    codes = candidate.codes
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for start in range(0, len(codes), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(codes))
+            labels = [table[codes[start:stop, column]].tolist()
+                      for column, table in enumerate(tables)]
+            rows = zip(map(str, range(start, stop)), *labels, *extra(start, stop))
+            handle.write("\n".join(map(",".join, rows)))
+            handle.write("\n")
 
 
 def export_persons(path: str | Path, candidate: CandidatePopulation) -> None:
     """Write one row per person: ``person_id`` plus category labels."""
-    rows = zip(range(len(candidate)), *_labels(candidate))
-    _write_csv(path, ["person_id", *candidate.attribute_names], rows)
+    _write_population(path, ["person_id", *candidate.attribute_names], candidate)
 
 
 def export_households(
@@ -117,10 +166,23 @@ def export_households(
     members' ``;``-joined person ids and a 0/1 ``complete`` flag."""
     if not len(households):
         raise DataError("no households to export")
-    members = [";".join(map(str, ids.tolist())) for ids in allocation.members]
-    rows = zip(range(len(households)), *_labels(households), members,
-               allocation.complete.astype(np.uint8).tolist(), strict=True)
-    _write_csv(path, ["household_id", *households.attribute_names, "member_ids", "complete"], rows)
+    if len(allocation.bounds) != len(households) + 1 or len(allocation.complete) != len(households):
+        raise DataError(
+            f"allocation has {len(allocation.bounds) - 1} member lists and "
+            f"{len(allocation.complete)} complete flags for {len(households)} households"
+        )
+
+    def members_and_flags(start: int, stop: int) -> list[list[str]]:
+        bounds = allocation.bounds[start:stop + 1]
+        ids = list(map(str, allocation.member_ids[bounds[0]:bounds[-1]].tolist()))
+        cuts = (bounds - bounds[0]).tolist()
+        members = [";".join(ids[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return [members, np.where(allocation.complete[start:stop], "1", "0").tolist()]
+
+    _write_population(
+        path, ["household_id", *households.attribute_names, "member_ids", "complete"],
+        households, members_and_flags,
+    )
 
 
 # ---------------------------------------------------------------------------

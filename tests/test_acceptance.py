@@ -205,7 +205,10 @@ class TestCriterion3:
                 (comp,), rng.integers(0, comp.size, size=(n_households, 1)).astype(np.int16)
             )
             result = allocate(persons, households, small_schema)
-            allocated = [m for members in result.members for m in members.tolist()]
+            allocated = [
+                m for start, stop in zip(result.bounds, result.bounds[1:])
+                for m in result.member_ids[start:stop].tolist()
+            ]
             if len(set(allocated)) != len(allocated):
                 partition_failures += 1
             elif sorted(allocated + result.unallocated.tolist()) != list(range(n_persons)):

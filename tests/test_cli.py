@@ -332,6 +332,20 @@ class TestRun:
                 continue
             assert (out / name).read_bytes() == data
 
+    def test_timings_name_each_stage_in_order(self, config_tree, tmp_path):
+        out = tmp_path / "result"
+        run_cli("run", "-c", config_tree, "--out-dir", out, "--quiet")
+        assert [row[0] for row in read_rows(out / "timings.csv")] == [
+            "stage", "persons_evolve", "persons_export", "households_evolve",
+            "households_export", "allocation", "total",
+        ]
+        text = config_tree.read_text(encoding="utf-8")
+        config_tree.write_text(text[: text.index("households:")], encoding="utf-8")
+        run_cli("run", "-c", config_tree, "--out-dir", tmp_path / "persons", "--quiet")
+        rows = read_rows(tmp_path / "persons" / "timings.csv")
+        assert [row[0] for row in rows] == ["stage", "persons_evolve", "persons_export", "total"]
+        assert all(float(seconds) >= 0 for _, seconds in rows[1:])
+
     def test_lenient_validation_warns_and_continues(self, config_tree, tmp_path, capsys):
         make_inconsistent(config_tree)
         config_tree.write_text(

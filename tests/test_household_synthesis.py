@@ -33,7 +33,8 @@ def make_persons(schema, letters):
 
 
 def member_lists(result):
-    return [m.tolist() for m in result.members]
+    ids, bounds = result.member_ids.tolist(), result.bounds.tolist()
+    return [ids[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def reference_allocate(persons, households, schema):
@@ -231,6 +232,23 @@ class TestAllocate:
         assert result.complete.tolist() == complete
         assert result.unallocated.tolist() == unallocated
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rosters=random_rosters())
+    def test_bounds_split_the_flat_ids(self, schema_small, rosters):
+        # The bounds run from 0 to the end of the flat ids without going
+        # back, one household apart, and the flat ids with the unallocated
+        # remainder give every person id exactly once.
+        letters, categories, codes = rosters
+        persons = make_persons(schema_small, letters)
+        result = allocate(persons, make_households(categories, codes), schema_small)
+        bounds = result.bounds.tolist()
+        assert len(bounds) == len(codes) + 1 == len(result.complete) + 1
+        assert bounds[0] == 0 and bounds[-1] == len(result.member_ids)
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+        everyone = result.member_ids.tolist() + result.unallocated.tolist()
+        assert sorted(everyone) == list(range(len(letters)))
+
     @settings(
         max_examples=80,
         deadline=None,
@@ -272,7 +290,7 @@ class TestAllocate:
         )
         result = allocate(persons, households, schema_small)
         for code, members, complete in zip(
-            households.codes[:, 0], result.members, result.complete
+            households.codes[:, 0], member_lists(result), result.complete
         ):
             requirements = parse_composition(categories[code])
             got = {}
@@ -295,7 +313,7 @@ class TestAllocate:
         result = allocate(persons, households, schema_small)
         assert result.unallocated.tolist() == []
         assert result.complete.all()
-        assert sum(len(m) for m in result.members) == 7
+        assert sum(len(m) for m in member_lists(result)) == 7
 
     def test_repeat_runs_are_identical(self, schema_small):
         rng = np.random.default_rng(41)

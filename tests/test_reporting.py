@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from synthpop import (
     select_best,
     write_manifest,
 )
+from synthpop import reporting
 from synthpop.household_synthesis import AllocationResult
 from synthpop.population_model import code_dtype
 
@@ -138,7 +140,8 @@ class TestHouseholdsCsv:
     def test_member_ids_join_with_semicolons(self, tmp_path):
         path = tmp_path / "households.csv"
         allocation = AllocationResult(
-            members=(np.array([0, 2]), np.array([], dtype=np.intp)),
+            member_ids=np.array([0, 2]),
+            bounds=np.array([0, 2, 2]),
             complete=np.array([True, False]),
             unallocated=np.array([1]),
         )
@@ -148,11 +151,119 @@ class TestHouseholdsCsv:
         assert rows[1] == ["0", "s2", "1A 1C", "0;2", "1"]
         assert rows[2] == ["1", "s1", "1A", "", "0"]
 
+    def test_allocation_of_another_roster_rejected(self, tmp_path):
+        allocation = AllocationResult(
+            np.array([0]), np.array([0, 1]), np.array([True]), np.array([], dtype=np.intp)
+        )
+        with pytest.raises(DataError, match="1 member lists and 1 complete flags for 2 households"):
+            export_households(tmp_path / "households.csv", self.households(), allocation)
+
     def test_empty_export_rejected(self, tmp_path):
         empty = CandidatePopulation(self.households().attributes, np.empty((0, 2), dtype=np.uint8))
-        allocation = AllocationResult((), np.array([], dtype=bool), np.array([], dtype=np.intp))
+        allocation = AllocationResult(
+            np.array([], dtype=np.intp), np.array([0]), np.array([], dtype=bool),
+            np.array([], dtype=np.intp),
+        )
         with pytest.raises(DataError, match="no households"):
             export_households(tmp_path / "households.csv", empty, allocation)
+
+
+# Labels that the CSV dialect must quote, or must not: the delimiter, the
+# quote, both line-break characters, leading spaces, the empty label and
+# non-ASCII text, besides any text at all.
+_LABELS = st.text(
+    alphabet=st.sampled_from([",", '"', "\r", "\n", " ", ";", "a", "Z", "\u00e9", "\u5b57"]),
+    max_size=5,
+) | st.text(max_size=4)
+
+
+def reference_rows(header, label_columns, extra_columns=()):
+    """The bytes ``csv.writer(lineterminator="\\n")`` writes for the rows,
+    one cell at a time: what the population writers wrote before they
+    rendered rows themselves, and must still write."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(range(len(label_columns[0])), *label_columns, *extra_columns))
+    return buffer.getvalue().encode("utf-8")
+
+
+def labels_of(candidate):
+    return [
+        np.array(a.categories, dtype=object)[candidate.codes[:, column]]
+        for column, a in enumerate(candidate.attributes)
+    ]
+
+
+@st.composite
+def labelled_rosters(draw, min_rows=0):
+    """A roster over one to three attributes with labels from ``_LABELS``."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+    attributes = tuple(
+        Attribute(name, tuple(draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True))))
+        for name in names
+    )
+    rows = draw(st.integers(min_rows, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.column_stack([rng.integers(0, a.size, size=rows) for a in attributes])
+    return CandidatePopulation(attributes, codes.astype(code_dtype(attributes)))
+
+
+def random_allocation(rng, households):
+    """Member lists of zero to three ids each, some empty, and flags."""
+    sizes = rng.integers(0, 4, size=households)
+    ids = rng.permutation(int(sizes.sum()) + 5)[: sizes.sum()]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    complete = rng.random(households) < 0.5
+    allocation = AllocationResult(ids, bounds, complete, np.array([], dtype=np.intp))
+    members = [";".join(map(str, ids[a:b].tolist())) for a, b in zip(bounds, bounds[1:])]
+    return allocation, [members, complete.astype(np.uint8).tolist()]
+
+
+class TestPopulationCsvBytes:
+    """The population writers render rows themselves, a chunk at a time;
+    they must write exactly what ``csv.writer`` wrote one cell at a time."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(roster=labelled_rosters(), chunk=st.integers(1, 7))
+    def test_persons_bytes_match_csv_writer(self, tmp_path, roster, chunk):
+        path = tmp_path / "persons.csv"
+        with mock.patch.object(reporting, "_CHUNK_ROWS", chunk):
+            export_persons(path, roster)
+        header = ["person_id", *roster.attribute_names]
+        assert path.read_bytes() == reference_rows(header, labels_of(roster))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(roster=labelled_rosters(min_rows=1), chunk=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_households_bytes_match_csv_writer(self, tmp_path, roster, chunk, seed):
+        allocation, extra = random_allocation(np.random.default_rng(seed), len(roster))
+        path = tmp_path / "households.csv"
+        with mock.patch.object(reporting, "_CHUNK_ROWS", chunk):
+            export_households(path, roster, allocation)
+        header = ["household_id", *roster.attribute_names, "member_ids", "complete"]
+        assert path.read_bytes() == reference_rows(header, labels_of(roster), extra)
+
+    def test_rosters_longer_than_a_chunk(self, tmp_path):
+        # At the shipped chunk size: two full chunks and a partial one.
+        rows = 2 * reporting._CHUNK_ROWS + 3
+        rng = np.random.default_rng(5)
+        attributes = (Attribute("x", ("", " a", "b,c", 'q"', "r\rs", "t\nu", "\u00e9")),
+                      Attribute("y", ("1", "2")))
+        roster = CandidatePopulation(attributes, np.column_stack(
+            [rng.integers(0, a.size, size=rows) for a in attributes]
+        ).astype(np.uint8))
+        export_persons(tmp_path / "persons.csv", roster)
+        assert (tmp_path / "persons.csv").read_bytes() == reference_rows(
+            ["person_id", "x", "y"], labels_of(roster)
+        )
+        allocation, extra = random_allocation(rng, rows)
+        export_households(tmp_path / "households.csv", roster, allocation)
+        assert (tmp_path / "households.csv").read_bytes() == reference_rows(
+            ["household_id", "x", "y", "member_ids", "complete"], labels_of(roster), extra
+        )
 
 
 class TestConvergenceCsv:
