@@ -2,10 +2,13 @@
 
 Usage: python scripts/fingerprints.py [--write]
 
-Three short ``run`` invocations are made in a temporary directory:
+Four short ``run`` invocations are made in a temporary directory:
 
 * ``fixture-run``: on fixtures/config.yaml with ``--generations 2
   --population-size 10``;
+* ``fixture-cells-run``: the same, on a copy of the fixture in the
+  temporary directory whose config appends one full-cell objective (one
+  with no ``attribute``) per persons table;
 * ``msoa-7k-run`` and ``persons-70k-run``: ``run`` on the benchmark
   workloads' inputs (built by ``perfbench/workloads.make_inputs`` at its
   default seed) with ``--generations 2`` and ``--generations 1``.
@@ -27,11 +30,13 @@ import importlib.util
 import io
 import json
 import platform
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 FINGERPRINTS = ROOT / "tests" / "fingerprints.json"
@@ -42,6 +47,7 @@ HASHED = ("persons.csv", "households.csv", "manifest.json", "pareto_*", "rmse_*"
 # Run name -> (inputs, flags for ``run``).
 RUNS = {
     "fixture-run": ("fixture", ("--generations", "2", "--population-size", "10")),
+    "fixture-cells-run": ("fixture-cells", ("--generations", "2", "--population-size", "10")),
     "msoa-7k-run": ("msoa-7k", ("--generations", "2")),
     "persons-70k-run": ("persons-70k", ("--generations", "1")),
 }
@@ -55,6 +61,21 @@ def _workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _fixture_cells_config(work: Path) -> Path:
+    """Copy the fixture under ``work`` with one full-cell objective per
+    persons table appended to its config; returns the copied config."""
+    copy = work / "fixture-cells"
+    shutil.copytree(FIXTURE_CONFIG.parent, copy)
+    raw = yaml.safe_load(FIXTURE_CONFIG.read_text(encoding="utf-8"))
+    raw["persons"]["objectives"] += [
+        {"name": f"{Path(table).stem}_cells", "table": Path(table).stem}
+        for table in raw["persons"]["tables"]
+    ]
+    path = copy / FIXTURE_CONFIG.name
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    return path
 
 
 def _synthpop(*argv: str) -> None:
@@ -74,7 +95,7 @@ def fingerprints(work: Path) -> dict[str, dict[str, str]]:
     """Make every run under ``work``; returns run -> output file -> sha256."""
     work = Path(work)
     workloads = _workloads()
-    configs = {"fixture": FIXTURE_CONFIG}
+    configs = {"fixture": FIXTURE_CONFIG, "fixture-cells": _fixture_cells_config(work)}
     for name in ("msoa-7k", "persons-70k"):
         configs[name] = workloads.make_inputs(
             workloads.WORKLOADS[name], workloads.DEFAULT_SEED, work / f"{name}-inputs"

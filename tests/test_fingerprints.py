@@ -1,4 +1,4 @@
-"""Three short runs write exactly the bytes recorded in tests/fingerprints.json.
+"""Four short runs write exactly the bytes recorded in tests/fingerprints.json.
 
 Criterion 6 only checks that two runs of one checkout agree; this checks
 that a change meant to keep outputs byte-identical really does. A change
