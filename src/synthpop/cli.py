@@ -255,7 +255,7 @@ def _export_stage(
     evaluator = ObjectiveEvaluator(
         dataset, stage_config.objectives, len(candidate), candidate.attributes
     )
-    scores = evaluator([candidate])[0]
+    scores = evaluator(evaluator.layout.tally(candidate.codes)[np.newaxis])[0]
     for name, fresh, saved in zip(names, scores, objectives[chosen]):
         if fresh != saved:
             raise EvolutionError(

@@ -6,11 +6,11 @@ and scores the absolute error between expected and observed frequencies.
 Lower is better for every metric.
 
 The metrics work row-wise over the last axis, so one formula scores one
-frequency vector or a whole matrix of them. The evaluator scores a
-generation in one call: a marginal objective reads every roster's
-carried category counts (see ``CandidatePopulation.category_counts``) and
-makes one metric call over the stacked rows. A full-cell objective still
-counts each roster's joint cells with its own ``bincount``.
+frequency vector or a whole matrix of them. The evaluator lays its
+objectives' projections out as one :class:`CountLayout`, a marginal as a
+one-column projection and a full-cell objective as its table's axes, and
+scores a generation in one call from a counts matrix in that layout, one
+row per roster: each objective makes one metric call over its block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .census_data import Attribute, RegionDataset, marginalize
 from .errors import DataError
-from .population_model import CandidatePopulation, _joint_cells, count_offsets
+from .population_model import CountLayout
 
 L1 = "l1"
 TRAPEZOID = "trapezoid"
@@ -140,9 +140,11 @@ class ObjectiveSpec:
 class ObjectiveEvaluator:
     """Precomputed targets for scoring rosters against one dataset.
 
-    Calling the evaluator on a sequence of rosters returns their objective
-    matrix: one row per roster, in order, and one column per spec, in spec
-    order. The rosters must share the attribute layout it was built for.
+    :attr:`layout` counts each spec's projection: its attribute's column,
+    or its table's axes for a full-cell objective; specs on one projection
+    share a block. Calling the evaluator on a counts matrix in that layout,
+    one row per roster, returns their objective matrix: one row per roster,
+    in order, and one column per spec, in spec order.
     """
 
     def __init__(
@@ -160,23 +162,19 @@ class ObjectiveEvaluator:
         if len(set(names)) != len(names):
             raise DataError("objective names must be unique")
         columns = {a.name: i for i, a in enumerate(attributes)}
-        offsets = count_offsets(attributes)
         self.specs = tuple(specs)
         self._plans: list[tuple] = []
         for spec in specs:
             table = dataset.table(spec.table)
             scale = roster_size / table.total
-            metric = _METRIC_FUNCTIONS[spec.metric]
             if spec.attribute is not None:
                 if spec.attribute not in columns:
                     raise DataError(
                         f"objective {spec.name!r} projects onto {spec.attribute!r}, "
                         "which is not a roster attribute"
                     )
+                projection = (columns[spec.attribute],)
                 target = marginalize(table, spec.attribute) * scale
-                col = columns[spec.attribute]
-                block = slice(offsets[col], offsets[col + 1])
-                self._plans.append(("marginal", metric, target, block))
             else:
                 missing = [n for n in table.axis_names if n not in columns]
                 if missing:
@@ -184,27 +182,17 @@ class ObjectiveEvaluator:
                         f"objective {spec.name!r} fits full cells of {table.name!r} "
                         f"but the roster lacks axes {missing}"
                     )
-                cols = tuple(columns[n] for n in table.axis_names)
-                dims = tuple(a.size for a in table.axes)
+                projection = tuple(columns[n] for n in table.axis_names)
                 target = table.counts.ravel() * scale
-                self._plans.append(("cells", metric, target, cols, dims))
+            self._plans.append((_METRIC_FUNCTIONS[spec.metric], target, projection))
+        self.layout = CountLayout(attributes, [plan[2] for plan in self._plans])
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
 
-    def __call__(self, candidates: Sequence[CandidatePopulation]) -> np.ndarray:
-        values = np.empty((len(candidates), len(self._plans)), dtype=np.float64)
-        counts = None
-        for i, plan in enumerate(self._plans):
-            kind, metric, target = plan[0], plan[1], plan[2]
-            if kind == "marginal":
-                if counts is None:
-                    counts = np.stack([c.category_counts for c in candidates])
-                values[:, i] = metric(target, counts[:, plan[3]])
-            else:
-                cols, dims = plan[3], plan[4]
-                for row, candidate in enumerate(candidates):
-                    cells = _joint_cells(candidate.codes, cols, dims)
-                    values[row, i] = metric(target, np.bincount(cells, minlength=len(target)))
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
+        values = np.empty((len(counts), len(self._plans)), dtype=np.float64)
+        for i, (metric, target, projection) in enumerate(self._plans):
+            values[:, i] = metric(target, counts[:, self.layout.blocks[projection]])
         return values

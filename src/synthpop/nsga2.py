@@ -3,19 +3,18 @@
 The engine minimises every objective. A population is a list of rosters
 plus one objective matrix, row for row; ranking returns rank and crowding
 vectors over those rows, and tournament and environmental selection return
-row indices, as in Deb et al. (2002). :func:`breed` makes a generation's
-offspring in three steps: crossover draws each pair's cuts and tallies the
-pair's count change, one mutation pass over the rows it touches, read from
-the parents, adds its count changes with one rule check per mutation, and
-then each changed child is made once, as a recipe over its winner rather
-than a copy. A child's category counts are its winner's plus its row of
-the generation's count changes, so the loop scores each generation's
-offspring with one evaluator call and no roster is recounted. Only the
-survivors and the rosters the archive holds build their codes, at the end
-of each generation; the other children do not, unless a full-cell
-objective (one with no ``attribute``) is configured: the evaluator counts
-its joint cells from every offspring's codes, so every child is built.
-Once per generation the Pareto archive merges the generation's first front
+row indices, as in Deb et al. (2002). A counts matrix, in the evaluator's
+:class:`~synthpop.population_model.CountLayout`, is carried row for row
+too. :func:`breed` makes a generation's offspring in three steps:
+crossover draws each pair's cuts and tallies the pair's count change, one
+mutation pass over the rows it touches, read from the parents, adds its
+count changes with one rule check per mutation, and then each changed
+child is made once, as a recipe over its winner rather than a copy. A
+child's counts are its winner's plus its row of the generation's count
+changes, so the loop scores each generation's offspring, on marginals and
+full cells alike, with one evaluator call and no roster is recounted. Only
+the survivors and the rosters the archive holds build their codes, at the
+end of each generation. Once per generation the Pareto archive merges the generation's first front
 and truncates to the population size, always keeping the lowest weighted
 sum of objectives any evaluated roster reached. It keeps every member's
 objective vector but holds only the rosters at that lowest sum, one of
@@ -41,8 +40,8 @@ from .population_model import (
     CompiledRules,
     SamplingPlan,
     ValidationRule,
+    CountLayout,
     _draw,
-    count_offsets,
     generate_candidate,
 )
 
@@ -197,14 +196,17 @@ def _tournaments(
 
 def breed(
     population: Sequence[CandidatePopulation],
+    counts: np.ndarray,
     rank: np.ndarray,
     crowding: np.ndarray,
     config: EvolutionConfig,
     plan: SamplingPlan,
     rules: CompiledRules,
+    layout: CountLayout,
     rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator],
-) -> list[CandidatePopulation]:
-    """One generation's ``config.offspring`` children of ``population``.
+) -> tuple[list[CandidatePopulation], np.ndarray]:
+    """One generation's ``config.offspring`` children of ``population``,
+    and their counts in ``layout``, given ``counts``, the members'.
 
     ``rngs`` are the selection, crossover and mutation streams. Pairs of
     parents come from binary tournaments on ``rank`` and ``crowding``. A
@@ -214,7 +216,7 @@ def breed(
 
     - The swap exchanges one attribute's values between two random roster
       slots. It is reverted when either slot would then break one of
-      ``rules``. It keeps the category counts.
+      ``rules``. It keeps each attribute's category counts.
     - The resample redraws ``config.resample_slots`` random (slot,
       attribute) cells from the plan's marginal weights. Attributes are
       hit in proportion to their category count, and a cell drawn twice
@@ -225,30 +227,28 @@ def breed(
     Each stream makes its draws per child, in the order and call shapes
     that one operator call per child would, so this equals applying the
     operators child by child. Crossover records each pair's cuts and adds
-    its count change to one (children, counts) matrix: the exchanged
+    its count change to one (children, layout.size) matrix: the exchanged
     slice's counts in each winner, read from the winner's prefix counts
     (see :meth:`~synthpop.population_model.CandidatePopulation.slice_counts`)
     and tallied only over the slice's partial blocks. The mutation draws need
     no roster data, so they all come next; one pass over the generation's
     touched (child, slot) rows, each read from the parent it came from,
-    then makes one rule check per mutation and adds one bincount to the
-    matrix. Last, each child is made once. One that nothing changed is its
-    winner; the others are unbuilt rosters (see
+    then makes one rule check per mutation and adds the moved rows' new
+    counts less their old ones. Last, each child is made once. One that
+    nothing changed is its winner; the others are unbuilt rosters (see
     :class:`~synthpop.population_model.CandidatePopulation`): the winner
     patched with a view of the other winner's slice and then with the
-    mutated rows, carrying the winner's counts plus the child's changes.
+    mutated rows. Its counts are its winner's plus its row of the matrix.
     """
     select_rng, cross_rng, mutate_rng = rngs
     length, width = len(population[0]), len(plan.attributes)
     children = config.offspring
-    offsets = count_offsets(plan.attributes)
-    size = int(offsets[-1])
     winners = _tournaments(rank, crowding, children, select_rng)
     # Each pair's cuts, empty when it did not cross, and each child's count
     # change over its winner: crossover's first, then mutation's.
     cuts = np.zeros((children // 2, 2), dtype=np.intp)
     crossed = np.zeros(children // 2, dtype=bool)
-    delta = np.zeros((children, size), dtype=np.int64)
+    delta = np.zeros((children, layout.size), dtype=np.int64)
     for pair in range(children // 2):
         if cross_rng.random() < config.crossover_probability:
             cut_a, cut_b = sorted(cross_rng.integers(0, length + 1, size=2).tolist())
@@ -257,8 +257,8 @@ def breed(
             # What the first child gains over its winner, and the second
             # loses: the exchanged slice's counts, from each winner's prefix
             # counts and the few rows at the slice's ends.
-            gain = (second.slice_counts(cut_a, cut_b, offsets)
-                    - first.slice_counts(cut_a, cut_b, offsets))
+            gain = (second.slice_counts(cut_a, cut_b, layout)
+                    - first.slice_counts(cut_a, cut_b, layout))
             delta[2 * pair], delta[2 * pair + 1] = gain, -gain
 
     swaps: list[tuple[int, int, int, int]] = []
@@ -322,17 +322,14 @@ def breed(
         broken = rules.violation_mask(new)
         new[broken] = swapped[broken]
 
-    # Each changed cell counts its new code up and its old one down, in its
-    # child's block: one bincount for the whole generation.
-    moved = new != old
-    row, col = np.divmod(np.flatnonzero(moved), width)
-    base = owner[row] * size + offsets[col]
-    up, down = base + new[row, col], base + old[row, col] + children * size
-    tallies = np.bincount(np.concatenate((up, down)), minlength=2 * children * size)
-    delta += np.subtract(*tallies.reshape(2, children, size))
+    # Each moved row counts its new cells up and its old ones down, in its
+    # child's row of the matrix.
+    moved = (new != old).any(axis=1)
+    delta += layout.tally(new[moved], owner[moved], children)
+    delta -= layout.tally(old[moved], owner[moved], children)
     # A child changed where its swap stood or its rows moved, even if the
     # redraws then undid the swap; each gets one patch of its touched rows.
-    changed = moved.any(axis=1) | (swapped != old).any(axis=1)
+    changed = moved | (swapped != old).any(axis=1)
     mutated = set(np.unique(owner[changed]).tolist())
     bounds = np.searchsorted(owner, np.arange(children + 1)).tolist()
     # Each child made once, from its winner and its patches in order.
@@ -346,10 +343,8 @@ def breed(
         if child in mutated:
             block = slice(bounds[child], bounds[child + 1])
             patches.append((slot[block], new[block]))
-        offspring.append(
-            parent.patched(patches, parent.category_counts + delta[child]) if patches else parent
-        )
-    return offspring
+        offspring.append(parent.patched(patches) if patches else parent)
+    return offspring, counts[winners] + delta
 
 
 def environmental_selection(
@@ -545,17 +540,21 @@ def evolve(
         if generation == 0:
             streams = (substream(seed, stage_id, 0, _OP_INIT, i) for i in range(size))
             population = [generate_candidate(plan, target, compiled, rng) for rng in streams]
+            counts = np.stack([evaluator.layout.tally(roster.codes) for roster in population])
         else:
             rngs = tuple(
                 substream(seed, stage_id, generation, op)
                 for op in (_OP_SELECT, _OP_CROSSOVER, _OP_MUTATE)
             )
-            # No name holds the last generation's offspring, so the ones that
-            # did not survive are freed before these are bred.
-            population += breed(population, rank, crowding, config, plan, compiled, rngs)
+            children, bred = breed(
+                population, counts, rank, crowding, config, plan, compiled, evaluator.layout,
+                rngs,
+            )
+            population, counts = population + children, np.vstack([counts, bred])
+            del children  # else the dead children would live on through the next generation
         # Survivors keep the rank and crowding of the combined ranking,
         # which the next generation's tournaments compare.
-        objectives = np.vstack([objectives, evaluator(population[len(objectives):])])
+        objectives = np.vstack([objectives, evaluator(counts[len(objectives):])])
         rank, crowding = rank_population(objectives)
         front = np.flatnonzero(rank == 1)
         archive.update([population[i] for i in front], objectives[front])
@@ -564,6 +563,7 @@ def evolve(
             survivors = environmental_selection(rank, crowding, size)
             population = [population[i] for i in survivors]
             objectives, rank, crowding = objectives[survivors], rank[survivors], crowding[survivors]
+            counts = counts[survivors]
         # Build the rosters kept past this generation, so no recipe outlives
         # it; the children neither kept nor held by the archive are never
         # built.

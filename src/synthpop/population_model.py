@@ -5,7 +5,8 @@ A candidate solution is a fixed-length roster of synthetic entities
 of category indices: one row per entity, one column per attribute. Initial
 rosters are drawn through a :class:`SamplingPlan`, which walks the stage
 tables and draws jointly from their cells; resample mutation redraws single
-values from each attribute's marginal, which the plan also holds.
+values from each attribute's marginal, which the plan also holds. Rows are
+counted only through a :class:`CountLayout`, the one home of count cells.
 """
 
 from __future__ import annotations
@@ -196,12 +197,14 @@ class CompiledRules:
         return "; ".join(named)
 
 
-def _joint_cells(codes: np.ndarray, columns: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+def _joint_cells(codes: np.ndarray, columns: Sequence[int], dims: Sequence[int],
+                 lead: np.ndarray | None = None) -> np.ndarray:
     """Each row's joint cell over ``columns``, whose category counts are
     ``dims``, numbered as ``np.ravel_multi_index`` numbers them, and 0 when
-    there are no columns; the one cell encoder. The codes must lie inside
-    their attributes."""
-    cells = np.zeros(len(codes), dtype=np.intp)
+    there are no columns; the one cell encoder. With ``lead``, one index
+    per row, the cell is numbered after it: ``lead * prod(dims) + cell``.
+    The codes must lie inside their attributes."""
+    cells = np.zeros(len(codes), dtype=np.intp) if lead is None else lead.astype(np.intp)
     for col, size in zip(columns, dims):
         cells *= size
         cells += codes[:, col]
@@ -417,18 +420,48 @@ def _build_joint_group(
     )
 
 
-def count_offsets(attributes: Sequence[Attribute]) -> np.ndarray:
-    """Where each attribute's block starts in a roster's category counts,
-    in column order, followed by the counts' total length."""
-    return np.cumsum([0, *(a.size for a in attributes)])
+class CountLayout:
+    """How a roster's rows are counted: one block of cells per distinct
+    projection, a tuple of roster columns, in first-seen order, the blocks
+    end to end (:attr:`blocks`), :attr:`size` cells in all. A block's cells
+    are its projection's joint cells, numbered as :func:`_joint_cells`
+    numbers them, so a one-column block's are its attribute's categories.
+    """
 
+    def __init__(self, attributes: Sequence[Attribute], projections: Sequence[Sequence[int]]):
+        self.attributes = tuple(attributes)
+        self.projections = tuple(dict.fromkeys(map(tuple, projections)))
+        dims = [tuple(self.attributes[c].size for c in p) for p in self.projections]
+        starts = np.cumsum([0, *map(math.prod, dims)]).tolist()
+        self.size = starts[-1]
+        self.blocks = dict(zip(self.projections, map(slice, starts, starts[1:])))
+        self._cells = [(p, d, self.blocks[p]) for p, d in zip(self.projections, dims)]
+        self._joints = [cell for cell in self._cells if len(cell[0]) != 1]
+        singles = [(p[0], self.blocks[p].start) for p in self.projections if len(p) == 1]
+        self._singles = np.array(singles, dtype=np.intp).reshape(-1, 2).T
 
-def tally(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Category counts of a few roster rows, laid out as
-    :attr:`CandidatePopulation.category_counts`, by one ``bincount`` over
-    the codes shifted into their column's block; ``offsets`` comes from
-    :func:`count_offsets`. The codes must lie inside their attributes."""
-    return np.bincount((codes + offsets[:-1]).ravel(), minlength=offsets[-1])
+    def tally(
+        self, codes: np.ndarray, owners: np.ndarray | None = None, count: int = 1
+    ) -> np.ndarray:
+        """The int64 counts of the rows of ``codes``: a vector of :attr:`size`
+        cells, from one ``bincount`` that shifts every one-column block in one
+        op. With ``owners``, each row's index below ``count``, a (count, size)
+        matrix whose row r counts r's rows, made a projection at a time (its
+        cells bound to no name) so that a long roster holds one cell per row."""
+        if owners is None:
+            columns, starts = self._singles
+            cells = (codes[:, columns] + starts).ravel(order="K")
+            if self._joints:
+                cells = np.concatenate([cells, *(
+                    _joint_cells(codes, p, d) + block.start for p, d, block in self._joints
+                )])
+            return np.bincount(cells, minlength=self.size)
+        counts = np.empty((count, self.size), dtype=np.int64)
+        for projection, dims, block in self._cells:
+            counts[:, block] = np.bincount(
+                _joint_cells(codes, projection, dims, owners), minlength=count * math.prod(dims)
+            ).reshape(count, -1)
+        return counts
 
 
 # Rows per block of a roster's prefix counts (see
@@ -454,9 +487,8 @@ class CandidatePopulation:
     makes from another (:meth:`patched`) starts as a recipe over it and
     builds its codes on first access, dropping the recipe; variation reads
     the rows it changes from the parents, so a child that is never kept is
-    never built. A roster built from codes counts them on first access
-    (:attr:`category_counts`); one made by :meth:`patched` holds the counts
-    that variation derived from its parents', so it is never recounted.
+    never built. A roster holds no counts of its own codes: the search
+    carries them beside its rosters (see :class:`CountLayout`).
     """
 
     def __init__(self, attributes: tuple[Attribute, ...], codes: np.ndarray):
@@ -466,28 +498,36 @@ class CandidatePopulation:
                 f"roster matrix has shape {codes.shape}, expected "
                 f"(n, {len(attributes)})"
             )
+        # Unsigned codes are checked by each column's largest, one pass per
+        # column: several times faster than comparing every code.
+        sizes = [a.size for a in attributes]
+        if codes.dtype.kind != "u" or any(c.max(initial=0) >= n for c, n in zip(codes.T, sizes)):
+            bad = (codes < 0) | (codes % 1 != 0) | (codes >= sizes)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise DataError(
+                    f"roster column {attributes[col].name!r} holds code "
+                    f"{codes[row, col].item()}, not a category index below {sizes[col]}"
+                )
         if not np.issubdtype(codes.dtype, np.integer):
             codes = codes.astype(code_dtype(attributes))
         codes.setflags(write=False)
         self.attributes = attributes
         self._codes: np.ndarray | None = codes
         self._recipe: _Recipe | None = None
-        self._counts: np.ndarray | None = None
-        self._prefix: np.ndarray | None = None
+        self._prefix: tuple[CountLayout, np.ndarray] | None = None
 
     def patched(
-        self, patches: Sequence[tuple[slice | np.ndarray, np.ndarray]], counts: np.ndarray
+        self, patches: Sequence[tuple[slice | np.ndarray, np.ndarray]]
     ) -> CandidatePopulation:
         """This roster, unbuilt, with each (rows, values) pair of ``patches``
         written in order; a patch's rows are a slice or distinct row
-        indices. ``counts`` are the result's category counts. The values
-        are held, not copied, until the result is built."""
+        indices. The values are held, not copied, until the result is
+        built."""
         roster = CandidatePopulation.__new__(CandidatePopulation)
         roster.attributes = self.attributes
         roster._codes = None
         roster._recipe = _Recipe(self, tuple(patches))
-        counts.setflags(write=False)
-        roster._counts = counts
         roster._prefix = None
         return roster
 
@@ -513,58 +553,32 @@ class CandidatePopulation:
     def __len__(self) -> int:
         return len(self._recipe.base) if self._codes is None else self._codes.shape[0]
 
-    @property
-    def category_counts(self) -> np.ndarray:
-        """Each column's category counts (its ``bincount`` at the
-        attribute's category count), concatenated in column order.
-
-        An int64 read-only vector, counted on first access unless the
-        roster was made by :meth:`patched`.
-        """
-        if self._counts is None:
-            blocks = []
-            for col, attribute in enumerate(self.attributes):
-                block = np.bincount(self.codes[:, col], minlength=attribute.size)
-                if len(block) > attribute.size:
-                    raise DataError(
-                        f"roster column {attribute.name!r} holds code {len(block) - 1}, "
-                        f"out of range for {attribute.size} categories"
-                    )
-                blocks.append(block)
-            counts = np.concatenate(blocks).astype(np.int64, copy=False)
-            counts.setflags(write=False)
-            self._counts = counts
-        return self._counts
-
-    def slice_counts(self, start: int, stop: int, offsets: np.ndarray) -> np.ndarray:
-        """The category counts of rows ``start:stop``, laid out as
-        :attr:`category_counts`; ``offsets`` comes from :func:`count_offsets`.
+    def slice_counts(self, start: int, stop: int, layout: CountLayout) -> np.ndarray:
+        """The counts of rows ``start:stop`` in ``layout``.
 
         A slice that holds no whole block of ``_PREFIX_ROWS`` rows is
         tallied. Otherwise its counts are the difference of two rows of the
-        roster's prefix counts, its category counts before every
-        ``_PREFIX_ROWS``-th row, plus one tally of the fewer than
-        ``_PREFIX_ROWS`` rows at either end. The prefix counts are a
-        read-only int64 table, made with one ``bincount`` per column the
-        first time a slice holds a whole block, and kept with the roster.
+        roster's prefix counts, its counts before every ``_PREFIX_ROWS``-th
+        row, plus one tally of the fewer than ``_PREFIX_ROWS`` rows at
+        either end. The prefix counts are a read-only int64 table, made
+        with one :meth:`CountLayout.tally` the first time a slice in
+        ``layout`` holds a whole block, and kept with the roster.
         """
         first, last = -(-start // _PREFIX_ROWS), stop // _PREFIX_ROWS
         codes = self.codes
         if first >= last:
-            return tally(codes[start:stop], offsets)
-        if self._prefix is None:
+            return layout.tally(codes[start:stop])
+        if self._prefix is None or self._prefix[0] is not layout:
             blocks = len(codes) // _PREFIX_ROWS
-            block = np.arange(blocks * _PREFIX_ROWS, dtype=np.int32) // _PREFIX_ROWS
-            prefix = np.zeros((blocks + 1, offsets[-1]), dtype=np.int64)
-            for col, attribute in enumerate(self.attributes):
-                cells = block * attribute.size + codes[: len(block), col]
-                counts = np.bincount(cells, minlength=blocks * attribute.size)
-                prefix[1:, offsets[col]:offsets[col + 1]] = counts.reshape(blocks, -1)
+            owners = np.arange(blocks, dtype=np.int32).repeat(_PREFIX_ROWS)
+            prefix = np.zeros((blocks + 1, layout.size), dtype=np.int64)
+            prefix[1:] = layout.tally(codes[: len(owners)], owners, blocks)
             prefix.cumsum(axis=0, out=prefix)
             prefix.setflags(write=False)
-            self._prefix = prefix
+            self._prefix = layout, prefix
+        prefix = self._prefix[1]
         ends = (codes[start:first * _PREFIX_ROWS], codes[last * _PREFIX_ROWS:stop])
-        return self._prefix[last] - self._prefix[first] + tally(np.concatenate(ends), offsets)
+        return prefix[last] - prefix[first] + layout.tally(np.concatenate(ends))
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

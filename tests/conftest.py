@@ -1,14 +1,17 @@
 """Shared fixtures, a small three-attribute world with consistent tables,
 a record of every roster offered to the archive, the test-side helpers
 that read rosters, tables and rules by label, the per-child variation
-operators that ``nsga2.breed`` must reproduce, and the conditioned draw
-that ``SamplingPlan.sample_codes`` must reproduce."""
+operators that ``nsga2.breed`` must reproduce, the recount that carried
+counts must equal, and the conditioned draw that
+``SamplingPlan.sample_codes`` must reproduce."""
 
+import math
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from synthpop import (
     Attribute,
@@ -22,7 +25,7 @@ from synthpop import (
     breed,
 )
 from synthpop import nsga2
-from synthpop.population_model import CompiledRules, _draw, code_dtype
+from synthpop.population_model import CompiledRules, CountLayout, _draw, _joint_cells, code_dtype
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -126,8 +129,7 @@ def two_point_crossover(
     """Exchange the roster slice between two random cut points.
 
     Cuts satisfy 0 <= c1 <= c2 <= length; equal cuts yield copies of the
-    parents, and cuts (0, length) yield the parents swapped. The children
-    carry no counts, so theirs are counted afresh from their codes.
+    parents, and cuts (0, length) yield the parents swapped.
     """
     if len(first) != len(second):
         raise ValueError("parents must have equal roster length")
@@ -153,9 +155,8 @@ def swap_mutation(
     """With the given probability, swap one attribute value between two
     random roster slots.
 
-    The child is built from its codes alone, so its category counts are a
-    recount, independent of how ``breed`` derives them. The candidate
-    itself is returned when the two values are equal, so the swap would
+    The child is built from its codes alone, so its counts are a recount,
+    independent of how ``breed`` derives them. The candidate itself is returned when the two values are equal, so the swap would
     change nothing, and when the swap would violate one of ``rules``
     (compiled for the candidate's layout) and is reverted.
     """
@@ -191,8 +192,8 @@ def resample_mutation(
     category count, since wide value spaces need more redraw traffic to
     drift. Roster slots whose redraws leave them violating one of
     ``rules`` revert to their previous values; the others stand. The
-    child is built from its codes alone, so its category counts are a
-    recount. The candidate must share the plan's attribute layout.
+    child is built from its codes alone, so its counts are a recount. The
+    candidate must share the plan's attribute layout.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
@@ -292,11 +293,49 @@ def streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng([seed, op]) for op in range(3))
 
 
+def marginal_layout(attributes: Sequence[Attribute]) -> CountLayout:
+    """Each column's categories, counted in column order."""
+    return CountLayout(attributes, [(col,) for col in range(len(attributes))])
+
+
+@st.composite
+def mixed_layouts(draw, attributes: Sequence[Attribute]) -> CountLayout:
+    """A layout over ``attributes`` mixing one-column projections with
+    projections of two or three columns, repeats included."""
+    columns = st.sampled_from(range(len(attributes)))
+    projections = draw(st.lists(
+        st.lists(columns, min_size=1, max_size=min(3, len(attributes)), unique=True),
+        min_size=1, max_size=5,
+    ))
+    return CountLayout(attributes, projections)
+
+
+def recount(codes: np.ndarray, layout: CountLayout) -> np.ndarray:
+    """The counts of ``codes`` in ``layout``, one ``bincount`` of each
+    projection's joint cells at a time: what tallied and carried counts
+    must equal."""
+    blocks = []
+    for projection in layout.projections:
+        dims = [layout.attributes[col].size for col in projection]
+        cells = _joint_cells(codes, projection, dims)
+        blocks.append(np.bincount(cells, minlength=math.prod(dims)))
+    return np.concatenate(blocks)
+
+
+def recounts(population: Sequence[CandidatePopulation], layout: CountLayout) -> np.ndarray:
+    """Each roster's :func:`recount`, one row each."""
+    return np.stack([recount(roster.codes, layout) for roster in population])
+
+
 def breed_tied(population, config, plan, rules, rngs):
-    """``breed`` with every member tied on rank and crowding, so each
-    tournament picks one of its two contestants by a coin."""
-    n = len(population)
-    return breed(population, np.ones(n), np.zeros(n), config, plan, rules, rngs)
+    """The children of ``breed`` with every member tied on rank and
+    crowding, so each tournament picks one of its two contestants by a
+    coin, and each member's marginal counts recounted."""
+    n, layout = len(population), marginal_layout(plan.attributes)
+    counts = recounts(population, layout)
+    return breed(
+        population, counts, np.ones(n), np.zeros(n), config, plan, rules, layout, rngs
+    )[0]
 
 
 @pytest.fixture

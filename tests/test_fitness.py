@@ -156,6 +156,12 @@ class TestObjectiveSpec:
             ObjectiveSpec(name="x", table="t", attribute="age", weight=-1.0)
 
 
+def score(evaluator, candidates):
+    """The evaluator's objective matrix for ``candidates``, from a fresh
+    tally of each roster in its layout."""
+    return evaluator(np.stack([evaluator.layout.tally(c.codes) for c in candidates]))
+
+
 class TestObjectiveEvaluator:
     def perfect_candidate(self, dataset):
         """A roster whose marginals equal the tables exactly."""
@@ -190,9 +196,9 @@ class TestObjectiveEvaluator:
             ObjectiveSpec(name="sex_fit", table="sex_age", attribute="sex"),
             ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
         ]
-        values = ObjectiveEvaluator(
+        values = score(ObjectiveEvaluator(
             dataset_small, specs, len(candidate), candidate.attributes
-        )([candidate])[0]
+        ), [candidate])[0]
         assert np.allclose(values, 0.0, atol=TOL)
 
     def test_l1_spec_composes_with_oracle(self, dataset_small):
@@ -203,9 +209,9 @@ class TestObjectiveEvaluator:
         codes[32:, 0] = 1
         candidate = CandidatePopulation(attributes, codes)
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
-        value = ObjectiveEvaluator(
+        value = score(ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )([candidate])[0, 0]
+        ), [candidate])[0, 0]
         expected = l1_objective(
             np.array([32.0, 68.0]), np.array([53.0, 47.0])
         )
@@ -215,17 +221,17 @@ class TestObjectiveEvaluator:
         candidate = self.perfect_candidate(dataset_small)
         spec = ObjectiveSpec(name="age_fit", table="sex_age", attribute="age")
         twin = ObjectiveSpec(name="age_fit_again", table="sex_age", attribute="age")
-        values = ObjectiveEvaluator(
+        values = score(ObjectiveEvaluator(
             dataset_small, [spec, twin], len(candidate), candidate.attributes
-        )([candidate])[0]
+        ), [candidate])[0]
         assert values[0] == pytest.approx(values[1], abs=TOL)
 
     def test_full_cell_objective(self, dataset_small):
         candidate = self.perfect_candidate(dataset_small)
         spec = ObjectiveSpec(name="cells", table="age_marital", attribute=None, metric="l1")
-        values = ObjectiveEvaluator(
+        values = score(ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )([candidate])[0]
+        ), [candidate])[0]
         assert values[0] == pytest.approx(0.0, abs=TOL)
 
     def test_target_scales_with_roster_size(self, dataset_small):
@@ -236,9 +242,9 @@ class TestObjectiveEvaluator:
         codes[:25, 0] = 1
         candidate = CandidatePopulation(attributes, codes)
         spec = ObjectiveSpec(name="sex_l1", table="sex_age", attribute="sex", metric="l1")
-        value = ObjectiveEvaluator(
+        value = score(ObjectiveEvaluator(
             dataset_small, [spec], len(candidate), candidate.attributes
-        )([candidate])[0, 0]
+        ), [candidate])[0, 0]
         expected = l1_objective(np.array([25.0, 25.0]), np.array([26.5, 23.5]))
         assert value == pytest.approx(expected, abs=TOL)
 
@@ -264,10 +270,15 @@ class TestObjectiveEvaluator:
             ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
             ObjectiveSpec(name="marital_fit", table="age_marital", attribute="marital"),
             ObjectiveSpec(name="cells", table="age_marital", attribute=None),
+            ObjectiveSpec(name="sex_age_cells", table="sex_age", metric="l1"),
+            ObjectiveSpec(name="age_again", table="age_marital", attribute="age", metric="l1"),
         ]
-        matrix = ObjectiveEvaluator(dataset_small, specs, 37, attributes)(candidates)
-        assert matrix.shape == (9, 4)
-        for candidate, row in zip(candidates, matrix):
+        evaluator = ObjectiveEvaluator(dataset_small, specs, 37, attributes)
+        # The counts matrix the evaluator scores: one tally of each roster.
+        counts = np.stack([evaluator.layout.tally(c.codes) for c in candidates])
+        matrix = evaluator(counts)
+        assert matrix.shape == (9, 6)
+        for candidate, row, carried in zip(candidates, matrix, counts):
             expected = []
             for spec in specs:
                 table = dataset_small.table(spec.table)
@@ -279,12 +290,29 @@ class TestObjectiveEvaluator:
                     )
                     observed = np.bincount(flat, minlength=table.counts.size)
                     target = table.counts.ravel() * (37 / table.total)
+                    projection = tuple(candidate.column_index(a.name) for a in table.axes)
                 else:
                     size = schema[spec.attribute].size
                     observed = np.bincount(candidate.column(spec.attribute), minlength=size)
                     target = marginalize(table, spec.attribute) * (37 / table.total)
-                expected.append(oracle(target, observed))
+                    projection = (candidate.column_index(spec.attribute),)
+                # The oracle reads the roster's row of the counts matrix.
+                block = carried[evaluator.layout.blocks[projection]]
+                assert np.array_equal(block, observed)
+                expected.append(oracle(target, block))
             assert bits(row) == bits(expected)
+
+    def test_specs_on_one_projection_share_a_block(self, dataset_small):
+        attributes = tuple(dataset_small.schema.attributes)
+        specs = [
+            ObjectiveSpec(name="age_fit", table="sex_age", attribute="age"),
+            ObjectiveSpec(name="age_l1", table="age_marital", attribute="age", metric="l1"),
+            ObjectiveSpec(name="cells", table="age_marital"),
+            ObjectiveSpec(name="cells_l1", table="age_marital", metric="l1"),
+        ]
+        layout = ObjectiveEvaluator(dataset_small, specs, 100, attributes).layout
+        assert layout.projections == ((1,), (1, 2))
+        assert layout.size == 3 + 6
 
     def test_repeated_evaluation_is_pure(self, dataset_small):
         candidate = self.perfect_candidate(dataset_small)
@@ -294,6 +322,6 @@ class TestObjectiveEvaluator:
             len(candidate),
             candidate.attributes,
         )
-        first = evaluator([candidate])
-        second = evaluator([candidate])
+        first = score(evaluator, [candidate])
+        second = score(evaluator, [candidate])
         assert np.array_equal(first, second)

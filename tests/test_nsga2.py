@@ -40,12 +40,16 @@ from synthpop import nsga2
 from synthpop.census_data import PERSONS
 from synthpop.config import load_dataset, load_run_config, load_stage_rules
 from synthpop.nsga2 import rank_population, substream
-from synthpop.population_model import CompiledRules
+from synthpop.population_model import CompiledRules, CountLayout
 
 from conftest import (
     FIXTURE_DIR,
     binary_tournament,
     breed_tied,
+    marginal_layout,
+    mixed_layouts,
+    recount,
+    recounts,
     reference_breed,
     reference_crowding,
     resample_mutation,
@@ -459,14 +463,6 @@ class TestResampleMutation:
         assert np.array_equal(first.codes, second.codes)
 
 
-def fresh_counts(candidate):
-    """Each column's bincount, concatenated: what carried counts must equal."""
-    return np.concatenate([
-        np.bincount(candidate.codes[:, col], minlength=a.size)
-        for col, a in enumerate(candidate.attributes)
-    ])
-
-
 def labelled(sizes):
     """Attributes x0, x1, ... with categories c0, c1, ... of the given sizes."""
     return tuple(
@@ -494,11 +490,12 @@ PROBABILITY = st.sampled_from((0.0, 0.3, 1.0))
 
 
 class TestCarriedCounts:
-    """``breed`` derives each child's category counts from its parent's;
-    through any chain of generations they equal a fresh count."""
+    """``breed`` derives each child's counts from its parent's; through any
+    chain of generations they equal a fresh count, in any layout."""
 
     @settings(max_examples=60, deadline=None)
     @given(
+        data=st.data(),
         sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4),
         # Short rosters, rosters across the first prefix-count block edges,
         # and long rosters whose slices span many whole blocks.
@@ -512,14 +509,16 @@ class TestCarriedCounts:
             max_size=6,
         ),
     )
-    def test_counts_after_any_operator_sequence(self, sizes, roster, seed, generations):
+    def test_counts_after_any_operator_sequence(self, data, sizes, roster, seed, generations):
         attributes = labelled(sizes)
+        layout = data.draw(mixed_layouts(attributes))
         rules = CompiledRules([c0_pair_rule(attributes)], attributes)
         plan = weighted_plan([(a, np.ones(a.size)) for a in attributes])
         rng = np.random.default_rng(seed)
         population = [
             CandidatePopulation(attributes, valid_codes(sizes, roster, rng)) for _ in range(2)
         ]
+        counts = recounts(population, layout)
         for generation, (cross, swap, resample, slots) in enumerate(generations):
             config = EvolutionConfig(
                 population_size=2, offspring_size=4, crossover_probability=cross,
@@ -527,10 +526,13 @@ class TestCarriedCounts:
                 resample_slots=slots,
             )
             rngs = streams(seed + generation)
-            population = breed_tied(population, config, plan, rules, rngs)
-            for child in population:
-                assert child.category_counts.dtype == np.int64
-                assert np.array_equal(child.category_counts, fresh_counts(child))
+            population, counts = breed(
+                population, counts, np.ones(2), np.zeros(2), config, plan, rules, layout, rngs
+            )
+            assert counts.dtype == np.int64
+            assert counts.shape == (4, layout.size)
+            for child, carried in zip(population, counts):
+                assert np.array_equal(carried, recount(child.codes, layout))
                 assert not rules.violation_mask(child.codes).any()
 
 
@@ -539,6 +541,7 @@ class TestBreed:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        data=st.data(),
         sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
         roster=st.integers(1, 40),
         members=st.integers(1, 5),
@@ -550,9 +553,10 @@ class TestBreed:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_per_child_operators(
-        self, sizes, roster, members, pairs, probabilities, slots, with_rule, seed
+        self, data, sizes, roster, members, pairs, probabilities, slots, with_rule, seed
     ):
         attributes = labelled(sizes)
+        layout = data.draw(mixed_layouts(attributes))
         rng = np.random.default_rng(seed)
         plan = weighted_plan([(a, rng.dirichlet(np.ones(a.size))) for a in attributes])
         rules = CompiledRules([c0_pair_rule(attributes)] if with_rule else [], attributes)
@@ -569,15 +573,18 @@ class TestBreed:
             mutation_probability=swap, resample_probability=resample, resample_slots=slots,
         )
         ours, theirs = streams(seed), streams(seed)
-        children = breed(population, rank, crowding, config, plan, rules, ours)
+        children, counts = breed(
+            population, recounts(population, layout), rank, crowding, config, plan, rules,
+            layout, ours,
+        )
         expected = reference_breed(
             population, rank, crowding, config, plan, rules if with_rule else None, theirs
         )
-        assert len(children) == len(expected) == 2 * pairs
-        for child, reference in zip(children, expected):
+        assert len(children) == len(expected) == len(counts) == 2 * pairs
+        for child, carried, reference in zip(children, counts, expected):
             assert child.codes.dtype == reference.codes.dtype
             assert np.array_equal(child.codes, reference.codes)
-            assert np.array_equal(child.category_counts, reference.category_counts)
+            assert np.array_equal(carried, recount(reference.codes, layout))
             # A child that nothing changed is its parent, in both.
             assert (child is reference) == any(reference is p for p in population)
         # Every stream made the same draws.
@@ -604,7 +611,11 @@ class TestBreed:
             population_size=4, offspring_size=12, crossover_probability=cross,
             mutation_probability=swap, resample_probability=resample, resample_slots=3,
         )
-        children = breed(population, np.ones(4), np.zeros(4), config, plan, rules, streams(seed))
+        layout = marginal_layout(attributes)
+        children, _ = breed(
+            population, recounts(population, layout), np.ones(4), np.zeros(4), config, plan,
+            rules, layout, streams(seed),
+        )
         for child in children:
             if any(child is p for p in population):
                 continue
@@ -632,15 +643,19 @@ class TestBreed:
             mutation_probability=1.0, resample_probability=1.0, resample_slots=40,
         )
         rank, crowding = np.ones(3), np.zeros(3)
-        children = breed(population, rank, crowding, config, plan, rules, streams(11))
+        layout = CountLayout(attributes, [(0,), (1,), (2,), (0, 1, 2), (2, 0)])
+        children, counts = breed(
+            population, recounts(population, layout), rank, crowding, config, plan, rules,
+            layout, streams(11),
+        )
         select_rng, _, mutate_rng = streams(11)
         both = 0
-        for child in children:
+        for child, carried in zip(children, counts):
             parent = population[binary_tournament(rank, crowding, select_rng)]
             swapped = swap_mutation(parent, 1.0, mutate_rng, rules)
             reference = resample_mutation(swapped, 1.0, plan, mutate_rng, rules, slots=40)
             assert np.array_equal(child.codes, reference.codes)
-            assert np.array_equal(child.category_counts, reference.category_counts)
+            assert np.array_equal(carried, recount(reference.codes, layout))
             both += swapped is not parent and reference is not swapped
         assert both
 
@@ -663,12 +678,14 @@ class TestBreed:
             0.0, np.array([0, 1]), 0, 0.0, np.array([0]), np.array([0.1]), np.array([0.1]),
             0.9, 0.9,
         )
-        children = breed(
-            [parent], np.ones(1), np.zeros(1), config, plan, rules,
+        layout = marginal_layout(attributes)
+        parent_counts = recounts([parent], layout)
+        children, counts = breed(
+            [parent], parent_counts, np.ones(1), np.zeros(1), config, plan, rules, layout,
             (select_rng, cross_rng, mutate_rng),
         )
         assert children[0].codes.tolist() == [[2, 0], [1, 1]]
-        assert np.array_equal(children[0].category_counts, parent.category_counts)
+        assert np.array_equal(counts, parent_counts.repeat(2, axis=0))
         assert children[1] is parent
         assert mutate_rng.draws == []
 
@@ -693,7 +710,11 @@ class TestBreed:
             population_size=4, offspring_size=16, mutation_probability=1.0,
             resample_probability=1.0, resample_slots=5,
         )
-        breed(population, np.ones(4), np.zeros(4), config, plan, rules, streams(8))
+        layout = marginal_layout(attributes)
+        breed(
+            population, recounts(population, layout), np.ones(4), np.zeros(4), config, plan,
+            rules, layout, streams(8),
+        )
         # Both rows of each of the 16 swaps, then every touched row.
         assert len(calls) == 2 and calls[0] == 32 and calls[1] >= 16
 
@@ -1174,9 +1195,9 @@ class TestEvolve:
                 kept = {id(r) for r in (*population, *archives[0].held.values())}
                 for ref in bred[-2]:
                     assert ref() is None or id(ref()) in kept
-            children = breed(population, *args)
+            children, counts = breed(population, *args)
             bred.append([weakref.ref(r) for r in (*population, *children)])
-            return children
+            return children, counts
 
         monkeypatch.setattr(nsga2, "ParetoArchive", Recorded)
         monkeypatch.setattr(nsga2, "breed", recording)
@@ -1192,6 +1213,67 @@ class TestEvolve:
         for refs in bred:
             assert all(ref() is None or id(ref()) in kept for ref in refs)
         assert all(roster._recipe is None for roster in archive.held.values())
+
+    @pytest.mark.parametrize("cells", [False, True])
+    def test_only_survivors_and_held_rosters_are_built(
+        self, dataset_small, rule_no_child_marriage, monkeypatch, cells
+    ):
+        # With or without full-cell objectives, every child built in a
+        # generation survives it or is held by the archive after it.
+        archives, pools, kept, built = [], [], [], []
+        updating = []
+
+        class Recorded(ParetoArchive):
+            def __init__(self, *args):
+                super().__init__(*args)
+                archives.append(self)
+
+            def update(self, *args):
+                # The archive truncates with environmental selection too.
+                updating.append(True)
+                super().update(*args)
+                updating.pop()
+
+        def recording_breed(population, *args):
+            children, counts = breed(population, *args)
+            pools.append([*population, *children])
+            return children, counts
+
+        def recording_selection(rank, crowding, size):
+            survivors = environmental_selection(rank, crowding, size)
+            if updating:
+                return survivors
+            kept.append([
+                *(pools[-1][i] for i in survivors.tolist()), *archives[0].held.values()
+            ])
+            return survivors
+
+        build = CandidatePopulation.build
+
+        def recording_build(roster):
+            if roster._recipe is not None:
+                built.append((len(pools), roster))
+            build(roster)
+
+        monkeypatch.setattr(nsga2, "ParetoArchive", Recorded)
+        monkeypatch.setattr(nsga2, "breed", recording_breed)
+        monkeypatch.setattr(nsga2, "environmental_selection", recording_selection)
+        monkeypatch.setattr(CandidatePopulation, "build", recording_build)
+        specs = self.specs()
+        if cells:
+            specs += [
+                ObjectiveSpec(name="sex_age_cells", table="sex_age"),
+                ObjectiveSpec(name="age_marital_cells", table="age_marital", metric="l1"),
+            ]
+        config = EvolutionConfig(
+            population_size=4, generations=5, offspring_size=24, seed=3,
+            mutation_probability=0.5, resample_probability=1.0, resample_slots=4,
+        )
+        evolve(dataset_small, PERSONS, specs, config, [rule_no_child_marriage])
+        assert len(pools) == len(kept) == 5
+        assert built
+        for generation, roster in built:
+            assert any(roster is k for k in kept[generation - 1])
 
     def test_no_specs_rejected(self, dataset_small):
         with pytest.raises(DataError):

@@ -30,19 +30,21 @@ from synthpop.population_model import (
     _PREFIX_ROWS,
     MAX_RULE_CELLS,
     CompiledRules,
+    CountLayout,
     _draw,
     _guide_table,
     _guided_draw,
     _joint_cells,
     code_dtype,
-    count_offsets,
-    tally,
 )
 
 from conftest import (
     FIXTURE_DIR,
     breed_tied,
     labels,
+    marginal_layout,
+    mixed_layouts,
+    recount,
     reference_sample_codes,
     row_ok,
     streams,
@@ -598,7 +600,7 @@ class TestCandidatePopulation:
             values = np.column_stack([rng.integers(0, a.size, len(rows)) for a in attributes])
             patches.append((rows, values))
             expected[rows] = values
-        roster = first.patched(patches, first.category_counts)
+        roster = first.patched(patches)
         assert roster._recipe is not None and len(roster) == length
         assert np.array_equal(roster.codes, expected)
         assert roster._recipe is None and not roster.codes.flags.writeable
@@ -629,7 +631,7 @@ class TestCandidatePopulation:
             values = rng.integers(0, 4, (len(rows), 2)).astype(np.uint8)
             patches.append((rows, values))
             expected[rows] = values
-        roster = base.patched(patches, base.category_counts)
+        roster = base.patched(patches)
         # The slice patch holds a view of the donor's codes, not a copy.
         assert roster._recipe.patches[0][1].base is donor.codes
         assert roster._recipe is not None
@@ -642,17 +644,34 @@ class TestCategoryCounts:
     def test_each_column_counted_in_order(self, schema_small):
         attributes = tuple(schema_small.attributes)
         codes = np.array([[0, 2, 1], [1, 2, 0], [1, 0, 1]], dtype=np.uint8)
-        counts = CandidatePopulation(attributes, codes).category_counts
+        layout = marginal_layout(attributes)
+        counts = layout.tally(CandidatePopulation(attributes, codes).codes)
         assert counts.dtype == np.int64
         assert counts.tolist() == [1, 2, 1, 0, 2, 1, 2]
-        with pytest.raises(ValueError):
-            counts[0] = 5
+        # A tally is a fresh array: writing it changes no later tally.
+        counts[0] = 5
+        assert layout.tally(codes)[0] == 1
 
     def test_out_of_range_code_rejected(self, schema_small):
         attributes = tuple(schema_small.attributes)
         codes = np.array([[0, 3, 0]], dtype=np.uint8)
         with pytest.raises(DataError, match="'age' holds code 3"):
-            CandidatePopulation(attributes, codes).category_counts
+            CandidatePopulation(attributes, codes)
+
+    def test_negative_code_rejected(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        codes = np.array([[0, 1, 0], [0, 0, -1]], dtype=np.int16)
+        with pytest.raises(DataError, match="'marital' holds code -1"):
+            CandidatePopulation(attributes, codes)
+
+    def test_fractional_code_rejected(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        with pytest.raises(DataError, match="'age' holds code 1.7"):
+            CandidatePopulation(attributes, np.array([[0, 1.7, 0]]))
+        # Whole floats are codes, stored in the layout's dtype.
+        whole = CandidatePopulation(attributes, np.array([[1.0, 2.0, 0.0]]))
+        assert whole.codes.dtype == np.uint8
+        assert whole.codes.tolist() == [[1, 2, 0]]
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 500])
     def test_tally_counts_every_column(self, schema_small, offset):
@@ -661,15 +680,62 @@ class TestCategoryCounts:
         rows = 2048 + offset
         codes = np.column_stack([rng.integers(0, a.size, size=rows) for a in attributes])
         candidate = CandidatePopulation(attributes, codes.astype(np.uint8))
-        offsets = count_offsets(attributes)
-        assert offsets.tolist() == [0, 2, 5, 7]
-        assert np.array_equal(tally(candidate.codes, offsets), candidate.category_counts)
-        assert np.array_equal(tally(candidate.codes[:0], offsets), np.zeros(7))
+        layout = marginal_layout(attributes)
+        assert layout.size == 7
+        assert [layout.blocks[(col,)] for col in range(3)] == [
+            slice(0, 2), slice(2, 5), slice(5, 7)
+        ]
+        assert np.array_equal(layout.tally(candidate.codes), recount(candidate.codes, layout))
+        assert np.array_equal(layout.tally(candidate.codes[:0]), np.zeros(7))
+        # With owners, each owner's row counts its own rows.
+        owners = rng.integers(0, 5, size=rows)
+        counts = layout.tally(candidate.codes, owners, 5)
+        assert counts.shape == (5, 7) and counts.dtype == np.int64
+        for owner, row in enumerate(counts):
+            assert np.array_equal(row, recount(candidate.codes[owners == owner], layout))
+
+
+class TestCountLayout:
+    def test_projections_share_a_block_and_sit_end_to_end(self, schema_small):
+        attributes = tuple(schema_small.attributes)
+        layout = CountLayout(attributes, [(1,), (0, 1), (1,), (1, 2), (0, 1)])
+        assert layout.projections == ((1,), (0, 1), (1, 2))
+        assert layout.size == 3 + 6 + 6
+        assert layout.blocks[(0, 1)] == slice(3, 9)
+        assert layout.blocks[(1, 2)] == slice(9, 15)
+        with pytest.raises(KeyError):
+            layout.blocks[(2,)]
+        codes = np.array([[1, 2, 0], [0, 1, 1]], dtype=np.uint8)
+        counts = layout.tally(codes)
+        # Row (1, 2, 0): age 2; sex-age cell 1 * 3 + 2; age-marital 2 * 2 + 0.
+        assert np.flatnonzero(counts).tolist() == [1, 2, 3 + 1, 3 + 5, 9 + 3, 9 + 4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        rows=st.integers(0, 40),
+        owners=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tally_equals_a_recount(self, data, sizes, rows, owners, seed):
+        attributes = tuple(
+            Attribute(f"x{i}", tuple(f"c{k}" for k in range(n))) for i, n in enumerate(sizes)
+        )
+        layout = data.draw(mixed_layouts(attributes))
+        rng = np.random.default_rng(seed)
+        codes = np.column_stack([rng.integers(0, n, size=rows) for n in sizes]).astype(np.uint8)
+        assert np.array_equal(layout.tally(codes), recount(codes, layout))
+        owner = rng.integers(0, owners, size=rows)
+        counts = layout.tally(codes, owner, owners)
+        assert counts.shape == (owners, layout.size)
+        for index, row in enumerate(counts):
+            assert np.array_equal(row, recount(codes[owner == index], layout))
 
 
 class TestSliceCounts:
     """A slice's counts, from a roster's prefix counts and its end rows,
-    equal a fresh per-column count of the slice."""
+    equal a fresh recount of the slice, in any layout."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -688,7 +754,7 @@ class TestSliceCounts:
         attributes = tuple(
             Attribute(f"x{i}", tuple(f"c{k}" for k in range(n))) for i, n in enumerate(sizes)
         )
-        offsets = count_offsets(attributes)
+        layout = data.draw(mixed_layouts(attributes))
         rng = np.random.default_rng(seed)
 
         def draw_codes():
@@ -701,34 +767,37 @@ class TestSliceCounts:
             # A roster over one whose prefix counts are made already: it
             # must count its own codes, not its base's.
             base = roster
-            base.slice_counts(0, length, offsets)
+            base.slice_counts(0, length, layout)
             donor = draw_codes()
             cut_a, cut_b = sorted(data.draw(
                 st.lists(st.integers(0, length), min_size=2, max_size=2)
             ))
-            roster = base.patched([(slice(cut_a, cut_b), donor[cut_a:cut_b])], base.category_counts)
+            roster = base.patched([(slice(cut_a, cut_b), donor[cut_a:cut_b])])
             assert roster._prefix is None
         codes = roster.codes
         table = None
         bound = st.integers(0, length)
         for _ in range(data.draw(st.integers(1, 6))):
             start, stop = sorted(data.draw(st.lists(bound, min_size=2, max_size=2)))
-            counts = roster.slice_counts(start, stop, offsets)
-            expected = np.concatenate([
-                np.bincount(codes[start:stop, col], minlength=n)
-                for col, n in enumerate(sizes)
-            ])
+            counts = roster.slice_counts(start, stop, layout)
             assert counts.dtype == np.int64
-            assert np.array_equal(counts, expected)
+            assert np.array_equal(counts, recount(codes[start:stop], layout))
             # Made once, on the first slice that holds a whole block.
             if table is not None:
-                assert roster._prefix is table
-            table = roster._prefix
+                assert roster._prefix[1] is table
+            table = None if roster._prefix is None else roster._prefix[1]
         if table is not None:
-            assert table.shape == (length // _PREFIX_ROWS + 1, offsets[-1])
+            assert roster._prefix[0] is layout
+            assert table.shape == (length // _PREFIX_ROWS + 1, layout.size)
             assert table.dtype == np.int64
             with pytest.raises(ValueError):
                 table[0, 0] = 1
+            # Another layout makes its own table.
+            other = marginal_layout(attributes)
+            assert np.array_equal(
+                roster.slice_counts(0, length, other), recount(codes, other)
+            )
+            assert roster._prefix[0] is other
 
     def test_the_whole_roster_makes_the_table(self, schema_small):
         attributes = tuple(schema_small.attributes)
@@ -736,20 +805,18 @@ class TestSliceCounts:
         length = 3 * _PREFIX_ROWS + 7
         codes = np.column_stack([rng.integers(0, a.size, size=length) for a in attributes])
         roster = CandidatePopulation(attributes, codes.astype(np.uint8))
-        offsets = count_offsets(attributes)
+        layout = marginal_layout(attributes)
         assert roster._prefix is None
         # No whole block: tallied, no table made.
         assert np.array_equal(
-            roster.slice_counts(5, _PREFIX_ROWS + 5, offsets),
-            tally(roster.codes[5:_PREFIX_ROWS + 5], offsets),
+            roster.slice_counts(5, _PREFIX_ROWS + 5, layout),
+            layout.tally(roster.codes[5:_PREFIX_ROWS + 5]),
         )
         assert roster._prefix is None
-        assert np.array_equal(roster.slice_counts(0, length, offsets), roster.category_counts)
-        assert roster._prefix[0].tolist() == [0] * 7
-        assert np.array_equal(
-            roster._prefix[-1],
-            tally(roster.codes[: 3 * _PREFIX_ROWS], offsets),
-        )
+        assert np.array_equal(roster.slice_counts(0, length, layout), layout.tally(roster.codes))
+        table = roster._prefix[1]
+        assert table[0].tolist() == [0] * 7
+        assert np.array_equal(table[-1], layout.tally(roster.codes[: 3 * _PREFIX_ROWS]))
 
 
 class TestCodeDtype:
