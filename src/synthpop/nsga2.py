@@ -14,13 +14,13 @@ child's counts are its winner's plus its row of the generation's count
 changes, so the loop scores each generation's offspring, on marginals and
 full cells alike, with one evaluator call and no roster is recounted. Only
 the survivors and the rosters the archive holds build their codes, at the
-end of each generation. Once per generation the Pareto archive merges the generation's first front
-and truncates to the population size, always keeping the lowest weighted
-sum of objectives any evaluated roster reached. It keeps every member's
-objective vector but holds only the rosters at that lowest sum, one of
-which is exported. Determinism is strict: every random draw goes through a
-named substream of the master seed, so a run's outputs are byte-identical
-for a given config and seed.
+end of each generation. Once per generation the Pareto archive merges the
+generation's first front and truncates to the population size, always
+keeping the lowest weighted sum of objectives any evaluated roster
+reached. It keeps every member's objective vector but holds only the
+rosters at that lowest sum, one of which is exported. Determinism is
+strict: every random draw goes through a named substream of the master
+seed, so a run's outputs are byte-identical for a given config and seed.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .fitness import ObjectiveEvaluator, ObjectiveSpec, weighted_sums
 from .population_model import (
     CandidatePopulation,
     CompiledRules,
+    CountLayout,
     SamplingPlan,
     ValidationRule,
-    CountLayout,
     _draw,
     generate_candidate,
 )

@@ -156,9 +156,10 @@ def swap_mutation(
     random roster slots.
 
     The child is built from its codes alone, so its counts are a recount,
-    independent of how ``breed`` derives them. The candidate itself is returned when the two values are equal, so the swap would
-    change nothing, and when the swap would violate one of ``rules``
-    (compiled for the candidate's layout) and is reverted.
+    independent of how ``breed`` derives them. The candidate itself is
+    returned when the two values are equal, so the swap would change
+    nothing, and when the swap would violate one of ``rules`` (compiled for
+    the candidate's layout) and is reverted.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("mutation probability must lie in [0, 1]")
